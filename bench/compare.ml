@@ -14,7 +14,9 @@
    (coverage must never silently shrink: a renamed or dropped workload
    has to show up in the diff, not vanish from it). A baseline recorded with --smoke is
    not comparable to a full run; the mismatch is reported and the
-   comparison downgraded to an informational listing.
+   comparison downgraded to an informational listing. Fields a baseline
+   records beyond the ones read below (older files carry compact_* and
+   par_* twin figures) are ignored.
 
    Stdlib-only on purpose (no JSON dependency is baked into the image):
    the parser below covers exactly the JSON subset Obs.Json emits —
@@ -159,8 +161,6 @@ type workload = {
   gates : float;
   gates_pre : float;  (** nan when the baseline predates the optimizer fields *)
   shrink : float;  (** opt_shrink_pct; nan when absent *)
-  compact_eval : float;  (** compact_eval_speedup; nan when absent *)
-  compact_p50 : float;  (** compact_p50_speedup; nan when absent *)
 }
 
 let load path =
@@ -187,8 +187,6 @@ let load path =
               gates = to_float (member "gates" w);
               gates_pre = to_float (member "gates_pre_opt" w);
               shrink = to_float (member "opt_shrink_pct" w);
-              compact_eval = to_float (member "compact_eval_speedup" w);
-              compact_p50 = to_float (member "compact_p50_speedup" w);
             })
           ws
     | _ -> []
@@ -273,18 +271,6 @@ let () =
         Printf.printf "  %-16s gates %.0f -> %.0f  (%.1f%%)\n" w.w_name w.gates_pre
           w.gates w.shrink)
       with_opt
-  end;
-  (* informational: compact-vs-boxed runtime speedups, for baselines that
-     record them (agreement itself is folded into each workload's
-     "verified" bit, so a disagreement already fails the run) *)
-  let with_compact = List.filter (fun w -> not (Float.is_nan w.compact_eval)) new_ws in
-  if with_compact <> [] then begin
-    Printf.printf "compact runtime vs boxed (%s):\n" new_path;
-    List.iter
-      (fun w ->
-        Printf.printf "  %-16s eval x%.2f  update p50 x%.2f\n" w.w_name w.compact_eval
-          w.compact_p50)
-      with_compact
   end;
   if !unverified > 0 then begin
     Printf.eprintf "%d unverified workload result(s)\n" !unverified;

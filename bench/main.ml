@@ -21,26 +21,11 @@
    the unoptimized twin, and both twins must agree (and match the
    reference) or the workload counts as failed.
 
-   The eval workloads additionally run a compact-vs-boxed runtime twin
-   (PR 7): the main evaluator runs on the CSR/struct-of-arrays compact
-   backend (the default), a boxed twin replays the byte-identical update
-   stream, and the two must agree on every gate value; the full-eval
-   observable compares Compact.eval on the flat arrays against the boxed
-   Circuit.eval of the same circuit, and the circuit persisted with
-   Compact.save must reload to the identical value. path2_enum gets its
-   compact twin through the counting circuit of the same formula, whose
-   value must equal the enumerated answer count on both runtimes.
-
-   The eval workloads also run a parallel-evaluation twin (PR 8): the
-   same compact circuit is fully evaluated level-parallel on N OCaml
-   domains (--domains, default 4) and sequentially, interleaved min-of-5,
-   and the two values must agree exactly; on the verify instance the
-   parallel evaluator, the sequential twin, and Engine.Reference must
-   all land on the identical value. The >=2.5x speedup floor on
-   triangle_nat/pagerank_rat is enforced only when the host actually has
-   that many cores (Domain.recommended_domain_count) — on fewer cores the
-   ratio is recorded but not gated, since level-parallel evaluation
-   cannot beat sequential on a single-core machine.
+   Every eval workload and path2_enum also persist their optimized
+   circuit: frozen into the compact CSR layout, saved in the SPQC1 binary
+   format, reloaded, and evaluated on the compact runtime, the circuit
+   must land on the value Circuit.eval gives (path2_enum: on the
+   enumerated answer count), or the workload counts as failed.
 
    PR 9 adds per-query cost attribution and a telemetry twin: each
    eval/batch workload replays a fresh update stream through
@@ -174,8 +159,6 @@ type result = {
   verified : bool;  (** small instance agrees with Engine.Reference *)
   detail : string;
   opt_cmp : opt_cmp option;  (** optimizer twin comparison, when measured *)
-  compact_cmp : compact_cmp option;  (** compact-runtime twin, when measured *)
-  par_cmp : par_cmp option;  (** parallel-evaluation twin, when measured *)
   cost_cmp : cost_cmp option;  (** per-query cost attribution, when measured *)
   churn_cmp : churn_cmp option;  (** structural-churn twin, when measured *)
   telemetry_pct : float option;
@@ -223,32 +206,6 @@ and opt_cmp = {
   opt_detail : string;
 }
 
-(* Compact (CSR + value planes) vs boxed (pointer graph) runtime on the
-   same optimized circuit: full-eval and per-update-p50 speedups, exact
-   gate-level agreement after identical update streams, and a
-   save→load→eval round-trip through the SPQC1 binary format. *)
-and compact_cmp = {
-  c_eval_speedup : float;  (** boxed full-eval wall / compact full-eval wall *)
-  c_p50_speedup : float;  (** boxed update p50 / compact update p50 *)
-  c_roundtrip : bool;  (** persisted circuit reloads to the identical value *)
-  c_ok : bool;  (** twins agree on every gate and the round-trip held *)
-  c_detail : string;
-}
-
-(* Level-parallel (Circuits.Par, N domains) vs sequential compact full
-   evaluation of the same frozen circuit: wall-clock speedup, exact value
-   agreement on the perf instance, and a three-way exact-agreement check
-   (parallel = sequential = Engine.Reference) on the verify instance. The
-   speedup floor is enforced only when the host has enough cores. *)
-and par_cmp = {
-  par_domains : int;
-  par_levels : int;  (** depth levels of the frozen circuit's level index *)
-  par_eval_speedup : float;  (** sequential full-eval wall / parallel wall *)
-  par_enforced : bool;  (** the speedup floor was actually gated *)
-  par_ok : bool;
-  par_detail : string;
-}
-
 let result_json r =
   Obs.Json.O
     ([
@@ -273,27 +230,6 @@ let result_json r =
             ("opt_p50_speedup", Obs.Json.F o.p50_speedup);
             ("opt_ok", Obs.Json.B o.opt_ok);
             ("opt_detail", Obs.Json.S o.opt_detail);
-          ])
-    @ (match r.compact_cmp with
-      | None -> []
-      | Some c ->
-          [
-            ("compact_eval_speedup", Obs.Json.F c.c_eval_speedup);
-            ("compact_p50_speedup", Obs.Json.F c.c_p50_speedup);
-            ("compact_roundtrip", Obs.Json.B c.c_roundtrip);
-            ("compact_ok", Obs.Json.B c.c_ok);
-            ("compact_detail", Obs.Json.S c.c_detail);
-          ])
-    @ (match r.par_cmp with
-      | None -> []
-      | Some p ->
-          [
-            ("par_domains", Obs.Json.I p.par_domains);
-            ("par_levels", Obs.Json.I p.par_levels);
-            ("par_eval_speedup", Obs.Json.F p.par_eval_speedup);
-            ("par_enforced", Obs.Json.B p.par_enforced);
-            ("par_ok", Obs.Json.B p.par_ok);
-            ("par_detail", Obs.Json.S p.par_detail);
           ])
     @ (match r.cost_cmp with
       | None -> []
@@ -351,6 +287,19 @@ let cwdeg_expr =
 let phi_path2 =
   Logic.Formula.And [ e "x" "y"; e "y" "z"; Logic.Formula.neq (v "x") (v "z") ]
 
+(* SPQC1 round trip: [circuit] frozen into the compact layout, saved,
+   reloaded and evaluated on the compact runtime must land on [want]
+   both before and after the trip, under the tag it was saved with *)
+let spqc_roundtrip (type a) (ops : a Intf.ops) ~tag circuit valuation (want : a) =
+  let cc = Circuits.Compact.of_circuit circuit in
+  let tmp = Filename.temp_file "sparseq_bench" ".spqc" in
+  Circuits.Compact.save ~tag cc tmp;
+  let cc2, tag2 = Circuits.Compact.load tmp in
+  Sys.remove tmp;
+  tag2 = tag
+  && ops.Intf.equal (Circuits.Compact.eval ops cc valuation) want
+  && ops.Intf.equal (Circuits.Compact.eval ops cc2 valuation) want
+
 (* --- the Eval-based workloads (General / Ring / Finite / closed) --- *)
 
 (* Build weights, prepare on a perf instance, hammer random updates, then
@@ -362,11 +311,10 @@ let phi_path2 =
    [salt] is this workload's distinct RNG salt: the three twin streams
    below share it (they must replay identical writes), but no two
    workloads may, or one silently re-measures the other's key pattern.
-   [par_enforce]: minimum parallel-vs-sequential full-eval speedup to
-   require — gated only when the host has [domains] cores. *)
-let eval_workload (type a) ~name ~(ops : a Intf.ops) ?mode ?opt_enforce ?par_enforce
-    ~(mk : int -> a) ~(graph : int -> Graphs.Graph.t) ~(expr : int -> a Logic.Expr.t)
-    ~n_perf ~n_verify ~updates ~seed ~salt ~domains () : result =
+   *)
+let eval_workload (type a) ~name ~(ops : a Intf.ops) ?mode ?opt_enforce ~(mk : int -> a)
+    ~(graph : int -> Graphs.Graph.t) ~(expr : int -> a Logic.Expr.t) ~n_perf ~n_verify
+    ~updates ~seed ~salt () : result =
   let make n =
     let inst = Db.Instance.of_graph (graph n) in
     let n = Db.Instance.n inst in
@@ -456,148 +404,7 @@ let eval_workload (type a) ~name ~(ops : a Intf.ops) ?mode ?opt_enforce ?par_enf
             | _ -> "");
       }
   in
-  (* compact twin (PR 7): [ev] already runs on the compact CSR backend
-     (the default), so spin up a boxed Dyn over the identical circuit
-     object (gate ids line up by construction), replay the byte-identical
-     update stream through it, and require the two runtimes to agree on
-     every gate value. The full-eval observable is Compact.eval over the
-     flat arrays vs the boxed Circuit.eval of the same optimized circuit;
-     the circuit is also persisted and reloaded, and must evaluate to the
-     identical value. *)
-  let dyn_box =
-    Circuits.Dyn.create ?mode ~backend:Circuits.Dyn.Boxed ops ev.Engine.Eval.circuit
-      valuation
-  in
-  let rng_box = Random.State.make [| seed; salt; 1 |] in
-  let samples_box =
-    time_updates updates (fun _ ->
-        (* draw value before index: [Engine.Eval.update ev "w" [draw] (draw)]
-           above evaluates its arguments right to left, and the streams must
-           stay in lockstep for the twins to see identical writes *)
-        let vv = mk (Random.State.int rng_box 1000) in
-        let x = Random.State.int rng_box n in
-        let key = ("w", [ x ]) in
-        if Circuits.Dyn.has_input dyn_box key then Circuits.Dyn.set_input dyn_box key vv)
-  in
-  let gates_agree =
-    let dc = ev.Engine.Eval.dyn in
-    Circuits.Dyn.num_gates dc = Circuits.Dyn.num_gates dyn_box
-    &&
-    let ok = ref true in
-    for id = 0 to Circuits.Dyn.num_gates dc - 1 do
-      if
-        not
-          (ops.Intf.equal (Circuits.Dyn.gate_value dc id)
-             (Circuits.Dyn.gate_value dyn_box id))
-      then ok := false
-    done;
-    !ok
-  in
-  let cc = Circuits.Compact.of_circuit ev.Engine.Eval.circuit in
-  (* time boxed and compact eval interleaved, min over rounds: the earlier
-     [t_opt] sample ran in a different cache/GC regime, and these sub-ms
-     evals are dominated by scheduler noise otherwise *)
-  let t_boxed_eval, t_compact =
-    let best_b = ref infinity and best_c = ref infinity in
-    for _ = 1 to 5 do
-      let t0 = Unix.gettimeofday () in
-      ignore (Circuits.Circuit.eval ops ev.Engine.Eval.circuit valuation);
-      let t1 = Unix.gettimeofday () in
-      ignore (Circuits.Compact.eval ops cc valuation);
-      let t2 = Unix.gettimeofday () in
-      best_b := Float.min !best_b (t1 -. t0);
-      best_c := Float.min !best_c (t2 -. t1)
-    done;
-    (!best_b, !best_c)
-  in
-  let v_compact = Circuits.Compact.eval ops cc valuation in
-  let compact_agree = ops.Intf.equal v_compact v_opt in
-  let roundtrip =
-    let tmp = Filename.temp_file "sparseq_bench" ".spqc" in
-    Circuits.Compact.save ~tag:name cc tmp;
-    let cc2, tag = Circuits.Compact.load tmp in
-    Sys.remove tmp;
-    tag = name && ops.Intf.equal (Circuits.Compact.eval ops cc2 valuation) v_compact
-  in
-  let c_eval_speedup = t_boxed_eval /. Float.max 1e-9 t_compact in
-  let c_p50_speedup =
-    p50_ratio ~raw:(quantile samples_box 0.5) ~opt:(quantile samples 0.5)
-  in
-  let c_ok = gates_agree && compact_agree && roundtrip in
-  let compact_cmp =
-    Some
-      {
-        c_eval_speedup;
-        c_p50_speedup;
-        c_roundtrip = roundtrip;
-        c_ok;
-        c_detail =
-          Printf.sprintf "eval x%.2f p50 x%.2f vs boxed; gates %s; eval %s; reload %s"
-            c_eval_speedup c_p50_speedup
-            (if gates_agree then "agree" else "DISAGREE")
-            (if compact_agree then "agree" else "DISAGREE")
-            (if roundtrip then "identical" else "DIFFERS");
-      }
-  in
-  (* parallel twin (PR 8): full evaluation of the same frozen compact
-     circuit, level-parallel on [domains] OCaml domains vs sequential,
-     interleaved min-of-5 like the compact/boxed pair above; the two must
-     land on the identical value. The speedup floor (when set) is only
-     enforced on hosts that actually have [domains] cores. *)
-  let par_cmp =
-    let pl = Circuits.Par.plan cc in
-    let t_seq, t_par =
-      let best_s = ref infinity and best_p = ref infinity in
-      for _ = 1 to 5 do
-        let t0 = Unix.gettimeofday () in
-        ignore (Circuits.Compact.eval ops cc valuation);
-        let t1 = Unix.gettimeofday () in
-        ignore (Circuits.Par.eval ~plan:pl ~domains ops cc valuation);
-        let t2 = Unix.gettimeofday () in
-        best_s := Float.min !best_s (t1 -. t0);
-        best_p := Float.min !best_p (t2 -. t1)
-      done;
-      (!best_s, !best_p)
-    in
-    let v_par = Circuits.Par.eval ~plan:pl ~domains ops cc valuation in
-    let par_agree = ops.Intf.equal v_par v_compact in
-    let par_eval_speedup = t_seq /. Float.max 1e-9 t_par in
-    let enforced =
-      par_enforce <> None && Domain.recommended_domain_count () >= domains
-    in
-    let fast =
-      match par_enforce with
-      | Some floor when enforced -> par_eval_speedup >= floor
-      | _ -> true
-    in
-    let par_ok = par_agree && fast in
-    Some
-      {
-        par_domains = domains;
-        par_levels = Circuits.Par.levels pl;
-        par_eval_speedup;
-        par_enforced = enforced;
-        par_ok;
-        par_detail =
-          Printf.sprintf "eval x%.2f on %d domains (%d levels%s); values %s%s"
-            par_eval_speedup domains (Circuits.Par.levels pl)
-            (if enforced then ""
-             else
-               Printf.sprintf ", floor not gated: host has %d core(s)"
-                 (Domain.recommended_domain_count ()))
-            (if par_agree then "agree" else "DISAGREE")
-            (match par_enforce with
-            | Some floor when enforced && not fast ->
-                Printf.sprintf " BELOW required %.1fx" floor
-            | _ -> "");
-      }
-  in
-  let par_ok = match par_cmp with Some p -> p.par_ok | None -> true in
-  (* park the pool before the cost/telemetry phases: idle worker domains
-     make every minor GC a full-fleet synchronization, which would tax
-     the allocation-heavy enabled legs below far beyond the telemetry
-     layer's own cost *)
-  Circuits.Par.shutdown ();
+  let roundtrip = spqc_roundtrip ops ~tag:name ev.Engine.Eval.circuit valuation v_opt in
   (* costed replay: another [updates]-long stream through the same live
      evaluator, this time attributed via Eval.with_cost; runs after the
      twin comparisons so the extra writes cannot desync the twins *)
@@ -666,17 +473,13 @@ let eval_workload (type a) ~name ~(ops : a Intf.ops) ?mode ?opt_enforce ?par_enf
       let want = Engine.Reference.eval ops instv weightsv ~env:[ (List.hd fv, x) ] exprv in
       if not (ops.Intf.equal (Engine.Eval.query evv [ x ]) want) then incr mismatches
     done;
-  (* three-way exact agreement on the verify instance: the parallel
-     evaluator, the sequential twin, and the brute-force reference must
-     all land on the identical value of the closed sum *)
-  let trio_ok =
+  (* one-shot evaluation of the closed sum on the verify instance must
+     land on the brute-force reference's value *)
+  let oneshot_ok =
     let exprv_closed = if fv = [] then exprv else Logic.Expr.Sum (fv, exprv) in
-    let v_ref = Engine.Reference.eval ops instv weightsv exprv_closed in
-    let v_seq = Engine.Eval.evaluate ops ~tfa_rounds:1 instv weightsv exprv_closed in
-    let v_par =
-      Engine.Eval.evaluate ops ~domains ~tfa_rounds:1 instv weightsv exprv_closed
-    in
-    ops.Intf.equal v_par v_seq && ops.Intf.equal v_seq v_ref
+    ops.Intf.equal
+      (Engine.Eval.evaluate ops ~tfa_rounds:1 instv weightsv exprv_closed)
+      (Engine.Reference.eval ops instv weightsv exprv_closed)
   in
   {
     name;
@@ -687,18 +490,15 @@ let eval_workload (type a) ~name ~(ops : a Intf.ops) ?mode ?opt_enforce ?par_enf
     updates;
     p50_ns = quantile samples 0.5;
     p99_ns = quantile samples 0.99;
-    verified = !mismatches = 0 && opt_ok && c_ok && par_ok && trio_ok && cost_ok;
+    verified = !mismatches = 0 && opt_ok && roundtrip && oneshot_ok && cost_ok;
     detail =
       (if !mismatches = 0 then
          Printf.sprintf "reference agreed on n=%d after 25 shared updates" nv
        else Printf.sprintf "%d reference mismatches on n=%d" !mismatches nv)
       ^ Printf.sprintf "; opt: %s"
           (match opt_cmp with Some o -> o.opt_detail | None -> "skipped")
-      ^ Printf.sprintf "; compact: %s"
-          (match compact_cmp with Some c -> c.c_detail | None -> "skipped")
-      ^ Printf.sprintf "; par: %s%s"
-          (match par_cmp with Some p -> p.par_detail | None -> "skipped")
-          (if trio_ok then "; par=seq=reference" else "; par/seq/reference DISAGREE")
+      ^ Printf.sprintf "; spqc reload %s" (if roundtrip then "identical" else "DIFFERS")
+      ^ (if oneshot_ok then "; evaluate=reference" else "; evaluate/reference DISAGREE")
       ^ Printf.sprintf "; cost: %s"
           (match cost_cmp with
           | Some c ->
@@ -707,8 +507,6 @@ let eval_workload (type a) ~name ~(ops : a Intf.ops) ?mode ?opt_enforce ?par_enf
                 (if c.cost_exact then "exact" else "MISMATCH")
           | None -> "skipped");
     opt_cmp;
-    compact_cmp;
-    par_cmp;
     cost_cmp;
     churn_cmp = None;
     telemetry_pct;
@@ -851,8 +649,6 @@ let batch_workload (type a) ~name ~(ops : a Intf.ops) ~mode ~(mk : int -> a)
                 (if c.cost_exact then "exact" else "MISMATCH")
           | None -> "skipped");
     opt_cmp = None;
-    compact_cmp = None;
-    par_cmp = None;
     cost_cmp;
     churn_cmp = None;
     telemetry_pct;
@@ -915,59 +711,19 @@ let path2_workload ~smoke ~seed () : result =
       s.Circuits.Circuit.gates shrink eval_speedup p50_speedup
       (if twins_agree then "agree" else "DISAGREE")
   in
-  (* compact twin (PR 7) through the counting circuit of the same formula:
-     its value is the answer count, so compact eval, boxed eval, and the
-     enumeration must all land on the same number (the paired set_tuple
-     toggles above cancel out, so the instance is back in its initial
-     state); the persisted circuit must reload to the same count. The
-     set_tuple updates are O(1) instance writes on either runtime, so only
-     the full-eval observable is twinned (p50 speedup recorded as parity). *)
+  (* the counting circuit of the same formula: its value is the answer
+     count, so Circuit.eval and the SPQC1-reloaded compact circuit must
+     land on the enumerated count (the paired set_tuple toggles above
+     cancel out, so the instance is back in its initial state) *)
   let fvp = Logic.Formula.free_vars_unique phi_path2 in
   let ccirc, _ =
     Engine.Compile.compile ~tfa_rounds:1 ~zero:0 ~one:1 inst
       (Logic.Expr.Sum (fvp, Logic.Expr.Guard phi_path2))
   in
-  let cc = Circuits.Compact.of_circuit ccirc in
-  (* interleaved min-of-5, as in the eval workloads *)
-  let t_boxed, t_compact =
-    let best_b = ref infinity and best_c = ref infinity in
-    for _ = 1 to 5 do
-      let t0 = Unix.gettimeofday () in
-      ignore (Circuits.Circuit.eval nat_ops ccirc (fun _ -> 0));
-      let t1 = Unix.gettimeofday () in
-      ignore (Circuits.Compact.eval nat_ops cc (fun _ -> 0));
-      let t2 = Unix.gettimeofday () in
-      best_b := Float.min !best_b (t1 -. t0);
-      best_c := Float.min !best_c (t2 -. t1)
-    done;
-    (!best_b, !best_c)
-  in
-  let v_boxed = Circuits.Circuit.eval nat_ops ccirc (fun _ -> 0) in
-  let v_compact = Circuits.Compact.eval nat_ops cc (fun _ -> 0) in
-  let counts_agree = v_compact = v_boxed && v_compact = List.length answers_opt in
-  let roundtrip =
-    let tmp = Filename.temp_file "sparseq_bench" ".spqc" in
-    Circuits.Compact.save ~tag:"nat" cc tmp;
-    let cc2, tag = Circuits.Compact.load tmp in
-    Sys.remove tmp;
-    tag = "nat" && Circuits.Compact.eval nat_ops cc2 (fun _ -> 0) = v_compact
-  in
-  let c_eval_speedup = t_boxed /. Float.max 1e-9 t_compact in
-  let c_ok = counts_agree && roundtrip in
-  let compact_cmp =
-    Some
-      {
-        c_eval_speedup;
-        c_p50_speedup = 1.0;
-        c_roundtrip = roundtrip;
-        c_ok;
-        c_detail =
-          Printf.sprintf "count eval x%.2f vs boxed; counts %s (%d); reload %s"
-            c_eval_speedup
-            (if counts_agree then "agree" else "DISAGREE")
-            v_compact
-            (if roundtrip then "identical" else "DIFFERS");
-      }
+  let count = List.length answers_opt in
+  let counts_ok =
+    Circuits.Circuit.eval nat_ops ccirc (fun _ -> 0) = count
+    && spqc_roundtrip nat_ops ~tag:"nat" ccirc (fun _ -> 0) count
   in
   (* verify: after removing a few edges, the enumerated answers must match
      the brute-force answers on the live instance *)
@@ -998,19 +754,18 @@ let path2_workload ~smoke ~seed () : result =
     updates;
     p50_ns = quantile samples 0.5;
     p99_ns = quantile samples 0.99;
-    verified = (got = want) && opt_ok && c_ok;
+    verified = (got = want) && opt_ok && counts_ok;
     detail =
       (if got = want then
          Printf.sprintf "enumeration matched reference (%d answers after edge removals)"
            (List.length want)
        else "enumerated answers disagree with reference")
       ^ "; opt: " ^ opt_detail
-      ^ "; compact: "
-      ^ (match compact_cmp with Some c -> c.c_detail | None -> "skipped");
+      ^ Printf.sprintf "; counting circuit %s (%d), spqc reload included"
+          (if counts_ok then "agrees" else "DISAGREES")
+          count;
     opt_cmp =
       Some { gates_pre; shrink; eval_speedup; p50_speedup; opt_ok; opt_detail };
-    compact_cmp;
-    par_cmp = None;
     cost_cmp = None;
     churn_cmp = None;
     telemetry_pct;
@@ -1178,8 +933,6 @@ let churn_workload ~smoke ~seed ~salt () : result =
     verified = churn_ok;
     detail = churn_detail;
     opt_cmp = None;
-    compact_cmp = None;
-    par_cmp = None;
     cost_cmp = None;
     churn_cmp =
       Some
@@ -1203,7 +956,6 @@ let () =
   let out = ref "BENCH_pr10.json" in
   let smoke = ref false in
   let trace = ref "" in
-  let domains = ref 4 in
   let metrics_out = ref "" in
   let metrics_interval = ref 1000 in
   let only = ref [] in
@@ -1212,9 +964,6 @@ let () =
       ("--seed", Arg.Set_int seed, "INT  PRNG seed (default 20260705)");
       ("--out", Arg.Set_string out, "FILE  JSON baseline output (default BENCH_pr10.json)");
       ("--smoke", Arg.Set smoke, "  small instances and fewer updates (CI mode)");
-      ( "--domains",
-        Arg.Set_int domains,
-        "N  domains for the parallel-evaluation twin (default 4)" );
       ( "--trace",
         Arg.Set_string trace,
         "FILE  record a span trace of the run as Chrome trace-event JSON" );
@@ -1226,10 +975,9 @@ let () =
         "MS  minimum interval between exposition rewrites (default 1000)" );
     ]
     (fun w -> only := w :: !only)
-    "bench [--seed INT] [--out FILE] [--smoke] [--domains N] [--trace FILE] [--metrics-out \
+    "bench [--seed INT] [--out FILE] [--smoke] [--trace FILE] [--metrics-out \
      FILE] [workload ...]";
   let smoke = !smoke and seed = !seed in
-  let domains = max 1 !domains in
   if Sys.getenv_opt "SPARSEQ_FLIGHT" = None then
     Obs.Trace.set_flight_dest Obs.Trace.Stderr;
   if !trace <> "" then Obs.Trace.start_recording ();
@@ -1247,30 +995,29 @@ let () =
             ~mk:(fun i -> i mod 7)
             ~graph:(deg3 (seed + 10))
             ~expr:(fun _ -> wdeg_expr)
-            ~n_perf:n_wdeg ~n_verify:40 ~updates:k ~seed ~salt:1 ~domains () );
+            ~n_perf:n_wdeg ~n_verify:40 ~updates:k ~seed ~salt:1 () );
       ( "wdeg_ring",
         fun () ->
           eval_workload ~name:"wdeg_ring" ~ops:int_ops ~mode:Circuits.Dyn.Ring
             ~mk:(fun i -> (i mod 13) - 6)
             ~graph:(deg3 (seed + 11))
             ~expr:(fun _ -> wdeg_expr)
-            ~n_perf:n_wdeg ~n_verify:40 ~updates:k ~seed ~salt:2 ~domains () );
+            ~n_perf:n_wdeg ~n_verify:40 ~updates:k ~seed ~salt:2 () );
       ( "wdeg_finite",
         fun () ->
           eval_workload ~name:"wdeg_finite" ~ops:bool_ops ~mode:Circuits.Dyn.Finite
             ~mk:(fun i -> i mod 3 = 0)
             ~graph:(deg3 (seed + 12))
             ~expr:(fun _ -> wdeg_expr)
-            ~n_perf:n_wdeg ~n_verify:40 ~updates:k ~seed ~salt:3 ~domains () );
+            ~n_perf:n_wdeg ~n_verify:40 ~updates:k ~seed ~salt:3 () );
       ( "triangle_nat",
         fun () ->
           let side = if smoke then 10 else 22 in
           eval_workload ~name:"triangle_nat" ~ops:nat_ops ~opt_enforce:20.
-            ~par_enforce:2.5
             ~mk:(fun i -> (i mod 5) + 1)
             ~graph:(fun _ -> Graphs.Gen.triangulated_grid side side)
             ~expr:(fun _ -> wtri_expr)
-            ~n_perf:(side * side) ~n_verify:25 ~updates:k ~seed ~salt:4 ~domains () );
+            ~n_perf:(side * side) ~n_verify:25 ~updates:k ~seed ~salt:4 () );
       ( "pagerank_rat",
         fun () ->
           let rat_ops = Intf.ops_of_ring (module Rat.Ring) in
@@ -1279,7 +1026,6 @@ let () =
           (* linv is folded to 1 here: the update regime, not the ranks,
              is what is measured and verified *)
           eval_workload ~name:"pagerank_rat" ~ops:rat_ops ~mode:Circuits.Dyn.Ring
-            ~par_enforce:2.5
             ~mk:(fun i -> Rat.of_ints 1 (1 + (i mod 50)))
             ~graph:(fun n -> Graphs.Gen.random_sparse ~seed:(seed + 13) ~n ~avg_deg:4)
             ~expr:(fun n ->
@@ -1298,7 +1044,7 @@ let () =
                             ] );
                     ];
                 ])
-            ~n_perf:n_pr ~n_verify:30 ~updates:k ~seed ~salt:5 ~domains () );
+            ~n_perf:n_pr ~n_verify:30 ~updates:k ~seed ~salt:5 () );
       ("path2_enum", fun () -> path2_workload ~smoke ~seed ());
       ( "batch_general",
         fun () ->
@@ -1356,11 +1102,6 @@ let () =
     List.map
       (fun (_, run) ->
         let r = run () in
-        (* park the domain pool between workloads: idle worker domains
-           are free CPU-wise but every minor GC still synchronizes all
-           live domains, which taxes the next workload's allocation-heavy
-           update loops (measured ~2x on wdeg_ring p50 on one core) *)
-        Circuits.Par.shutdown ();
         (* rewrite the exposition between workloads, outside any timed window *)
         Obs.Openmetrics.pulse ();
         Printf.printf "%-14s %8d %10.3f %8d %6d %12.0f %12.0f %9b" r.name r.n r.wall_s

@@ -105,34 +105,9 @@ let opt_arg =
            fold/cse/dce/balance passes on the compiled circuit, $(b,none) hands \
            the raw compiler output downstream.")
 
-let compact_arg =
-  Arg.(
-    value
-    & opt ~vopt:Circuits.Dyn.Compact
-        (enum [ ("on", Circuits.Dyn.Compact); ("off", Circuits.Dyn.Boxed) ])
-        Circuits.Dyn.Compact
-    & info [ "compact" ] ~docv:"on|off"
-        ~doc:
-          "Gate-storage backend for circuit evaluation and maintenance: $(b,on) (the \
-           default) uses the CSR/struct-of-arrays compact runtime with Bigarray value \
-           planes for machine-int semirings, $(b,off) the boxed pointer-graph twin.")
-
-let domains_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Evaluate circuits level-parallel on $(docv) OCaml domains (compact backend \
-           only; the calling domain participates, so $(docv)=4 spawns three pooled \
-           workers). $(b,1) (the default) is the unchanged sequential evaluator.")
-
-(* Budget, optimizer pipeline, storage backend and domain count travel
-   together so every run function keeps the fixed arity [guarded] expects. *)
-let budget_opt =
-  Term.(
-    const (fun b o c d -> (b, o, c, max 1 d))
-    $ budget_term $ opt_arg $ compact_arg $ domains_arg)
+(* Budget and optimizer pipeline travel together so every run function
+   keeps the fixed arity [guarded] expects. *)
+let budget_opt = Term.(const (fun b o -> (b, o)) $ budget_term $ opt_arg)
 
 let load_arg =
   Arg.(
@@ -344,7 +319,7 @@ let stats_cmd =
              per-kind latency quantiles plus the localized/fallback split and the \
              gates-rebuilt vs gates-carried totals (0 = skip).")
   in
-  let run kind n seed qname (budget, opt, backend, domains) ((updates, batch, cost, churn), load)
+  let run kind n seed qname (budget, opt) ((updates, batch, cost, churn), load)
       =
     match load with
     | Some path ->
@@ -379,10 +354,9 @@ let stats_cmd =
               [ Logic.Expr.Guard phi; Logic.Expr.Weight ("w", [ v (List.hd fv) ]) ] )
       in
       let ev =
-        Engine.Eval.prepare nat_ops ~opt ~backend ~domains ~tfa_rounds:1 ~budget inst
+        Engine.Eval.prepare nat_ops ~opt ~tfa_rounds:1 ~budget inst
           (Db.Weights.bundle [ w ]) wexpr
       in
-      Printf.printf "backend: %s  domains: %d\n" (Circuits.Dyn.backend_name backend) domains;
       let rng = Random.State.make [| seed; 0x5eed |] in
       let agg = ref Engine.Eval.Cost.zero in
       let touched0 = touched_gates_total () in
@@ -525,7 +499,7 @@ let stats_cmd =
 (* --- count --- *)
 
 let count_cmd =
-  let run kind n seed qname (budget, opt, backend, domains) (fallback, load) =
+  let run kind n seed qname (budget, opt) (fallback, load) =
     match load with
     | Some path ->
         (* Evaluate a persisted circuit directly on the compact runtime.  A
@@ -540,10 +514,7 @@ let count_cmd =
           Robust.bad_input
             "%s holds weight input %S; count evaluates closed circuits only" path w
         in
-        let value =
-          if domains > 1 then Circuits.Par.eval ~domains nat_ops cc valuation
-          else Circuits.Compact.eval nat_ops cc valuation
-        in
+        let value = Circuits.Compact.eval nat_ops cc valuation in
         Printf.printf "answers(%s) = %d   (%.3fs)\n" path value (Sys.time () -. t0)
     | None ->
         let _, inst = setup kind n seed in
@@ -554,7 +525,7 @@ let count_cmd =
         let t0 = Sys.time () in
         let value, degraded =
           ok
-            (Engine.Eval.evaluate_checked nat_ops ~opt ~backend ~domains ~tfa_rounds:1
+            (Engine.Eval.evaluate_checked nat_ops ~opt ~tfa_rounds:1
                ~budget ~fallback inst (Db.Weights.bundle []) expr)
         in
         note_degraded degraded;
@@ -584,7 +555,7 @@ let enum_cmd =
       answers;
     Printf.printf "total answers: %d\n" total
   in
-  let run kind n seed qname limit ((budget, opt, _backend, _domains), fallback) =
+  let run kind n seed qname limit ((budget, opt), fallback) =
     let _, inst = setup kind n seed in
     let phi = make_query qname in
     let t0 = Sys.time () in
@@ -613,7 +584,7 @@ let enum_cmd =
 
 let pagerank_cmd =
   let rounds_arg = Arg.(value & opt int 5 & info [ "rounds" ] ~doc:"PageRank rounds.") in
-  let run kind n seed rounds (budget, opt, backend, domains) (fallback, recover) =
+  let run kind n seed rounds (budget, opt) (fallback, recover) =
     let g, inst = setup kind n seed in
     let n = Db.Instance.n inst in
     let d = Rat.of_ints 85 100 in
@@ -644,7 +615,7 @@ let pagerank_cmd =
     let rat_ops = Intf.ops_of_ring (module Rat.Ring) in
     let t =
       ok
-        (Engine.Eval.prepare_checked rat_ops ~opt ~backend ~domains ~tfa_rounds:1 ~budget
+        (Engine.Eval.prepare_checked rat_ops ~opt ~tfa_rounds:1 ~budget
            ~fallback ?recover inst
            (Db.Weights.bundle [ w; linv ]) expr)
     in
@@ -684,12 +655,11 @@ let explain_cmd =
              finite semiring). Determines which constant-update permanent-gate \
              strategy the dynamic circuit would pick.")
   in
-  let run kind n seed qname (budget, opt, backend, domains) (semiring, load) =
+  let run kind n seed qname (budget, opt) (semiring, load) =
     let sname = match semiring with `Nat -> "nat" | `Int -> "int" | `Bool -> "bool" in
     let strategy (type a) (ops : a Semiring.Intf.ops) =
       Printf.printf "permanent-gate strategy: %s\n"
-        (Circuits.Dyn.mode_name (Circuits.Dyn.pick_mode ops));
-      Printf.printf "gate storage: %s\n" (Circuits.Dyn.backend_name backend)
+        (Circuits.Dyn.mode_name (Circuits.Dyn.pick_mode ops))
     in
     let pick_strategy () =
       match semiring with
@@ -718,7 +688,7 @@ let explain_cmd =
     let explain (type a) (ops : a Semiring.Intf.ops) =
       let (ev : a Engine.Eval.t), records =
         Obs.Trace.with_recording (fun () ->
-            Engine.Eval.prepare ops ~opt ~backend ~domains ~tfa_rounds:1 ~budget inst
+            Engine.Eval.prepare ops ~opt ~tfa_rounds:1 ~budget inst
               (Db.Weights.bundle []) expr)
       in
       print_string (Obs.Trace.render_forest (Obs.Trace.forest_of records));
@@ -732,7 +702,7 @@ let explain_cmd =
          once, so gates_visited is the circuit size and there are no waves. *)
       let cell = ref None in
       ignore
-        (Engine.Eval.evaluate ops ~opt ~backend ~domains ~tfa_rounds:1 ~budget ~cost:cell
+        (Engine.Eval.evaluate ops ~opt ~tfa_rounds:1 ~budget ~cost:cell
            inst (Db.Weights.bundle []) expr);
       match !cell with
       | Some c -> Printf.printf "one-shot cost: %s\n" (Engine.Eval.Cost.summary c)
@@ -777,7 +747,7 @@ let compile_cmd =
             "Semiring whose constants are baked into the saved circuit; recorded in \
              the file tag and checked on $(b,--load).")
   in
-  let run kind n seed qname (budget, opt, _backend, _domains) (save, semiring) =
+  let run kind n seed qname (budget, opt) (save, semiring) =
     let _, inst = setup kind n seed in
     let phi = make_query qname in
     let fv = Logic.Formula.free_vars_unique phi in

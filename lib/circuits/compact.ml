@@ -34,7 +34,9 @@
     length-prefixed binary format ([SPQC1], FNV-1a section checksums like
     {!Journal}) so a compiled+optimized circuit is written once and loaded
     back in O(size), with corruption surfacing as [Robust.Bad_input]
-    rather than as wrong answers. *)
+    rather than as wrong answers; a save goes through
+    {!Obs.write_file_atomic}, so one that fails part-way leaves the
+    previous file intact. *)
 
 let op_input = 0
 let op_const = 1
@@ -73,11 +75,6 @@ let make_plane (type a) (ops : a Semiring.Intf.ops) (n : int) : a plane =
       Bigarray.Array1.fill b ops.Semiring.Intf.zero;
       PInt b
   | Semiring.Intf.Boxed_repr -> PBox (Array.make n ops.Semiring.Intf.zero)
-
-(** Always-boxed plane — the storage of the sequential (boxed) twin,
-    regardless of the representation witness. *)
-let boxed_plane (ops : 'a Semiring.Intf.ops) (n : int) : 'a plane =
-  PBox (Array.make n ops.Semiring.Intf.zero)
 
 let plane_get : type a. a plane -> int -> a =
  fun p i -> match p with PInt b -> Bigarray.Array1.get b i | PBox a -> a.(i)
@@ -203,9 +200,8 @@ let of_circuit (c : 'a Circuit.t) : 'a t =
     output = c.Circuit.output;
   }
 
-(** Back to the boxed graph — O(size); used by the loaded-circuit path so
-    dynamic maintenance can rebalance and rebuild exactly as it does for a
-    freshly compiled circuit. *)
+(** Back to the boxed graph — O(size); used by the loaded-circuit path to
+    report a persisted circuit's statistics. *)
 let to_circuit (t : 'a t) : 'a Circuit.t =
   let nodes =
     Array.init t.n (fun id ->
@@ -427,10 +423,7 @@ let save ?(tag = "") (t : 'a t) (path : string) : unit =
   section (encode_ints t.perm_cols);
   section (Marshal.to_string t.consts []);
   section (Marshal.to_string t.input_keys []);
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Buffer.output_buffer oc buf)
+  Obs.write_file_atomic path (fun oc -> Buffer.output_buffer oc buf)
 
 (** Read a circuit back. Every frame's length is bounds-checked against
     the bytes actually remaining {e before} any allocation, every checksum

@@ -2,10 +2,12 @@
 
     Three strategies, chosen from the semiring's capabilities:
 
-    - {b General} (Corollary 13): wide additions and multiplications are
-      rebalanced into binary trees and every permanent gate carries a
-      segment-tree permanent, so an input update costs
-      O(3ᵏ log n · reach-out) — logarithmic, and tight by Proposition 14.
+    - {b General} (Corollary 13): additions and multiplications keep the
+      bounded fan-in the optimizer's Balance pass gives them (at most
+      [Opt.balance_cap] children, so a sum over n terms is an O(log n)
+      deep tree) and every permanent gate carries a segment-tree
+      permanent, so an input update costs O(3ᵏ log n · reach-out) —
+      logarithmic, and tight by Proposition 14.
     - {b Ring} (Corollary 17): additions keep a running sum updated by
       x ↦ x − old + new; permanent gates carry power-sum permanents.
       Constant-time updates for circuits of bounded depth and fan-in.
@@ -17,15 +19,6 @@
     else [neg] ⇒ Ring, else General. *)
 
 type mode = General | Ring | Finite
-
-(** Which gate-storage the wave engine runs over: [Compact] (default) is
-    the CSR/struct-of-arrays runtime of {!Compact} — flat opcode and
-    child arrays, CSR parent lists, and a Bigarray value plane for
-    machine-int semirings; [Boxed] is the pointer-graph runtime, kept as
-    the sequential twin for differential testing and benchmarking. Both
-    run the same heap/undo-log/journal machinery and are observationally
-    identical. *)
-type backend = Boxed | Compact
 
 (* Update reach-out metrics (scope "dyn"): Corollary 13 claims O(3ᵏ log n)
    touched gates per update for general semirings, Corollaries 17/20 claim
@@ -105,32 +98,19 @@ type 'a undo_entry =
   | URing of 'a Perm.Ring.t * 'a Perm.Ring.undo
   | UFin of 'a Perm.Finite.t * 'a Perm.Finite.undo
 
-(** Gate topology, per backend. Parent edges carry (parent id, slot in
-    the parent's child order) — the boxed twin keeps them as per-gate
-    lists, the compact runtime as one CSR triple so a wave's parent scan
-    is a flat array walk with no pointer chasing. *)
-type 'a topo =
-  | TBoxed of {
-      nodes : 'a Circuit.node array;
-      parents : (int * int) list array;
-    }
-  | TFlat of {
-      cc : 'a Compact.t;
-      par_off : int array;  (** n+1 CSR offsets *)
-      par_gate : int array;  (** parent gate ids *)
-      par_slot : int array;  (** slot of the child in that parent *)
-    }
-
 type 'a t = {
   ops : 'a Semiring.Intf.ops;
   mode : mode;
   n : int;  (** gate count *)
-  topo : 'a topo;
-  output : int;
-  input_ids : (Circuit.input_key, int) Hashtbl.t;
+  cc : 'a Compact.t;
+      (** the gates in the CSR/struct-of-arrays layout of {!Compact}: flat
+          opcode and child arrays, so a recomputation walks no pointers *)
+  par_off : int array;  (** n+1 CSR offsets into [par_gate]/[par_slot] *)
+  par_gate : int array;  (** parent gate ids, per child contiguous *)
+  par_slot : int array;  (** slot of the child in that parent's child order *)
   values : 'a Compact.plane;
-      (** current gate values; Bigarray-backed on the compact backend for
-          machine-int semirings, a boxed array otherwise *)
+      (** current gate values; Bigarray-backed for machine-int semirings,
+          a boxed array otherwise *)
   aux : 'a aux array;
   fin_ctx : 'a Perm.Finite.ctx option;
   mutable wave_heap : int array;
@@ -175,65 +155,7 @@ type 'a t = {
   mutable rollback_fault_hook : (unit -> unit) option;
       (** test-only fault injection at the start of a rollback; a raise
           here simulates a crash during recovery itself (→ poisoned) *)
-  ext_remap : int array;
-      (** external (pre-balance) gate id → internal gate id; identity
-          outside General mode. Lets {!splice} translate a carry table
-          expressed over the optimizer's circuit into internal ids *)
-  synth : int array array;
-      (** per external gate: the internal gates [balance] synthesized for
-          its binary tree, in emission order — structurally equal external
-          gates get positionally corresponding trees, so a splice can
-          carry the synthesized subtree values too *)
 }
-
-(* Rebalance wide Add/Mul gates into binary trees (General mode); also
-   returns the external→internal remap and, per external gate, the
-   synthesized tree-internal gates in emission order. The tree shape is a
-   pure function of the fan-in, so structurally equal external gates have
-   positionally corresponding synth arrays. *)
-let balance (c : 'a Circuit.t) : 'a Circuit.t * int array * int array array =
-  let b = Circuit.builder () in
-  let n = Array.length c.Circuit.nodes in
-  let remap = Array.make n (-1) in
-  let synth = Array.make n [||] in
-  let rec tree mk = function
-    | [] -> invalid_arg "Dyn.balance: empty gate list"
-    | [ g ] -> g
-    | gs ->
-        let n = List.length gs in
-        let left = List.filteri (fun i _ -> i < n / 2) gs in
-        let right = List.filteri (fun i _ -> i >= n / 2) gs in
-        mk [ tree mk left; tree mk right ]
-  in
-  Array.iteri
-    (fun id node ->
-      let len0 = Circuit.builder_len b in
-      let nid =
-        match node with
-        | Circuit.Input key -> Circuit.input b key
-        | Circuit.Const s -> Circuit.const b s
-        | Circuit.Add [||] -> Circuit.push b (Circuit.Add [||])
-        | Circuit.Mul [||] -> Circuit.push b (Circuit.Mul [||])
-        | Circuit.Add gs ->
-            tree (fun l -> Circuit.push b (Circuit.Add (Array.of_list l)))
-              (List.map (fun g -> remap.(g)) (Array.to_list gs))
-        | Circuit.Mul gs ->
-            tree (fun l -> Circuit.push b (Circuit.Mul (Array.of_list l)))
-              (List.map (fun g -> remap.(g)) (Array.to_list gs))
-        | Circuit.Perm rows -> Circuit.perm b (Array.map (Array.map (fun g -> remap.(g))) rows)
-      in
-      let len1 = Circuit.builder_len b in
-      if len1 - len0 > 1 then begin
-        (* everything created for this gate except the gate itself *)
-        let extra = ref [] in
-        for g = len1 - 1 downto len0 do
-          if g <> nid then extra := g :: !extra
-        done;
-        synth.(id) <- Array.of_list !extra
-      end;
-      remap.(id) <- nid)
-    c.Circuit.nodes;
-  (Circuit.finish b ~output:remap.(c.Circuit.output), remap, synth)
 
 let pick_mode (ops : 'a Semiring.Intf.ops) =
   match (ops.Semiring.Intf.elements, ops.Semiring.Intf.neg) with
@@ -242,218 +164,118 @@ let pick_mode (ops : 'a Semiring.Intf.ops) =
   | None, None -> General
 
 let mode_name = function General -> "general" | Ring -> "ring" | Finite -> "finite"
-let backend_name = function Boxed -> "boxed" | Compact -> "compact"
 
 (* (Re)compute every derived gate value and auxiliary structure bottom-up
    from the current input/const values: one topological pass, exactly the
-   initial-evaluation semantics on either gate layout. Shared by [create]
-   and [repair]. With [~prefilled:true] (compact backend only) every gate
-   value is already in the plane — a parallel full evaluation ran first —
-   and this pass only builds the auxiliary structures: permanent
-   maintenance state (whose [perm] rewrites the gate value with the same
-   permanent) and Finite-mode counters.
+   initial-evaluation semantics. Shared by [create], [repair] and
+   [splice].
 
    [skip] marks gates whose value and aux were already carried over by
    {!splice} — they are left untouched; [on_build] fires before each gate
    that is (re)built, carrying the fault-injection and cost-accounting
    hooks of the splice path. *)
-let init_derived ?(prefilled = false) ?(skip = fun _ -> false) ?(on_build = fun _ -> ())
-    (ops : 'a Semiring.Intf.ops) mode fin_ctx (topo : 'a topo)
+let init_derived ?(skip = fun _ -> false) ?(on_build = fun _ -> ())
+    (ops : 'a Semiring.Intf.ops) mode fin_ctx (cc : 'a Compact.t)
     (values : 'a Compact.plane) (aux : 'a aux array) =
   let open Semiring.Intf in
   let vget g = Compact.plane_get values g in
   let vset id v = Compact.plane_set values id v in
-  let mk_perm id m ncols =
-    let st =
-      match mode with
-      | General -> PSeg (Perm.Segtree.create ops m)
-      | Ring -> PRing (Perm.Ring.create ops m)
-      | Finite -> PFin (Perm.Finite.create ops m)
-    in
-    aux.(id) <- APerm (st, ncols);
-    vset id
-      (match st with
-      | PSeg s -> Perm.Segtree.perm s
-      | PRing s -> Perm.Ring.perm s
-      | PFin s -> Perm.Finite.perm s)
-  in
-  (* Finite mode: a counting gate's per-element counters (Lemma 18). *)
-  let mk_counts id iter_children =
-    match fin_ctx with
-    | Some ctx ->
-        let counts = Array.make (Array.length ctx.Perm.Finite.elems) 0 in
-        iter_children (fun g ->
-            let i = Perm.Finite.index_of ctx (vget g) in
-            counts.(i) <- counts.(i) + 1);
-        aux.(id) <- ACount counts
-    | None -> ()
-  in
-  match topo with
-  | TBoxed b ->
-      Array.iteri
-        (fun id node ->
-          if not (skip id) then
-            match node with
-            | Circuit.Input _ -> ()
-            | Circuit.Const s ->
-                on_build id;
-                vset id s
-            | Circuit.Add gs ->
-                on_build id;
-                vset id (Array.fold_left (fun acc g -> ops.add acc (vget g)) ops.zero gs);
-                mk_counts id (fun visit -> Array.iter visit gs)
-            | Circuit.Mul gs ->
-                on_build id;
-                vset id (Array.fold_left (fun acc g -> ops.mul acc (vget g)) ops.one gs)
-            | Circuit.Perm rows ->
-                on_build id;
-                let m = Array.map (Array.map vget) rows in
-                let ncols = if Array.length rows = 0 then 0 else Array.length rows.(0) in
-                mk_perm id m ncols)
-        b.nodes
-  | TFlat fl ->
-      let cc = fl.cc in
-      let off = cc.Compact.child_off and ch = cc.Compact.children in
-      for id = 0 to cc.Compact.n - 1 do
-        if not (skip id) then
-          match cc.Compact.opcode.(id) with
-          | 0 (* input *) -> ()
-          | 1 (* const *) ->
-              if not prefilled then begin
-                on_build id;
-                vset id cc.Compact.consts.(cc.Compact.arg.(id))
-              end
-          | 2 (* add *) ->
-              if not prefilled then begin
-                on_build id;
-                let acc = ref ops.zero in
-                for i = off.(id) to off.(id + 1) - 1 do
-                  acc := ops.add !acc (vget ch.(i))
-                done;
-                vset id !acc
-              end;
-              mk_counts id (fun visit ->
-                  for i = off.(id) to off.(id + 1) - 1 do
-                    visit ch.(i)
-                  done)
-          | 3 (* mul *) ->
-              if not prefilled then begin
-                on_build id;
-                let acc = ref ops.one in
-                for i = off.(id) to off.(id + 1) - 1 do
-                  acc := ops.mul !acc (vget ch.(i))
-                done;
-                vset id !acc
-              end
-          | _ (* perm *) ->
-              on_build id;
-              let ncols = cc.Compact.perm_cols.(cc.Compact.arg.(id)) in
-              mk_perm id (Compact.perm_matrix cc values id) ncols
-      done
+  let off = cc.Compact.child_off and ch = cc.Compact.children in
+  for id = 0 to cc.Compact.n - 1 do
+    if not (skip id) then
+      match cc.Compact.opcode.(id) with
+      | 0 (* input *) -> ()
+      | 1 (* const *) ->
+          on_build id;
+          vset id cc.Compact.consts.(cc.Compact.arg.(id))
+      | 2 (* add *) -> (
+          on_build id;
+          let acc = ref ops.zero in
+          for i = off.(id) to off.(id + 1) - 1 do
+            acc := ops.add !acc (vget ch.(i))
+          done;
+          vset id !acc;
+          (* Finite mode: a counting gate's per-element counters (Lemma 18) *)
+          match fin_ctx with
+          | Some ctx ->
+              let counts = Array.make (Array.length ctx.Perm.Finite.elems) 0 in
+              for i = off.(id) to off.(id + 1) - 1 do
+                let e = Perm.Finite.index_of ctx (vget ch.(i)) in
+                counts.(e) <- counts.(e) + 1
+              done;
+              aux.(id) <- ACount counts
+          | None -> ())
+      | 3 (* mul *) ->
+          on_build id;
+          let acc = ref ops.one in
+          for i = off.(id) to off.(id + 1) - 1 do
+            acc := ops.mul !acc (vget ch.(i))
+          done;
+          vset id !acc
+      | _ (* perm *) ->
+          on_build id;
+          let m = Compact.perm_matrix cc values id in
+          let st =
+            match mode with
+            | General -> PSeg (Perm.Segtree.create ops m)
+            | Ring -> PRing (Perm.Ring.create ops m)
+            | Finite -> PFin (Perm.Finite.create ops m)
+          in
+          aux.(id) <- APerm (st, cc.Compact.perm_cols.(cc.Compact.arg.(id)));
+          vset id
+            (match st with
+            | PSeg s -> Perm.Segtree.perm s
+            | PRing s -> Perm.Ring.perm s
+            | PFin s -> Perm.Finite.perm s)
+  done
 
-(* Build the per-backend gate storage for a circuit: the topology (boxed
-   parent lists or the CSR triple), the input-key table, and an
-   uninitialized value plane. Shared by [create] and [splice]. *)
-let make_structure (type a) backend (ops : a Semiring.Intf.ops) (c : a Circuit.t) :
-    a topo * (Circuit.input_key, int) Hashtbl.t * a Compact.plane =
-  let n = Array.length c.Circuit.nodes in
-  match backend with
-  | Boxed ->
-      let parents = Array.make n [] in
-      Array.iteri
-        (fun id node ->
-          match node with
-          | Circuit.Input _ | Circuit.Const _ -> ()
-          | Circuit.Add gs | Circuit.Mul gs ->
-              Array.iteri (fun slot g -> parents.(g) <- (id, slot) :: parents.(g)) gs
-          | Circuit.Perm rows ->
-              let ncols = if Array.length rows = 0 then 0 else Array.length rows.(0) in
-              Array.iteri
-                (fun r row ->
-                  Array.iteri
-                    (fun cidx g -> parents.(g) <- (id, (r * ncols) + cidx) :: parents.(g))
-                    row)
-                rows)
-        c.Circuit.nodes;
-      ( TBoxed { nodes = c.Circuit.nodes; parents },
-        c.Circuit.input_ids,
-        Compact.boxed_plane ops n )
-  | Compact ->
-      let cc = Compact.of_circuit c in
-      let nch = Array.length cc.Compact.children in
-      (* parent CSR: count, prefix-sum, fill (parents end up in
-         ascending parent-id order) *)
-      let par_off = Array.make (n + 1) 0 in
-      Array.iter (fun g -> par_off.(g + 1) <- par_off.(g + 1) + 1) cc.Compact.children;
-      for g = 0 to n - 1 do
-        par_off.(g + 1) <- par_off.(g + 1) + par_off.(g)
-      done;
-      let par_gate = Array.make nch 0 and par_slot = Array.make nch 0 in
-      let cursor = Array.sub par_off 0 n in
-      let coff = cc.Compact.child_off in
-      for id = 0 to n - 1 do
-        for i = coff.(id) to coff.(id + 1) - 1 do
-          let g = cc.Compact.children.(i) in
-          par_gate.(cursor.(g)) <- id;
-          par_slot.(cursor.(g)) <- i - coff.(id);
-          cursor.(g) <- cursor.(g) + 1
-        done
-      done;
-      ( TFlat { cc; par_off; par_gate; par_slot },
-        cc.Compact.input_ids,
-        Compact.make_plane ops n )
+(* Freeze a circuit into the CSR layout and build its parent CSR triple
+   and an uninitialized value plane. Shared by [create] and [splice]. *)
+let make_structure (ops : 'a Semiring.Intf.ops) (c : 'a Circuit.t) =
+  let cc = Compact.of_circuit c in
+  let n = cc.Compact.n in
+  (* parent CSR: count, prefix-sum, fill (parents end up in ascending
+     parent-id order) *)
+  let par_off = Array.make (n + 1) 0 in
+  Array.iter (fun g -> par_off.(g + 1) <- par_off.(g + 1) + 1) cc.Compact.children;
+  for g = 0 to n - 1 do
+    par_off.(g + 1) <- par_off.(g + 1) + par_off.(g)
+  done;
+  let nch = Array.length cc.Compact.children in
+  let par_gate = Array.make nch 0 and par_slot = Array.make nch 0 in
+  let cursor = Array.sub par_off 0 n in
+  let coff = cc.Compact.child_off in
+  for id = 0 to n - 1 do
+    for i = coff.(id) to coff.(id + 1) - 1 do
+      let g = cc.Compact.children.(i) in
+      par_gate.(cursor.(g)) <- id;
+      par_slot.(cursor.(g)) <- i - coff.(id);
+      cursor.(g) <- cursor.(g) + 1
+    done
+  done;
+  (cc, par_off, par_gate, par_slot, Compact.make_plane ops n)
 
-(* identity external↔internal mapping for the modes that do not balance *)
-let identity_remap n = (Array.init n (fun i -> i), Array.make n [||])
-
-let create ?mode ?(backend = Compact) ?(domains = 1) (ops : 'a Semiring.Intf.ops)
-    (c : 'a Circuit.t) (valuation : Circuit.input_key -> 'a) : 'a t =
+let create ?mode (ops : 'a Semiring.Intf.ops) (c : 'a Circuit.t)
+    (valuation : Circuit.input_key -> 'a) : 'a t =
   let mode = match mode with Some m -> m | None -> pick_mode ops in
   Obs.Trace.span ~scope:"dyn" "create"
     ~attrs:
       [
         ("mode", Obs.Trace.S (mode_name mode));
-        ("backend", Obs.Trace.S (backend_name backend));
-        ("domains", Obs.Trace.I domains);
         ("gates", Obs.Trace.I (Array.length c.Circuit.nodes));
       ]
   @@ fun () ->
-  let c, ext_remap, synth =
-    if mode = General then balance c
-    else
-      let r, s = identity_remap (Array.length c.Circuit.nodes) in
-      (c, r, s)
-  in
-  let n = Array.length c.Circuit.nodes in
-  let topo, input_ids, values = make_structure backend ops c in
+  let cc, par_off, par_gate, par_slot, values = make_structure ops c in
+  let n = cc.Compact.n in
   (* seed input values *)
-  (match topo with
-  | TBoxed b ->
-      Array.iteri
-        (fun id node ->
-          match node with
-          | Circuit.Input key -> Compact.plane_set values id (valuation key)
-          | _ -> ())
-        b.nodes
-  | TFlat fl ->
-      let cc = fl.cc in
-      Array.iteri
-        (fun id op ->
-          if op = 0 then
-            Compact.plane_set values id
-              (valuation cc.Compact.input_keys.(cc.Compact.arg.(id))))
-        cc.Compact.opcode);
+  Array.iteri
+    (fun id op ->
+      if op = 0 then
+        Compact.plane_set values id (valuation cc.Compact.input_keys.(cc.Compact.arg.(id))))
+    cc.Compact.opcode;
   let aux = Array.make n ANone in
   let fin_ctx = if mode = Finite then Some (Perm.Finite.make_ctx ops) else None in
-  (* With extra domains and the compact backend, the O(size) initial
-     bottom-up evaluation runs level-parallel; the remaining sequential
-     pass only builds aux structures (identical final state — the aux
-     [perm] recomputes the same permanents the parallel pass wrote). *)
-  (match topo with
-  | TFlat fl when domains > 1 ->
-      Par.eval_into ~domains ops fl.cc valuation values;
-      init_derived ~prefilled:true ops mode fin_ctx topo values aux
-  | _ -> init_derived ops mode fin_ctx topo values aux);
+  init_derived ops mode fin_ctx cc values aux;
   Obs.Counter.incr
     (match mode with
     | General -> m_creates_general
@@ -463,9 +285,10 @@ let create ?mode ?(backend = Compact) ?(domains = 1) (ops : 'a Semiring.Intf.ops
     ops;
     mode;
     n;
-    topo;
-    output = c.Circuit.output;
-    input_ids;
+    cc;
+    par_off;
+    par_gate;
+    par_slot;
     values;
     aux;
     fin_ctx;
@@ -483,8 +306,6 @@ let create ?mode ?(backend = Compact) ?(domains = 1) (ops : 'a Semiring.Intf.ops
     poisoned = None;
     fault_hook = None;
     rollback_fault_hook = None;
-    ext_remap;
-    synth;
   }
 
 let poisoned t = t.poisoned
@@ -501,7 +322,6 @@ let update_ops t = t.update_ops
 let set_cost_log t sink = t.cost_log <- sink
 
 let num_gates t = t.n
-let backend t = match t.topo with TBoxed _ -> Boxed | TFlat _ -> Compact
 
 (* Plane accessors for the current gate values. *)
 let vget t id = Compact.plane_get t.values id
@@ -512,7 +332,7 @@ let check_live t =
 
 let value t =
   check_live t;
-  vget t t.output
+  vget t t.cc.Compact.output
 
 let gate_value t id =
   check_live t;
@@ -636,10 +456,7 @@ let fault_wave t (e : exn) : 'b =
 (* Is this gate an addition? The only kind query [notify] needs beyond
    what the aux array already encodes (APerm ⇔ Perm, ACount ⇔ Finite-mode
    Add): Ring mode must not apply the add-delta to Mul gates. *)
-let gate_is_add t id =
-  match t.topo with
-  | TBoxed b -> ( match b.nodes.(id) with Circuit.Add _ -> true | _ -> false)
-  | TFlat fl -> fl.cc.Compact.opcode.(id) = 2
+let gate_is_add t id = t.cc.Compact.opcode.(id) = 2
 
 (* Apply the effect of a child's value change on a parent's auxiliary
    state; cheap bookkeeping only, no recomputation. Permanent gates only
@@ -718,46 +535,33 @@ let recompute t id =
   let open Semiring.Intf in
   (match t.fault_hook with Some h -> h id | None -> ());
   t.update_ops <- t.update_ops + 1;
-  match t.topo with
-  | TBoxed b -> (
-      match (b.nodes.(id), t.aux.(id)) with
-      | Circuit.Input _, _ | Circuit.Const _, _ -> vget t id
-      | Circuit.Add _, ANone when t.mode = Ring -> vget t id (* maintained by deltas *)
-      | Circuit.Add _, ACount counts -> count_value t counts
-      | Circuit.Add gs, _ ->
-          Array.fold_left (fun acc g -> t.ops.add acc (vget t g)) t.ops.zero gs
-      | Circuit.Mul gs, _ ->
-          Array.fold_left (fun acc g -> t.ops.mul acc (vget t g)) t.ops.one gs
-      | Circuit.Perm _, APerm (st, _) -> perm_value t id st
-      | Circuit.Perm _, _ -> invalid_arg "Dyn: permanent gate without state")
-  | TFlat fl -> (
-      let cc = fl.cc in
-      match cc.Compact.opcode.(id) with
-      | 0 | 1 -> vget t id
-      | 4 -> (
-          match t.aux.(id) with
-          | APerm (st, _) -> perm_value t id st
-          | _ -> invalid_arg "Dyn: permanent gate without state")
-      | opc -> (
-          match t.aux.(id) with
-          | ACount counts -> count_value t counts
-          | _ when opc = 2 && t.mode = Ring -> vget t id (* maintained by deltas *)
-          | _ ->
-              let off = cc.Compact.child_off and ch = cc.Compact.children in
-              if opc = 2 then begin
-                let acc = ref t.ops.zero in
-                for i = off.(id) to off.(id + 1) - 1 do
-                  acc := t.ops.add !acc (vget t ch.(i))
-                done;
-                !acc
-              end
-              else begin
-                let acc = ref t.ops.one in
-                for i = off.(id) to off.(id + 1) - 1 do
-                  acc := t.ops.mul !acc (vget t ch.(i))
-                done;
-                !acc
-              end))
+  let cc = t.cc in
+  match cc.Compact.opcode.(id) with
+  | 0 | 1 -> vget t id
+  | 4 -> (
+      match t.aux.(id) with
+      | APerm (st, _) -> perm_value t id st
+      | _ -> invalid_arg "Dyn: permanent gate without state")
+  | opc -> (
+      match t.aux.(id) with
+      | ACount counts -> count_value t counts
+      | _ when opc = 2 && t.mode = Ring -> vget t id (* maintained by deltas *)
+      | _ ->
+          let off = cc.Compact.child_off and ch = cc.Compact.children in
+          if opc = 2 then begin
+            let acc = ref t.ops.zero in
+            for i = off.(id) to off.(id + 1) - 1 do
+              acc := t.ops.add !acc (vget t ch.(i))
+            done;
+            !acc
+          end
+          else begin
+            let acc = ref t.ops.one in
+            for i = off.(id) to off.(id + 1) - 1 do
+              acc := t.ops.mul !acc (vget t ch.(i))
+            done;
+            !acc
+          end)
 
 (* Queue one parent for recomputation (saving its pre-wave value on first
    contact) and push the child's delta into its auxiliary state. *)
@@ -773,15 +577,12 @@ let enqueue_one t p slot ~old_v ~new_v =
   end;
   notify t p slot ~old_v ~new_v
 
-(* Queue [g]'s parents for recomputation; a flat parent scan on the
-   compact backend, a list walk on the boxed twin. *)
+(* Queue [g]'s parents for recomputation: a flat scan of its CSR
+   parent run. *)
 let enqueue_parents t g ~old_v ~new_v =
-  match t.topo with
-  | TBoxed b -> List.iter (fun (p, slot) -> enqueue_one t p slot ~old_v ~new_v) b.parents.(g)
-  | TFlat fl ->
-      for i = fl.par_off.(g) to fl.par_off.(g + 1) - 1 do
-        enqueue_one t fl.par_gate.(i) fl.par_slot.(i) ~old_v ~new_v
-      done
+  for i = t.par_off.(g) to t.par_off.(g + 1) - 1 do
+    enqueue_one t t.par_gate.(i) t.par_slot.(i) ~old_v ~new_v
+  done
 
 (* Drain the heap in topological (gate-id) order. Children always have
    smaller ids than parents, so when a gate is popped every queued child
@@ -810,7 +611,7 @@ let run_wave t =
     later read or update raises {!Poisoned} until {!repair}. *)
 let set_input t (key : Circuit.input_key) v =
   check_live t;
-  match Hashtbl.find_opt t.input_ids key with
+  match Hashtbl.find_opt t.cc.Compact.input_ids key with
   | None -> invalid_arg "Dyn.set_input: unknown input (weight symbol, tuple)"
   | Some id ->
       let old_v = vget t id in
@@ -883,7 +684,7 @@ let set_inputs t (assignments : (Circuit.input_key * 'a) list) =
       let resolved =
         List.map
           (fun (key, v) ->
-            match Hashtbl.find_opt t.input_ids key with
+            match Hashtbl.find_opt t.cc.Compact.input_ids key with
             | Some id -> (id, v)
             | None -> invalid_arg "Dyn.set_inputs: unknown input (weight symbol, tuple)")
           assignments
@@ -949,11 +750,11 @@ let set_inputs t (assignments : (Circuit.input_key * 'a) list) =
 
 (** Current value of an input gate. *)
 let input_value t key =
-  match Hashtbl.find_opt t.input_ids key with
+  match Hashtbl.find_opt t.cc.Compact.input_ids key with
   | Some id -> Some (vget t id)
   | None -> None
 
-let has_input t key = Hashtbl.mem t.input_ids key
+let has_input t key = Hashtbl.mem t.cc.Compact.input_ids key
 
 (** Temporarily set some inputs, run [f], restore — the free-variable query
     mechanism in the proof of Theorem 8. Both directions go through
@@ -1004,7 +805,7 @@ let repair t =
   done;
   t.wave_len <- 0;
   undo_reset t;
-  init_derived t.ops t.mode t.fin_ctx t.topo t.values t.aux;
+  init_derived t.ops t.mode t.fin_ctx t.cc t.values t.aux;
   t.poisoned <- None;
   Obs.Counter.incr m_repairs
 
@@ -1016,8 +817,8 @@ type splice_report = {
   sp_retired : int;  (** old gates with no image in the new structure *)
 }
 
-(* Uniform structural view of one gate on either backend, for the carry
-   check ([Perm] children row-major on both). *)
+(* Uniform structural view of one gate, for the carry check ([Perm]
+   children row-major). *)
 type 'a view =
   | VInput of Circuit.input_key
   | VConst of 'a
@@ -1025,30 +826,17 @@ type 'a view =
   | VMul of int array
   | VPerm of int array * int  (** row-major children, column count *)
 
-let gate_view (topo : 'a topo) id : 'a view =
-  match topo with
-  | TBoxed b -> (
-      match b.nodes.(id) with
-      | Circuit.Input key -> VInput key
-      | Circuit.Const s -> VConst s
-      | Circuit.Add gs -> VAdd gs
-      | Circuit.Mul gs -> VMul gs
-      | Circuit.Perm rows ->
-          let ncols = if Array.length rows = 0 then 0 else Array.length rows.(0) in
-          VPerm (Array.concat (Array.to_list rows), ncols))
-  | TFlat fl -> (
-      let cc = fl.cc in
-      let kids () =
-        Array.sub cc.Compact.children
-          cc.Compact.child_off.(id)
-          (cc.Compact.child_off.(id + 1) - cc.Compact.child_off.(id))
-      in
-      match cc.Compact.opcode.(id) with
-      | 0 -> VInput cc.Compact.input_keys.(cc.Compact.arg.(id))
-      | 1 -> VConst cc.Compact.consts.(cc.Compact.arg.(id))
-      | 2 -> VAdd (kids ())
-      | 3 -> VMul (kids ())
-      | _ -> VPerm (kids (), cc.Compact.perm_cols.(cc.Compact.arg.(id))))
+let gate_view (cc : 'a Compact.t) id : 'a view =
+  let kids () =
+    Array.sub cc.Compact.children cc.Compact.child_off.(id)
+      (cc.Compact.child_off.(id + 1) - cc.Compact.child_off.(id))
+  in
+  match cc.Compact.opcode.(id) with
+  | 0 -> VInput cc.Compact.input_keys.(cc.Compact.arg.(id))
+  | 1 -> VConst cc.Compact.consts.(cc.Compact.arg.(id))
+  | 2 -> VAdd (kids ())
+  | 3 -> VMul (kids ())
+  | _ -> VPerm (kids (), cc.Compact.perm_cols.(cc.Compact.arg.(id)))
 
 (** Replace the compiled circuit by [c] — the output of a localized
     recompile — building the new runtime structure {e aside} and carrying
@@ -1086,28 +874,11 @@ let splice (t : 'a t) (c : 'a Circuit.t) ~(carry : int array)
         ("new_gates", Obs.Trace.I (Array.length c.Circuit.nodes));
       ]
   @@ fun () ->
-  let c, ext_remap, synth =
-    if t.mode = General then balance c
-    else
-      let r, s = identity_remap (Array.length c.Circuit.nodes) in
-      (c, r, s)
-  in
-  let n = Array.length c.Circuit.nodes in
-  let topo, input_ids, values = make_structure (backend t) t.ops c in
-  (* Translate the optimizer-level carry into internal ids. Balance tree
-     shape is a pure function of the fan-in, so when a carried gate's
-     synthesized-subtree sizes agree on both sides the tree-internal
-     gates correspond positionally and cross over too. *)
-  let src = Array.make n (-1) in
-  Array.iteri
-    (fun ext_new old_ext ->
-      if old_ext >= 0 then begin
-        src.(ext_remap.(ext_new)) <- t.ext_remap.(old_ext);
-        let s_new = synth.(ext_new) and s_old = t.synth.(old_ext) in
-        if Array.length s_new = Array.length s_old then
-          Array.iteri (fun k g -> src.(g) <- s_old.(k)) s_new
-      end)
-    carry;
+  let cc, par_off, par_gate, par_slot, values = make_structure t.ops c in
+  let n = cc.Compact.n in
+  (* Runtime gate ids are the optimizer's, so the carry indexes gates
+     directly; an out-of-range source is treated as rebuilt. *)
+  let src = Array.map (fun i -> if i < t.n then i else -1) carry in
   (* Index the old circuit's derived gates by (kind, children, arity) so
      the promotion step below can recover correspondences the carry table
      missed — chiefly the fan-in trees the optimizer's balance pass
@@ -1133,7 +904,7 @@ let splice (t : 'a t) (c : 'a Circuit.t) ~(carry : int array)
   in
   for i = 0 to t.n - 1 do
     let key =
-      match gate_view t.topo i with
+      match gate_view t.cc i with
       | VInput _ -> None
       | VConst _ ->
           old_consts := i :: !old_consts;
@@ -1167,9 +938,9 @@ let splice (t : 'a t) (c : 'a Circuit.t) ~(carry : int array)
   let claimed = Array.make t.n false in
   for j = 0 to n - 1 do
     (if src.(j) < 0 then
-       match gate_view topo j with
+       match gate_view cc j with
        | VInput key -> (
-           match Hashtbl.find_opt t.input_ids key with
+           match Hashtbl.find_opt t.cc.Compact.input_ids key with
            | Some i when not claimed.(i) -> src.(j) <- i
            | _ -> ())
        | VConst v -> (
@@ -1178,7 +949,7 @@ let splice (t : 'a t) (c : 'a Circuit.t) ~(carry : int array)
                (fun i ->
                  (not claimed.(i))
                  &&
-                 match gate_view t.topo i with
+                 match gate_view t.cc i with
                  | VConst b -> t.ops.Semiring.Intf.equal v b
                  | _ -> false)
                old_consts
@@ -1189,7 +960,7 @@ let splice (t : 'a t) (c : 'a Circuit.t) ~(carry : int array)
            let resolved = Array.map (fun ch -> src.(ch)) ks in
            if Array.for_all (fun i -> i >= 0) resolved then begin
              let key =
-               match gate_view topo j with
+               match gate_view cc j with
                | VMul _ -> (3, resolved, 0)
                | VPerm (_, nc) -> (4, resolved, nc)
                | _ -> (2, sorted resolved, 0)
@@ -1211,7 +982,7 @@ let splice (t : 'a t) (c : 'a Circuit.t) ~(carry : int array)
       let ok =
         (not claimed.(i))
         &&
-        match (gate_view topo j, gate_view t.topo i) with
+        match (gate_view cc j, gate_view t.cc i) with
         | VInput k1, VInput k2 -> k1 = k2
         | VConst a, VConst b -> t.ops.Semiring.Intf.equal a b
         | VAdd c1, VAdd c2 ->
@@ -1245,7 +1016,7 @@ let splice (t : 'a t) (c : 'a Circuit.t) ~(carry : int array)
       | APerm (st, ncols) -> aux.(j) <- APerm (st, ncols)
     end
     else
-      match gate_view topo j with
+      match gate_view cc j with
       | VInput key -> Compact.plane_set values j (valuation key)
       | _ -> ()
   done;
@@ -1257,7 +1028,7 @@ let splice (t : 'a t) (c : 'a Circuit.t) ~(carry : int array)
     incr rebuilt
   in
   (match init_derived ~skip:(fun j -> src.(j) >= 0) ~on_build t.ops t.mode t.fin_ctx
-           topo values aux
+           cc values aux
    with
   | () -> ()
   | exception e -> (
@@ -1284,9 +1055,10 @@ let splice (t : 'a t) (c : 'a Circuit.t) ~(carry : int array)
       ops = t.ops;
       mode = t.mode;
       n;
-      topo;
-      output = c.Circuit.output;
-      input_ids;
+      cc;
+      par_off;
+      par_gate;
+      par_slot;
       values;
       aux;
       fin_ctx = t.fin_ctx;
@@ -1304,8 +1076,6 @@ let splice (t : 'a t) (c : 'a Circuit.t) ~(carry : int array)
       poisoned = None;
       fault_hook = t.fault_hook;
       rollback_fault_hook = t.rollback_fault_hook;
-      ext_remap;
-      synth;
     }
   in
   (* Splice cost flows into the same accounting as weight waves, so the

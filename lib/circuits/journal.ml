@@ -122,10 +122,11 @@ let verify (t : 'a t) : int option =
 
 let magic = "SPQJ1\n"
 
-(** Write the journal to [path] in the length-prefixed binary format. *)
+(** Write the journal to [path] in the length-prefixed binary format.
+    Crash-safe ({!Obs.write_file_atomic}): a save that fails part-way
+    leaves the previous journal file intact. *)
 let save (t : 'a t) (path : string) : unit =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
+  Obs.write_file_atomic path @@ fun oc ->
   output_string oc magic;
   List.iter
     (fun b ->

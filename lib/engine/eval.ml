@@ -41,8 +41,6 @@ type 'a t = {
   base_valuation : Circuits.Circuit.input_key -> 'a;
       (** weights-store valuation for input keys a new circuit introduces *)
   e_mode : Circuits.Dyn.mode option;
-  e_backend : Circuits.Dyn.backend option;
-  e_domains : int option;
   churn : churn;
   mutable upd_pending : int;
       (** engine/updates increments buffered here and flushed to the
@@ -67,7 +65,7 @@ let m_degraded = Obs.counter ~scope:"engine" "degraded"
    attempts re-run after a rolled-back or repaired wave. *)
 let m_retries = Obs.counter ~scope:"dyn" "retries"
 
-let prepare (type a) (ops : a Semiring.Intf.ops) ?mode ?backend ?domains ?opt ?tfa_rounds
+let prepare (type a) (ops : a Semiring.Intf.ops) ?mode ?opt ?tfa_rounds
     ?max_depth ?budget (inst : Db.Instance.t) (weights : a Db.Weights.bundle)
     (expr : a Logic.Expr.t) : a t =
   Obs.Trace.span ~scope:"engine" "prepare" @@ fun () ->
@@ -99,7 +97,7 @@ let prepare (type a) (ops : a Semiring.Intf.ops) ?mode ?backend ?domains ?opt ?t
     if String.starts_with ~prefix:Db.Weights.reserved_prefix w then ops.zero
     else Db.Weights.get (Db.Weights.find weights w) tuple
   in
-  let dyn = Circuits.Dyn.create ?mode ?backend ?domains ops circuit valuation in
+  let dyn = Circuits.Dyn.create ?mode ops circuit valuation in
   {
     ops;
     dyn;
@@ -111,8 +109,6 @@ let prepare (type a) (ops : a Semiring.Intf.ops) ?mode ?backend ?domains ?opt ?t
     expr_closed;
     base_valuation = valuation;
     e_mode = mode;
-    e_backend = backend;
-    e_domains = domains;
     churn =
       {
         ch_inserts = 0;
@@ -213,10 +209,7 @@ let full_recompile (t : 'a t) : unit =
     | Some v -> v
     | None -> t.base_valuation key
   in
-  let dyn =
-    Circuits.Dyn.create ?mode:t.e_mode ?backend:t.e_backend ?domains:t.e_domains t.ops
-      circuit valuation
-  in
+  let dyn = Circuits.Dyn.create ?mode:t.e_mode t.ops circuit valuation in
   Circuits.Dyn.adopt_accounting ~from:old_dyn dyn;
   Circuits.Dyn.charge dyn (Circuits.Dyn.num_gates dyn);
   t.dyn <- dyn;
@@ -448,17 +441,12 @@ let update_many_cost (t : 'a t) (updates : (string * int list * 'a) list) : Cost
   c
 
 (** One-shot static evaluation of a closed expression through the circuit
-    pipeline (compile + one linear evaluation, no dynamic structures).
-    [~backend:Compact] (the default) converts the optimized circuit to the
-    CSR layout and evaluates over a flat value plane; [~backend:Boxed] is
-    the pointer-graph evaluator, kept as the sequential twin.
-    [~domains] > 1 (compact backend only) evaluates level-parallel on
-    OCaml 5 domains via {!Circuits.Par}; [~domains:1] (the default) is the
-    unchanged sequential path. [?cost] receives a {!Cost.t} for the
+    pipeline (compile + one linear evaluation, no dynamic structures): the
+    optimized circuit is frozen into the CSR layout of {!Circuits.Compact}
+    and evaluated over a flat value plane. [?cost] receives a {!Cost.t} for the
     evaluation proper (compile excluded): every gate is evaluated exactly
     once, so [gates_visited] is the circuit's gate count and [waves] 0. *)
-let evaluate (type a) (ops : a Semiring.Intf.ops)
-    ?(backend = Circuits.Dyn.Compact) ?(domains = 1) ?opt ?tfa_rounds ?max_depth ?budget
+let evaluate (type a) (ops : a Semiring.Intf.ops) ?opt ?tfa_rounds ?max_depth ?budget
     ?(cost : Cost.t option ref option)
     (inst : Db.Instance.t) (weights : a Db.Weights.bundle) (expr : a Logic.Expr.t) : a =
   let open Semiring.Intf in
@@ -467,14 +455,7 @@ let evaluate (type a) (ops : a Semiring.Intf.ops)
       ?max_depth ?budget inst expr
   in
   let valuation (w, tuple) = Db.Weights.get (Db.Weights.find weights w) tuple in
-  let run () =
-    match backend with
-    | Circuits.Dyn.Compact ->
-        let cc = Circuits.Compact.of_circuit circuit in
-        if domains > 1 then Circuits.Par.eval ~domains ops cc valuation
-        else Circuits.Compact.eval ops cc valuation
-    | Circuits.Dyn.Boxed -> Circuits.Circuit.eval ops circuit valuation
-  in
+  let run () = Circuits.Compact.eval ops (Circuits.Compact.of_circuit circuit) valuation in
   match cost with
   | None -> run ()
   | Some cell ->
@@ -641,8 +622,7 @@ let self_check_now (ck : 'a checked) : unit =
     [SPARSEQ_SELF_CHECK=1]) cross-validates circuit values against the
     reference at preparation, on sampled query points, and after every
     {!update_checked}. *)
-let prepare_checked (type a) (ops : a Semiring.Intf.ops) ?mode ?backend ?domains
-    ?opt ?tfa_rounds ?max_depth ?budget ?(fallback : fallback = `Naive) ?self_check
+let prepare_checked (type a) (ops : a Semiring.Intf.ops) ?mode ?opt ?tfa_rounds ?max_depth ?budget ?(fallback : fallback = `Naive) ?self_check
     ?(self_check_samples = 4) ?(recover : recovery option) ?(retries = 2)
     ?(backoff_ms = 1.0) (inst : Db.Instance.t) (weights : a Db.Weights.bundle)
     (expr : a Logic.Expr.t) : (a checked, Robust.error) result =
@@ -674,8 +654,7 @@ let prepare_checked (type a) (ops : a Semiring.Intf.ops) ?mode ?backend ?domains
     Robust.protect
       ~classify:(classify_engine None)
       (fun () ->
-        prepare ops ?mode ?backend ?domains ?opt ?tfa_rounds ?max_depth ?budget inst
-          weights expr)
+        prepare ops ?mode ?opt ?tfa_rounds ?max_depth ?budget inst weights expr)
   with
   | Ok t ->
       let ck = mk (Circuit t) None in
@@ -895,16 +874,14 @@ let repair_checked (ck : 'a checked) : unit =
     fallback after a degradable failure, [Error _] otherwise. [?cost]
     receives the circuit evaluation's {!Cost.t}; the degraded reference
     path leaves the cell untouched (there is no circuit to attribute to). *)
-let evaluate_checked (type a) (ops : a Semiring.Intf.ops) ?backend ?domains ?opt
-    ?tfa_rounds ?max_depth ?budget ?cost ?(fallback : fallback = `Naive)
+let evaluate_checked (type a) (ops : a Semiring.Intf.ops) ?opt ?tfa_rounds ?max_depth ?budget ?cost ?(fallback : fallback = `Naive)
     (inst : Db.Instance.t) (weights : a Db.Weights.bundle) (expr : a Logic.Expr.t) :
     (a * Robust.error option, Robust.error) result =
   match
     Robust.protect
       ~classify:(classify_engine None)
       (fun () ->
-        evaluate ops ?backend ?domains ?opt ?tfa_rounds ?max_depth ?budget ?cost inst
-          weights expr)
+        evaluate ops ?opt ?tfa_rounds ?max_depth ?budget ?cost inst weights expr)
   with
   | Ok v -> Ok (v, None)
   | Error e when Robust.degradable e && fallback = `Naive ->

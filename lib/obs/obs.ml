@@ -25,8 +25,8 @@
     when disabled, an instrumented operation costs one load and branch, so
     the engine's hot paths stay within the ≤5% overhead budget. Metrics
     are process-global and domain-safe: counters, gauges and histogram
-    cells are [Atomic]-backed, so concurrent writers (the parallel
-    evaluator's pooled domains included) never tear or lose updates. *)
+    cells are [Atomic]-backed, so concurrent writers on several domains
+    never tear or lose updates. *)
 
 let enabled_flag = ref true
 let set_enabled b = enabled_flag := b
@@ -49,6 +49,29 @@ let set_clock c = clock := Option.value ~default:default_clock c
 let elapsed_ns t0 =
   let d = now_ns () -. t0 in
   if Float.is_nan d || d < 0. then 0. else d
+
+(* --- crash-safe file writes --- *)
+
+(** Replace [path] with what [write] puts on the channel, crash-safely:
+    [write] fills a [path.tmp] sibling, which is renamed over [path] only
+    once it is complete and closed. A crash or an exception mid-write
+    leaves the previous [path] byte-identical; on an exception the temp
+    file is removed and the exception re-raised. The one file-writing
+    path of the journal, the persisted circuit and the OpenMetrics
+    writer. *)
+let write_file_atomic path (write : out_channel -> unit) : unit =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  match
+    write oc;
+    close_out oc;
+    Sys.rename tmp path
+  with
+  | () -> ()
+  | exception e ->
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
 
 (* --- hand-rolled JSON (the environment has no Yojson) --- *)
 
@@ -217,9 +240,8 @@ end
 (* --- metric kinds --- *)
 
 module Counter = struct
-  (* [Atomic] value: counters are bumped from every domain (the parallel
-     evaluator's workers included), and a plain read-modify-write loses
-     increments under contention. The [enabled_flag] check stays first so
+  (* [Atomic] value: counters may be bumped from several domains, and a
+     plain read-modify-write loses increments under contention. The [enabled_flag] check stays first so
      the disabled path is a single load, as before. *)
   type t = { name : string; v : int Atomic.t }
 
@@ -474,7 +496,7 @@ type metric = C of Counter.t | G of Gauge.t | H of Histogram.t
 let registry : (string * string, metric) Hashtbl.t = Hashtbl.create 64
 
 (* Registration happens lazily on first use from any instrumented path —
-   including pooled worker domains — and a bare [Hashtbl] corrupts under
+   including other domains — and a bare [Hashtbl] corrupts under
    concurrent insert. Every registry access goes through this mutex;
    metric {e updates} don't (the metric cells are atomic, and a registered
    metric record never moves). *)
@@ -764,10 +786,7 @@ module Openmetrics = struct
     let write_now w =
       Runtime.sample ();
       let text = render () in
-      let tmp = w.path ^ ".tmp" in
-      let oc = open_out tmp in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text);
-      Sys.rename tmp w.path;
+      write_file_atomic w.path (fun oc -> output_string oc text);
       w.last_write <- now_ns ();
       w.writes <- w.writes + 1
 
@@ -794,8 +813,8 @@ end
     Both are gated on the same single {!set_enabled} flag as the metrics,
     so the disabled cost of an instrumented operation stays one load and
     one branch. Every record carries the integer id of the domain that
-    emitted it, so a post-mortem dump from a [--domains N] run attributes
-    spans to workers.
+    emitted it, so a post-mortem dump from a multi-domain program
+    attributes spans to their domains.
 
     Finished records flow into two sinks:
 
@@ -840,8 +859,8 @@ module Trace = struct
 
   (* Atomic: span ids are allocated from any domain; a ref would hand two
      spans the same id under contention. The open-span stack stays a plain
-     ref — span nesting is a per-caller notion and worker domains never
-     open spans (they run plain gate chunks). *)
+     ref — span nesting is a per-caller notion, and the engine opens spans
+     from one domain only. *)
   let next_id = Atomic.make 0
   let fresh_id () = Atomic.fetch_and_add next_id 1 + 1
   let stack : span list ref = ref []
@@ -1067,7 +1086,7 @@ module Trace = struct
       complete "X" events for spans and instant "i" events), loadable in
       Perfetto or [chrome://tracing]. Timestamps are microseconds, as the
       format requires; the emitting domain becomes the [tid], so a
-      [--domains N] recording renders one lane per worker. *)
+      multi-domain recording renders one lane per domain. *)
   let to_chrome (records : record list) : Json.t =
     let one = function
       | RSpan s ->

@@ -21,9 +21,10 @@
     - {b dce} — dead-gate elimination: drop every gate outside the output
       cone and compact ids.
     - {b balance} — fan-in rebalancing: split gates wider than
-      {!balance_cap} into trees of fan-in at most [balance_cap], capping
-      the depth any later binary rebalance ({!Circuits.Dyn} in General
-      mode) can add.
+      {!balance_cap} into trees of fan-in at most [balance_cap]. This is
+      the only fan-in bound {!Circuits.Dyn} relies on: in General mode an
+      input update recomputes O(log n) gates of at most [balance_cap]
+      children each.
 
     Each pass emits a remap table (old gate id → new gate id, [-1] for
     gates dropped by dce); {!run} composes them so callers holding gate
@@ -54,8 +55,8 @@ let default_passes = [ Fold; Cse; Dce; Balance ]
 let none : pass list = []
 
 (** Maximum fan-in [balance] leaves behind. Wide gates become
-    [balance_cap]-ary trees, so the depth added by any later binary
-    rebalance is log₂(cap) per original level instead of log₂(fan-in). *)
+    [balance_cap]-ary trees of depth ⌈log_cap fan-in⌉, so a General-mode
+    update reads at most [balance_cap] children per recomputed gate. *)
 let balance_cap = 8
 
 (* Per-pass shrink observables (scope "opt"): the gauges hold the most

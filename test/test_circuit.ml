@@ -260,10 +260,11 @@ let ragged_perm_rejected () =
 let balance_preserves_value () =
   let c = random_circuit 42 8 in
   let v = function "w", [ i ] -> i + 1 | _ -> 0 in
-  let balanced, _, _ = Circuits.Dyn.balance c in
+  let balanced, _ = Opt.balance c in
   check_int "balanced value" (Circuits.Circuit.eval nat_ops c v) (Circuits.Circuit.eval nat_ops balanced v);
   let s = Circuits.Circuit.stats balanced in
-  check_bool "fan-in at most 6 after balancing" true (s.Circuits.Circuit.max_fan_in <= 6)
+  check_bool "fan-in capped after balancing" true
+    (s.Circuits.Circuit.max_fan_in <= Opt.balance_cap)
 
 (* --- builder / finish validation of the topological-order invariant --- *)
 

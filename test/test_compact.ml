@@ -6,18 +6,21 @@
       additionally through the machine-int Bigarray plane
       ([Intf.with_int_repr]), bool and zmod6 through the boxed plane
       fallback;
-   2. qcheck dynamic twins: a compact and a boxed [Dyn] over the identical
-      optimized circuit, fed the same [set_inputs] batches, agree on every
-      gate value in all three permanent strategies (General/Segtree,
-      Ring, Finite), and end-to-end [Eval.prepare]/[update_many] twins
-      agree with [Engine.Reference] on random sparse databases;
+   2. qcheck dynamic differential: a [Dyn] over an optimized circuit, fed
+      random [set_inputs] batches, agrees on every gate value with a
+      from-scratch [Compact.eval_into] and on its output with
+      [Circuit.eval], in all three permanent strategies (General/Segtree,
+      Ring, Finite); end to end, [Eval.prepare]/[update_many] agrees with
+      [Circuit.eval] of its circuit and with [Engine.Reference] on random
+      sparse databases;
    3. qcheck rollback: a fault injected at a random position of an update
       wave on the *compact* runtime rolls back to the exact pre-wave state
       (rollback ∘ partial-wave = identity), and the structure stays usable;
    4. loader fuzz, mirroring the PR 6 journal corruption tests: random bit
       flips, truncations, and version-byte mutations of a serialized
       circuit are rejected as [Robust.Bad_input] — never a crash, hang, or
-      blind allocation — and save → load → save is byte-identical;
+      blind allocation — save → load → save is byte-identical, and a save
+      that fails part-way leaves the previous file intact;
    5. format stability: the two golden .spqc files committed under
       test/golden/ (written by test/gen_golden.ml) load under the current
       reader and evaluate to their recorded values. *)
@@ -26,6 +29,7 @@ open Semiring
 module Circuit = Circuits.Circuit
 module Compact = Circuits.Compact
 module Dyn = Circuits.Dyn
+module Journal = Circuits.Journal
 
 let nat_ops = Intf.ops_of_module (module Instances.Nat)
 let int_ops = Intf.ops_of_ring (module Instances.Int_ring)
@@ -75,46 +79,49 @@ let compact_eval_eq_boxed (type a) name (ops : a Intf.ops) ~(zero : a) ~(one : a
          let v = function "w", [ i ] -> mk ((i * 31) + seed) | _ -> zero in
          ops.Intf.equal (Compact.eval ops cc v) (Circuit.eval ops o.Opt.circuit v)))
 
-(* ------------------------------ 2. dynamic twins ----------------------- *)
+(* ------------------------------ 2. dynamic differential --------------- *)
 
-let dyn_twins (type a) mode name (ops : a Intf.ops) ~(zero : a) ~(one : a)
+let dyn_eq_static (type a) mode name (ops : a Intf.ops) ~(zero : a) ~(one : a)
     ~(mk : int -> a) =
   t
     (QCheck.Test.make ~count:40
-       ~name:(Printf.sprintf "compact Dyn = boxed Dyn: %s" name)
+       ~name:(Printf.sprintf "Dyn = Compact.eval = Circuit.eval: %s" name)
        QCheck.(
          pair (int_range 0 1000)
            (small_list (small_list (pair (int_range 0 5) (int_range 0 50)))))
        (fun (seed, batches) ->
          let c = random_circuit ~zero ~one ~mk seed 6 in
          let o = Opt.run ~zero ~one ~equal:ops.Intf.equal c in
-         let valuation = function "w", [ i ] -> mk i | _ -> zero in
-         (* the identical circuit object, so gate ids line up by
-            construction on both runtimes *)
-         let dc = Dyn.create ~mode ~backend:Dyn.Compact ops o.Opt.circuit valuation in
-         let db = Dyn.create ~mode ~backend:Dyn.Boxed ops o.Opt.circuit valuation in
-         check_bool "backends" true (Dyn.backend dc = Dyn.Compact && Dyn.backend db = Dyn.Boxed);
+         let vals = Array.init 6 mk in
+         let valuation = function "w", [ i ] -> vals.(i) | _ -> zero in
+         let d = Dyn.create ~mode ops o.Opt.circuit valuation in
+         (* runtime gate ids are the optimized circuit's, so a static
+            evaluation of the same circuit lines up gate by gate *)
+         let cc = Compact.of_circuit o.Opt.circuit in
+         let static = Compact.make_plane ops cc.Compact.n in
          List.for_all
            (fun batch ->
              let writes =
                List.filter_map
                  (fun (i, x) ->
                    let key = ("w", [ i ]) in
-                   if Dyn.has_input dc key then Some (key, mk x) else None)
+                   if Dyn.has_input d key then Some (key, i, mk x) else None)
                  batch
              in
-             Dyn.set_inputs dc writes;
-             Dyn.set_inputs db writes;
-             let ok = ref (Dyn.num_gates dc = Dyn.num_gates db) in
-             for id = 0 to Dyn.num_gates dc - 1 do
-               if not (ops.Intf.equal (Dyn.gate_value dc id) (Dyn.gate_value db id)) then
-                 ok := false
+             Dyn.set_inputs d (List.map (fun (key, _, v) -> (key, v)) writes);
+             List.iter (fun (_, i, v) -> vals.(i) <- v) writes;
+             Compact.eval_into ops cc valuation static;
+             let ok = ref (Dyn.num_gates d = cc.Compact.n) in
+             for id = 0 to Dyn.num_gates d - 1 do
+               if not (ops.Intf.equal (Dyn.gate_value d id) (Compact.plane_get static id))
+               then ok := false
              done;
-             !ok && ops.Intf.equal (Dyn.value dc) (Dyn.value db))
+             !ok && ops.Intf.equal (Dyn.value d) (Circuit.eval ops o.Opt.circuit valuation))
            batches))
 
-(* end-to-end through the engine on random sparse databases: both storage
-   backends and the brute-force reference agree after batched updates *)
+(* end-to-end through the engine on random sparse databases: the
+   maintained value, a static evaluation of the engine's circuit, and the
+   brute-force reference agree after batched updates *)
 let vx x = Logic.Term.Var x
 let e x y = Logic.Formula.Rel ("E", [ vx x; vx y ])
 
@@ -128,10 +135,10 @@ let expr_wedge =
           Logic.Expr.Weight ("w", [ vx "y" ]);
         ] )
 
-let engine_backend_twins (type a) name (ops : a Intf.ops) (mk : int -> a) ~count =
+let engine_eq_reference (type a) name (ops : a Intf.ops) (mk : int -> a) ~count =
   t
     (QCheck.Test.make ~count
-       ~name:(Printf.sprintf "engine compact = boxed = reference: %s" name)
+       ~name:(Printf.sprintf "engine = Circuit.eval = reference: %s" name)
        QCheck.(pair (int_range 4 30) (int_range 0 10000))
        (fun (n, seed) ->
          let g = Graphs.Gen.random_bounded_degree ~seed ~n ~max_deg:3 in
@@ -139,10 +146,8 @@ let engine_backend_twins (type a) name (ops : a Intf.ops) (mk : int -> a) ~count
          let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:ops.Intf.zero in
          Db.Weights.fill_unary w ~n (fun i -> mk ((i * 7) + seed));
          let weights = Db.Weights.bundle [ w ] in
-         let prep backend =
-           Engine.Eval.prepare ops ~backend ~tfa_rounds:1 inst weights expr_wedge
-         in
-         let evc = prep Dyn.Compact and evb = prep Dyn.Boxed in
+         let ev = Engine.Eval.prepare ops ~tfa_rounds:1 inst weights expr_wedge in
+         let valuation (wn, tup) = Db.Weights.get (Db.Weights.find weights wn) tup in
          let rng = Graphs.Rand.create (seed + 1) in
          let ok = ref true in
          for round = 1 to 3 do
@@ -152,13 +157,11 @@ let engine_backend_twins (type a) name (ops : a Intf.ops) (mk : int -> a) ~count
            in
            (* write through so the reference sees the same weights *)
            List.iter (fun (_, tup, v) -> Db.Weights.set w tup v) batch;
-           Engine.Eval.update_many evc batch;
-           Engine.Eval.update_many evb batch;
+           Engine.Eval.update_many ev batch;
+           let got = Engine.Eval.value ev in
+           let static = Circuit.eval ops ev.Engine.Eval.circuit valuation in
            let want = Engine.Reference.eval ops inst weights expr_wedge in
-           if
-             not
-               (ops.Intf.equal (Engine.Eval.value evc) (Engine.Eval.value evb)
-               && ops.Intf.equal (Engine.Eval.value evc) want)
+           if not (ops.Intf.equal got static && ops.Intf.equal got want)
            then ok := false
          done;
          !ok))
@@ -186,7 +189,7 @@ let rollback_identity_compact (type a) mode name (ops : a Intf.ops) ~(zero : a)
          let c = random_circuit ~zero ~one ~mk seed 6 in
          let vals = Array.init 6 (fun i -> mk ((i * 3) + seed)) in
          let valuation = function "w", [ i ] -> vals.(i) | _ -> zero in
-         let d = Dyn.create ~mode ~backend:Dyn.Compact ops c valuation in
+         let d = Dyn.create ~mode ops c valuation in
          let writes =
            List.filter_map
              (fun (i, x) ->
@@ -328,6 +331,49 @@ let roundtrip_eval () =
             (Compact.eval iops cc2 v)))
     [ 3; 44; 512; 9000 ]
 
+(* Crash-safe saves: both writers fill a [path.tmp] sibling and rename it
+   over [path] only once complete, so a save that raises part-way leaves
+   the previous file byte-identical and loadable, and no temp file behind.
+   A journal save is made to raise after its header is written by a value
+   that turns unmarshallable after it was appended. *)
+type cell = Num of int | Fn of (unit -> int)
+
+let saves_are_crash_safe () =
+  with_tmp @@ fun path ->
+  let tmp = path ^ ".tmp" in
+  let no_tmp what = check_bool what false (Sys.file_exists tmp) in
+  let j = Journal.create () in
+  Journal.append j [ (("w", [ 0 ]), ref (Num 1)) ];
+  Journal.save j path;
+  no_tmp "no temp sibling after a journal save";
+  let good = read_file path in
+  let bad = Journal.create () in
+  let late = ref (Num 2) in
+  Journal.append bad [ (("w", [ 1 ]), late) ];
+  late := Fn (fun () -> 3);
+  (match Journal.save bad path with
+  | () -> Alcotest.fail "saving a functional value must raise"
+  | exception Invalid_argument _ -> ());
+  check_bool "failed journal save keeps the previous bytes" true (read_file path = good);
+  no_tmp "failed journal save removes its temp file";
+  check_int "previous journal still loads" 1
+    (Journal.length (Journal.load path : cell ref Journal.t));
+  (* the persisted circuit: a good save replaces the journal file whole,
+     a save whose constant pool cannot be marshalled leaves it alone *)
+  let b = Circuit.builder () in
+  let cc = Compact.of_circuit (Circuit.finish b ~output:(Circuit.input b ("w", [ 0 ]))) in
+  Compact.save ~tag:"nat" cc path;
+  no_tmp "no temp sibling after a circuit save";
+  let good = read_file path in
+  let b = Circuit.builder () in
+  let bad = Compact.of_circuit (Circuit.finish b ~output:(Circuit.const b (fun () -> 0))) in
+  (match Compact.save bad path with
+  | () -> Alcotest.fail "saving a functional constant must raise"
+  | exception Invalid_argument _ -> ());
+  check_bool "failed circuit save keeps the previous bytes" true (read_file path = good);
+  no_tmp "failed circuit save removes its temp file";
+  check_int "previous circuit still loads" 1 (fst (Compact.load path) : int Compact.t).Compact.n
+
 (* ------------------------------ 5. golden format stability ------------- *)
 
 (* The two .spqc files under test/golden/ were written by test/gen_golden.ml
@@ -436,14 +482,14 @@ let suite =
     compact_eval_eq_boxed "bool" bool_ops ~zero:false ~one:true ~mk:(fun i -> i mod 3 = 0);
     compact_eval_eq_boxed "zmod6" z6_ops ~zero:Zmod.Z6.zero ~one:Zmod.Z6.one
       ~mk:Zmod.Z6.of_int;
-    dyn_twins Dyn.General "general/nat" (Intf.with_int_repr nat_ops) ~zero:0 ~one:1
+    dyn_eq_static Dyn.General "general/nat" (Intf.with_int_repr nat_ops) ~zero:0 ~one:1
       ~mk:(fun i -> i mod 7);
-    dyn_twins Dyn.Ring "ring/int" (Intf.with_int_repr int_ops) ~zero:0 ~one:1
+    dyn_eq_static Dyn.Ring "ring/int" (Intf.with_int_repr int_ops) ~zero:0 ~one:1
       ~mk:(fun i -> (i mod 9) - 4);
-    dyn_twins Dyn.Finite "finite/zmod6" z6_ops ~zero:Zmod.Z6.zero ~one:Zmod.Z6.one
+    dyn_eq_static Dyn.Finite "finite/zmod6" z6_ops ~zero:Zmod.Z6.zero ~one:Zmod.Z6.one
       ~mk:Zmod.Z6.of_int;
-    engine_backend_twins "wedge/nat" nat_ops (fun i -> i mod 5) ~count:15;
-    engine_backend_twins "wedge/int-ring" int_ops (fun i -> (i mod 9) - 4) ~count:15;
+    engine_eq_reference "wedge/nat" nat_ops (fun i -> i mod 5) ~count:15;
+    engine_eq_reference "wedge/int-ring" int_ops (fun i -> (i mod 9) - 4) ~count:15;
     rollback_identity_compact Dyn.General "general/nat" (Intf.with_int_repr nat_ops)
       ~zero:0 ~one:1
       ~mk:(fun i -> i mod 7);
@@ -458,6 +504,7 @@ let suite =
     Alcotest.test_case "loader fuzz: trailing/empty" `Quick fuzz_trailing_garbage;
     save_load_save_identity;
     Alcotest.test_case "save/load eval round trip" `Quick roundtrip_eval;
+    Alcotest.test_case "saves are crash-safe" `Quick saves_are_crash_safe;
     Alcotest.test_case "golden format stability" `Quick golden_stability;
     Alcotest.test_case "golden journal stability" `Quick golden_journal_stability;
     Alcotest.test_case "journal structural round trip" `Quick

@@ -10,7 +10,6 @@ let () =
       ("circuit", Test_circuit.suite);
       ("opt", Test_opt.suite);
       ("compact", Test_compact.suite);
-      ("par", Test_par.suite);
       ("engine", Test_engine.suite);
       ("structural", Test_structural.suite);
       ("shapes", Test_shapes.suite);

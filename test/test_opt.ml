@@ -103,7 +103,67 @@ let balance_caps_fan_in () =
   let s = Circuit.stats o.Opt.circuit in
   check_bool "fan-in capped" true (s.Circuit.max_fan_in <= Opt.balance_cap);
   check_int "value preserved" (30 * 31 / 2)
-    (Circuit.eval nat_ops o.Opt.circuit (function "w", [ i ] -> i + 1 | _ -> 0))
+    (Circuit.eval nat_ops o.Opt.circuit (function "w", [ i ] -> i + 1 | _ -> 0));
+  (* The General-mode update bound (Corollary 13) rests on this cap alone:
+     weighted degree over nat, summed over x so that every update travels
+     to the output, prepared end to end, must run only Add/Mul gates of
+     fan-in <= balance_cap, and the mean gates recomputed per single
+     update must grow like log n — by a small constant per 4x in n — so
+     an update reads O(balance_cap * log n) gate values. *)
+  let v x = Logic.Term.Var x in
+  let wdeg =
+    Logic.Expr.Sum
+      ( [ "x"; "y" ],
+        Logic.Expr.Mul
+          [
+            Logic.Expr.Guard (Logic.Formula.Rel ("E", [ v "x"; v "y" ]));
+            Logic.Expr.Weight ("w", [ v "y" ]);
+          ] )
+  in
+  let mean_touched n =
+    let inst =
+      Db.Instance.of_graph (Graphs.Gen.random_bounded_degree ~seed:n ~n ~max_deg:3)
+    in
+    let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:0 in
+    Db.Weights.fill_unary w ~n (fun i -> i mod 7);
+    let ev =
+      Engine.Eval.prepare nat_ops ~tfa_rounds:1 inst (Db.Weights.bundle [ w ]) wdeg
+    in
+    let d = ev.Engine.Eval.dyn in
+    check_bool "General mode" true (d.Circuits.Dyn.mode = Circuits.Dyn.General);
+    let cc = d.Circuits.Dyn.cc in
+    for id = 0 to cc.Circuits.Compact.n - 1 do
+      let op = cc.Circuits.Compact.opcode.(id) in
+      let fan_in =
+        cc.Circuits.Compact.child_off.(id + 1) - cc.Circuits.Compact.child_off.(id)
+      in
+      if (op = Circuits.Compact.op_add || op = Circuits.Compact.op_mul)
+         && fan_in > Opt.balance_cap
+      then Alcotest.failf "n=%d: gate %d has fan-in %d > %d" n id fan_in Opt.balance_cap
+    done;
+    let rng = Random.State.make [| n |] in
+    let updates = 400 in
+    let total = ref 0 in
+    for k = 1 to updates do
+      let (), c =
+        Engine.Eval.with_cost ev (fun () ->
+            (* 7 + k never repeats a stored value, so every update waves *)
+            Engine.Eval.update ev "w" [ Random.State.int rng n ] (7 + k))
+      in
+      total := !total + c.Engine.Eval.Cost.gates_visited
+    done;
+    float_of_int !total /. float_of_int updates
+  in
+  let m8 = mean_touched (1 lsl 8) and m10 = mean_touched (1 lsl 10)
+  and m12 = mean_touched (1 lsl 12) in
+  let step a b =
+    check_bool
+      (Printf.sprintf "touched/update %.2f -> %.2f grows by <= 4 per 4x n" a b)
+      true
+      (b -. a <= 4.)
+  in
+  step m8 m10;
+  step m10 m12
 
 (* ------------------------------------------------- 2. remap contract --- *)
 

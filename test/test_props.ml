@@ -121,11 +121,12 @@ module Z6_props = Zmod.Make (struct let modulus = 6 end)
 (* A random arc insert/delete sequence served through the localized
    incremental path (Eval.insert_tuple/delete_tuple — splice when the
    treedepth witness survives, fallback recompile when it doesn't) must
-   agree after every step with a from-scratch compile of the mutated
-   instance and with the brute-force reference. Random toggles on a
+   agree after every step with a static evaluation of the spliced
+   circuit, with a from-scratch compile of the mutated instance and with
+   the brute-force reference. Random toggles on a
    bounded-degree graph hit both regimes: most stay localized, and the
    occasional long-range arc deepens a forest and forces the fallback. *)
-let structural_churn_prop (type a) name (ops : a Intf.ops) (mk : int -> a) ~backend ~count =
+let structural_churn_prop (type a) name (ops : a Intf.ops) (mk : int -> a) ~count =
   t
     (QCheck.Test.make ~count
        ~name:(Printf.sprintf "structural churn = scratch = reference: %s" name)
@@ -136,7 +137,8 @@ let structural_churn_prop (type a) name (ops : a Intf.ops) (mk : int -> a) ~back
          let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:ops.Intf.zero in
          Db.Weights.fill_unary w ~n (fun i -> mk ((i * 7) + seed));
          let weights = Db.Weights.bundle [ w ] in
-         let ev = Engine.Eval.prepare ops ~backend ~tfa_rounds:1 inst weights expr_wtri in
+         let ev = Engine.Eval.prepare ops ~tfa_rounds:1 inst weights expr_wtri in
+         let valuation (wn, tup) = Db.Weights.get (Db.Weights.find weights wn) tup in
          let rng = Random.State.make [| seed; 77 |] in
          let ok = ref true in
          for _ = 1 to 8 do
@@ -146,26 +148,24 @@ let structural_churn_prop (type a) name (ops : a Intf.ops) (mk : int -> a) ~back
              Engine.Eval.delete_tuple ev "E" [ u; v2 ]
            else Engine.Eval.insert_tuple ev "E" [ u; v2 ];
            let got = Engine.Eval.value ev in
+           let static = Circuits.Circuit.eval ops ev.Engine.Eval.circuit valuation in
            let scratch = Engine.Eval.evaluate ops ~tfa_rounds:1 inst weights expr_wtri in
            let want = Engine.Reference.eval ops inst weights expr_wtri in
-           if not (ops.Intf.equal got scratch && ops.Intf.equal got want) then ok := false
+           if
+             not
+               (ops.Intf.equal got static && ops.Intf.equal got scratch
+              && ops.Intf.equal got want)
+           then ok := false
          done;
          !ok))
 
 let z6_ops = Intf.ops_of_ring (module Z6_props)
 
 let structural_churn_suite =
-  let b = Circuits.Dyn.Boxed and c = Circuits.Dyn.Compact in
   [
-    structural_churn_prop "nat/boxed" nat_ops (fun i -> i mod 5) ~backend:b ~count:10;
-    structural_churn_prop "nat/compact" nat_ops (fun i -> i mod 5) ~backend:c ~count:10;
-    structural_churn_prop "int-ring/boxed" int_ops (fun i -> (i mod 9) - 4) ~backend:b ~count:10;
-    structural_churn_prop "int-ring/compact" int_ops (fun i -> (i mod 9) - 4) ~backend:c
-      ~count:10;
-    structural_churn_prop "zmod6/boxed" z6_ops (fun i -> Z6_props.of_int i) ~backend:b
-      ~count:10;
-    structural_churn_prop "zmod6/compact" z6_ops (fun i -> Z6_props.of_int i) ~backend:c
-      ~count:10;
+    structural_churn_prop "nat" nat_ops (fun i -> i mod 5) ~count:10;
+    structural_churn_prop "int-ring" int_ops (fun i -> (i mod 9) - 4) ~count:10;
+    structural_churn_prop "zmod6" z6_ops (fun i -> Z6_props.of_int i) ~count:10;
   ]
 
 (* --- 3. constant-delay enumeration (Theorem 24 observables) --- *)
