@@ -10,9 +10,13 @@
       random [set_inputs] batches, agrees on every gate value with a
       from-scratch [Compact.eval_into] and on its output with
       [Circuit.eval], in all three permanent strategies (General/Segtree,
-      Ring, Finite); end to end, [Eval.prepare]/[update_many] agrees with
-      [Circuit.eval] of its circuit and with [Engine.Reference] on random
-      sparse databases;
+      Ring, Finite) and on both value planes, and a whole-valuation batch
+      lands where a fresh create does; end to end, [Eval.prepare]/
+      [update_many] agrees with [Circuit.eval] of its circuit and with
+      [Engine.Reference] on random sparse databases, and so does the
+      one-shot [Eval.evaluate];
+   2b. the CSR layout is topological, passes [validate], and
+      [to_circuit] inverts [of_circuit];
    3. qcheck rollback: a fault injected at a random position of an update
       wave on the *compact* runtime rolls back to the exact pre-wave state
       (rollback ∘ partial-wave = identity), and the structure stays usable;
@@ -21,6 +25,8 @@
       circuit are rejected as [Robust.Bad_input] — never a crash, hang, or
       blind allocation — save → load → save is byte-identical, and a save
       that fails part-way leaves the previous file intact;
+   4b. 1-gate circuits run through every layer, and [validate] rejects
+      each kind of malformed layout as [Robust.Bad_input];
    5. format stability: the two golden .spqc files committed under
       test/golden/ (written by test/gen_golden.ml) load under the current
       reader and evaluate to their recorded values. *)
@@ -165,6 +171,94 @@ let engine_eq_reference (type a) name (ops : a Intf.ops) (mk : int -> a) ~count 
            then ok := false
          done;
          !ok))
+
+(* the one-shot [Eval.evaluate] (compile + Compact.eval, no dynamic
+   structure), the maintained value of [Eval.prepare] and the brute-force
+   reference agree — in carriers that take the boxed value plane *)
+let evaluate_eq_prepare (type a) name (ops : a Intf.ops) (mk : int -> a) ~count =
+  t
+    (QCheck.Test.make ~count
+       ~name:(Printf.sprintf "engine evaluate = prepare = reference: %s" name)
+       QCheck.(pair (int_range 4 30) (int_range 0 10000))
+       (fun (n, seed) ->
+         let g = Graphs.Gen.random_bounded_degree ~seed ~n ~max_deg:3 in
+         let inst = Db.Instance.of_graph g in
+         let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:ops.Intf.zero in
+         Db.Weights.fill_unary w ~n (fun i -> mk ((i * 7) + seed));
+         let weights = Db.Weights.bundle [ w ] in
+         let once = Engine.Eval.evaluate ops ~tfa_rounds:1 inst weights expr_wedge in
+         let ev = Engine.Eval.prepare ops ~tfa_rounds:1 inst weights expr_wedge in
+         let want = Engine.Reference.eval ops inst weights expr_wedge in
+         ops.Intf.equal once want && ops.Intf.equal (Engine.Eval.value ev) want))
+
+(* A Dyn that is handed a whole new valuation in one batch ends in the
+   same state, gate by gate, as a Dyn created under that valuation. *)
+let dyn_revaluation =
+  t
+    (QCheck.Test.make ~count:60 ~name:"Dyn: whole-valuation batch = fresh create"
+       QCheck.(int_range 0 100000)
+       (fun seed ->
+         let ops = Intf.with_int_repr nat_ops in
+         let c = random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) seed 6 in
+         let o = Opt.run ~zero:0 ~one:1 ~equal:ops.Intf.equal c in
+         let v1 = function "w", [ i ] -> (i + seed) mod 7 | _ -> 0 in
+         let v2 = function "w", [ i ] -> ((i * 5) + 1) mod 11 | _ -> 0 in
+         let d = Dyn.create ops o.Opt.circuit v1 in
+         let all =
+           List.filter_map
+             (fun i ->
+               let key = ("w", [ i ]) in
+               if Dyn.has_input d key then Some (key, v2 key) else None)
+             (List.init 6 Fun.id)
+         in
+         Dyn.set_inputs d all;
+         let fresh = Dyn.create ops o.Opt.circuit v2 in
+         Dyn.num_gates d = Dyn.num_gates fresh
+         && List.for_all
+              (fun id -> Dyn.gate_value d id = Dyn.gate_value fresh id)
+              (List.init (Dyn.num_gates d) Fun.id)))
+
+(* ------------------------------ 2b. the CSR layout --------------------- *)
+
+(* [of_circuit] lays gates out in topological order — every child id is
+   strictly below its gate's, the CSR offsets are monotone and cover the
+   child array — which is what lets [eval_into] and the wave engine walk
+   the arrays without bounds checks; [validate] accepts every layout it
+   produces, and [to_circuit] inverts it. *)
+let layout_is_topological =
+  t
+    (QCheck.Test.make ~count:60 ~name:"compact layout is topological"
+       QCheck.(pair bool (int_range 0 100000))
+       (fun (optimize, seed) ->
+         let c = random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) seed 6 in
+         let c =
+           if optimize then (Opt.run ~zero:0 ~one:1 ~equal:Int.equal c).Opt.circuit else c
+         in
+         let cc = Compact.of_circuit c in
+         Compact.validate cc;
+         let ok = ref (cc.Compact.n = Array.length c.Circuit.nodes) in
+         for id = 0 to cc.Compact.n - 1 do
+           if cc.Compact.child_off.(id + 1) < cc.Compact.child_off.(id) then ok := false;
+           for k = cc.Compact.child_off.(id) to cc.Compact.child_off.(id + 1) - 1 do
+             if cc.Compact.children.(k) >= id then ok := false
+           done
+         done;
+         !ok
+         && cc.Compact.child_off.(cc.Compact.n) = Array.length cc.Compact.children
+         && Hashtbl.length cc.Compact.input_ids = Array.length cc.Compact.input_keys))
+
+let to_circuit_round_trip =
+  t
+    (QCheck.Test.make ~count:60 ~name:"Compact.to_circuit inverts of_circuit"
+       QCheck.(int_range 0 100000)
+       (fun seed ->
+         let c = random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) seed 6 in
+         let o = (Opt.run ~zero:0 ~one:1 ~equal:Int.equal c).Opt.circuit in
+         let back = Compact.to_circuit (Compact.of_circuit o) in
+         let v = function "w", [ i ] -> (i * 13) + seed | _ -> 0 in
+         back.Circuit.output = o.Circuit.output
+         && back.Circuit.nodes = o.Circuit.nodes
+         && Circuit.eval nat_ops back v = Circuit.eval nat_ops o v))
 
 (* ------------------------------ 3. rollback on the compact runtime ----- *)
 
@@ -374,6 +468,90 @@ let saves_are_crash_safe () =
   no_tmp "failed circuit save removes its temp file";
   check_int "previous circuit still loads" 1 (fst (Compact.load path) : int Compact.t).Compact.n
 
+(* ------------------------------ 4b. degenerate and malformed layouts -- *)
+
+(* Degenerate shapes: a circuit of one constant gate and one of a bare
+   input gate run through every layer — static eval on both planes, Dyn
+   (including an update of the input that is the output) and save/load. *)
+let one_gate_circuits () =
+  let iops = Intf.with_int_repr nat_ops in
+  let b = Circuit.builder () in
+  let k = Circuit.finish b ~output:(Circuit.const b 42) in
+  let cc = Compact.of_circuit k in
+  check_int "single gate" 1 cc.Compact.n;
+  check_int "const: boxed plane" 42 (Compact.eval nat_ops cc (fun _ -> 0));
+  check_int "const: Bigarray plane" 42 (Compact.eval iops cc (fun _ -> 0));
+  let d = Dyn.create iops k (fun _ -> 0) in
+  check_int "const: Dyn" 42 (Dyn.value d);
+  check_bool "const: no inputs" false (Dyn.has_input d ("w", [ 0 ]));
+  Dyn.set_inputs d [];
+  check_int "const: empty batch" 42 (Dyn.value d);
+  let b = Circuit.builder () in
+  let x = Circuit.finish b ~output:(Circuit.input b ("w", [ 0 ])) in
+  let cx = Compact.of_circuit x in
+  check_int "input: Bigarray plane" 9 (Compact.eval iops cx (fun _ -> 9));
+  List.iter
+    (fun mode ->
+      let d = Dyn.create ~mode iops x (fun _ -> 9) in
+      check_int "input: Dyn" 9 (Dyn.value d);
+      Dyn.set_input d ("w", [ 0 ]) 4;
+      check_int "input: Dyn after update" 4 (Dyn.value d);
+      check_int "input: gate value" 4 (Dyn.gate_value d 0))
+    [ Dyn.General; Dyn.Ring ];
+  with_tmp @@ fun path ->
+  Compact.save ~tag:"nat" cc path;
+  let back, tag = Compact.load path in
+  check_string "tag" "nat" tag;
+  check_int "const: reloaded" 42 (Compact.eval nat_ops (back : int Compact.t) (fun _ -> 0))
+
+(* [validate] — the gate every loaded file passes through — rejects each
+   way a CSR layout can be malformed, as a structured [Bad_input]. *)
+let validate_rejects_malformed () =
+  let b = Circuit.builder () in
+  let a = Circuit.input b ("w", [ 0 ]) and c = Circuit.input b ("w", [ 1 ]) in
+  let two = Circuit.const b 2 in
+  let s = Circuit.add b [ a; c ] in
+  let m = Circuit.mul b [ s; two ] in
+  let p = Circuit.perm b [| [| a; c |]; [| two; s |] |] in
+  let cc = Compact.of_circuit (Circuit.finish b ~output:(Circuit.add b [ m; p ])) in
+  Compact.validate cc;
+  let rejects what (bad : int Compact.t) =
+    match Compact.validate bad with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Robust.Error (Robust.Bad_input _) -> ()
+  in
+  let gate_with op =
+    let rec go id = if cc.Compact.opcode.(id) = op then id else go (id + 1) in
+    go 0
+  in
+  let id_add = gate_with Compact.op_add in
+  let first_child = cc.Compact.child_off.(id_add) in
+  let set a i x =
+    let a = Array.copy a in
+    a.(i) <- x;
+    a
+  in
+  rejects "forward child reference"
+    { cc with Compact.children = set cc.Compact.children first_child id_add };
+  rejects "negative child" { cc with Compact.children = set cc.Compact.children first_child (-1) };
+  rejects "output out of range" { cc with Compact.output = cc.Compact.n };
+  rejects "unknown opcode" { cc with Compact.opcode = set cc.Compact.opcode id_add 9 };
+  rejects "add gate with an arg" { cc with Compact.arg = set cc.Compact.arg id_add 0 };
+  rejects "short offsets"
+    { cc with Compact.child_off = Array.sub cc.Compact.child_off 0 cc.Compact.n };
+  rejects "offsets past the children"
+    {
+      cc with
+      Compact.children =
+        Array.sub cc.Compact.children 0 (Array.length cc.Compact.children - 1);
+    };
+  rejects "perm dimensions disagree with its children"
+    { cc with Compact.perm_cols = set cc.Compact.perm_cols 0 3 };
+  rejects "duplicate input key"
+    { cc with Compact.input_keys = set cc.Compact.input_keys 1 cc.Compact.input_keys.(0) };
+  rejects "constant pool too large"
+    { cc with Compact.consts = Array.append cc.Compact.consts [| 7 |] }
+
 (* ------------------------------ 5. golden format stability ------------- *)
 
 (* The two .spqc files under test/golden/ were written by test/gen_golden.ml
@@ -488,8 +666,19 @@ let suite =
       ~mk:(fun i -> (i mod 9) - 4);
     dyn_eq_static Dyn.Finite "finite/zmod6" z6_ops ~zero:Zmod.Z6.zero ~one:Zmod.Z6.one
       ~mk:Zmod.Z6.of_int;
+    dyn_eq_static Dyn.General "general/nat (boxed plane)" nat_ops ~zero:0 ~one:1
+      ~mk:(fun i -> i mod 7);
+    dyn_eq_static Dyn.Ring "ring/int (boxed plane)" int_ops ~zero:0 ~one:1
+      ~mk:(fun i -> (i mod 9) - 4);
+    dyn_eq_static Dyn.Finite "finite/bool" bool_ops ~zero:false ~one:true
+      ~mk:(fun i -> i mod 3 = 0);
+    dyn_revaluation;
     engine_eq_reference "wedge/nat" nat_ops (fun i -> i mod 5) ~count:15;
     engine_eq_reference "wedge/int-ring" int_ops (fun i -> (i mod 9) - 4) ~count:15;
+    evaluate_eq_prepare "wedge/bool" bool_ops (fun i -> i mod 3 <> 0) ~count:15;
+    evaluate_eq_prepare "wedge/zmod6" z6_ops Zmod.Z6.of_int ~count:15;
+    layout_is_topological;
+    to_circuit_round_trip;
     rollback_identity_compact Dyn.General "general/nat" (Intf.with_int_repr nat_ops)
       ~zero:0 ~one:1
       ~mk:(fun i -> i mod 7);
@@ -505,6 +694,9 @@ let suite =
     save_load_save_identity;
     Alcotest.test_case "save/load eval round trip" `Quick roundtrip_eval;
     Alcotest.test_case "saves are crash-safe" `Quick saves_are_crash_safe;
+    Alcotest.test_case "1-gate circuits through every layer" `Quick one_gate_circuits;
+    Alcotest.test_case "validate rejects malformed layouts" `Quick
+      validate_rejects_malformed;
     Alcotest.test_case "golden format stability" `Quick golden_stability;
     Alcotest.test_case "golden journal stability" `Quick golden_journal_stability;
     Alcotest.test_case "journal structural round trip" `Quick

@@ -159,6 +159,63 @@ let structural_churn_prop (type a) name (ops : a Intf.ops) (mk : int -> a) ~coun
          done;
          !ok))
 
+(* A journal of interleaved weight writes and structural toggles, saved
+   to disk and loaded back, replayed onto a fresh prepare of the
+   pre-journal instance must reconstruct the served state: the same
+   value, the same tuple set, and a circuit whose static evaluation under
+   the replayed inputs agrees. Weights are not written through on either
+   side (plain [Eval.update]), so both read the same pristine store for
+   inputs a splice introduces. *)
+let journal_replay_prop (type a) name (ops : a Intf.ops) (mk : int -> a) ~count =
+  t
+    (QCheck.Test.make ~count
+       ~name:(Printf.sprintf "churn journal replay = live: %s" name)
+       QCheck.(pair (int_range 5 14) (int_range 0 10000))
+       (fun (n, seed) ->
+         let g = Graphs.Gen.random_bounded_degree ~seed ~n ~max_deg:3 in
+         let inst = Db.Instance.of_graph g in
+         let inst0 = Db.Instance.copy inst in
+         let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:ops.Intf.zero in
+         Db.Weights.fill_unary w ~n (fun i -> mk ((i * 7) + seed));
+         let weights = Db.Weights.bundle [ w ] in
+         let ev = Engine.Eval.prepare ops ~tfa_rounds:1 inst weights expr_wtri in
+         let j = Engine.Eval.enable_journal ev in
+         let rng = Random.State.make [| seed; 91 |] in
+         for _ = 1 to 10 do
+           if Random.State.bool rng then
+             Engine.Eval.update ev "w" [ Random.State.int rng n ]
+               (mk (Random.State.int rng 50))
+           else begin
+             let u = Random.State.int rng n and v2 = Random.State.int rng n in
+             if u <> v2 then
+               if Db.Instance.mem inst "E" [ u; v2 ] then
+                 Engine.Eval.delete_tuple ev "E" [ u; v2 ]
+               else Engine.Eval.insert_tuple ev "E" [ u; v2 ]
+           end
+         done;
+         let path = Filename.temp_file "churn" ".spqj" in
+         let j' =
+           Fun.protect
+             ~finally:(fun () -> Sys.remove path)
+             (fun () ->
+               Circuits.Journal.save j path;
+               Circuits.Journal.load path)
+         in
+         let ev2 = Engine.Eval.prepare ops ~tfa_rounds:1 inst0 weights expr_wtri in
+         Engine.Eval.replay ev2 j';
+         let sorted i = List.sort compare (Db.Instance.tuples i "E") in
+         let replayed_inputs key =
+           match Circuits.Dyn.input_value ev2.Engine.Eval.dyn key with
+           | Some v -> v
+           | None -> ops.Intf.zero
+         in
+         let static =
+           Circuits.Circuit.eval ops ev2.Engine.Eval.circuit replayed_inputs
+         in
+         ops.Intf.equal (Engine.Eval.value ev) (Engine.Eval.value ev2)
+         && ops.Intf.equal (Engine.Eval.value ev2) static
+         && sorted inst = sorted inst0))
+
 let z6_ops = Intf.ops_of_ring (module Z6_props)
 
 let structural_churn_suite =
@@ -166,6 +223,9 @@ let structural_churn_suite =
     structural_churn_prop "nat" nat_ops (fun i -> i mod 5) ~count:10;
     structural_churn_prop "int-ring" int_ops (fun i -> (i mod 9) - 4) ~count:10;
     structural_churn_prop "zmod6" z6_ops (fun i -> Z6_props.of_int i) ~count:10;
+    journal_replay_prop "nat" nat_ops (fun i -> i mod 5) ~count:10;
+    journal_replay_prop "int-ring" int_ops (fun i -> (i mod 9) - 4) ~count:10;
+    journal_replay_prop "zmod6" z6_ops (fun i -> Z6_props.of_int i) ~count:10;
   ]
 
 (* --- 3. constant-delay enumeration (Theorem 24 observables) --- *)
