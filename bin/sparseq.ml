@@ -270,7 +270,7 @@ let note_degraded = function
 (* --- stats --- *)
 
 (* Exact quantile of a sorted sample array (used for the update-latency
-   report; same definition as the bench harness). *)
+   report). *)
 let sample_quantile sorted q =
   let n = Array.length sorted in
   if n = 0 then 0.
@@ -333,9 +333,9 @@ let stats_cmd =
     let phi = make_query qname in
     let fv = Logic.Formula.free_vars_unique phi in
     let expr = Logic.Expr.Sum (fv, Logic.Expr.Guard phi) in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.now_ns () in
     let c, m = Engine.Compile.compile ~tfa_rounds:1 ~budget ~opt ~zero:0 ~one:1 inst expr in
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Obs.elapsed_ns t0 /. 1e9 in
     let cs = Circuits.Circuit.stats c in
     Format.printf "compiled %s in %.3fs@." qname dt;
     Format.printf "pipeline: %a@." Engine.Compile.pp_meta m;
@@ -377,7 +377,7 @@ let stats_cmd =
         for i = 0 to updates - 1 do
           let x = Random.State.int rng nn in
           let w' = Random.State.int rng 5 in
-          let u0 = Unix.gettimeofday () in
+          let u0 = Obs.now_ns () in
           if cost then begin
             let (), c =
               Engine.Eval.with_cost ev (fun () -> Engine.Eval.update ev "w" [ x ] w')
@@ -385,7 +385,7 @@ let stats_cmd =
             agg := Engine.Eval.Cost.add !agg c
           end
           else Engine.Eval.update ev "w" [ x ] w';
-          samples.(i) <- (Unix.gettimeofday () -. u0) *. 1e9;
+          samples.(i) <- Obs.elapsed_ns u0;
           Obs.Openmetrics.pulse ()
         done;
         Array.sort compare samples;
@@ -405,11 +405,11 @@ let stats_cmd =
             List.init size (fun _ ->
                 ("w", [ Random.State.int rng nn ], Random.State.int rng 5))
           in
-          let u0 = Unix.gettimeofday () in
+          let u0 = Obs.now_ns () in
           if cost then
             agg := Engine.Eval.Cost.add !agg (Engine.Eval.update_many_cost ev writes)
           else Engine.Eval.update_many ev writes;
-          samples.(i) <- (Unix.gettimeofday () -. u0) *. 1e9;
+          samples.(i) <- Obs.elapsed_ns u0;
           total := !total +. samples.(i);
           Obs.Openmetrics.pulse ()
         done;
@@ -436,10 +436,10 @@ let stats_cmd =
       if churn > 0 then begin
         let w_samples = ref [] and s_samples = ref [] in
         for i = 0 to churn - 1 do
-          let u0 = Unix.gettimeofday () in
+          let u0 = Obs.now_ns () in
           if i mod 2 = 0 then begin
             Engine.Eval.update ev "w" [ Random.State.int rng nn ] (Random.State.int rng 5);
-            w_samples := ((Unix.gettimeofday () -. u0) *. 1e9) :: !w_samples
+            w_samples := Obs.elapsed_ns u0 :: !w_samples
           end
           else begin
             let u = Random.State.int rng nn in
@@ -454,7 +454,7 @@ let stats_cmd =
               if not (Db.Instance.mem inst "E" [ v; u ]) then
                 Engine.Eval.insert_tuple ev "E" [ v; u ]
             end;
-            s_samples := ((Unix.gettimeofday () -. u0) *. 1e9) :: !s_samples
+            s_samples := Obs.elapsed_ns u0 :: !s_samples
           end;
           Obs.Openmetrics.pulse ()
         done;
@@ -753,7 +753,7 @@ let compile_cmd =
     let fv = Logic.Formula.free_vars_unique phi in
     let expr = Logic.Expr.Sum (fv, Logic.Expr.Guard phi) in
     let go (type a) (ops : a Semiring.Intf.ops) tag =
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.now_ns () in
       let c, m =
         Engine.Compile.compile ~tfa_rounds:1 ~budget ~opt ~zero:ops.Semiring.Intf.zero
           ~one:ops.Semiring.Intf.one inst expr
@@ -761,7 +761,7 @@ let compile_cmd =
       let cc = Circuits.Compact.of_circuit c in
       Circuits.Compact.save ~tag cc save;
       let bytes = (Unix.stat save).Unix.st_size in
-      Format.printf "compiled %s in %.3fs@." qname (Unix.gettimeofday () -. t0);
+      Format.printf "compiled %s in %.3fs@." qname (Obs.elapsed_ns t0 /. 1e9);
       Format.printf "pipeline: %a@." Engine.Compile.pp_meta m;
       Format.printf "circuit: %a@." Circuits.Circuit.pp_stats (Circuits.Circuit.stats c);
       Printf.printf "saved %s (tag %S, %d bytes)\n" save tag bytes

@@ -342,8 +342,8 @@ let replay (t : 'a t) (j : 'a Circuits.Journal.t) : unit =
     and GC activity observed during the operation. The gate numbers come
     from the same [update_ops] odometer that feeds the cumulative "dyn"
     counters, so for any bracket of operations
-    Σ [gates_visited] = Δ sparseq dyn/touched_gates — exactly; the bench
-    and the test suite cross-check that identity. *)
+    Σ [gates_visited] = Δ sparseq dyn/touched_gates — exactly; the test
+    suite and `sparseq stats --cost` cross-check that identity. *)
 module Cost = struct
   type t = {
     wall_ns : float;  (** wall-clock duration of the operation *)

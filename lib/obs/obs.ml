@@ -32,20 +32,23 @@ let enabled_flag = ref true
 let set_enabled b = enabled_flag := b
 let is_enabled () = !enabled_flag
 
-(** Wall-clock nanoseconds (µs resolution; the finest portable clock the
-    sealed environment provides). The clock is indirect so tests can
-    simulate a non-monotonic wall clock ({!set_clock}). *)
-let default_clock () = Unix.gettimeofday () *. 1e9
+(** Monotonic nanoseconds ([clock_gettime(CLOCK_MONOTONIC)] through a
+    non-allocating C stub): it never steps backwards and resolves well
+    below the microsecond. The clock every timer, span, budget and CLI
+    timing reads is indirect so tests can inject their own ({!set_clock}). *)
+external default_clock : unit -> (float[@unboxed])
+  = "obs_monotonic_ns_byte" "obs_monotonic_ns"
+[@@noalloc]
 
 let clock = ref default_clock
 let now_ns () = !clock ()
 
-(** Override the clock (tests only); [None] restores the wall clock. *)
+(** Override the clock (tests only); [None] restores the monotonic clock. *)
 let set_clock c = clock := Option.value ~default:default_clock c
 
-(** Nanoseconds elapsed since [t0], clamped to 0: the wall clock is not
-    monotonic, and a backwards step mid-measurement must not record a
-    negative (or, once bucketed, garbage) duration. *)
+(** Nanoseconds elapsed since [t0], clamped to 0: an injected test clock
+    may step backwards, and such a step mid-measurement must not record
+    a negative (or, once bucketed, garbage) duration. *)
 let elapsed_ns t0 =
   let d = now_ns () -. t0 in
   if Float.is_nan d || d < 0. then 0. else d
@@ -477,7 +480,7 @@ module Timer = struct
 
   (** Run [f], recording its wall-clock duration (also on exceptions, so a
       failing phase still shows up in the dump). Durations are clamped at 0
-      ({!elapsed_ns}): a backwards wall-clock step mid-call records an empty
+      ({!elapsed_ns}): a backwards step of an injected clock records an empty
       duration, not a garbage magnitude. *)
   let time (t : t) f =
     if not !enabled_flag then f ()
@@ -638,7 +641,7 @@ let snapshot () = Json.to_string (snapshot_json ())
     collection totals under the "runtime" scope) and gauges (current and
     peak heap size). The first sample after {!reset} accounts the
     process-lifetime totals. Sampling is driven by the same paths that
-    snapshot metrics (the periodic writer, bench phases, `stats --cost`);
+    snapshot metrics (the periodic writer, `stats --cost`);
     there is no background thread. *)
 module Runtime = struct
   let last : Gc.stat option ref = ref None
@@ -795,8 +798,8 @@ module Openmetrics = struct
     let path w = w.path
   end
 
-  (* The process-global installed writer: long-running loops (bench
-     iterations, `stats --updates`, pagerank rounds) call [pulse] between
+  (* The process-global installed writer: long-running loops
+     (`stats --updates`, churn ops, pagerank rounds) call [pulse] between
      operations — outside any timed region — and the CLI installs/flushes
      it around each subcommand. *)
   let installed : Writer.t option ref = ref None
@@ -922,7 +925,7 @@ module Trace = struct
 
   (** Run [f] inside a span. The span is finished (and recorded) even when
       [f] raises — the exception is noted on the span and re-raised. End
-      times are clamped to the start time, so a backwards wall-clock step
+      times are clamped to the start time, so a backwards injected-clock step
       yields a zero-length span, not a negative one. *)
   let span ?(attrs = []) ~scope name f =
     if not !enabled_flag then f ()
@@ -1212,8 +1215,8 @@ module Trace = struct
   type dump_dest = Silent | Stderr | File of string
 
   (* Where automatic dumps go. Library-embedding default: Silent (tests
-     raise classified errors on purpose); the CLI and the bench harness
-     arm Stderr. SPARSEQ_FLIGHT=stderr|PATH overrides either way. *)
+     raise classified errors on purpose); the CLI arms Stderr.
+     SPARSEQ_FLIGHT=stderr|PATH overrides either way. *)
   let flight_dest =
     ref
       (match Sys.getenv_opt "SPARSEQ_FLIGHT" with

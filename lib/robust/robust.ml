@@ -90,17 +90,20 @@ let divergence fmt = Printf.ksprintf (fun s -> error (Internal_divergence s)) fm
     instead of exhausting memory or stalling on a hostile query. *)
 type budget = {
   max_gates : int option;  (** circuit gates the compiler may emit *)
-  timeout_ms : int option;  (** wall-clock milliseconds for one compile *)
+  timeout_ms : int option;  (** elapsed milliseconds ({!Obs.now_ns}) for one compile *)
 }
 
 let budget ?max_gates ?timeout_ms () = { max_gates; timeout_ms }
 let unlimited = { max_gates = None; timeout_ms = None }
 let is_unlimited b = b.max_gates = None && b.timeout_ms = None
 
-(** A running budget: the compile start time plus its limits. *)
-type monitor = { b : budget; started : float }
+(** A running budget: its limits plus the time charged so far. Time is
+    read from {!Obs.now_ns} (monotonic unless a test injects a clock) and
+    charged step by step, each step clamped at 0, so a backwards step of
+    an injected clock neither fires the timeout nor delays it. *)
+type monitor = { b : budget; mutable last_ns : float; mutable elapsed_ns : float }
 
-let start b = { b; started = Unix.gettimeofday () }
+let start b = { b; last_ns = Obs.now_ns (); elapsed_ns = 0. }
 
 let budget_checks = Obs.counter ~scope:"robust" "budget_checks"
 
@@ -113,7 +116,10 @@ let check m ~gates =
   | _ -> ());
   match m.b.timeout_ms with
   | Some limit ->
-      let elapsed_ms = (Unix.gettimeofday () -. m.started) *. 1000. in
+      let now = Obs.now_ns () in
+      m.elapsed_ns <- m.elapsed_ns +. Float.max 0. (now -. m.last_ns);
+      m.last_ns <- now;
+      let elapsed_ms = m.elapsed_ns /. 1e6 in
       if elapsed_ms > float_of_int limit then
         budget_exceeded "compilation ran %.1f ms, budget is %d ms" elapsed_ms limit
   | None -> ()

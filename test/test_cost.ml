@@ -11,6 +11,8 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let nat_ops = Intf.with_int_repr (Intf.ops_of_module (module Instances.Nat))
+let int_ops = Intf.with_int_repr (Intf.ops_of_ring (module Instances.Int_ring))
+let bool_ops = Intf.ops_of_finite (module Instances.Bool)
 let v x = Logic.Term.Var x
 let e x y = Logic.Formula.Rel ("E", [ v x; v y ])
 
@@ -42,7 +44,7 @@ let touched_total () =
 
 (* Σ gates_visited = Δ dyn/touched_gates, exactly, over a mixed bracket
    of single updates and batches — the identity the CLI's `stats --cost`
-   cross-check and the bench both rely on *)
+   cross-check and perfbench's dyn.gates_per_update/_per_batch rely on *)
 let cost_matches_counters () =
   Obs.set_enabled true;
   let ev, inst, _, _ = make_eval wdeg_expr in
@@ -162,6 +164,44 @@ let checked_batch_cost () =
           check_int "checked batch: gates = counter delta" (touched_total () - t0)
             c.Engine.Eval.Cost.gates_visited)
 
+(* One hot-key transaction — many writes to few keys — through
+   update_many visits at most half the gates of the same writes applied
+   one wave each: repeated keys collapse to their last write and
+   ancestors shared by several keys are recomputed once per transaction,
+   not once per write. Both sides end on the same value. *)
+let hot_key_batch (type a) mode (ops : a Intf.ops) (mk : int -> a) () =
+  Obs.set_enabled true;
+  let g = Graphs.Gen.random_bounded_degree ~seed:14 ~n:200 ~max_deg:3 in
+  let inst = Db.Instance.of_graph g in
+  let n = Db.Instance.n inst in
+  let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:ops.Intf.zero in
+  Db.Weights.fill_unary w ~n mk;
+  let prepare () =
+    Engine.Eval.prepare ops ~mode ~tfa_rounds:1 inst (Db.Weights.bundle [ w ]) wdeg_expr
+  in
+  let seq = prepare () and batched = prepare () in
+  let rng = Random.State.make [| 96 |] in
+  let hot = Array.init 8 (fun _ -> Random.State.int rng n) in
+  let txn =
+    List.init 256 (fun _ ->
+        ("w", [ hot.(Random.State.int rng (Array.length hot)) ], mk (Random.State.int rng 1000)))
+  in
+  let seq_gates =
+    List.fold_left
+      (fun acc (sym, tup, x) ->
+        let (), c = Engine.Eval.with_cost seq (fun () -> Engine.Eval.update seq sym tup x) in
+        acc + c.Engine.Eval.Cost.gates_visited)
+      0 txn
+  in
+  let c = Engine.Eval.update_many_cost batched txn in
+  check_bool "batched value = sequential value" true
+    (ops.Intf.equal (Engine.Eval.value batched) (Engine.Eval.value seq));
+  let batch_gates = c.Engine.Eval.Cost.gates_visited in
+  check_bool
+    (Printf.sprintf "batch %d gates <= half of sequential %d" batch_gates seq_gates)
+    true
+    (batch_gates > 0 && 2 * batch_gates <= seq_gates)
+
 let suite =
   [
     Alcotest.test_case "sum of costs = touched counter delta" `Quick cost_matches_counters;
@@ -169,4 +209,10 @@ let suite =
     Alcotest.test_case "free-variable query costs two waves" `Quick query_costs_two_waves;
     Alcotest.test_case "one-shot evaluate cost" `Quick one_shot_cost;
     Alcotest.test_case "checked batched update fills the cost cell" `Quick checked_batch_cost;
+    Alcotest.test_case "hot-key batch visits fewer gates: general/nat" `Quick
+      (hot_key_batch Circuits.Dyn.General nat_ops (fun i -> i mod 7));
+    Alcotest.test_case "hot-key batch visits fewer gates: ring/int" `Quick
+      (hot_key_batch Circuits.Dyn.Ring int_ops (fun i -> (i mod 13) - 6));
+    Alcotest.test_case "hot-key batch visits fewer gates: finite/bool" `Quick
+      (hot_key_batch Circuits.Dyn.Finite bool_ops (fun i -> i mod 3 = 0));
   ]

@@ -357,6 +357,51 @@ let finite_engine_updates () =
     check_int (Printf.sprintf "Z4 after update %d" step) expected (Engine.Eval.value t)
   done
 
+(* Example 9's PageRank kernel over the rationals in Ring mode:
+   f(x) = (1-d)/n + d · Σ_y [E(y,x)] · w(y). Rat is not machine-int
+   representable, so this runs on the boxed value plane. After each
+   write-through update every query equals Engine.Reference. *)
+let pagerank_rat_updates () =
+  let rat_ops = Intf.ops_of_ring (module Rat.Ring) in
+  let inst = Db.Instance.of_graph (Graphs.Gen.random_sparse ~seed:13 ~n:30 ~avg_deg:4) in
+  let n = Db.Instance.n inst in
+  let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:Rat.zero in
+  Db.Weights.fill_unary w ~n (fun i -> Rat.of_ints 1 (1 + (i mod 50)));
+  let weights = Db.Weights.bundle [ w ] in
+  let d = Rat.of_ints 85 100 in
+  let expr =
+    Logic.Expr.Add
+      [
+        Logic.Expr.Const (Rat.mul (Rat.sub Rat.one d) (Rat.of_ints 1 n));
+        Logic.Expr.Mul
+          [
+            Logic.Expr.Const d;
+            Logic.Expr.Sum
+              ( [ "y" ],
+                Logic.Expr.Mul
+                  [ Logic.Expr.Guard (e "y" "x"); Logic.Expr.Weight ("w", [ v "y" ]) ] );
+          ];
+      ]
+  in
+  let t = Engine.Eval.prepare rat_ops ~mode:Circuits.Dyn.Ring ~tfa_rounds:1 inst weights expr in
+  let agree step =
+    for x = 0 to n - 1 do
+      let want = Engine.Reference.eval rat_ops inst weights ~env:[ ("x", x) ] expr in
+      let got = Engine.Eval.query t [ x ] in
+      if not (Rat.equal got want) then
+        Alcotest.failf "after %d updates: f(%d) = %s, reference %s" step x (Rat.to_string got)
+          (Rat.to_string want)
+    done
+  in
+  agree 0;
+  let rng = Random.State.make [| 13; 5 |] in
+  for step = 1 to 25 do
+    let x = Random.State.int rng n in
+    let value = Rat.of_ints 1 (1 + Random.State.int rng 1000) in
+    Db.Weights.set w [ x ] value;
+    Engine.Eval.update t "w" [ x ] value;
+    if step mod 5 = 0 then agree step
+  done
 
 (* error paths: the engine must reject what it cannot compile, loudly *)
 let error_paths () =
@@ -448,6 +493,7 @@ let suite =
     qcheck_compiled_matches;
     more_semirings;
     Alcotest.test_case "updates (finite mode, Z4)" `Quick finite_engine_updates;
+    Alcotest.test_case "PageRank kernel over Rat (ring mode)" `Quick pagerank_rat_updates;
     Alcotest.test_case "error paths" `Quick error_paths;
     Alcotest.test_case "degenerate databases" `Quick degenerate_databases;
     Alcotest.test_case "shape enumeration counts" `Quick shape_counts;

@@ -169,7 +169,15 @@ let dynamic_enum () =
   check_now "after re-adding 0→1" (Fo_enum.instance t);
   Fo_enum.set_tuple t ~gaifman "E" [ 1; 0 ] false;
   Fo_enum.set_tuple t ~gaifman "E" [ 3; 4 ] false;
-  check_now "after removing two more" (Fo_enum.instance t)
+  check_now "after removing two more" (Fo_enum.instance t);
+  (* the counting circuit of the same formula, compiled over the edited
+     instance, evaluates to the number of enumerated answers *)
+  let count_expr = Logic.Expr.Sum (Fo_enum.free_vars t, Logic.Expr.Guard phi_path2) in
+  let c, _ = Engine.Compile.compile ~tfa_rounds:1 ~zero:0 ~one:1 (Fo_enum.instance t) count_expr in
+  let nat_ops = Semiring.Intf.ops_of_module (module Semiring.Instances.Nat) in
+  check_int "counting circuit = answer count"
+    (List.length (Fo_enum.answers t))
+    (Circuits.Circuit.eval nat_ops c (fun _ -> 0))
 
 
 let bidirectional_enumeration () =

@@ -9,7 +9,8 @@
    3. qcheck equivalence: optimized and unoptimized circuits agree — on
       random hand-built circuits with 0/1 constants in all four semirings
       (nat / int-ring / bool / zmod6), and end-to-end through
-      [Engine.Eval.evaluate] on random sparse databases;
+      [Engine.Eval.evaluate] on random sparse databases — and the default
+      pipeline's gate shrink on weighted triangles and 2-path enumeration;
    4. batched-update equivalence: [Dyn.set_inputs] waves on the optimized
       circuit track a from-scratch re-evaluation of the *unoptimized*
       circuit, in every update mode. *)
@@ -308,6 +309,42 @@ let engine_opt_eq_unopt (type a) name (ops : a Intf.ops) (mk : int -> a) ~count 
          let want = Engine.Reference.eval ops inst weights expr_wedge in
          ops.Intf.equal opt raw && ops.Intf.equal opt want))
 
+(* The default pipeline must earn its keep on the two query shapes with
+   the most redundant raw circuits: weighted triangles over a
+   triangulated grid (closed Theorem 8 query) and the Fo_enum 2-path
+   query over a grid (Theorem 24 enumeration). Each optimized circuit
+   keeps at most 80% of its [Opt.none] gate count. *)
+let default_pipeline_shrinks () =
+  let kept what ~opt ~raw =
+    let pct = 100. *. float_of_int opt /. float_of_int raw in
+    check_bool (Printf.sprintf "%s: %d -> %d gates (%.1f%% kept) <= 80%%" what raw opt pct)
+      true (pct <= 80.)
+  in
+  let wtri =
+    Logic.Expr.Sum
+      ( [ "x"; "y"; "z" ],
+        Logic.Expr.Mul
+          [
+            Logic.Expr.Guard (Logic.Formula.And [ e "x" "y"; e "y" "z"; e "z" "x" ]);
+            Logic.Expr.Weight ("w", [ vx "x" ]);
+          ] )
+  in
+  let inst = Db.Instance.of_graph (Graphs.Gen.triangulated_grid 6 6) in
+  let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:0 in
+  Db.Weights.fill_unary w ~n:(Db.Instance.n inst) (fun i -> (i mod 5) + 1);
+  let weights = Db.Weights.bundle [ w ] in
+  let gates ?opt () =
+    (Engine.Eval.stats (Engine.Eval.prepare nat_ops ?opt ~tfa_rounds:1 inst weights wtri))
+      .Circuit.gates
+  in
+  kept "weighted triangles, tri-grid 6x6" ~opt:(gates ()) ~raw:(gates ~opt:Opt.none ());
+  let path2 = Logic.Formula.And [ e "x" "y"; e "y" "z"; Logic.Formula.neq (vx "x") (vx "z") ] in
+  let inst = Db.Instance.of_graph (Graphs.Gen.grid 6 6) in
+  let gates ?opt () =
+    (Fo_enum.stats (Fo_enum.prepare ~dynamic:true ?opt inst path2)).Circuit.gates
+  in
+  kept "2-path enumeration, grid 6x6" ~opt:(gates ()) ~raw:(gates ~opt:Opt.none ())
+
 (* ------------------------------- 4. batched updates on the optimized --- *)
 
 let batch_on_optimized (type a) mode name (ops : a Intf.ops) ~(zero : a) ~(one : a)
@@ -347,6 +384,8 @@ let suite =
     Alcotest.test_case "cse: children never deduplicated" `Quick cse_never_dedups_children;
     Alcotest.test_case "dce: dead cone dropped" `Quick dce_drops_dead_cone;
     Alcotest.test_case "balance: fan-in capped" `Quick balance_caps_fan_in;
+    Alcotest.test_case "default pipeline shrinks triangles and 2-paths" `Quick
+      default_pipeline_shrinks;
     Alcotest.test_case "remap contract" `Quick remap_contract;
     Alcotest.test_case "compact rejects dropped perm child" `Quick
       compact_rejects_dropped_perm_child;

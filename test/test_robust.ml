@@ -113,6 +113,53 @@ let budget_degrades () =
   check_bool "not degraded" true (Engine.Eval.degraded ck = None);
   check_int "same value" full (unwrap "value" (Engine.Eval.value_checked ck))
 
+(* Timeout budgets read Obs.now_ns, so a test can drive them with an
+   injected clock. A forward step past the limit fires. A backwards step
+   is charged nothing, so it neither fires the budget early nor holds it
+   off: the time that follows still counts. *)
+let timeout_budget_clock () =
+  let now = ref 0. in
+  Fun.protect ~finally:(fun () -> Obs.set_clock None) @@ fun () ->
+  Obs.set_clock (Some (fun () -> !now));
+  let ms x = x *. 1e6 in
+  let fires m =
+    match Robust.check m ~gates:0 with
+    | () -> false
+    | exception Robust.Error (Robust.Budget_exceeded _) -> true
+  in
+  let budget = Robust.budget ~timeout_ms:10 () in
+  let m = Robust.start budget in
+  now := ms 5.;
+  check_bool "5 ms in: within budget" false (fires m);
+  now := ms 11.;
+  check_bool "forward step past 10 ms fires" true (fires m);
+  now := ms 1000.;
+  let m = Robust.start budget in
+  now := ms 1008.;
+  check_bool "8 ms in: within budget" false (fires m);
+  now := 0.;
+  check_bool "1 s backwards step does not fire" false (fires m);
+  now := ms 1.;
+  check_bool "9 ms charged: within budget" false (fires m);
+  now := ms 3.;
+  check_bool "11 ms charged across the step: fires" true (fires m);
+  (* end to end: a clock that runs 1 s per read times the compile out and
+     degrades to the reference; one that steps back 1 s per read never
+     does *)
+  let inst = Db.Instance.of_graph (Graphs.Gen.triangulated_grid 3 3) in
+  let weights = Db.Weights.bundle [] in
+  let expr = count_expr triangle in
+  let prepare step =
+    Obs.set_clock (Some (fun () -> now := !now +. step; !now));
+    unwrap "prepare under a timeout"
+      (Engine.Eval.prepare_checked nat_ops ~tfa_rounds:1 ~budget inst weights expr)
+  in
+  (match Engine.Eval.degraded (prepare 1e9) with
+  | Some (Robust.Budget_exceeded _) -> ()
+  | _ -> Alcotest.fail "forward-running clock: expected a timeout degradation");
+  check_bool "backward-running clock: compiled, not degraded" true
+    (Engine.Eval.degraded (prepare (-1e9)) = None)
+
 (* Degraded backends must answer open queries too, identically to the
    circuit path (acceptance: budget path = circuit path on queries). *)
 let degraded_queries_agree () =
@@ -466,6 +513,7 @@ let suite =
   [
     Alcotest.test_case "error taxonomy" `Quick taxonomy;
     Alcotest.test_case "budgets degrade to reference" `Quick budget_degrades;
+    Alcotest.test_case "timeout budget under an injected clock" `Quick timeout_budget_clock;
     Alcotest.test_case "degraded queries agree with circuit" `Quick degraded_queries_agree;
     differential_fuzz ~name:"differential: nat semiring (General)" nat_ops
       ~of_int:(fun i -> i);
