@@ -317,7 +317,7 @@ let stats_cmd =
              updates and structural edge toggles (insert the arc pair if absent, delete \
              it if present) served through the localized-recompile path; reports \
              per-kind latency quantiles plus the localized/fallback split and the \
-             gates-rebuilt vs gates-carried totals (0 = skip).")
+             runtime gates the splices rebuilt (0 = skip).")
   in
   let run kind n seed qname (budget, opt) ((updates, batch, cost, churn), load)
       =
@@ -468,15 +468,9 @@ let stats_cmd =
         Printf.printf "churn: %d ops  weight p50 %.0fns p99 %.0fns  structural p50 %.0fns p99 %.0fns\n"
           churn wp50 wp99 sp50 sp99;
         let ch = Engine.Eval.churn_stats ev in
-        let total_gates = ch.Engine.Eval.ch_gates_rebuilt + ch.Engine.Eval.ch_gates_carried in
-        Printf.printf
-          "churn: %d inserts %d deletes  %d localized %d fallbacks  gates rebuilt %d / \
-           carried %d (%.1f%% rebuilt)\n"
+        Printf.printf "churn: %d inserts %d deletes  %d localized %d fallbacks  gates rebuilt %d\n"
           ch.Engine.Eval.ch_inserts ch.Engine.Eval.ch_deletes ch.Engine.Eval.ch_localized
-          ch.Engine.Eval.ch_fallbacks ch.Engine.Eval.ch_gates_rebuilt
-          ch.Engine.Eval.ch_gates_carried
-          (if total_gates = 0 then 0.
-           else 100. *. float_of_int ch.Engine.Eval.ch_gates_rebuilt /. float_of_int total_gates);
+          ch.Engine.Eval.ch_fallbacks ch.Engine.Eval.ch_gates_rebuilt;
         Printf.printf "churn value now: %d\n" (Engine.Eval.value ev)
       end
     end

@@ -45,10 +45,9 @@ let h_batch_ns = Obs.histogram ~scope:"dyn" "batch_ns"
 let m_rollbacks = Obs.counter ~scope:"dyn" "rollbacks"
 let m_repairs = Obs.counter ~scope:"dyn" "repairs"
 
-(* Structural-splice observables: circuits spliced after a localized
-   recompile, and how many gates each splice carried over vs rebuilt. *)
+(* Structural-splice observables: structures replaced after a structural
+   recompile, and the gates their builds cost. *)
 let m_splices = Obs.counter ~scope:"dyn" "splices"
-let m_splice_carried = Obs.counter ~scope:"dyn" "splice_carried_gates"
 let m_splice_rebuilt = Obs.counter ~scope:"dyn" "splice_rebuilt_gates"
 
 (** Raised by every read/update once a fault mid-update has left the
@@ -168,70 +167,66 @@ let mode_name = function General -> "general" | Ring -> "ring" | Finite -> "fini
 (* (Re)compute every derived gate value and auxiliary structure bottom-up
    from the current input/const values: one topological pass, exactly the
    initial-evaluation semantics. Shared by [create], [repair] and
-   [splice].
-
-   [skip] marks gates whose value and aux were already carried over by
-   {!splice} — they are left untouched; [on_build] fires before each gate
-   that is (re)built, carrying the fault-injection and cost-accounting
-   hooks of the splice path. *)
-let init_derived ?(skip = fun _ -> false) ?(on_build = fun _ -> ())
-    (ops : 'a Semiring.Intf.ops) mode fin_ctx (cc : 'a Compact.t)
-    (values : 'a Compact.plane) (aux : 'a aux array) =
+   [splice]; [on_build] fires before each derived gate is built — the
+   splice path's fault-injection hook. *)
+let init_derived ?(on_build = fun _ -> ()) (ops : 'a Semiring.Intf.ops) mode fin_ctx
+    (cc : 'a Compact.t) (values : 'a Compact.plane) (aux : 'a aux array) =
   let open Semiring.Intf in
   let vget g = Compact.plane_get values g in
   let vset id v = Compact.plane_set values id v in
   let off = cc.Compact.child_off and ch = cc.Compact.children in
   for id = 0 to cc.Compact.n - 1 do
-    if not (skip id) then
-      match cc.Compact.opcode.(id) with
-      | 0 (* input *) -> ()
-      | 1 (* const *) ->
-          on_build id;
-          vset id cc.Compact.consts.(cc.Compact.arg.(id))
-      | 2 (* add *) -> (
-          on_build id;
-          let acc = ref ops.zero in
-          for i = off.(id) to off.(id + 1) - 1 do
-            acc := ops.add !acc (vget ch.(i))
-          done;
-          vset id !acc;
-          (* Finite mode: a counting gate's per-element counters (Lemma 18) *)
-          match fin_ctx with
-          | Some ctx ->
-              let counts = Array.make (Array.length ctx.Perm.Finite.elems) 0 in
-              for i = off.(id) to off.(id + 1) - 1 do
-                let e = Perm.Finite.index_of ctx (vget ch.(i)) in
-                counts.(e) <- counts.(e) + 1
-              done;
-              aux.(id) <- ACount counts
-          | None -> ())
-      | 3 (* mul *) ->
-          on_build id;
-          let acc = ref ops.one in
-          for i = off.(id) to off.(id + 1) - 1 do
-            acc := ops.mul !acc (vget ch.(i))
-          done;
-          vset id !acc
-      | _ (* perm *) ->
-          on_build id;
-          let m = Compact.perm_matrix cc values id in
-          let st =
-            match mode with
-            | General -> PSeg (Perm.Segtree.create ops m)
-            | Ring -> PRing (Perm.Ring.create ops m)
-            | Finite -> PFin (Perm.Finite.create ops m)
-          in
-          aux.(id) <- APerm (st, cc.Compact.perm_cols.(cc.Compact.arg.(id)));
-          vset id
-            (match st with
-            | PSeg s -> Perm.Segtree.perm s
-            | PRing s -> Perm.Ring.perm s
-            | PFin s -> Perm.Finite.perm s)
+    match cc.Compact.opcode.(id) with
+    | 0 (* input *) -> ()
+    | 1 (* const *) ->
+        on_build id;
+        vset id cc.Compact.consts.(cc.Compact.arg.(id))
+    | 2 (* add *) -> (
+        on_build id;
+        let acc = ref ops.zero in
+        for i = off.(id) to off.(id + 1) - 1 do
+          acc := ops.add !acc (vget ch.(i))
+        done;
+        vset id !acc;
+        (* Finite mode: a counting gate's per-element counters (Lemma 18) *)
+        match fin_ctx with
+        | Some ctx ->
+            let counts = Array.make (Array.length ctx.Perm.Finite.elems) 0 in
+            for i = off.(id) to off.(id + 1) - 1 do
+              let e = Perm.Finite.index_of ctx (vget ch.(i)) in
+              counts.(e) <- counts.(e) + 1
+            done;
+            aux.(id) <- ACount counts
+        | None -> ())
+    | 3 (* mul *) ->
+        on_build id;
+        let acc = ref ops.one in
+        for i = off.(id) to off.(id + 1) - 1 do
+          acc := ops.mul !acc (vget ch.(i))
+        done;
+        vset id !acc
+    | _ (* perm *) ->
+        on_build id;
+        let m = Compact.perm_matrix cc values id in
+        let st =
+          match mode with
+          | General -> PSeg (Perm.Segtree.create ops m)
+          | Ring -> PRing (Perm.Ring.create ops m)
+          | Finite -> PFin (Perm.Finite.create ops m)
+        in
+        aux.(id) <- APerm (st, cc.Compact.perm_cols.(cc.Compact.arg.(id)));
+        vset id
+          (match st with
+          | PSeg s -> Perm.Segtree.perm s
+          | PRing s -> Perm.Ring.perm s
+          | PFin s -> Perm.Finite.perm s)
   done
 
-(* Freeze a circuit into the CSR layout and build its parent CSR triple
-   and an uninitialized value plane. Shared by [create] and [splice]. *)
-let make_structure (ops : 'a Semiring.Intf.ops) (c : 'a Circuit.t) =
+(* Freeze [c] into the CSR layout, build its parent CSR triple, seed the
+   inputs from [valuation] and build every derived gate: the whole of
+   [create], and the fresh structure a [splice] builds aside. *)
+let build ~on_build (ops : 'a Semiring.Intf.ops) mode fin_ctx (c : 'a Circuit.t)
+    (valuation : Circuit.input_key -> 'a) : 'a t =
   let cc = Compact.of_circuit c in
   let n = cc.Compact.n in
   (* parent CSR: count, prefix-sum, fill (parents end up in ascending
@@ -253,34 +248,14 @@ let make_structure (ops : 'a Semiring.Intf.ops) (c : 'a Circuit.t) =
       cursor.(g) <- cursor.(g) + 1
     done
   done;
-  (cc, par_off, par_gate, par_slot, Compact.make_plane ops n)
-
-let create ?mode (ops : 'a Semiring.Intf.ops) (c : 'a Circuit.t)
-    (valuation : Circuit.input_key -> 'a) : 'a t =
-  let mode = match mode with Some m -> m | None -> pick_mode ops in
-  Obs.Trace.span ~scope:"dyn" "create"
-    ~attrs:
-      [
-        ("mode", Obs.Trace.S (mode_name mode));
-        ("gates", Obs.Trace.I (Array.length c.Circuit.nodes));
-      ]
-  @@ fun () ->
-  let cc, par_off, par_gate, par_slot, values = make_structure ops c in
-  let n = cc.Compact.n in
-  (* seed input values *)
+  let values = Compact.make_plane ops n in
   Array.iteri
     (fun id op ->
       if op = 0 then
         Compact.plane_set values id (valuation cc.Compact.input_keys.(cc.Compact.arg.(id))))
     cc.Compact.opcode;
   let aux = Array.make n ANone in
-  let fin_ctx = if mode = Finite then Some (Perm.Finite.make_ctx ops) else None in
-  init_derived ops mode fin_ctx cc values aux;
-  Obs.Counter.incr
-    (match mode with
-    | General -> m_creates_general
-    | Ring -> m_creates_ring
-    | Finite -> m_creates_finite);
+  init_derived ~on_build ops mode fin_ctx cc values aux;
   {
     ops;
     mode;
@@ -307,6 +282,25 @@ let create ?mode (ops : 'a Semiring.Intf.ops) (c : 'a Circuit.t)
     fault_hook = None;
     rollback_fault_hook = None;
   }
+
+let create ?mode (ops : 'a Semiring.Intf.ops) (c : 'a Circuit.t)
+    (valuation : Circuit.input_key -> 'a) : 'a t =
+  let mode = match mode with Some m -> m | None -> pick_mode ops in
+  Obs.Trace.span ~scope:"dyn" "create"
+    ~attrs:
+      [
+        ("mode", Obs.Trace.S (mode_name mode));
+        ("gates", Obs.Trace.I (Array.length c.Circuit.nodes));
+      ]
+  @@ fun () ->
+  let fin_ctx = if mode = Finite then Some (Perm.Finite.make_ctx ops) else None in
+  let t = build ~on_build:ignore ops mode fin_ctx c valuation in
+  Obs.Counter.incr
+    (match mode with
+    | General -> m_creates_general
+    | Ring -> m_creates_ring
+    | Finite -> m_creates_finite);
+  t
 
 let poisoned t = t.poisoned
 let set_fault_hook t h = t.fault_hook <- h
@@ -811,62 +805,25 @@ let repair t =
 
 (* --- structural splice --- *)
 
-type splice_report = {
-  sp_carried : int;  (** gates whose value/aux crossed over untouched *)
-  sp_rebuilt : int;  (** gates recomputed bottom-up *)
-  sp_retired : int;  (** old gates with no image in the new structure *)
-}
+(** Replace the compiled circuit by [c] — the output of a structural
+    recompile, localized or not. The new structure is built {e aside},
+    from scratch: [c] is frozen, every input is seeded from [valuation]
+    and every derived gate is built bottom-up exactly as in {!create},
+    with the fault-injection hook firing before each one.
 
-(* Uniform structural view of one gate, for the carry check ([Perm]
-   children row-major). *)
-type 'a view =
-  | VInput of Circuit.input_key
-  | VConst of 'a
-  | VAdd of int array
-  | VMul of int array
-  | VPerm of int array * int  (** row-major children, column count *)
+    The old structure is never mutated, so a mid-build fault discards
+    the half-built structure and raises {!Rolled_back} with [t] intact —
+    or, if the rollback-fault hook raises too, poisons [t] and re-raises:
+    the three outcomes of a weight wave.
 
-let gate_view (cc : 'a Compact.t) id : 'a view =
-  let kids () =
-    Array.sub cc.Compact.children cc.Compact.child_off.(id)
-      (cc.Compact.child_off.(id + 1) - cc.Compact.child_off.(id))
-  in
-  match cc.Compact.opcode.(id) with
-  | 0 -> VInput cc.Compact.input_keys.(cc.Compact.arg.(id))
-  | 1 -> VConst cc.Compact.consts.(cc.Compact.arg.(id))
-  | 2 -> VAdd (kids ())
-  | 3 -> VMul (kids ())
-  | _ -> VPerm (kids (), cc.Compact.perm_cols.(cc.Compact.arg.(id)))
-
-(** Replace the compiled circuit by [c] — the output of a localized
-    recompile — building the new runtime structure {e aside} and carrying
-    over every gate the recompile left untouched. [carry.(j)] names, for
-    new (optimizer-level) gate [j], the old optimizer-level gate whose
-    value it must equal, or [-1] if the gate was rebuilt; [valuation]
-    supplies values for input keys the old structure does not hold (new
-    keys; existing carried inputs keep their old values).
-
-    The wave is transactional by construction: the old structure is never
-    mutated while the new one is built, so a mid-splice fault (e.g. the
-    fault-injection hook) discards the new structure and raises
-    {!Rolled_back} with the old structure intact — or, if the
-    rollback-fault hook raises too, poisons the old structure and
-    re-raises, exactly the three outcomes of a weight wave.
-
-    On success the returned structure supersedes [t]: permanent
-    maintenance state is transferred by pointer, so the old [t] is
-    poisoned and must not be updated again (reads raise {!Poisoned};
-    {!repair} would resurrect it with fresh aux, deliberately). The
-    carry is re-verified gate by gate against the actual topologies —
-    a carried gate must have the same shape and carried children as its
-    source, else it is demoted to rebuilt — so a wrong carry table
-    degrades splice cost, never correctness. *)
-let splice (t : 'a t) (c : 'a Circuit.t) ~(carry : int array)
-    (valuation : Circuit.input_key -> 'a) : 'a t * splice_report =
+    On success the returned structure supersedes [t]. It inherits the
+    journal, the cost sink, the sampling tick and the fault hooks; its
+    gate odometer continues [t]'s, and the build's n gates are charged
+    to it, to the cost sink and to "dyn" [touched_gates], so
+    Σ cost_log = Δ update_ops = Δ touched_gates holds across structural
+    updates too. [t] is poisoned: reads raise {!Poisoned}. *)
+let splice (t : 'a t) (c : 'a Circuit.t) (valuation : Circuit.input_key -> 'a) : 'a t =
   check_live t;
-  if Array.length carry <> Array.length c.Circuit.nodes then
-    Robust.bad_input "Dyn.splice: carry table has %d entries for %d gates"
-      (Array.length carry) (Array.length c.Circuit.nodes);
   Obs.Trace.span ~scope:"dyn" "splice"
     ~attrs:
       [
@@ -874,220 +831,45 @@ let splice (t : 'a t) (c : 'a Circuit.t) ~(carry : int array)
         ("new_gates", Obs.Trace.I (Array.length c.Circuit.nodes));
       ]
   @@ fun () ->
-  let cc, par_off, par_gate, par_slot, values = make_structure t.ops c in
-  let n = cc.Compact.n in
-  (* Runtime gate ids are the optimizer's, so the carry indexes gates
-     directly; an out-of-range source is treated as rebuilt. *)
-  let src = Array.map (fun i -> if i < t.n then i else -1) carry in
-  (* Index the old circuit's derived gates by (kind, children, arity) so
-     the promotion step below can recover correspondences the carry table
-     missed — chiefly the fan-in trees the optimizer's balance pass
-     synthesizes, which have no raw-circuit preimage and so can never be
-     carried through the raw-level remap composition. First occurrence
-     wins; the promotion walk is ascending, so a resolved child set
-     uniquely keys the matching old gate. *)
-  let old_shape : (int * int array * int, int list ref) Hashtbl.t =
-    Hashtbl.create 256
+  let on_build id = match t.fault_hook with Some h -> h id | None -> () in
+  let fresh =
+    match build ~on_build t.ops t.mode t.fin_ctx c valuation with
+    | fresh -> fresh
+    | exception e -> (
+        (* [t] was never touched: discarding the half-built structure IS
+           the rollback. The hooks still get their say so the chaos
+           battery can drive all three outcomes. *)
+        match (match t.rollback_fault_hook with Some h -> h () | None -> ()) with
+        | () ->
+            Obs.Counter.incr m_rollbacks;
+            Obs.Trace.dump_flight
+              ~reason:("Circuits.Dyn rolled_back mid-splice fault: " ^ Printexc.to_string e)
+              ();
+            raise (Rolled_back (Printexc.to_string e))
+        | exception re ->
+            t.poisoned <- Some (Printexc.to_string e);
+            Obs.Trace.dump_flight
+              ~reason:
+                (Printf.sprintf "Circuits.Dyn poisoned mid-splice: %s (rollback failed: %s)"
+                   (Printexc.to_string e) (Printexc.to_string re))
+              ();
+            raise e)
   in
-  let old_consts = ref [] in
-  (* Addition is commutative in every semiring, so Add gates are keyed
-     (and later compared) as sorted child multisets — re-optimization is
-     free to permute a sum's operands. Mul and Perm stay order-exact.
-     Buckets hold every old gate with a given shape: balance trees
-     routinely mint several gates over the same children (e.g. chunked
-     sums of a repeated operand), and each needs its own source because
-     the final map must stay injective. *)
-  let sorted ks =
-    let s = Array.copy ks in
-    Array.sort compare s;
-    s
-  in
-  for i = 0 to t.n - 1 do
-    let key =
-      match gate_view t.cc i with
-      | VInput _ -> None
-      | VConst _ ->
-          old_consts := i :: !old_consts;
-          None
-      | VAdd ks -> Some (2, sorted ks, 0)
-      | VMul ks -> Some (3, ks, 0)
-      | VPerm (ks, nc) -> Some (4, ks, nc)
-    in
-    match key with
-    | Some k -> (
-        match Hashtbl.find_opt old_shape k with
-        | Some bucket -> bucket := i :: !bucket
-        | None -> Hashtbl.add old_shape k (ref [ i ]))
-    | None -> ()
-  done;
-  let old_consts = List.rev !old_consts in
-  let find_unclaimed claimed key =
-    match Hashtbl.find_opt old_shape key with
-    | None -> None
-    | Some bucket -> List.find_opt (fun i -> not claimed.(i)) !bucket
-  in
-  (* Ascending promotion + defensive demotion. Promotion: an unmatched
-     new gate whose children all resolved adopts the old gate with the
-     identical shape over those sources, if any. Demotion: a gate stays
-     carried only if its source has the identical shape — equal key for
-     inputs, equal value for constants — and every child is carried from
-     the corresponding old child (children precede the gate, so their
-     final verdict is already in [src]). [claimed] keeps the final map
-     injective: permanent-tracking aux transfers by pointer, so two new
-     gates must never share one old source. *)
-  let claimed = Array.make t.n false in
-  for j = 0 to n - 1 do
-    (if src.(j) < 0 then
-       match gate_view cc j with
-       | VInput key -> (
-           match Hashtbl.find_opt t.cc.Compact.input_ids key with
-           | Some i when not claimed.(i) -> src.(j) <- i
-           | _ -> ())
-       | VConst v -> (
-           match
-             List.find_opt
-               (fun i ->
-                 (not claimed.(i))
-                 &&
-                 match gate_view t.cc i with
-                 | VConst b -> t.ops.Semiring.Intf.equal v b
-                 | _ -> false)
-               old_consts
-           with
-           | Some i -> src.(j) <- i
-           | None -> ())
-       | VAdd ks | VMul ks | VPerm (ks, _) ->
-           let resolved = Array.map (fun ch -> src.(ch)) ks in
-           if Array.for_all (fun i -> i >= 0) resolved then begin
-             let key =
-               match gate_view cc j with
-               | VMul _ -> (3, resolved, 0)
-               | VPerm (_, nc) -> (4, resolved, nc)
-               | _ -> (2, sorted resolved, 0)
-             in
-             match find_unclaimed claimed key with
-             | Some i -> src.(j) <- i
-             | None -> ()
-           end);
-    if src.(j) >= 0 then begin
-      let i = src.(j) in
-      let kids_match c_new c_old =
-        Array.length c_new = Array.length c_old
-        && begin
-             let ok = ref true in
-             Array.iteri (fun l ch -> if src.(ch) <> c_old.(l) then ok := false) c_new;
-             !ok
-           end
-      in
-      let ok =
-        (not claimed.(i))
-        &&
-        match (gate_view cc j, gate_view t.cc i) with
-        | VInput k1, VInput k2 -> k1 = k2
-        | VConst a, VConst b -> t.ops.Semiring.Intf.equal a b
-        | VAdd c1, VAdd c2 ->
-            (* Commutative: the multiset of carried sources must equal
-               the multiset of old children; order is free to differ. *)
-            Array.length c1 = Array.length c2
-            && Array.for_all (fun ch -> src.(ch) >= 0) c1
-            && sorted (Array.map (fun ch -> src.(ch)) c1) = sorted c2
-        | VMul c1, VMul c2 -> kids_match c1 c2
-        | VPerm (c1, nc1), VPerm (c2, nc2) -> nc1 = nc2 && kids_match c1 c2
-        | _ -> false
-      in
-      if ok then claimed.(i) <- true else src.(j) <- -1
-    end
-  done;
-  (* Seed: carried gates copy their value (and transfer aux — permanent
-     state by pointer, Finite counters by copy); fresh inputs take the
-     valuation. Fresh derived gates are computed below. *)
-  let aux = Array.make n ANone in
-  let carried = ref 0 in
-  let old_used = Array.make t.n false in
-  for j = 0 to n - 1 do
-    let i = src.(j) in
-    if i >= 0 then begin
-      incr carried;
-      old_used.(i) <- true;
-      Compact.plane_set values j (vget t i);
-      match t.aux.(i) with
-      | ANone -> ()
-      | ACount counts -> aux.(j) <- ACount (Array.copy counts)
-      | APerm (st, ncols) -> aux.(j) <- APerm (st, ncols)
-    end
-    else
-      match gate_view cc j with
-      | VInput key -> Compact.plane_set values j (valuation key)
-      | _ -> ()
-  done;
-  let retired = ref 0 in
-  Array.iter (fun used -> if not used then incr retired) old_used;
-  let rebuilt = ref 0 in
-  let on_build id =
-    (match t.fault_hook with Some h -> h id | None -> ());
-    incr rebuilt
-  in
-  (match init_derived ~skip:(fun j -> src.(j) >= 0) ~on_build t.ops t.mode t.fin_ctx
-           cc values aux
-   with
-  | () -> ()
-  | exception e -> (
-      (* The old structure was never touched: discarding the half-built
-         twin IS the rollback. The hooks still get their say so the chaos
-         battery can drive all three outcomes. *)
-      match (match t.rollback_fault_hook with Some h -> h () | None -> ()) with
-      | () ->
-          Obs.Counter.incr m_rollbacks;
-          Obs.Trace.dump_flight
-            ~reason:("Circuits.Dyn rolled_back mid-splice fault: " ^ Printexc.to_string e)
-            ();
-          raise (Rolled_back (Printexc.to_string e))
-      | exception re ->
-          t.poisoned <- Some (Printexc.to_string e);
-          Obs.Trace.dump_flight
-            ~reason:
-              (Printf.sprintf "Circuits.Dyn poisoned mid-splice: %s (rollback failed: %s)"
-                 (Printexc.to_string e) (Printexc.to_string re))
-            ();
-          raise e));
-  let t' =
-    {
-      ops = t.ops;
-      mode = t.mode;
-      n;
-      cc;
-      par_off;
-      par_gate;
-      par_slot;
-      values;
-      aux;
-      fin_ctx = t.fin_ctx;
-      wave_heap = Array.make 16 0;
-      wave_len = 0;
-      wave_in = Array.make n false;
-      wave_saved = Array.make n t.ops.Semiring.Intf.zero;
-      pending = Array.make n [];
-      update_ops = t.update_ops + !rebuilt;
-      obs_tick = t.obs_tick;
-      cost_log = t.cost_log;
-      undo_log = Array.make 64 UNop;
-      undo_len = 0;
-      journal = t.journal;
-      poisoned = None;
-      fault_hook = t.fault_hook;
-      rollback_fault_hook = t.rollback_fault_hook;
-    }
-  in
-  (* Splice cost flows into the same accounting as weight waves, so the
-     Σ cost_log = update_ops delta = touched_gates delta cross-check in
-     [stats --cost] keeps holding across structural updates. *)
-  (match t.cost_log with Some sink -> sink := !rebuilt :: !sink | None -> ());
-  Obs.Counter.add m_touched !rebuilt;
+  let n = fresh.n in
+  (match t.cost_log with Some sink -> sink := n :: !sink | None -> ());
+  Obs.Counter.add m_touched n;
   Obs.Counter.incr m_splices;
-  Obs.Counter.add m_splice_carried !carried;
-  Obs.Counter.add m_splice_rebuilt !rebuilt;
+  Obs.Counter.add m_splice_rebuilt n;
   t.poisoned <- Some "superseded by a splice; use the spliced structure";
-  (t', { sp_carried = !carried; sp_rebuilt = !rebuilt; sp_retired = !retired })
+  {
+    fresh with
+    update_ops = t.update_ops + n;
+    obs_tick = t.obs_tick;
+    cost_log = t.cost_log;
+    journal = t.journal;
+    fault_hook = t.fault_hook;
+    rollback_fault_hook = t.rollback_fault_hook;
+  }
 
 (** Attach (or return the already-attached) update journal: from now on
     every committed {!set_input}/{!set_inputs} batch is appended. *)
@@ -1101,33 +883,9 @@ let enable_journal t =
 
 let journal t = t.journal
 
-(** Attach/detach a specific journal — the way an already-running journal
-    survives a structure replacement ({!splice} inherits it implicitly;
-    the full-rebuild fallback re-attaches it here). *)
+(** Attach/detach a specific journal ({!splice} inherits the attached
+    one; [Engine.Eval.replay] suspends it here). *)
 let set_journal t j = t.journal <- j
-
-(** Transfer the cross-structure bookkeeping — journal, cost sink, gate
-    odometer, fault hooks — from a superseded structure onto its
-    full-rebuild replacement: the fallback twin of what {!splice}
-    inherits, so cost brackets spanning a structural fallback stay
-    coherent. *)
-let adopt_accounting ~(from : 'a t) (t : 'a t) =
-  t.journal <- from.journal;
-  t.cost_log <- from.cost_log;
-  t.update_ops <- from.update_ops + t.update_ops;
-  t.obs_tick <- from.obs_tick;
-  t.fault_hook <- from.fault_hook;
-  t.rollback_fault_hook <- from.rollback_fault_hook
-
-(** Charge [k] gate recomputations to this structure's odometer, cost
-    sink and the global touched counter — what a full structural rebuild
-    costs, kept on the same books as waves and splices so the
-    Σ cost_log = Δ update_ops = Δ touched_gates identity holds across
-    every kind of update. *)
-let charge t k =
-  t.update_ops <- t.update_ops + k;
-  (match t.cost_log with Some sink -> sink := k :: !sink | None -> ());
-  Obs.Counter.add m_touched k
 
 (** Re-apply a journal's committed batches in order. Run against a fresh
     {!create} from the same pre-journal valuation this reconstructs the

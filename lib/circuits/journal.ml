@@ -142,7 +142,9 @@ let save (t : 'a t) (path : string) : unit =
 
 (** Read a journal back; every record's checksum is re-derived from the
     payload actually read, so truncation and bit flips surface as
-    [Robust.Bad_input] here rather than as a wrong replayed state. *)
+    [Robust.Bad_input] here rather than as a wrong replayed state. Only a
+    file that ends exactly on a frame boundary loads: a cut anywhere
+    inside a frame — its 8-byte header included — names the torn batch. *)
 let load (path : string) : 'a t =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
@@ -152,35 +154,40 @@ let load (path : string) : 'a t =
   | exception End_of_file ->
       Robust.bad_input "Journal.load: %s is not an update journal (too short)" path);
   let t = create () in
+  let size = in_channel_length ic in
   let rec loop () =
-    match input_binary_int ic with
-    | exception End_of_file -> ()
-    | tagged_len ->
-        let structural = tagged_len < 0 in
-        let len = abs tagged_len in
-        if len = 0 && structural then
-          Robust.bad_input "Journal.load: %s batch %d has implausible length %d" path
-            t.count tagged_len;
-        if len > 1 lsl 30 then
-          Robust.bad_input "Journal.load: %s batch %d has implausible length %d" path
-            t.count len;
-        let stored = input_binary_int ic land 0xFFFFFFFF in
-        let payload =
-          try really_input_string ic len
-          with End_of_file ->
-            Robust.bad_input "Journal.load: %s truncated inside batch %d" path t.count
-        in
-        if checksum_bytes payload <> stored then
-          Robust.bad_input "Journal.load: %s batch %d fails its checksum" path t.count;
-        if structural then begin
-          let s : structural_op = Marshal.from_string payload 0 in
-          if s.s_rel = "" || List.exists (fun v -> v < 0) s.s_tup then
-            Robust.bad_input "Journal.load: %s batch %d has a malformed structural op"
-              path t.count;
-          append_record t (Structural s)
-        end
-        else append_record t (Weights (Marshal.from_string payload 0));
-        loop ()
+    let left = size - pos_in ic in
+    if left > 0 then begin
+      if left < 8 then
+        Robust.bad_input "Journal.load: %s truncated inside batch %d's frame header" path
+          t.count;
+      let tagged_len = input_binary_int ic in
+      let structural = tagged_len < 0 in
+      let len = abs tagged_len in
+      if len = 0 && structural then
+        Robust.bad_input "Journal.load: %s batch %d has implausible length %d" path
+          t.count tagged_len;
+      if len > 1 lsl 30 then
+        Robust.bad_input "Journal.load: %s batch %d has implausible length %d" path
+          t.count len;
+      let stored = input_binary_int ic land 0xFFFFFFFF in
+      let payload =
+        try really_input_string ic len
+        with End_of_file ->
+          Robust.bad_input "Journal.load: %s truncated inside batch %d" path t.count
+      in
+      if checksum_bytes payload <> stored then
+        Robust.bad_input "Journal.load: %s batch %d fails its checksum" path t.count;
+      if structural then begin
+        let s : structural_op = Marshal.from_string payload 0 in
+        if s.s_rel = "" || List.exists (fun v -> v < 0) s.s_tup then
+          Robust.bad_input "Journal.load: %s batch %d has a malformed structural op"
+            path t.count;
+        append_record t (Structural s)
+      end
+      else append_record t (Weights (Marshal.from_string payload 0));
+      loop ()
+    end
   in
   loop ();
   t

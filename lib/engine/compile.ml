@@ -20,8 +20,8 @@
     {!plan} — the live Gaifman graph, the pinned coloring, and the raw
     circuit sliced into per-color-subset {!segment}s — and
     {!recompile_local} rebuilds only the segments a structural update
-    (tuple insert/delete) touches, splicing the untouched gates through
-    the optimizer remap machinery. When the treedepth witness of an
+    (tuple insert/delete) touches and copies the untouched ones gate for
+    gate. When the treedepth witness of an
     affected subset grows past the compiled [max_depth] bound the
     localized path refuses ({!local_result.Fallback}) and the caller runs
     a full recompile with a fresh coloring — the amortization trigger. *)
@@ -150,8 +150,6 @@ type 'a plan = {
   pl_budget : Robust.budget;
   pl_dynamic_rels : string list;
   pl_raw : 'a Circuits.Circuit.t;
-  pl_opt_remap : int array;  (** raw gate → optimized gate, -1 if dropped *)
-  pl_opt_gates : int;  (** gate count of the optimized circuit *)
   pl_segments : segment list;  (** in raw emission order *)
 }
 
@@ -458,8 +456,6 @@ let compile_plan (type a) ~(zero : a) ~(one : a) ?(equal : a -> a -> bool = ( = 
       pl_budget = budget;
       pl_dynamic_rels = dynamic_rels;
       pl_raw = raw;
-      pl_opt_remap = optimized.Opt.remap;
-      pl_opt_gates = Array.length circuit.Circuits.Circuit.nodes;
       pl_segments = List.rev !segments;
     }
   in
@@ -476,51 +472,34 @@ let compile (type a) ~(zero : a) ~(one : a) ?equal ?opt ?tfa_rounds ?max_depth ?
   (circuit, meta)
 
 (* exact structural copy of one raw gate into the builder, children
-   remapped through [splice]; Add/Mul go through [push] (not the
+   remapped through [raw_map]; Add/Mul go through [push] (not the
    singleton-collapsing smart constructors) so copies are gate-for-gate *)
-let copy_gate (type a) b (nodes : a Circuits.Circuit.node array) splice id =
+let copy_gate (type a) b (nodes : a Circuits.Circuit.node array) raw_map id =
   match nodes.(id) with
   | Circuits.Circuit.Input key -> Circuits.Circuit.input b key
   | Circuits.Circuit.Const s -> Circuits.Circuit.const b s
   | Circuits.Circuit.Add gs ->
-      Circuits.Circuit.push b (Circuits.Circuit.Add (Array.map (fun g -> splice.(g)) gs))
+      Circuits.Circuit.push b (Circuits.Circuit.Add (Array.map (fun g -> raw_map.(g)) gs))
   | Circuits.Circuit.Mul gs ->
-      Circuits.Circuit.push b (Circuits.Circuit.Mul (Array.map (fun g -> splice.(g)) gs))
+      Circuits.Circuit.push b (Circuits.Circuit.Mul (Array.map (fun g -> raw_map.(g)) gs))
   | Circuits.Circuit.Perm rows ->
       Circuits.Circuit.push b
-        (Circuits.Circuit.Perm (Array.map (Array.map (fun g -> splice.(g))) rows))
+        (Circuits.Circuit.Perm (Array.map (Array.map (fun g -> raw_map.(g))) rows))
 
 (** Result of {!recompile_local}. [Localized] carries the new optimized
-    circuit plus the two remap tables the splice layer needs:
-
-    - [remap]: old optimized gate → new optimized gate, [-1] for gates
-      that were dropped (their subset was rebuilt);
-    - [carry]: new optimized gate → old optimized gate, [-1] for gates
-      that must be (re)computed. A carried gate is a structural copy of
-      its old self over carried children, so its cached value is still
-      valid — this is what makes the splice O(affected subtree).
-
-    [Fallback] is the amortization trigger: the update grew some affected
-    subset's elimination-forest depth past the compiled bound, so the
-    caller must run a full {!compile_plan} (fresh coloring) instead. *)
+    circuit, its meta and the plan to commit. [Fallback] is the
+    amortization trigger: the update grew some affected subset's
+    elimination-forest depth past the compiled bound, so the caller must
+    run a full {!compile_plan} (fresh coloring) instead. *)
 type 'a local_result =
-  | Localized of {
-      circuit : 'a Circuits.Circuit.t;
-      meta : meta;
-      plan : 'a plan;
-      remap : int array;
-      carry : int array;
-      gates_rebuilt : int;
-      gates_copied : int;
-    }
+  | Localized of { circuit : 'a Circuits.Circuit.t; meta : meta; plan : 'a plan }
   | Fallback of string
 
 (** Rebuild only the color-subset segments affected by a structural
     update touching the vertices [touched] (the tuple's elements): a
     segment is affected iff its subset contains every touched color. The
-    untouched segments are copied gate for gate; the whole circuit is
-    then re-optimized and the old→new / new→old remap tables are composed
-    across the splice. The caller is responsible for having already
+    untouched segments are copied gate for gate and the whole circuit is
+    then re-optimized. The caller is responsible for having already
     applied the tuple change to the instance and the live graph. *)
 let recompile_local (type a) (plan : a plan) ~(touched : int list) : a local_result =
   Obs.Trace.span ~scope:"compile" "recompile_local"
@@ -576,7 +555,8 @@ let recompile_local (type a) (plan : a plan) ~(touched : int list) : a local_res
       let dynamic r = List.mem r plan.pl_dynamic_rels in
       let old_raw = plan.pl_raw in
       let old_nodes = old_raw.Circuits.Circuit.nodes in
-      let splice = Array.make (Array.length old_nodes) (-1) in
+      (* old raw gate → its copy in the new raw circuit *)
+      let raw_map = Array.make (Array.length old_nodes) (-1) in
       let b = Circuits.Circuit.builder () in
       let check_budget () =
         match monitor with
@@ -601,7 +581,7 @@ let recompile_local (type a) (plan : a plan) ~(touched : int list) : a local_res
             for id = seg.seg_lo to seg.seg_hi - 1 do
               match old_nodes.(id) with
               | Circuits.Circuit.Input key ->
-                  splice.(id) <- Circuits.Circuit.input b key
+                  raw_map.(id) <- Circuits.Circuit.input b key
               | _ -> ()
             done;
             let verts = subset_verts color n subset in
@@ -634,11 +614,11 @@ let recompile_local (type a) (plan : a plan) ~(touched : int list) : a local_res
           end
           else begin
             for id = seg.seg_lo to seg.seg_hi - 1 do
-              splice.(id) <- copy_gate b old_nodes splice id
+              raw_map.(id) <- copy_gate b old_nodes raw_map id
             done;
             let hi = Circuits.Circuit.builder_len b in
             gates_copied := !gates_copied + (seg.seg_hi - seg.seg_lo);
-            let tops = List.map (fun g -> splice.(g)) seg.seg_tops in
+            let tops = List.map (fun g -> raw_map.(g)) seg.seg_tops in
             if seg.seg_subset <> None then begin
               incr num_subsets;
               num_shapes := !num_shapes + seg.seg_shapes;
@@ -660,22 +640,6 @@ let recompile_local (type a) (plan : a plan) ~(touched : int list) : a local_res
         Opt.run ~passes:plan.pl_opt ~zero:plan.pl_zero ~one:plan.pl_one
           ~equal:plan.pl_equal raw
       in
-      let circuit = optimized.Opt.circuit in
-      let r_new = optimized.Opt.remap in
-      (* compose the remaps across the splice: every old raw gate that was
-         copied links its old optimized image to its new optimized image *)
-      let remap = Array.make plan.pl_opt_gates (-1) in
-      let carry = Array.make (Array.length circuit.Circuits.Circuit.nodes) (-1) in
-      Array.iteri
-        (fun i j ->
-          if j >= 0 then begin
-            let a = plan.pl_opt_remap.(i) and bb = r_new.(j) in
-            if a >= 0 && bb >= 0 then begin
-              if remap.(a) < 0 then remap.(a) <- bb;
-              if carry.(bb) < 0 then carry.(bb) <- a
-            end
-          end)
-        splice;
       Obs.Counter.incr m_recompiles;
       Obs.Counter.add m_gates_rebuilt !gates_rebuilt;
       Obs.Counter.add m_gates_copied !gates_copied;
@@ -692,22 +656,9 @@ let recompile_local (type a) (plan : a plan) ~(touched : int list) : a local_res
           opt = optimized.Opt.report;
         }
       in
-      let plan' =
-        {
-          plan with
-          pl_raw = raw;
-          pl_opt_remap = r_new;
-          pl_opt_gates = Array.length circuit.Circuits.Circuit.nodes;
-          pl_segments = List.rev !segments;
-        }
-      in
       Localized
         {
-          circuit;
+          circuit = optimized.Opt.circuit;
           meta;
-          plan = plan';
-          remap;
-          carry;
-          gates_rebuilt = !gates_rebuilt;
-          gates_copied = !gates_copied;
+          plan = { plan with pl_raw = raw; pl_segments = List.rev !segments };
         }

@@ -13,16 +13,17 @@
     default to 0. *)
 
 (** Structural-churn odometer of one prepared query: how many tuple
-    inserts/deletes it absorbed, how many went through the localized
-    splice vs. the full-recompile fallback, and the gate totals behind
-    the localization claim (rebuilt ≪ carried on sparse instances). *)
+    inserts/deletes it absorbed, how many were served by a localized
+    recompile vs. the full-recompile fallback, and the runtime gates their
+    splices built. *)
 type churn = {
   mutable ch_inserts : int;
   mutable ch_deletes : int;
-  mutable ch_localized : int;  (** updates served by a localized splice *)
+  mutable ch_localized : int;  (** updates served by a localized recompile *)
   mutable ch_fallbacks : int;  (** updates that forced a full recompile *)
-  mutable ch_gates_rebuilt : int;  (** gates recomputed across all updates *)
-  mutable ch_gates_carried : int;  (** gates carried over across all splices *)
+  mutable ch_gates_rebuilt : int;  (** runtime gates built across all splices *)
+  mutable ch_gates_carried : int;
+      (** always 0: every splice builds the whole runtime afresh *)
 }
 
 type 'a t = {
@@ -34,13 +35,12 @@ type 'a t = {
   mutable meta : Compile.meta;
   mutable circuit : 'a Circuits.Circuit.t;
   mutable plan : 'a Compile.plan;
-      (** the compile plan behind [circuit] — segments, live graph, remap
-          tables — that {!Compile.recompile_local} rebuilds from *)
+      (** the compile plan behind [circuit] — segments, live graph, raw
+          circuit — that {!Compile.recompile_local} rebuilds from *)
   inst : Db.Instance.t;  (** the live instance; structural ops mutate it *)
   expr_closed : 'a Logic.Expr.t;  (** closed form, for fallback recompiles *)
   base_valuation : Circuits.Circuit.input_key -> 'a;
       (** weights-store valuation for input keys a new circuit introduces *)
-  e_mode : Circuits.Dyn.mode option;
   churn : churn;
   mutable upd_pending : int;
       (** engine/updates increments buffered here and flushed to the
@@ -108,7 +108,6 @@ let prepare (type a) (ops : a Semiring.Intf.ops) ?mode ?opt ?tfa_rounds
     inst;
     expr_closed;
     base_valuation = valuation;
-    e_mode = mode;
     churn =
       {
         ch_inserts = 0;
@@ -189,41 +188,24 @@ let journal_structural t ~insert rel tuple =
   | None -> ()
 
 (* The amortization fallback: the update grew a treedepth witness past
-   the compiled bound, so recompile from scratch (fresh coloring, fresh
-   plan — the instance already holds the new tuple set) and rebuild the
-   dynamic structure seeded from the old one's input values. The journal,
-   cost sink and gate odometer carry over; the full build is charged as
-   this update's cost. *)
-let full_recompile (t : 'a t) : unit =
+   the compiled bound, so recompile from scratch — fresh coloring, fresh
+   plan; the instance already holds the new tuple set. *)
+let full_recompile (t : 'a t) =
   let plan = t.plan in
-  let circuit, meta, plan' =
-    Compile.compile_plan ~zero:plan.Compile.pl_zero ~one:plan.Compile.pl_one
-      ~equal:plan.Compile.pl_equal ~opt:plan.Compile.pl_opt
-      ~tfa_rounds:plan.Compile.pl_tfa_rounds ~max_depth:plan.Compile.pl_max_depth
-      ~budget:plan.Compile.pl_budget ~dynamic_rels:plan.Compile.pl_dynamic_rels t.inst
-      t.expr_closed
-  in
-  let old_dyn = t.dyn in
-  let valuation key =
-    match Circuits.Dyn.input_value old_dyn key with
-    | Some v -> v
-    | None -> t.base_valuation key
-  in
-  let dyn = Circuits.Dyn.create ?mode:t.e_mode t.ops circuit valuation in
-  Circuits.Dyn.adopt_accounting ~from:old_dyn dyn;
-  Circuits.Dyn.charge dyn (Circuits.Dyn.num_gates dyn);
-  t.dyn <- dyn;
-  t.circuit <- circuit;
-  t.meta <- meta;
-  t.plan <- plan'
+  Compile.compile_plan ~zero:plan.Compile.pl_zero ~one:plan.Compile.pl_one
+    ~equal:plan.Compile.pl_equal ~opt:plan.Compile.pl_opt
+    ~tfa_rounds:plan.Compile.pl_tfa_rounds ~max_depth:plan.Compile.pl_max_depth
+    ~budget:plan.Compile.pl_budget ~dynamic_rels:plan.Compile.pl_dynamic_rels t.inst
+    t.expr_closed
 
 (* One structural update: apply the tuple delta to the instance and the
-   live Gaifman graph, run the localized recompile, splice the rebuilt
-   circuit into the running structure (or fall back to a full recompile
-   past the amortization trigger), journal the op. Transactional: any
-   fault before commit reverts the instance and graph deltas, so the
-   served state stays the pre-update one (the splice itself never mutates
-   the old structure). *)
+   live Gaifman graph, run the localized recompile (or a full recompile
+   past the amortization trigger), splice the new circuit in, journal the
+   op. Both branches swap the runtime through the same {!Circuits.Dyn.splice},
+   which builds the new structure aside, seeded from the old one's input
+   values. Transactional: any fault before commit reverts the instance
+   and graph deltas, so the served state stays the pre-update one (the
+   splice never mutates the old structure). *)
 let structural (t : 'a t) ~insert rel tuple : unit =
   Obs.Trace.span ~scope:"engine" (if insert then "insert_tuple" else "delete_tuple")
   @@ fun () ->
@@ -258,31 +240,32 @@ let structural (t : 'a t) ~insert rel tuple : unit =
     | None -> ()
   in
   let protect f = match f () with v -> v | exception e -> revert (); raise e in
-  (match
-     protect (fun () ->
-         Compile.recompile_local t.plan ~touched:(List.sort_uniq compare tuple))
-   with
-  | Compile.Localized { circuit; meta; plan; carry; _ } ->
-      let old_dyn = t.dyn in
-      let valuation key =
-        match Circuits.Dyn.input_value old_dyn key with
-        | Some v -> v
-        | None -> t.base_valuation key
-      in
-      let dyn, report = protect (fun () -> Circuits.Dyn.splice old_dyn circuit ~carry valuation) in
-      t.dyn <- dyn;
-      t.circuit <- circuit;
-      t.meta <- meta;
-      t.plan <- plan;
-      t.churn.ch_localized <- t.churn.ch_localized + 1;
-      t.churn.ch_gates_rebuilt <- t.churn.ch_gates_rebuilt + report.Circuits.Dyn.sp_rebuilt;
-      t.churn.ch_gates_carried <- t.churn.ch_gates_carried + report.Circuits.Dyn.sp_carried;
-      Obs.Counter.incr m_localized
-  | Compile.Fallback _reason ->
-      protect (fun () -> full_recompile t);
-      t.churn.ch_fallbacks <- t.churn.ch_fallbacks + 1;
-      t.churn.ch_gates_rebuilt <- t.churn.ch_gates_rebuilt + Circuits.Dyn.num_gates t.dyn;
-      Obs.Counter.incr m_struct_fallbacks);
+  let (circuit, meta, plan), localized =
+    protect (fun () ->
+        match Compile.recompile_local t.plan ~touched:(List.sort_uniq compare tuple) with
+        | Compile.Localized { circuit; meta; plan } -> ((circuit, meta, plan), true)
+        | Compile.Fallback _reason -> (full_recompile t, false))
+  in
+  let old_dyn = t.dyn in
+  let valuation key =
+    match Circuits.Dyn.input_value old_dyn key with
+    | Some v -> v
+    | None -> t.base_valuation key
+  in
+  let dyn = protect (fun () -> Circuits.Dyn.splice old_dyn circuit valuation) in
+  t.dyn <- dyn;
+  t.circuit <- circuit;
+  t.meta <- meta;
+  t.plan <- plan;
+  t.churn.ch_gates_rebuilt <- t.churn.ch_gates_rebuilt + Circuits.Dyn.num_gates dyn;
+  if localized then begin
+    t.churn.ch_localized <- t.churn.ch_localized + 1;
+    Obs.Counter.incr m_localized
+  end
+  else begin
+    t.churn.ch_fallbacks <- t.churn.ch_fallbacks + 1;
+    Obs.Counter.incr m_struct_fallbacks
+  end;
   if insert then begin
     t.churn.ch_inserts <- t.churn.ch_inserts + 1;
     Obs.Counter.incr m_inserts
@@ -295,8 +278,9 @@ let structural (t : 'a t) ~insert rel tuple : unit =
 
 (** Insert a tuple into relation [rel] and maintain the compiled circuit
     by a localized incremental recompile: only the color subsets whose
-    subset contains every touched color are rebuilt; everything else is
-    carried over by the splice. Duplicate inserts raise [Bad_input]. *)
+    subset contains every touched color are recompiled, the rest is copied
+    gate for gate, and the runtime is rebuilt from the new circuit.
+    Duplicate inserts raise [Bad_input]. *)
 let insert_tuple t rel tuple = structural t ~insert:true rel tuple
 
 (** Delete a tuple; the exact inverse of {!insert_tuple} (deleting an
@@ -304,8 +288,8 @@ let insert_tuple t rel tuple = structural t ~insert:true rel tuple
 let delete_tuple t rel tuple = structural t ~insert:false rel tuple
 
 (** Attach (or return) the update journal of the backing structure; it
-    survives structure replacements — splices inherit it, fallback
-    rebuilds re-attach it — so one journal covers a whole churn history. *)
+    survives structure replacements — every splice inherits it — so one
+    journal covers a whole churn history. *)
 let enable_journal t = Circuits.Dyn.enable_journal t.dyn
 
 (** Re-apply a journal's committed batches — weight waves {e and}

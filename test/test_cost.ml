@@ -2,8 +2,8 @@
    exactness contract — Σ gates_visited over any bracket of operations
    equals the delta of the cumulative dyn/touched_gates counter — plus
    the wave-count semantics of each instrumented entry point (one
-   committed wave per batch, two per free-variable query, zero for a
-   no-op update and for one-shot evaluation). *)
+   committed wave per batch, two per free-variable query, one per
+   structural op, zero for a no-op update and for one-shot evaluation). *)
 
 open Semiring
 
@@ -202,12 +202,52 @@ let hot_key_batch (type a) mode (ops : a Intf.ops) (mk : int -> a) () =
     true
     (batch_gates > 0 && 2 * batch_gates <= seq_gates)
 
+(* A structural op — localized or through the full-recompile fallback —
+   is one wave that builds the new runtime whole: Σ wave_touched =
+   gates_visited = Δ dyn/touched_gates = the new structure's gate count *)
+let structural_cost () =
+  Obs.set_enabled true;
+  let inst = Db.Instance.create Db.Schema.graph_schema ~n:8 in
+  let triangles =
+    Logic.Expr.Sum
+      ( [ "x"; "y"; "z" ],
+        Logic.Expr.Guard (Logic.Formula.And [ e "x" "y"; e "y" "z"; e "z" "x" ]) )
+  in
+  (* edgeless start under a depth bound of 2: growing the path 0-…-7
+     serves its first arcs localized and trips the fallback later on *)
+  let ev = Engine.Eval.prepare nat_ops ~max_depth:2 inst (Db.Weights.bundle []) triangles in
+  let localized = ref 0 and fallbacks = ref 0 in
+  for i = 0 to 6 do
+    List.iter
+      (fun arc ->
+        let ch = Engine.Eval.churn_stats ev in
+        let fb0 = ch.Engine.Eval.ch_fallbacks in
+        let t0 = touched_total () in
+        let (), c = Engine.Eval.with_cost ev (fun () -> Engine.Eval.insert_tuple ev "E" arc) in
+        let kind = if ch.Engine.Eval.ch_fallbacks > fb0 then "fallback" else "localized" in
+        incr (if kind = "fallback" then fallbacks else localized);
+        let what = Printf.sprintf "%s insert %d->%d: " kind (List.hd arc) (List.nth arc 1) in
+        check_int (what ^ "one wave") 1 c.Engine.Eval.Cost.waves;
+        check_int (what ^ "wave_touched re-sums to gates_visited") c.Engine.Eval.Cost.gates_visited
+          (List.fold_left ( + ) 0 c.Engine.Eval.Cost.wave_touched);
+        check_int (what ^ "gates_visited = counter delta") (touched_total () - t0)
+          c.Engine.Eval.Cost.gates_visited;
+        check_int (what ^ "gates_visited = new gate count")
+          (Circuits.Dyn.num_gates ev.Engine.Eval.dyn)
+          c.Engine.Eval.Cost.gates_visited)
+      [ [ i; i + 1 ]; [ i + 1; i ] ]
+  done;
+  check_bool "localized inserts covered" true (!localized > 0);
+  check_bool "fallback inserts covered" true (!fallbacks > 0)
+
 let suite =
   [
     Alcotest.test_case "sum of costs = touched counter delta" `Quick cost_matches_counters;
     Alcotest.test_case "wave-count semantics per entry point" `Quick wave_semantics;
     Alcotest.test_case "free-variable query costs two waves" `Quick query_costs_two_waves;
     Alcotest.test_case "one-shot evaluate cost" `Quick one_shot_cost;
+    Alcotest.test_case "structural ops: cost = touched delta = gate count" `Quick
+      structural_cost;
     Alcotest.test_case "checked batched update fills the cost cell" `Quick checked_batch_cost;
     Alcotest.test_case "hot-key batch visits fewer gates: general/nat" `Quick
       (hot_key_batch Circuits.Dyn.General nat_ops (fun i -> i mod 7));

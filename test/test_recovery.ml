@@ -16,7 +16,10 @@
       only after the circuit wave commits);
    5. the [`Rollback] retry policy: a transient fault is retried after an
       (injected) backoff sleep and the update succeeds, counted in
-      dyn/retries. *)
+      dyn/retries;
+   6. torn journal files: a mixed weight + structural journal cut at every
+      byte offset loads exactly its prefix on a frame boundary and is
+      [Bad_input] anywhere inside a frame. *)
 
 open Semiring
 module Circuit = Circuits.Circuit
@@ -307,6 +310,56 @@ let retry_recovers_transient_fault () =
     (Engine.Reference.eval nat_ops inst weights edge_weight_expr)
     (unwrap "value" (Engine.Eval.value_checked ck))
 
+(* ------------------------------ 6. journal cut at every byte offset --- *)
+
+let torn_journal_every_offset () =
+  let inst, _, weights = weighted_setup () in
+  let t = Engine.Eval.prepare nat_ops ~tfa_rounds:1 inst weights edge_weight_expr in
+  let j = Engine.Eval.enable_journal t in
+  Engine.Eval.update t "w" [ 1 ] 7;
+  Engine.Eval.insert_tuple t "E" [ 0; 2 ];
+  Engine.Eval.update_many t [ ("w", [ 1 ], 3); ("w", [ 4 ], 5) ];
+  Engine.Eval.delete_tuple t "E" [ 0; 2 ];
+  check_int "mixed journal: 2 weight + 2 structural" 2 (Journal.structural_count j);
+  let path = Filename.temp_file "sparseq_torn" ".bin" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Journal.save j path;
+  let ic = open_in_bin path in
+  let bytes = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  (* frame boundaries: after the magic, then after each
+     [length | checksum | payload] frame (structural ops negate the length) *)
+  let rec frames off acc =
+    if off >= String.length bytes then List.rev acc
+    else
+      let len = abs (Int32.to_int (String.get_int32_be bytes off)) in
+      frames (off + 8 + len) ((off + 8 + len) :: acc)
+  in
+  let boundaries = 6 :: frames 6 [] in
+  check_int "one frame per batch" (Journal.length j + 1) (List.length boundaries);
+  let whole = Journal.batches j in
+  for cut = 0 to String.length bytes do
+    let oc = open_out_bin path in
+    output_string oc (String.sub bytes 0 cut);
+    close_out oc;
+    let expected = List.find_index (( = ) cut) boundaries in
+    match (Journal.load path, expected) with
+    | loaded, Some k ->
+        check_int (Printf.sprintf "cut %d: prefix length" cut) k (Journal.length loaded);
+        List.iteri
+          (fun i (b : int Journal.batch) ->
+            let w = List.nth whole i in
+            check_bool (Printf.sprintf "cut %d: batch %d survives" cut i) true
+              (b.Journal.seq = w.Journal.seq
+              && Journal.writes b = Journal.writes w
+              && Journal.structural b = Journal.structural w))
+          (Journal.batches loaded)
+    | _, None -> Alcotest.failf "cut %d inside a frame loaded" cut
+    | exception Robust.Error (Robust.Bad_input _) ->
+        if expected <> None then Alcotest.failf "cut %d on a frame boundary rejected" cut
+    | exception e -> Alcotest.failf "cut %d: wrong exception %s" cut (Printexc.to_string e)
+  done
+
 let suite =
   [
     rollback_identity Dyn.General "general/nat" nat_ops ~zero:0 ~one:1
@@ -326,4 +379,5 @@ let suite =
       write_through_waits_for_commit;
     Alcotest.test_case "transient fault retried after backoff" `Quick
       retry_recovers_transient_fault;
+    Alcotest.test_case "journal cut at every byte offset" `Quick torn_journal_every_offset;
   ]

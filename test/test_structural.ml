@@ -3,8 +3,9 @@
    reference AND with a compile-from-scratch twin after every update; the
    amortization fallback must fire when the treedepth witness outgrows
    the compiled bound; journal replay of mixed weight + structural
-   batches must reconstruct the served state; and a mid-splice fault must
-   leave the pre-update state untouched. *)
+   batches must reconstruct the served state; and a fault while the new
+   runtime is built — after a localized or a full recompile — must leave
+   the pre-update state untouched. *)
 
 open Semiring
 
@@ -43,7 +44,12 @@ let agree name t inst weights expr =
   let scratch = Engine.Eval.evaluate nat_ops inst weights expr in
   check_int (name ^ " vs scratch compile") scratch got
 
+let counter name =
+  match Obs.find ~scope:"compile" name with Some (Obs.C c) -> Obs.Counter.get c | _ -> 0
+
 let counting_churn () =
+  Obs.set_enabled true;
+  let copied0 = counter "gates_copied" and rebuilt0 = counter "gates_rebuilt" in
   let inst = Db.Instance.of_graph (Graphs.Gen.grid 4 4) in
   let weights = Db.Weights.bundle [] in
   let t = Engine.Eval.prepare nat_ops inst weights triangle_count in
@@ -64,15 +70,15 @@ let counting_churn () =
   check_int "inserts counted" 6 c.Engine.Eval.ch_inserts;
   check_int "deletes counted" 4 c.Engine.Eval.ch_deletes;
   (* the in-test localization claim: every op was served by a localized
-     splice, and across the run far more gates crossed over than were
-     rebuilt — the whole point of the affected-subtree machinery *)
+     recompile, and across the run the compile layer copied more raw
+     gates from untouched segments than it re-emitted *)
   check_int "all ops localized" 10 c.Engine.Eval.ch_localized;
   check_int "no fallbacks" 0 c.Engine.Eval.ch_fallbacks;
+  let copied = counter "gates_copied" - copied0
+  and rebuilt = counter "gates_rebuilt" - rebuilt0 in
   check_bool
-    (Printf.sprintf "localized: rebuilt %d < carried %d" c.Engine.Eval.ch_gates_rebuilt
-       c.Engine.Eval.ch_gates_carried)
-    true
-    (c.Engine.Eval.ch_gates_rebuilt < c.Engine.Eval.ch_gates_carried)
+    (Printf.sprintf "localized: raw gates rebuilt %d < copied %d" rebuilt copied)
+    true (rebuilt < copied)
 
 let weighted_churn () =
   let inst = Db.Instance.of_graph (Graphs.Gen.path 8) in
@@ -90,10 +96,10 @@ let weighted_churn () =
   (* deleting a tuple silences its weight even though the store keeps it *)
   del t 3 4;
   agree "after del 3-4" t inst weights edge_weight;
-  (* weight updates on carried tuples still propagate after the splice *)
+  (* weight updates on untouched tuples still propagate after the splice *)
   Db.Weights.set w [ 0; 1 ] 9;
   Engine.Eval.update t "w" [ 0; 1 ] 9;
-  agree "after weight on carried edge" t inst weights edge_weight;
+  agree "after weight on untouched edge" t inst weights edge_weight;
   (* and re-inserting a deleted tuple resurrects its (kept) weight *)
   ins t 3 4;
   agree "after re-insert 3-4" t inst weights edge_weight
@@ -206,6 +212,46 @@ let splice_fault_rolls_back () =
   ins t 0 4;
   agree "insert after rollback" t inst weights triangle_count
 
+(* a fault while the runtime is rebuilt after a full recompile rolls
+   back exactly like one after a localized recompile: both branches swap
+   the runtime in through the same faultable splice *)
+let fallback_fault_rolls_back () =
+  let fresh () =
+    let inst = Db.Instance.create Db.Schema.graph_schema ~n:8 in
+    (inst, Engine.Eval.prepare nat_ops ~max_depth:2 inst (Db.Weights.bundle []) triangle_count)
+  in
+  (* the arcs of the path 0-…-7, in insertion order; a twin finds the
+     first one that trips the amortization trigger *)
+  let arcs = List.concat (List.init 7 (fun i -> [ [ i; i + 1 ]; [ i + 1; i ] ])) in
+  let _, twin = fresh () in
+  let rec first_fallback k = function
+    | [] -> Alcotest.fail "growing the path never tripped the fallback"
+    | arc :: rest ->
+        Engine.Eval.insert_tuple twin "E" arc;
+        if (Engine.Eval.churn_stats twin).Engine.Eval.ch_fallbacks > 0 then k
+        else first_fallback (k + 1) rest
+  in
+  let k = first_fallback 0 arcs in
+  let inst, t = fresh () in
+  List.iteri (fun i arc -> if i < k then Engine.Eval.insert_tuple t "E" arc) arcs;
+  let arc = List.nth arcs k in
+  let before = Engine.Eval.value t in
+  Circuits.Dyn.set_fault_hook t.Engine.Eval.dyn
+    (Some (fun _ -> failwith "injected fallback fault"));
+  check_bool "fallback fault surfaces as Rolled_back" true
+    (try
+       Engine.Eval.insert_tuple t "E" arc;
+       false
+     with Circuits.Dyn.Rolled_back _ -> true);
+  Circuits.Dyn.set_fault_hook t.Engine.Eval.dyn None;
+  check_bool "tuple reverted" false (Db.Instance.mem inst "E" arc);
+  check_int "value unchanged" before (Engine.Eval.value t);
+  check_int "no fallback recorded" 0 (Engine.Eval.churn_stats t).Engine.Eval.ch_fallbacks;
+  (* with the hook gone the same insert commits, through the fallback *)
+  Engine.Eval.insert_tuple t "E" arc;
+  check_int "fallback committed" 1 (Engine.Eval.churn_stats t).Engine.Eval.ch_fallbacks;
+  agree "insert after rollback" t inst (Db.Weights.bundle []) triangle_count
+
 (* checked variants: structured errors out, state preserved, degraded
    backend observes the same tuple set *)
 let checked_structural () =
@@ -245,5 +291,6 @@ let suite =
     Alcotest.test_case "fallback on depth growth" `Quick fallback_on_depth_growth;
     Alcotest.test_case "journal replay (mixed batches)" `Quick journal_replay_mixed;
     Alcotest.test_case "splice fault rolls back" `Quick splice_fault_rolls_back;
+    Alcotest.test_case "fault mid-fallback rolls back" `Quick fallback_fault_rolls_back;
     Alcotest.test_case "checked structural ops" `Quick checked_structural;
   ]
