@@ -272,10 +272,13 @@ let dep_product (outer : 'a t) (mk : 'a -> 'b t) : ('a * 'b) t =
     is_empty = (fun () -> outer.is_empty ());
   }
 
-(** A lazily-(re)built iterator: [make] is called at the first movement
-    after each reset. Used where the underlying structure changes between
-    enumeration phases (e.g. recursive permanent enumerators). *)
-let suspend (make : unit -> 'a t) =
+(** A cursor over a sequence the caller knows to be non-empty, built by
+    [make] at its first movement and kept from then on: a [reset] resets
+    the built iterator rather than dropping it, and [is_empty] answers
+    [false] without building anything. Until the first movement it sits
+    at ⊥ and costs only its own closures. The cursor only forwards, so it
+    adds no ticks of its own. *)
+let deferred (make : unit -> 'a t) =
   let state = ref None in
   let force () =
     match !state with
@@ -287,10 +290,10 @@ let suspend (make : unit -> 'a t) =
   in
   {
     current = (fun () -> match !state with None -> None | Some it -> it.current ());
-    next = (fun () -> tick (); (force ()).next ());
-    prev = (fun () -> tick (); (force ()).prev ());
-    reset = (fun () -> state := None);
-    is_empty = (fun () -> (force ()).is_empty ());
+    next = (fun () -> (force ()).next ());
+    prev = (fun () -> (force ()).prev ());
+    reset = (fun () -> match !state with None -> () | Some it -> it.reset ());
+    is_empty = (fun () -> false);
   }
 
 (** Drain an iterator into a list, starting from ⊥ (for tests: this is a

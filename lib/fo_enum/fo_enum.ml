@@ -28,7 +28,9 @@ type t = {
   free_vars : string list;
   prov : gen Provenance.Prov_circuit.t;
   inst : Db.Instance.t;  (** shared; mutable through set_tuple when dynamic *)
-  dynamic : bool;
+  gaifman : Graphs.Graph.t option;
+      (** dynamic mode only: the Gaifman graph the circuit was compiled
+          for, which {!set_tuple} must preserve *)
 }
 
 let weight_sym i = Printf.sprintf "__enum%d" i
@@ -151,7 +153,8 @@ let prepare ?order ?(dynamic = false) ?opt ?budget (inst : Db.Instance.t)
         end
         else invalid_arg ("Fo_enum: unexpected weight " ^ w))
   in
-  { free_vars = fv; prov; inst; dynamic }
+  let gaifman = if dynamic then Some (Db.Instance.gaifman inst) else None in
+  { free_vars = fv; prov; inst; gaifman }
 
 (** Checked preparation: every exception the enumeration pipeline can
     raise — unguarded quantification, compile budgets, malformed instances
@@ -230,14 +233,18 @@ let answers t = Enum.Iter.to_list (enumerate t)
 
 (** Gaifman-preserving update (dynamic mode only): add or remove a tuple
     of an existing relation whose elements already form a clique of the
-    Gaifman graph. O(1) plus the clique check; enumerators created
-    afterwards see the new data, with no recompilation. *)
+    Gaifman graph taken at {!prepare} (or of [gaifman], when given). O(1)
+    plus the clique check; enumerators created afterwards see the new
+    data, with no recompilation. *)
 let set_tuple t ?gaifman rel tuple present =
-  if not t.dynamic then
-    Robust.bad_input "Fo_enum.set_tuple: prepare with ~dynamic:true for updates";
+  let prepared =
+    match t.gaifman with
+    | Some g -> g
+    | None -> Robust.bad_input "Fo_enum.set_tuple: prepare with ~dynamic:true for updates"
+  in
   Obs.Counter.incr m_updates;
   if present then begin
-    let g = match gaifman with Some g -> g | None -> Db.Instance.gaifman t.inst in
+    let g = Option.value gaifman ~default:prepared in
     if not (Db.Instance.clique_in g tuple) then
       Robust.bad_input "Fo_enum.set_tuple: tuple would change the Gaifman graph";
     (* set semantics: setting an already-present tuple is a no-op, unlike

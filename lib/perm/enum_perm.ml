@@ -14,6 +14,9 @@
     per-type lists with at most k excluded columns skipped on the fly —
     everything a [next] does is O_k(1) in the matrix width.
 
+    All-zero columns (type 0) can never be picked, so they are kept out of
+    the lists: building the lists costs the non-zero columns only.
+
     Updates to the nonzero pattern move a column between type lists in
     O(1); iterators must be created after the last update (enumeration
     phases and update phases alternate, as in Theorem 22). *)
@@ -29,6 +32,10 @@ type 'm t = {
   nodes : int Enum.Dll.node array;  (** column → its node *)
 }
 
+(* The node of a column of type 0: all-zero columns are never in a list,
+   since no row can pick them. *)
+let unlinked : int Enum.Dll.node = { Enum.Dll.value = -1; prev = None; next = None; owner = -1 }
+
 let create ~mul ~one (entries : 'm Enum.Iter.t array array) : 'm t =
   let k = Array.length entries in
   if k > 16 then invalid_arg "Enum_perm: too many rows";
@@ -43,11 +50,15 @@ let create ~mul ~one (entries : 'm Enum.Iter.t array array) : 'm t =
         done;
         !mask)
   in
-  let nodes = Array.init n (fun c -> Enum.Dll.push_back lists.(type_of.(c)) c) in
+  let nodes =
+    Array.init n (fun c ->
+        if type_of.(c) = 0 then unlinked else Enum.Dll.push_back lists.(type_of.(c)) c)
+  in
   { k; n; mul; one; entries; type_of; lists; nodes }
 
 (** Replace an entry's iterator (a weight update). O(1) beyond recomputing
-    the column's type bit. *)
+    the column's type bit; a column enters or leaves the lists when it
+    turns non-zero or all-zero. *)
 let set_entry t ~row ~col it =
   t.entries.(row).(col) <- it;
   let old_type = t.type_of.(col) in
@@ -56,35 +67,40 @@ let set_entry t ~row ~col it =
     if Enum.Iter.is_empty it then old_type land lnot bit else old_type lor bit
   in
   if new_type <> old_type then begin
-    Enum.Dll.remove t.lists.(old_type) t.nodes.(col);
+    if old_type <> 0 then Enum.Dll.remove t.lists.(old_type) t.nodes.(col);
     t.type_of.(col) <- new_type;
-    t.nodes.(col) <- Enum.Dll.push_back t.lists.(new_type) col
+    t.nodes.(col) <-
+      (if new_type = 0 then unlinked else Enum.Dll.push_back t.lists.(new_type) col)
   end
 
-(* Hall-style feasibility: can the rows of [rows_mask] be matched to
-   distinct columns outside the ≤ k excluded ones? All counts are capped
-   at k, so this is O(4^k) worst case — constant. *)
+(** Hall's condition: the rows of [rows_mask] can be matched to distinct
+    columns when [avail ty] columns of each type [ty] (row-set bitmask of
+    its non-zero entries) are free. Counts need only reach k, so this is
+    O(4^k) worst case — constant. *)
+let hall ~k ~avail rows_mask =
+  (* every non-empty subset of rows_mask, from rows_mask down *)
+  let rec ok sub =
+    sub = 0
+    ||
+    let cnt = ref 0 in
+    for ty = 1 to (1 lsl k) - 1 do
+      if ty land sub <> 0 then cnt := !cnt + max 0 (avail ty)
+    done;
+    !cnt >= Subsets.popcount sub && ok ((sub - 1) land rows_mask)
+  in
+  ok rows_mask
+
+(* Can the rows of [rows_mask] be matched to distinct columns outside the
+   ≤ k excluded ones? *)
 let feasible t rows_mask (excluded : int list) =
-  let need = Subsets.popcount rows_mask in
-  if need = 0 then true
-  else begin
-    (* available columns per type, discounted by exclusions *)
-    let avail ty =
-      let base = min (Enum.Dll.length t.lists.(ty)) (t.k + List.length excluded) in
-      base - List.length (List.filter (fun c -> t.type_of.(c) = ty) excluded)
-    in
-    List.for_all
-      (fun sub ->
-        if sub = 0 then true
-        else begin
-          let cnt = ref 0 in
-          for ty = 0 to (1 lsl t.k) - 1 do
-            if ty land sub <> 0 then cnt := !cnt + max 0 (avail ty)
-          done;
-          !cnt >= Subsets.popcount sub
-        end)
-      (Subsets.subsets_of rows_mask)
-  end
+  rows_mask = 0
+  ||
+  (* available columns per type, discounted by exclusions *)
+  let avail ty =
+    let base = min (Enum.Dll.length t.lists.(ty)) (t.k + List.length excluded) in
+    base - List.length (List.filter (fun c -> t.type_of.(c) = ty) excluded)
+  in
+  hall ~k:t.k ~avail rows_mask
 
 (* Iterator over valid columns for row [r] given remaining rows and
    exclusions: concatenation over types ty ∋ r such that choosing a column

@@ -65,6 +65,53 @@ let dep_product_works () =
     [ (3, 31); (3, 30); (2, 21); (2, 20); (1, 11); (1, 10) ]
     (Iter.to_list_rev it)
 
+(* a deferred cursor over [l] and the number of times it was built *)
+let counted_deferred l =
+  let builds = ref 0 in
+  let it =
+    Iter.deferred (fun () ->
+        incr builds;
+        Iter.of_list l)
+  in
+  (it, builds)
+
+let deferred_builds_nothing_before_moving () =
+  let it, builds = counted_deferred [ 1; 2; 3 ] in
+  check_bool "known non-empty" false (Iter.is_empty it);
+  Alcotest.(check (option int)) "at bottom" None (Iter.current it);
+  Iter.reset it;
+  check_int "not built by is_empty, current or reset" 0 !builds;
+  Iter.next it;
+  Alcotest.(check (option int)) "first" (Some 1) (Iter.current it);
+  check_int "built at the first movement" 1 !builds
+
+let deferred_builds_once () =
+  let it, builds = counted_deferred [ 1; 2; 3 ] in
+  check_ilist "first pass" [ 1; 2; 3 ] (Iter.to_list it);
+  Iter.reset it;
+  check_ilist "second pass" [ 1; 2; 3 ] (Iter.to_list it);
+  check_ilist "backward pass" [ 3; 2; 1 ] (Iter.to_list_rev it);
+  check_int "one build across resets" 1 !builds;
+  (* inside a product the inner cursor is reset once per outer element *)
+  let inner, inner_builds = counted_deferred [ 10; 20 ] in
+  check_int "product through a deferred cursor" 6
+    (Iter.length (Iter.product (Iter.of_list [ 1; 2; 3 ]) inner));
+  check_int "inner built once" 1 !inner_builds
+
+let deferred_forward_is_reverse_of_backward () =
+  let fwd, _ = counted_deferred [ 4; 5; 6; 7 ] and bwd, _ = counted_deferred [ 4; 5; 6; 7 ] in
+  check_ilist "backward first" [ 7; 6; 5; 4 ] (Iter.to_list_rev bwd);
+  check_ilist "forward = reverse of backward" (List.rev (Iter.to_list_rev bwd)) (Iter.to_list fwd)
+
+let deferred_partial_pass_then_reset () =
+  let it, _ = counted_deferred [ 1; 2; 3; 4 ] in
+  Iter.next it;
+  Iter.next it;
+  Iter.prev it;
+  Iter.reset it;
+  let fresh, _ = counted_deferred [ 1; 2; 3; 4 ] in
+  check_ilist "after a partial pass and reset" (Iter.to_list fresh) (Iter.to_list it)
+
 let nested_products () =
   let triple =
     Iter.product (Iter.of_list [ 0; 1 ]) (Iter.product (Iter.of_list [ 0; 1 ]) (Iter.of_list [ 0; 1 ]))
@@ -124,6 +171,12 @@ let suite =
     Alcotest.test_case "product lexicographic" `Quick product_lexicographic;
     Alcotest.test_case "map" `Quick map_works;
     Alcotest.test_case "dep_product" `Quick dep_product_works;
+    Alcotest.test_case "deferred: nothing built before moving" `Quick
+      deferred_builds_nothing_before_moving;
+    Alcotest.test_case "deferred: built once across resets" `Quick deferred_builds_once;
+    Alcotest.test_case "deferred: forward = reverse of backward" `Quick
+      deferred_forward_is_reverse_of_backward;
+    Alcotest.test_case "deferred: partial pass then reset" `Quick deferred_partial_pass_then_reset;
     Alcotest.test_case "nested products" `Quick nested_products;
     Alcotest.test_case "dll operations" `Quick dll_ops;
     Alcotest.test_case "dll iteration" `Quick dll_iter;

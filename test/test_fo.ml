@@ -180,6 +180,58 @@ let dynamic_enum () =
     (Circuits.Circuit.eval nat_ops c (fun _ -> 0))
 
 
+(* Re-adding a removed one-way arc keeps the Gaifman graph taken at
+   prepare, though it is no longer the current instance's: the update is
+   accepted without an explicit [~gaifman]. *)
+let set_tuple_readds_one_way_arc () =
+  let inst = Db.Instance.create Db.Schema.graph_schema ~n:4 in
+  List.iter (fun t -> Db.Instance.add inst "E" t) [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ] ];
+  let t = Fo_enum.prepare ~dynamic:true inst phi_path2 in
+  Fo_enum.set_tuple t "E" [ 1; 2 ] false;
+  check_int "both 2-paths gone" 0 (List.length (Fo_enum.answers t));
+  Fo_enum.set_tuple t "E" [ 1; 2 ] true;
+  Alcotest.(check (list (list int)))
+    "both 2-paths back"
+    [ [ 0; 1; 2 ]; [ 1; 2; 3 ] ]
+    (List.sort compare (List.map Array.to_list (Fo_enum.answers t)));
+  Alcotest.check_raises "a new Gaifman edge is still rejected"
+    (Robust.Error (Robust.Bad_input "Fo_enum.set_tuple: tuple would change the Gaifman graph"))
+    (fun () -> Fo_enum.set_tuple t "E" [ 0; 2 ] true)
+
+(* The lazy build, counted independently of the host: the cursors built
+   from an arc flip to the first answer of a fresh enumerator do not grow
+   with the grid, and over a full pass they stay flat per answer. An
+   eager build would make both linear in the unfolded circuit. *)
+let lazy_build_counts () =
+  let built = Obs.counter ~scope:"provenance" "cursors_built" in
+  let first_and_per_answer side =
+    let inst = Db.Instance.of_graph (Graphs.Gen.grid side side) in
+    let t = Fo_enum.prepare ~dynamic:true inst phi_path2 in
+    Fo_enum.set_tuple t "E" [ 0; 1 ] false;
+    let c0 = Obs.Counter.get built in
+    let it = Fo_enum.enumerate t in
+    Enum.Iter.next it;
+    let first = Obs.Counter.get built - c0 in
+    let answers = ref 0 in
+    while Enum.Iter.current it <> None do
+      incr answers;
+      Enum.Iter.next it
+    done;
+    (first, float_of_int (Obs.Counter.get built - c0) /. float_of_int !answers)
+  in
+  let sizes = List.map (fun side -> (side, first_and_per_answer side)) [ 8; 16; 32 ] in
+  let _, (first8, per8) = List.hd sizes in
+  check_bool "cursors are counted" true (first8 > 0);
+  List.iter
+    (fun (side, (first, per)) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "side %d: %d cursors to the first answer <= 16" side first)
+        true (first <= 16);
+      Alcotest.(check bool)
+        (Printf.sprintf "side %d: %.2f cursors per answer <= %.2f at side 8" side per per8)
+        true (per <= per8 && per <= 8.))
+    sizes
+
 let bidirectional_enumeration () =
   let g = Graphs.Gen.grid 3 3 in
   let inst = Db.Instance.of_graph g in
@@ -207,4 +259,6 @@ let suite =
     Alcotest.test_case "guarded materialization" `Quick materialization;
     Alcotest.test_case "bi-directional enumeration" `Quick bidirectional_enumeration;
     Alcotest.test_case "dynamic enumeration" `Quick dynamic_enum;
+    Alcotest.test_case "set_tuple re-adds a one-way arc" `Quick set_tuple_readds_one_way_arc;
+    Alcotest.test_case "lazy build: cursors bounded per answer" `Quick lazy_build_counts;
   ]

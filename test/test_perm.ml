@@ -253,6 +253,38 @@ let enum_perm_update () =
   Alcotest.(check (list (list string)))
     "after restoring" [ [ "a1"; "b2" ]; [ "a2'"; "b1" ] ] results
 
+(* A column driven all-zero → non-zero → all-zero through set_entry: it
+   leaves and re-enters the type lists, and the monomial count follows
+   the ℕ permanent of the 0/1 pattern at every step. *)
+let enum_perm_type0_column () =
+  let pattern = [| [| 1; 0; 1 |]; [| 1; 0; 0 |] |] in
+  let cell r c = Enum.Iter.singleton [ Printf.sprintf "e%d_%d" r c ] in
+  let m = Array.mapi (fun r row -> Array.mapi (fun c v -> if v = 1 then cell r c else Enum.Iter.empty) row) pattern in
+  let t = Perm.Enum_perm.create ~mul:monomial_mul ~one:[] m in
+  let check step =
+    let got = Enum.Iter.to_list (Perm.Enum_perm.enumerate t) in
+    check_int (step ^ ": count = nat perm") (Nat_naive.perm pattern) (List.length got);
+    check_int (step ^ ": duplicate-free") (List.length got)
+      (List.length (List.sort_uniq compare got));
+    check_bool (step ^ ": nonzero") (Nat_naive.perm pattern > 0) (Perm.Enum_perm.nonzero t)
+  in
+  let set r c v =
+    pattern.(r).(c) <- v;
+    Perm.Enum_perm.set_entry t ~row:r ~col:c (if v = 1 then cell r c else Enum.Iter.empty)
+  in
+  check "column 1 all-zero";
+  set 1 1 1;
+  check "row 1 entry on";
+  set 0 1 1;
+  check "both entries on";
+  set 1 1 0;
+  check "row 1 entry off";
+  set 0 1 0;
+  check "column 1 all-zero again";
+  (* the only column row 1 can use goes to zero: the permanent vanishes *)
+  set 1 0 0;
+  check "row 1 all-zero"
+
 (* set_many must validate the whole batch before mutating anything: one
    bad entry (row, column, or — for finite semirings — an element outside
    the enumeration) leaves the structure bit-for-bit unchanged *)
@@ -352,4 +384,5 @@ let suite =
     enum_perm_matches_counting 2;
     enum_perm_matches_counting 3;
     Alcotest.test_case "enum perm: updates" `Quick enum_perm_update;
+    Alcotest.test_case "enum perm: type-0 column" `Quick enum_perm_type0_column;
   ]
