@@ -646,13 +646,9 @@ let set_input t (key : Circuit.input_key) v =
         | None -> ());
         if instrumented then begin
           let touched = t.update_ops - ops0 in
-          (* touched_gates stays exact per wave (cost attribution
-             cross-checks it); the updates counter advances in blocks of
-             64 on the sampled tick — ≤63 single waves per instance are
-             in flight at any instant, a diagnostic-grade lag *)
+          Obs.Counter.incr m_updates;
           Obs.Counter.add m_touched touched;
           if sampled then begin
-            Obs.Counter.add m_updates 64;
             Obs.Histogram.observe h_touched (float_of_int touched);
             Obs.Histogram.observe h_update_ns (Obs.elapsed_ns t0)
           end

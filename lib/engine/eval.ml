@@ -42,12 +42,6 @@ type 'a t = {
   base_valuation : Circuits.Circuit.input_key -> 'a;
       (** weights-store valuation for input keys a new circuit introduces *)
   churn : churn;
-  mutable upd_pending : int;
-      (** engine/updates increments buffered here and flushed to the
-          global counter in blocks of 32: one atomic add per 32 calls
-          instead of one per call keeps {!update} inside the telemetry
-          budget (the counter is diagnostic; ≤31 calls lag at any
-          instant) *)
 }
 
 let query_weight i = Printf.sprintf "%s%d" Db.Weights.reserved_prefix i
@@ -117,7 +111,6 @@ let prepare (type a) (ops : a Semiring.Intf.ops) ?mode ?opt ?tfa_rounds
         ch_gates_rebuilt = 0;
         ch_gates_carried = 0;
       };
-    upd_pending = 0;
   }
 
 (** Value of a closed expression (or of the wrapped sum, which is 0 until
@@ -141,11 +134,7 @@ let query (type a) (t : a t) (args : int list) : a =
     is never read by the circuit) are ignored. *)
 let update t w tuple v =
   let key = (w, tuple) in
-  t.upd_pending <- t.upd_pending + 1;
-  if t.upd_pending >= 32 then begin
-    Obs.Counter.add m_updates t.upd_pending;
-    t.upd_pending <- 0
-  end;
+  Obs.Counter.incr m_updates;
   if Circuits.Dyn.has_input t.dyn key then Circuits.Dyn.set_input t.dyn key v
 
 (** Batched weight updates: semantically equivalent to applying {!update}
@@ -163,8 +152,6 @@ let update_many t (updates : (string * int list * 'a) list) =
         if Circuits.Dyn.has_input t.dyn key then Some (key, v) else None)
       updates
   in
-  (* one atomic add for the whole batch: a per-item Counter.incr is an
-     atomic RMW per write and dominated sub-ms waves *)
   Obs.Counter.add m_updates !total;
   Circuits.Dyn.set_inputs t.dyn relevant
 

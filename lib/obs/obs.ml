@@ -23,10 +23,12 @@
 
     All write paths are gated on a single mutable flag ({!set_enabled}):
     when disabled, an instrumented operation costs one load and branch, so
-    the engine's hot paths stay within the ≤5% overhead budget. Metrics
-    are process-global and domain-safe: counters, gauges and histogram
-    cells are [Atomic]-backed, so concurrent writers on several domains
-    never tear or lose updates. *)
+    the engine's hot paths stay within the ≤5% overhead budget.
+
+    Metrics are process-global and single-domain, matching the engine's
+    single-writer rule: every cell is a plain mutable field, so each
+    event is one plain store and every counter is exact at every
+    instant. Writing to [Obs] from a second domain is unsupported. *)
 
 let enabled_flag = ref true
 let set_enabled b = enabled_flag := b
@@ -146,49 +148,6 @@ module Json = struct
     Buffer.contents buf
 end
 
-(* --- atomic float cells --- *)
-
-(* Read-modify-write on a boxed-float atomic. An OCaml immediate int has
-   63 bits, so a float's 64 bits cannot be packed into an [int Atomic.t];
-   instead the cell holds the boxed float and [Atomic.set] is an atomic
-   pointer swap — no torn writes. [compare_and_set] compares boxes
-   physically: a failed CAS only ever means another write landed in
-   between, so the loop retries from a fresh read and can never succeed
-   with a lost update. *)
-let atomic_add_float (a : float Atomic.t) x =
-  if x <> 0. then begin
-    let rec go () =
-      let cur = Atomic.get a in
-      if not (Atomic.compare_and_set a cur (cur +. x)) then begin
-        Domain.cpu_relax ();
-        go ()
-      end
-    in
-    go ()
-  end
-
-(* Improve-only bounds: write only when [v] beats the current bound, so
-   the loop stops as soon as the cell is at least as tight. *)
-let atomic_min_float (a : float Atomic.t) v =
-  let rec go () =
-    let cur = Atomic.get a in
-    if v < cur && not (Atomic.compare_and_set a cur v) then begin
-      Domain.cpu_relax ();
-      go ()
-    end
-  in
-  go ()
-
-let atomic_max_float (a : float Atomic.t) v =
-  let rec go () =
-    let cur = Atomic.get a in
-    if v > cur && not (Atomic.compare_and_set a cur v) then begin
-      Domain.cpu_relax ();
-      go ()
-    end
-  in
-  go ()
-
 (* --- the sliding-window epoch clock --- *)
 
 (** Global epoch clock for the sliding-window side of every histogram.
@@ -205,7 +164,7 @@ module Window = struct
       1s epoch length, an 8-second sliding window). *)
   let slots = 8
 
-  let cur_epoch = Atomic.make 0
+  let cur_epoch = ref 0
   let epoch_len = ref 1e9 (* ns *)
   let epoch_start = ref Float.nan (* anchored lazily by the first tick *)
 
@@ -213,7 +172,7 @@ module Window = struct
   let set_epoch_ms ms = epoch_len := float_of_int (max 1 ms) *. 1e6
 
   let epoch_ms () = int_of_float (!epoch_len /. 1e6)
-  let current_epoch () = Atomic.get cur_epoch
+  let current_epoch () = !cur_epoch
 
   (** Advance the epoch to match the clock. Multiple elapsed epochs are
       caught up in one step; a backwards clock step re-anchors the epoch
@@ -227,7 +186,7 @@ module Window = struct
       if d < 0. then epoch_start := now
       else if d >= !epoch_len then begin
         let k = int_of_float (d /. !epoch_len) in
-        ignore (Atomic.fetch_and_add cur_epoch k);
+        cur_epoch := !cur_epoch + k;
         epoch_start := !epoch_start +. (float_of_int k *. !epoch_len)
       end
     end
@@ -236,61 +195,30 @@ module Window = struct
       reset keep stale slot tags; reset them too ({!Histogram.reset}) or
       use fresh histograms. *)
   let reset () =
-    Atomic.set cur_epoch 0;
+    cur_epoch := 0;
     epoch_start := Float.nan
 end
 
 (* --- metric kinds --- *)
 
 module Counter = struct
-  (* [Atomic] value: counters may be bumped from several domains, and a
-     plain read-modify-write loses increments under contention. The [enabled_flag] check stays first so
-     the disabled path is a single load, as before. *)
-  type t = { name : string; v : int Atomic.t }
+  type t = { mutable v : int }
 
-  let make name = { name; v = Atomic.make 0 }
-  let incr t = if !enabled_flag then Atomic.incr t.v
-  let add t n = if !enabled_flag then ignore (Atomic.fetch_and_add t.v n)
-  let get t = Atomic.get t.v
-  let reset t = Atomic.set t.v 0
-  let name t = t.name
-
-  (** A single-writer front for a counter on paths too hot for one atomic
-      RMW per event: bumps accumulate in a plain cell and flush to the
-      shared counter in blocks of 64, so the published total lags by at
-      most 63 — diagnostic-grade, like the blocked [dyn/updates] counter.
-      Safe only where all bumps come from one domain at a time (the wave
-      engines are single-writer); a concurrent bump can drop a tick,
-      never corrupt the counter. *)
-  module Local = struct
-    type counter = t
-    type t = { c : counter; mutable pending : int }
-
-    let make c = { c; pending = 0 }
-
-    let bump t =
-      let p = t.pending + 1 in
-      if p land 63 = 0 then begin
-        t.pending <- 0;
-        add t.c 64
-      end
-      else t.pending <- p
-  end
+  let make () = { v = 0 }
+  let incr t = if !enabled_flag then t.v <- t.v + 1
+  let add t n = if !enabled_flag then t.v <- t.v + n
+  let get t = t.v
+  let reset t = t.v <- 0
 end
 
 module Gauge = struct
-  (* Boxed-float [Atomic]: a gauge written from a worker domain while the
-     main domain snapshots must not tear. The 63-bit immediate int cannot
-     carry a float's 64 bits, so the cell holds the box and [set] swaps
-     the pointer atomically. *)
-  type t = { name : string; v : float Atomic.t }
+  type t = { mutable v : float }
 
-  let make name = { name; v = Atomic.make 0. }
-  let set t x = if !enabled_flag then Atomic.set t.v x
+  let make () = { v = 0. }
+  let set t x = if !enabled_flag then t.v <- x
   let set_int t i = set t (float_of_int i)
-  let get t = Atomic.get t.v
-  let reset t = Atomic.set t.v 0.
-  let name t = t.name
+  let get t = t.v
+  let reset t = t.v <- 0.
 end
 
 (** Log₂-scale histogram over non-negative magnitudes (latencies in
@@ -300,43 +228,35 @@ end
 
     Next to the cumulative series, each histogram keeps a ring of
     {!Window.slots} per-epoch sub-histograms; {!window_stats} merges the
-    live slots into sliding-window count/sum/p50/p99. All cells are
-    [Atomic]-backed: cumulative totals are exact under concurrent
-    observers; the windowed series is exact single-domain and best-effort
-    at epoch boundaries (a slot being recycled while another domain
-    observes into it may misplace that one boundary observation). *)
+    live slots into sliding-window count/sum/p50/p99. *)
 module Histogram = struct
   let nbuckets = 64
 
   type t = {
-    name : string;
-    buckets : int Atomic.t array;
-    count : int Atomic.t;
-    sum : float Atomic.t;
-    min_v : float Atomic.t; (* +inf when empty *)
-    max_v : float Atomic.t; (* -inf when empty *)
+    buckets : int array;
+    mutable count : int;
+    mutable sum : float;
+    mutable min_v : float; (* +inf when empty *)
+    mutable max_v : float; (* -inf when empty *)
     (* the sliding-window ring: slot e mod slots carries epoch e's
        sub-histogram, tagged with e (min_int = never used) *)
-    w_epoch : int Atomic.t array;
-    w_buckets : int Atomic.t array; (* slots × nbuckets, flattened *)
-    w_sums : float Atomic.t array;
-    w_maxs : float Atomic.t array;
-    w_rotate : Mutex.t; (* serialises slot recycling, nothing else *)
+    w_epoch : int array;
+    w_buckets : int array; (* slots × nbuckets, flattened *)
+    w_sums : float array;
+    w_maxs : float array;
   }
 
-  let make name =
+  let make () =
     {
-      name;
-      buckets = Array.init nbuckets (fun _ -> Atomic.make 0);
-      count = Atomic.make 0;
-      sum = Atomic.make 0.;
-      min_v = Atomic.make Float.infinity;
-      max_v = Atomic.make Float.neg_infinity;
-      w_epoch = Array.init Window.slots (fun _ -> Atomic.make min_int);
-      w_buckets = Array.init (Window.slots * nbuckets) (fun _ -> Atomic.make 0);
-      w_sums = Array.init Window.slots (fun _ -> Atomic.make 0.);
-      w_maxs = Array.init Window.slots (fun _ -> Atomic.make Float.neg_infinity);
-      w_rotate = Mutex.create ();
+      buckets = Array.make nbuckets 0;
+      count = 0;
+      sum = 0.;
+      min_v = Float.infinity;
+      max_v = Float.neg_infinity;
+      w_epoch = Array.make Window.slots min_int;
+      w_buckets = Array.make (Window.slots * nbuckets) 0;
+      w_sums = Array.make Window.slots 0.;
+      w_maxs = Array.make Window.slots Float.neg_infinity;
     }
 
   (** Bucket index of a value: 0 for v < 1, else the exponent e with
@@ -352,47 +272,36 @@ module Histogram = struct
 
   let bucket_upper i = Float.ldexp 1. i
 
-  (* Recycle window slot [slot] for epoch [e]. The mutex (with the tag
-     double-checked under it) makes the clear-then-retag sequence happen
-     once per epoch change even when several domains hit the stale slot
-     together. The tag is set last, so a concurrent observer either sees
-     the old tag (and queues behind the mutex) or a fully-cleared slot. *)
-  let rotate_slot t slot e =
-    Mutex.lock t.w_rotate;
-    if Atomic.get t.w_epoch.(slot) <> e then begin
-      let base = slot * nbuckets in
-      for i = 0 to nbuckets - 1 do
-        Atomic.set t.w_buckets.(base + i) 0
-      done;
-      Atomic.set t.w_sums.(slot) 0.;
-      Atomic.set t.w_maxs.(slot) Float.neg_infinity;
-      Atomic.set t.w_epoch.(slot) e
-    end;
-    Mutex.unlock t.w_rotate
-
   let observe t v =
     if !enabled_flag then begin
       let v = if Float.is_nan v || v < 0. then 0. else v in
       let b = bucket_of v in
-      ignore (Atomic.fetch_and_add t.buckets.(b) 1);
-      ignore (Atomic.fetch_and_add t.count 1);
-      atomic_add_float t.sum v;
-      atomic_min_float t.min_v v;
-      atomic_max_float t.max_v v;
+      t.buckets.(b) <- t.buckets.(b) + 1;
+      t.count <- t.count + 1;
+      t.sum <- t.sum +. v;
+      if v < t.min_v then t.min_v <- v;
+      if v > t.max_v then t.max_v <- v;
       let e = Window.current_epoch () in
       let slot = e mod Window.slots in
-      if Atomic.get t.w_epoch.(slot) <> e then rotate_slot t slot e;
-      ignore (Atomic.fetch_and_add t.w_buckets.((slot * nbuckets) + b) 1);
-      atomic_add_float t.w_sums.(slot) v;
-      atomic_max_float t.w_maxs.(slot) v
+      if t.w_epoch.(slot) <> e then begin
+        (* the slot last held an older epoch: recycle it for [e] *)
+        Array.fill t.w_buckets (slot * nbuckets) nbuckets 0;
+        t.w_sums.(slot) <- 0.;
+        t.w_maxs.(slot) <- Float.neg_infinity;
+        t.w_epoch.(slot) <- e
+      end;
+      let wb = (slot * nbuckets) + b in
+      t.w_buckets.(wb) <- t.w_buckets.(wb) + 1;
+      t.w_sums.(slot) <- t.w_sums.(slot) +. v;
+      if v > t.w_maxs.(slot) then t.w_maxs.(slot) <- v
     end
 
-  let count t = Atomic.get t.count
-  let sum t = Atomic.get t.sum
-  let mean t = if count t = 0 then 0. else sum t /. float_of_int (count t)
-  let min_value t = if count t = 0 then 0. else Atomic.get t.min_v
-  let max_value t = if count t = 0 then 0. else Atomic.get t.max_v
-  let bucket_count t i = Atomic.get t.buckets.(i)
+  let count t = t.count
+  let sum t = t.sum
+  let mean t = if t.count = 0 then 0. else t.sum /. float_of_int t.count
+  let min_value t = if t.count = 0 then 0. else t.min_v
+  let max_value t = if t.count = 0 then 0. else t.max_v
+  let bucket_count t i = t.buckets.(i)
 
   (** Quantile over any bucket-count view: the upper bound of the smallest
       bucket whose cumulative count reaches q·count (inclusive — a rank
@@ -404,8 +313,7 @@ module Histogram = struct
       let rank = Float.to_int (Float.ceil (q *. float_of_int count)) in
       let rank = if rank < 1 then 1 else if rank > count then count else rank in
       (* smallest i with cumulative count >= rank; the total reaches
-         [count >= rank], so the scan stays in range — the index guard
-         only matters if a concurrent observe tears count vs buckets *)
+         [count >= rank], so the scan stays in range *)
       let cum = ref (bucket 0) and i = ref 0 in
       while !cum < rank && !i < nbuckets - 1 do
         incr i;
@@ -415,8 +323,7 @@ module Histogram = struct
     end
 
   let quantile t q =
-    quantile_over ~bucket:(fun i -> Atomic.get t.buckets.(i)) ~count:(count t)
-      ~max_v:(max_value t) q
+    quantile_over ~bucket:(Array.get t.buckets) ~count:t.count ~max_v:(max_value t) q
 
   let p50 t = quantile t 0.5
   let p99 t = quantile t 0.99
@@ -432,15 +339,14 @@ module Histogram = struct
     let counts = Array.make nbuckets 0 in
     let s = ref 0. and mx = ref Float.neg_infinity in
     for slot = 0 to Window.slots - 1 do
-      let tag = Atomic.get t.w_epoch.(slot) in
+      let tag = t.w_epoch.(slot) in
       if tag <= e && tag > e - Window.slots then begin
         let base = slot * nbuckets in
         for i = 0 to nbuckets - 1 do
-          counts.(i) <- counts.(i) + Atomic.get t.w_buckets.(base + i)
+          counts.(i) <- counts.(i) + t.w_buckets.(base + i)
         done;
-        s := !s +. Atomic.get t.w_sums.(slot);
-        let m = Atomic.get t.w_maxs.(slot) in
-        if m > !mx then mx := m
+        s := !s +. t.w_sums.(slot);
+        if t.w_maxs.(slot) > !mx then mx := t.w_maxs.(slot)
       end
     done;
     let n = Array.fold_left ( + ) 0 counts in
@@ -453,25 +359,16 @@ module Histogram = struct
       wp99 = quantile_over ~bucket:(Array.get counts) ~count:n ~max_v:mx 0.99;
     }
 
-  let window_count t = (window_stats t).wcount
-  let window_sum t = (window_stats t).wsum
-  let window_p50 t = (window_stats t).wp50
-  let window_p99 t = (window_stats t).wp99
-
   let reset t =
-    Array.iter (fun a -> Atomic.set a 0) t.buckets;
-    Atomic.set t.count 0;
-    Atomic.set t.sum 0.;
-    Atomic.set t.min_v Float.infinity;
-    Atomic.set t.max_v Float.neg_infinity;
-    Mutex.lock t.w_rotate;
-    Array.iter (fun a -> Atomic.set a min_int) t.w_epoch;
-    Array.iter (fun a -> Atomic.set a 0) t.w_buckets;
-    Array.iter (fun a -> Atomic.set a 0.) t.w_sums;
-    Array.iter (fun a -> Atomic.set a Float.neg_infinity) t.w_maxs;
-    Mutex.unlock t.w_rotate
-
-  let name t = t.name
+    Array.fill t.buckets 0 nbuckets 0;
+    t.count <- 0;
+    t.sum <- 0.;
+    t.min_v <- Float.infinity;
+    t.max_v <- Float.neg_infinity;
+    Array.fill t.w_epoch 0 Window.slots min_int;
+    Array.fill t.w_buckets 0 (Array.length t.w_buckets) 0;
+    Array.fill t.w_sums 0 Window.slots 0.;
+    Array.fill t.w_maxs 0 Window.slots Float.neg_infinity
 end
 
 (** Timers are histograms of nanoseconds with a measuring combinator. *)
@@ -488,8 +385,6 @@ module Timer = struct
       let t0 = now_ns () in
       Fun.protect ~finally:(fun () -> Histogram.observe t (elapsed_ns t0)) f
     end
-
-  let observe_ns = Histogram.observe
 end
 
 (* --- the global registry: (scope, name) -> metric --- *)
@@ -497,17 +392,6 @@ end
 type metric = C of Counter.t | G of Gauge.t | H of Histogram.t
 
 let registry : (string * string, metric) Hashtbl.t = Hashtbl.create 64
-
-(* Registration happens lazily on first use from any instrumented path —
-   including other domains — and a bare [Hashtbl] corrupts under
-   concurrent insert. Every registry access goes through this mutex;
-   metric {e updates} don't (the metric cells are atomic, and a registered
-   metric record never moves). *)
-let registry_mutex = Mutex.create ()
-
-let with_registry f =
-  Mutex.lock registry_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry_mutex) f
 
 let full_name scope name = scope ^ "/" ^ name
 
@@ -518,41 +402,36 @@ let mismatch scope name =
     one kind, so modules can bind metrics at load time and tests can look
     the same metrics up by name. *)
 let counter ~scope name =
-  with_registry @@ fun () ->
   match Hashtbl.find_opt registry (scope, name) with
   | Some (C c) -> c
   | Some _ -> mismatch scope name
   | None ->
-      let c = Counter.make (full_name scope name) in
+      let c = Counter.make () in
       Hashtbl.replace registry (scope, name) (C c);
       c
 
 let gauge ~scope name =
-  with_registry @@ fun () ->
   match Hashtbl.find_opt registry (scope, name) with
   | Some (G g) -> g
   | Some _ -> mismatch scope name
   | None ->
-      let g = Gauge.make (full_name scope name) in
+      let g = Gauge.make () in
       Hashtbl.replace registry (scope, name) (G g);
       g
 
 let histogram ~scope name =
-  with_registry @@ fun () ->
   match Hashtbl.find_opt registry (scope, name) with
   | Some (H h) -> h
   | Some _ -> mismatch scope name
   | None ->
-      let h = Histogram.make (full_name scope name) in
+      let h = Histogram.make () in
       Hashtbl.replace registry (scope, name) (H h);
       h
 
 let timer ~scope name : Timer.t = histogram ~scope name
-
-let find ~scope name = with_registry @@ fun () -> Hashtbl.find_opt registry (scope, name)
+let find ~scope name = Hashtbl.find_opt registry (scope, name)
 
 let scopes () =
-  with_registry @@ fun () ->
   Hashtbl.fold (fun (s, _) _ acc -> if List.mem s acc then acc else s :: acc) registry []
   |> List.sort compare
 
@@ -562,19 +441,15 @@ let reset_metric = function
   | H h -> Histogram.reset h
 
 (** Zero every metric in [scope] (they stay registered). *)
-let reset_scope scope =
-  with_registry @@ fun () ->
-  Hashtbl.iter (fun (s, _) m -> if s = scope then reset_metric m) registry
+let reset_scope scope = Hashtbl.iter (fun (s, _) m -> if s = scope then reset_metric m) registry
 
-let reset_all () =
-  with_registry @@ fun () -> Hashtbl.iter (fun _ m -> reset_metric m) registry
+let reset_all () = Hashtbl.iter (fun _ m -> reset_metric m) registry
 
-(* A consistent (key, metric) listing, sorted by key only — metric
-   payloads contain mutexes and atomics that polymorphic compare must
-   never touch. Every dump (JSON, human, OpenMetrics) starts here, which
-   is what makes two runs of the same seed diff cleanly. *)
+(* A (key, metric) listing sorted by key. Every dump (JSON, human,
+   OpenMetrics) starts here, which is what makes two runs of the same
+   seed diff cleanly. *)
 let sorted_entries () =
-  (with_registry @@ fun () -> Hashtbl.fold (fun k m acc -> (k, m) :: acc) registry [])
+  Hashtbl.fold (fun k m acc -> (k, m) :: acc) registry []
   |> List.sort (fun ((sa, na), _) ((sb, nb), _) ->
          match compare (sa : string) sb with 0 -> compare (na : string) nb | c -> c)
 
@@ -731,9 +606,7 @@ module Openmetrics = struct
     | H h ->
         let w = Histogram.window_stats h in
         (* Cumulative counts from one pass over the buckets; the +Inf
-           bucket and _count both use the bucket total, so the exposition
-           is self-consistent even if a concurrent observe lands between
-           reads of the bucket array and the count cell. *)
+           bucket and _count are both that bucket total. *)
         let hist =
           block ~fam ~kind:"histogram" ~scope ~name (fun buf ->
               let cum = ref 0 in
@@ -815,16 +688,14 @@ end
     that was open when it started); an {e event} is an instant record.
     Both are gated on the same single {!set_enabled} flag as the metrics,
     so the disabled cost of an instrumented operation stays one load and
-    one branch. Every record carries the integer id of the domain that
-    emitted it, so a post-mortem dump from a multi-domain program
-    attributes spans to their domains.
+    one branch.
 
     Finished records flow into two sinks:
 
     - an optional in-memory {e recording} ({!with_recording},
       {!start_recording}/{!stop_recording}), exported as Chrome
       trace-event JSON ({!to_chrome}, loadable in Perfetto /
-      [chrome://tracing], one [tid] lane per domain) or folded into a
+      [chrome://tracing]) or folded into a
       span tree ({!forest_of}) for explain plans;
     - an always-on fixed-size ring — the {e flight recorder} — retaining
       the last N records for post-mortem dumps ({!dump_flight}), fired
@@ -836,7 +707,6 @@ module Trace = struct
   type span = {
     id : int;
     parent : int;  (** id of the enclosing span, or -1 for roots *)
-    dom : int;  (** id of the domain that opened the span *)
     name : string;
     scope : string;
     start_ns : float;
@@ -847,7 +717,6 @@ module Trace = struct
 
   type event = {
     ev_parent : int;
-    ev_dom : int;  (** id of the domain that emitted the event *)
     ev_name : string;
     ev_scope : string;
     ts_ns : float;
@@ -858,14 +727,12 @@ module Trace = struct
 
   let record_ts = function RSpan s -> s.start_ns | REvent e -> e.ts_ns
 
-  let self_dom () = (Domain.self () :> int)
+  let next_id = ref 0
 
-  (* Atomic: span ids are allocated from any domain; a ref would hand two
-     spans the same id under contention. The open-span stack stays a plain
-     ref — span nesting is a per-caller notion, and the engine opens spans
-     from one domain only. *)
-  let next_id = Atomic.make 0
-  let fresh_id () = Atomic.fetch_and_add next_id 1 + 1
+  let fresh_id () =
+    incr next_id;
+    !next_id
+
   let stack : span list ref = ref []
 
   (* --- sinks --- *)
@@ -876,10 +743,7 @@ module Trace = struct
      [flight_total mod capacity]; [flight_total] counts every record ever
      written, so tests can observe the wrap. *)
   let flight_buf = ref (Array.make 256 None)
-
-  (* Atomic cursor: each emitter claims its slot with one fetch-and-add,
-     so two domains never write the same ring cell for the same total. *)
-  let flight_total = Atomic.make 0
+  let flight_total = ref 0
 
   let flight_capacity () = Array.length !flight_buf
 
@@ -887,23 +751,23 @@ module Trace = struct
   let set_flight_capacity n =
     let n = max 1 n in
     flight_buf := Array.make n None;
-    Atomic.set flight_total 0
+    flight_total := 0
 
   let reset_flight () =
     Array.fill !flight_buf 0 (Array.length !flight_buf) None;
-    Atomic.set flight_total 0
+    flight_total := 0
 
   let emit r =
     (match !collecting with Some acc -> acc := r :: !acc | None -> ());
     let buf = !flight_buf in
-    let slot = Atomic.fetch_and_add flight_total 1 in
-    buf.(slot mod Array.length buf) <- Some r
+    buf.(!flight_total mod Array.length buf) <- Some r;
+    incr flight_total
 
   (** The ring's current contents, oldest first. *)
   let flight_records () =
     let buf = !flight_buf in
     let cap = Array.length buf in
-    let total = Atomic.get flight_total in
+    let total = !flight_total in
     let live = min total cap in
     let start = total - live in
     List.filter_map (fun i -> buf.((start + i) mod cap)) (List.init live Fun.id)
@@ -934,7 +798,6 @@ module Trace = struct
         {
           id = fresh_id ();
           parent = current_parent ();
-          dom = self_dom ();
           name;
           scope;
           start_ns = now_ns ();
@@ -987,7 +850,6 @@ module Trace = struct
              {
                id = fresh_id ();
                parent = current_parent ();
-               dom = self_dom ();
                name;
                scope;
                start_ns = t;
@@ -1010,7 +872,6 @@ module Trace = struct
         (REvent
            {
              ev_parent = current_parent ();
-             ev_dom = self_dom ();
              ev_name = name;
              ev_scope = scope;
              ts_ns = now_ns ();
@@ -1027,7 +888,6 @@ module Trace = struct
            {
              id = fresh_id ();
              parent = current_parent ();
-             dom = self_dom ();
              name;
              scope;
              start_ns;
@@ -1088,8 +948,8 @@ module Trace = struct
   (** Records as a Chrome trace-event document (the JSON object form, with
       complete "X" events for spans and instant "i" events), loadable in
       Perfetto or [chrome://tracing]. Timestamps are microseconds, as the
-      format requires; the emitting domain becomes the [tid], so a
-      multi-domain recording renders one lane per domain. *)
+      format requires; every record sits on [tid] 1, the one domain the
+      engine runs on. *)
   let to_chrome (records : record list) : Json.t =
     let one = function
       | RSpan s ->
@@ -1101,7 +961,7 @@ module Trace = struct
               ("ts", Json.F (s.start_ns /. 1e3));
               ("dur", Json.F ((s.end_ns -. s.start_ns) /. 1e3));
               ("pid", Json.I 1);
-              ("tid", Json.I s.dom);
+              ("tid", Json.I 1);
               ( "args",
                 args_json
                   ~ids:[ ("span_id", Json.I s.id); ("parent", Json.I s.parent) ]
@@ -1116,7 +976,7 @@ module Trace = struct
               ("s", Json.S "t");
               ("ts", Json.F (e.ts_ns /. 1e3));
               ("pid", Json.I 1);
-              ("tid", Json.I e.ev_dom);
+              ("tid", Json.I 1);
               ("args", args_json ~ids:[ ("parent", Json.I e.ev_parent) ] e.ev_attrs None);
             ]
     in
@@ -1233,7 +1093,7 @@ module Trace = struct
     let buf = Buffer.create 1024 in
     Buffer.add_string buf
       (Printf.sprintf "=== sparseq flight recorder: %s (last %d of %d records) ===\n" reason
-         (List.length records) (Atomic.get flight_total));
+         (List.length records) !flight_total);
     (match records with
     | [] -> Buffer.add_string buf "  (no records; tracing disabled or nothing ran)\n"
     | first :: _ ->
@@ -1243,16 +1103,16 @@ module Trace = struct
             match r with
             | RSpan s ->
                 Buffer.add_string buf
-                  (Printf.sprintf "  [+%10.3fms] span  %s/%s (id %d, parent %d, dom %d) %.3fms %s%s\n"
+                  (Printf.sprintf "  [+%10.3fms] span  %s/%s (id %d, parent %d) %.3fms %s%s\n"
                      ((s.start_ns -. t0) /. 1e6)
-                     s.scope s.name s.id s.parent s.dom (duration_ns s /. 1e6)
+                     s.scope s.name s.id s.parent (duration_ns s /. 1e6)
                      (attrs_to_string s.attrs)
                      (match s.err with Some m -> "  RAISED " ^ m | None -> ""))
             | REvent e ->
                 Buffer.add_string buf
-                  (Printf.sprintf "  [+%10.3fms] event %s/%s (parent %d, dom %d) %s\n"
+                  (Printf.sprintf "  [+%10.3fms] event %s/%s (parent %d) %s\n"
                      ((e.ts_ns -. t0) /. 1e6)
-                     e.ev_scope e.ev_name e.ev_parent e.ev_dom (attrs_to_string e.ev_attrs)))
+                     e.ev_scope e.ev_name e.ev_parent (attrs_to_string e.ev_attrs)))
           records);
     Buffer.add_string buf "=== end of flight recorder ===\n";
     Buffer.contents buf

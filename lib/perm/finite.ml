@@ -166,13 +166,8 @@ let log_retype undo c old_t new_t =
 
 (* Single-entry core over a pre-resolved element index: bounds and value
    were validated (and the index computed) before any mutation. *)
-(* single-entry sets happen once per touched permanent gate per wave —
-   too hot for an atomic RMW each, so they count through the blocked
-   single-writer front; multi-entry flushes publish exactly via [add] *)
-let m_sets_local = Obs.Counter.Local.make m_sets
-
 let set_idx t undo ~row ~col vi =
-  Obs.Counter.Local.bump m_sets_local;
+  Obs.Counter.incr m_sets;
   let old_t = t.col_type.(col) in
   log_entry undo col row t.entries.(col).(row);
   t.entries.(col).(row) <- vi;
@@ -206,9 +201,6 @@ let set_many_impl t undo (updates : (int * int * 'a) list) =
   | _ ->
       let writes = List.length updates in
       Obs.Counter.incr m_batches;
-      (* one atomic add for the whole flush — a wave flushes one batch per
-         touched permanent gate, and a per-entry incr put an atomic RMW on
-         every pending write *)
       Obs.Counter.add m_sets writes;
       Obs.Trace.span_hot ~scope:"perm" "finite.flush"
         ~attrs:[ ("writes", Obs.Trace.I writes); ("k", Obs.Trace.I t.k) ]

@@ -134,15 +134,10 @@ let undo_apply t (u : 'a undo) =
 let log_col undo c r prior =
   match undo with Some u -> u.u_cols <- (c, r, prior) :: u.u_cols | None -> ()
 
-(* single-entry sets happen once per touched permanent gate per wave —
-   too hot for an atomic RMW each, so they count through the blocked
-   single-writer front; multi-entry flushes publish exactly via [add] *)
-let m_sets_local = Obs.Counter.Local.make m_sets
-
 let set_impl t undo ~row ~col v =
   if row < 0 || row >= t.k then invalid_arg "Segtree.set: bad row";
   if col < 0 || col >= t.n then invalid_arg "Segtree.set: bad col";
-  Obs.Counter.Local.bump m_sets_local;
+  Obs.Counter.incr m_sets;
   log_col undo col row t.columns.(col).(row);
   t.columns.(col).(row) <- v;
   let i = ref (t.size + col) in
@@ -172,9 +167,6 @@ let set_many_impl t undo (updates : (int * int * 'a) list) =
   | _ ->
       let writes = List.length updates in
       Obs.Counter.incr m_batches;
-      (* one atomic add for the whole flush — a wave flushes one batch per
-         touched permanent gate, and a per-entry incr put an atomic RMW on
-         every pending write *)
       Obs.Counter.add m_sets writes;
       Obs.Trace.span_hot ~scope:"perm" "segtree.flush"
         ~attrs:[ ("writes", Obs.Trace.I writes); ("k", Obs.Trace.I t.k) ]

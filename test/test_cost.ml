@@ -240,12 +240,49 @@ let structural_cost () =
   check_bool "localized inserts covered" true (!localized > 0);
   check_bool "fallback inserts covered" true (!fallbacks > 0)
 
+(* engine/updates counts every Eval.update call and dyn/updates every
+   committed single wave, exactly, after any number of calls (37 is not
+   a multiple of any block size); with telemetry disabled neither moves *)
+let update_counters_exact () =
+  Obs.set_enabled true;
+  let ev, inst, _, _ = make_eval wdeg_expr in
+  let n = Db.Instance.n inst in
+  let get scope name = Obs.Counter.get (Obs.counter ~scope name) in
+  let rng = Random.State.make [| 37 |] in
+  let run () =
+    let sink = ref [] in
+    Circuits.Dyn.set_cost_log ev.Engine.Eval.dyn (Some sink);
+    let e0 = get "engine" "updates" and d0 = get "dyn" "updates" in
+    for i = 1 to 37 do
+      (* a few equal-value and irrelevant writes commit no wave *)
+      if i mod 9 = 0 then Engine.Eval.update ev "nope" [ 0 ] 1
+      else Engine.Eval.update ev "w" [ Random.State.int rng n ] (Random.State.int rng 4)
+    done;
+    Circuits.Dyn.set_cost_log ev.Engine.Eval.dyn None;
+    (get "engine" "updates" - e0, get "dyn" "updates" - d0, List.length !sink)
+  in
+  let de, dd, waves = run () in
+  check_int "engine/updates = calls" 37 de;
+  check_bool "some calls committed no wave" true (waves < 37);
+  check_int "dyn/updates = committed single waves" waves dd;
+  Obs.set_enabled false;
+  let de, dd, waves =
+    Fun.protect ~finally:(fun () -> Obs.set_enabled true) run
+  in
+  check_bool "waves still ran while disabled" true (waves > 0);
+  check_int "engine/updates frozen while disabled" 0 de;
+  check_int "dyn/updates frozen while disabled" 0 dd;
+  let de, _, _ = run () in
+  check_int "nothing carried over into the re-enabled count" 37 de
+
 let suite =
   [
     Alcotest.test_case "sum of costs = touched counter delta" `Quick cost_matches_counters;
     Alcotest.test_case "wave-count semantics per entry point" `Quick wave_semantics;
     Alcotest.test_case "free-variable query costs two waves" `Quick query_costs_two_waves;
     Alcotest.test_case "one-shot evaluate cost" `Quick one_shot_cost;
+    Alcotest.test_case "update counters exact, frozen while disabled" `Quick
+      update_counters_exact;
     Alcotest.test_case "structural ops: cost = touched delta = gate count" `Quick
       structural_cost;
     Alcotest.test_case "checked batched update fills the cost cell" `Quick checked_batch_cost;

@@ -355,6 +355,48 @@ let set_many_all_or_nothing () =
   in
   check_int "finite still live" expected (Perm.Finite.perm fin)
 
+(* every single-entry set moves its strategy's perm/*_sets counter by
+   exactly one; while telemetry is disabled none moves, and nothing bumped
+   then is published after re-enabling *)
+let single_sets_counted () =
+  let count name = Obs.Counter.get (Obs.counter ~scope:"perm" name) in
+  let seg =
+    Perm.Segtree.create (Intf.ops_of_module (module Instances.Nat))
+      [| [| 1; 2; 3 |]; [| 4; 5; 6 |] |]
+  in
+  let ring =
+    Perm.Ring.create (Intf.ops_of_ring (module Instances.Int_ring))
+      [| [| 1; -2; 3 |]; [| 4; 5; -6 |] |]
+  in
+  let fin =
+    Perm.Finite.create (Intf.ops_of_finite (module Instances.Bool))
+      [| [| true; false; true |]; [| false; true; true |] |]
+  in
+  List.iter
+    (fun (name, set) ->
+      Obs.set_enabled true;
+      for i = 1 to 3 do
+        let before = count name in
+        set i;
+        check_int (Printf.sprintf "%s: one count per single-entry set" name) (before + 1) (count name)
+      done;
+      let before = count name in
+      Obs.set_enabled false;
+      Fun.protect
+        ~finally:(fun () -> Obs.set_enabled true)
+        (fun () ->
+          for i = 1 to 70 do
+            set i
+          done);
+      check_int (Printf.sprintf "%s: frozen while disabled" name) before (count name);
+      set 0;
+      check_int (Printf.sprintf "%s: only the re-enabled set counts" name) (before + 1) (count name))
+    [
+      ("segtree_sets", fun i -> Perm.Segtree.set seg ~row:0 ~col:1 (i + 7));
+      ("ring_sets", fun i -> Perm.Ring.set ring ~row:1 ~col:0 (i - 3));
+      ("finite_sets", fun i -> Perm.Finite.set fin ~row:0 ~col:2 (i land 1 = 0));
+    ]
+
 let suite =
   [
     Alcotest.test_case "known permanents" `Quick known_values;
@@ -375,6 +417,7 @@ let suite =
     set_many_agreement;
     Alcotest.test_case "set_many is all-or-nothing" `Quick set_many_all_or_nothing;
     Alcotest.test_case "finite semiring updates" `Quick finite_updates;
+    Alcotest.test_case "single-entry sets counted exactly" `Quick single_sets_counted;
     Alcotest.test_case "lasso with large counts" `Quick lasso_large_counts;
     Alcotest.test_case "enum perm: simple" `Quick enum_perm_simple;
     Alcotest.test_case "enum perm: zero entries" `Quick enum_perm_respects_zeroes;

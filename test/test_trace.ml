@@ -110,7 +110,7 @@ let backwards_clock_clamps () =
     (fun () ->
       Obs.set_clock (Some backwards);
       check_bool "elapsed_ns clamps to 0" true (Obs.elapsed_ns (Obs.now_ns ()) = 0.);
-      let h = Obs.Histogram.make "backwards" in
+      let h = Obs.Histogram.make () in
       Obs.Histogram.observe h (Obs.elapsed_ns (Obs.now_ns ()));
       Alcotest.(check (float 1e-9)) "timer observes 0" 0. (Obs.Histogram.max_value h);
       let (), records =
@@ -141,57 +141,51 @@ let chrome_parseable () =
   check_bool "has traceEvents" true
     (String.length j > 15 && String.sub j 0 15 = "{\"traceEvents\":")
 
-(* --- records carry the emitting domain, end to end into chrome tids --- *)
+(* --- chrome export: one lane, unique span ids, resolvable parents --- *)
 
-(* regression for multi-domain attribution: a span opened on a spawned
-   domain must carry that domain's id (not the recording domain's), and
-   the chrome export must surface exactly that id as the event's [tid] *)
-let domain_ids_attributed () =
-  let spawned_dom = ref (-1) in
+(* the engine is single-domain, so every exported record sits on tid 1;
+   span ids must be unique and every parent named in [args] must be -1
+   (a root) or the id of an exported span *)
+let chrome_lane_and_ids () =
   let (), records =
     Obs.Trace.with_recording (fun () ->
-        Obs.Trace.span ~scope:"test" "main_span" (fun () -> ());
-        let d =
-          Domain.spawn (fun () ->
-              Obs.Trace.span ~scope:"test" "worker_span" (fun () ->
-                  Obs.Trace.event ~scope:"test" "worker_event");
-              (Domain.self () :> int))
-        in
-        spawned_dom := Domain.join d)
+        Obs.Trace.span ~scope:"test" "a" (fun () ->
+            Obs.Trace.event ~scope:"test" "e1";
+            Obs.Trace.span ~scope:"test" "b" (fun () -> Obs.Trace.event ~scope:"test" "e2");
+            Obs.Trace.span ~scope:"test" "c" (fun () -> ()));
+        Obs.Trace.span ~scope:"test" "d" (fun () -> ());
+        Obs.Trace.complete ~scope:"test" "done" ~start_ns:(Obs.now_ns ()))
   in
-  let main_dom = (Domain.self () :> int) in
-  check_bool "spawned domain has its own id" true (!spawned_dom <> main_dom);
-  let find name =
-    match
-      List.find_opt (fun s -> s.Obs.Trace.name = name) (spans_of records)
-    with
-    | Some s -> s
-    | None -> Alcotest.failf "span %s not recorded" name
+  let events =
+    match Obs.Trace.to_chrome records with
+    | Obs.Json.O fields -> (
+        match List.assoc_opt "traceEvents" fields with
+        | Some (Obs.Json.A evs) -> evs
+        | _ -> Alcotest.fail "no traceEvents array")
+    | _ -> Alcotest.fail "chrome export is not an object"
   in
-  check_int "main span carries the main domain" main_dom (find "main_span").Obs.Trace.dom;
-  check_int "worker span carries the spawned domain" !spawned_dom
-    (find "worker_span").Obs.Trace.dom;
-  let ev =
-    match
-      List.find_opt
-        (function Obs.Trace.REvent e -> e.Obs.Trace.ev_name = "worker_event" | _ -> false)
-        records
-    with
-    | Some (Obs.Trace.REvent e) -> e
-    | _ -> Alcotest.fail "worker event not recorded"
+  check_int "every record exported" (List.length records) (List.length events);
+  let field k = function
+    | Obs.Json.O fs -> List.assoc_opt k fs
+    | _ -> None
   in
-  check_int "worker event carries the spawned domain" !spawned_dom ev.Obs.Trace.ev_dom;
-  (* chrome export: the tid field is exactly the emitting domain id *)
-  let j = Obs.Json.to_string (Obs.Trace.to_chrome records) in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
+  let arg k ev =
+    match Option.bind (field "args" ev) (field k) with
+    | Some (Obs.Json.I i) -> Some i
+    | _ -> None
   in
-  check_bool "chrome export has a lane for the worker" true
-    (contains (Printf.sprintf "\"tid\":%d" !spawned_dom) j);
-  check_bool "chrome export has a lane for main" true
-    (contains (Printf.sprintf "\"tid\":%d" main_dom) j)
+  List.iter
+    (fun ev -> check_bool "record on tid 1" true (field "tid" ev = Some (Obs.Json.I 1)))
+    events;
+  let ids = List.filter_map (arg "span_id") events in
+  check_int "one span id per span" (List.length (spans_of records)) (List.length ids);
+  check_int "span ids unique" (List.length ids) (List.length (List.sort_uniq compare ids));
+  List.iter
+    (fun ev ->
+      match arg "parent" ev with
+      | Some p -> check_bool "parent resolves" true (p = -1 || List.mem p ids)
+      | None -> Alcotest.fail "record without a parent")
+    events
 
 (* --- acceptance: a fault mid-wave dumps the faulting wave's span,
    tagged with the rolled_back outcome --- *)
@@ -242,6 +236,7 @@ let suite =
     flight_ring_wraps;
     Alcotest.test_case "backwards clock clamps durations" `Quick backwards_clock_clamps;
     Alcotest.test_case "chrome export parses" `Quick chrome_parseable;
-    Alcotest.test_case "records carry the emitting domain id" `Quick domain_ids_attributed;
+    Alcotest.test_case "chrome export: one tid, unique ids, parents resolve" `Quick
+      chrome_lane_and_ids;
     Alcotest.test_case "mid-wave fault dumps the wave span" `Quick poison_dumps_wave_span;
   ]
