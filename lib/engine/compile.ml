@@ -222,20 +222,19 @@ let compile_subset (type a) b ~(nf : a Logic.Normal.summand list) ~holds ~dynami
             num_shapes := !num_shapes + List.length shapes;
             let sgates =
               timed.timed t_emit (fun () ->
-                  List.map (Shapes.Forest_compile.compile_shape b fs ~zero ~one) shapes)
+                  List.filter_map (Shapes.Forest_compile.compile_shape b fs ~zero ~one) shapes)
             in
-            let body =
-              match sgates with
-              | [] -> Circuits.Circuit.const b zero
-              | gs -> Circuits.Circuit.add b gs
-            in
-            let gate =
-              match s.Logic.Normal.prod.Logic.Normal.coeffs with
-              | [] -> body
-              | cs ->
-                  Circuits.Circuit.mul b (List.map (Circuits.Circuit.const b) cs @ [ body ])
-            in
-            tops := gate :: !tops;
+            (* a summand whose shapes are all statically zero has no top *)
+            if sgates <> [] then begin
+              let body = Circuits.Circuit.add b sgates in
+              let gate =
+                match s.Logic.Normal.prod.Logic.Normal.coeffs with
+                | [] -> body
+                | cs ->
+                    Circuits.Circuit.mul b (List.map (Circuits.Circuit.const b) cs @ [ body ])
+              in
+              tops := gate :: !tops
+            end;
             check_budget ())
           (surjective_maps vars subset))
       relevant;
@@ -473,18 +472,26 @@ let compile (type a) ~(zero : a) ~(one : a) ?equal ?opt ?tfa_rounds ?max_depth ?
 
 (* exact structural copy of one raw gate into the builder, children
    remapped through [raw_map]; Add/Mul go through [push] (not the
-   singleton-collapsing smart constructors) so copies are gate-for-gate *)
+   singleton-collapsing smart constructors) so copies are gate-for-gate.
+   A child with no copy yet is an input first created in a rebuilt
+   segment; it is emitted here, on demand, so the rebuilt segments leave
+   behind no input that nothing reads *)
 let copy_gate (type a) b (nodes : a Circuits.Circuit.node array) raw_map id =
+  let map g =
+    if raw_map.(g) < 0 then
+      raw_map.(g) <-
+        (match nodes.(g) with
+        | Circuits.Circuit.Input key -> Circuits.Circuit.input b key
+        | _ -> Robust.divergence "recompile_local: copied gate %d has an uncopied child" id);
+    raw_map.(g)
+  in
   match nodes.(id) with
   | Circuits.Circuit.Input key -> Circuits.Circuit.input b key
   | Circuits.Circuit.Const s -> Circuits.Circuit.const b s
-  | Circuits.Circuit.Add gs ->
-      Circuits.Circuit.push b (Circuits.Circuit.Add (Array.map (fun g -> raw_map.(g)) gs))
-  | Circuits.Circuit.Mul gs ->
-      Circuits.Circuit.push b (Circuits.Circuit.Mul (Array.map (fun g -> raw_map.(g)) gs))
+  | Circuits.Circuit.Add gs -> Circuits.Circuit.push b (Circuits.Circuit.Add (Array.map map gs))
+  | Circuits.Circuit.Mul gs -> Circuits.Circuit.push b (Circuits.Circuit.Mul (Array.map map gs))
   | Circuits.Circuit.Perm rows ->
-      Circuits.Circuit.push b
-        (Circuits.Circuit.Perm (Array.map (Array.map (fun g -> raw_map.(g))) rows))
+      Circuits.Circuit.push b (Circuits.Circuit.Perm (Array.map (Array.map map) rows))
 
 (** Result of {!recompile_local}. [Localized] carries the new optimized
     circuit, its meta and the plan to commit. [Fallback] is the

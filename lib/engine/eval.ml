@@ -41,6 +41,11 @@ type 'a t = {
   expr_closed : 'a Logic.Expr.t;  (** closed form, for fallback recompiles *)
   base_valuation : Circuits.Circuit.input_key -> 'a;
       (** weights-store valuation for input keys a new circuit introduces *)
+  unread : (Circuits.Circuit.input_key, 'a) Hashtbl.t;
+      (** the last write to each weight key the current circuit does not
+          read; a structural update that brings the key into the circuit
+          seeds it from here *)
+  mutable obs_tick : int;  (** systematic 1-in-64 sampling of [query] timings *)
   churn : churn;
 }
 
@@ -102,6 +107,8 @@ let prepare (type a) (ops : a Semiring.Intf.ops) ?mode ?opt ?tfa_rounds
     inst;
     expr_closed;
     base_valuation = valuation;
+    unread = Hashtbl.create 16;
+    obs_tick = 0;
     churn =
       {
         ch_inserts = 0;
@@ -118,24 +125,56 @@ let prepare (type a) (ops : a Semiring.Intf.ops) ?mode ?opt ?tfa_rounds
 let value t = Circuits.Dyn.value t.dyn
 
 (** Value at a tuple (one element per free variable, in the order of
-    [free_vars]). *)
+    [free_vars]). Like {!Circuits.Dyn.set_input}, it times and traces a
+    1-in-64 systematic sample of the calls (and every call while a trace
+    is being recorded); the [queries] counter is exact. A closed
+    expression's query is a plain read of the maintained value. *)
 let query (type a) (t : a t) (args : int list) : a =
   if List.length args <> List.length t.free_vars then
     invalid_arg "Eval.query: wrong number of arguments";
   Obs.Counter.incr m_queries;
-  Obs.Trace.span ~scope:"engine" "query" @@ fun () ->
-  Obs.Timer.time h_query_ns @@ fun () ->
-  let assignments =
-    List.mapi (fun i a -> ((query_weight i, [ a ]), t.ops.Semiring.Intf.one)) args
+  let sampled =
+    Obs.is_enabled ()
+    &&
+    (t.obs_tick <- t.obs_tick + 1;
+     t.obs_tick land 63 = 0)
   in
-  Circuits.Dyn.with_temp t.dyn assignments (fun () -> Circuits.Dyn.value t.dyn)
+  let t0 = if sampled then Obs.now_ns () else 0. in
+  let v =
+    Obs.Trace.span_hot ~force:sampled ~scope:"engine" "query" @@ fun () ->
+    match args with
+    | [] -> Circuits.Dyn.value t.dyn
+    | _ ->
+        let assignments =
+          List.mapi (fun i a -> ((query_weight i, [ a ]), t.ops.Semiring.Intf.one)) args
+        in
+        Circuits.Dyn.with_temp t.dyn assignments (fun () -> Circuits.Dyn.value t.dyn)
+  in
+  if sampled then Obs.Histogram.observe h_query_ns (Obs.elapsed_ns t0);
+  v
 
-(** Update one weight. Tuples that cannot affect the query (their weight
-    is never read by the circuit) are ignored. *)
+(* Writes to weights the circuit does not read: the last value of each
+   lands in [unread] (a structural update that brings the key into the
+   circuit seeds it from there) and the batch is journaled like a wave,
+   so a replay reconstructs [unread] too. *)
+let write_unread t writes =
+  if writes <> [] then begin
+    List.iter (fun (key, v) -> Hashtbl.replace t.unread key v) writes;
+    match Circuits.Dyn.journal t.dyn with
+    | Some j -> Circuits.Journal.append j writes
+    | None -> ()
+  end
+
+(** Update one weight. A weight the circuit does not read is remembered,
+    for a later structural update that makes the circuit read it. *)
 let update t w tuple v =
   let key = (w, tuple) in
   Obs.Counter.incr m_updates;
   if Circuits.Dyn.has_input t.dyn key then Circuits.Dyn.set_input t.dyn key v
+  else write_unread t [ (key, v) ]
+
+let split_read t writes =
+  List.partition (fun (key, _) -> Circuits.Dyn.has_input t.dyn key) writes
 
 (** Batched weight updates: semantically equivalent to applying {!update}
     left to right (later writes to the same weight tuple win), but every
@@ -143,17 +182,12 @@ let update t w tuple v =
     wave, so gates shared between the updated weights recompute once per
     batch instead of once per update. *)
 let update_many t (updates : (string * int list * 'a) list) =
-  let total = ref 0 in
-  let relevant =
-    List.filter_map
-      (fun (w, tuple, v) ->
-        incr total;
-        let key = (w, tuple) in
-        if Circuits.Dyn.has_input t.dyn key then Some (key, v) else None)
-      updates
+  let read, unread =
+    split_read t (List.map (fun (w, tuple, v) -> ((w, tuple), v)) updates)
   in
-  Obs.Counter.add m_updates !total;
-  Circuits.Dyn.set_inputs t.dyn relevant
+  Obs.Counter.add m_updates (List.length updates);
+  Circuits.Dyn.set_inputs t.dyn read;
+  write_unread t unread
 
 let meta t = t.meta
 let stats t = Circuits.Circuit.stats t.circuit
@@ -190,7 +224,7 @@ let full_recompile (t : 'a t) =
    past the amortization trigger), splice the new circuit in, journal the
    op. Both branches swap the runtime through the same {!Circuits.Dyn.splice},
    which builds the new structure aside, seeded from the old one's input
-   values. Transactional: any fault before commit reverts the instance
+   values, then [unread], then the weights store. Transactional: any fault before commit reverts the instance
    and graph deltas, so the served state stays the pre-update one (the
    splice never mutates the old structure). *)
 let structural (t : 'a t) ~insert rel tuple : unit =
@@ -237,9 +271,24 @@ let structural (t : 'a t) ~insert rel tuple : unit =
   let valuation key =
     match Circuits.Dyn.input_value old_dyn key with
     | Some v -> v
-    | None -> t.base_valuation key
+    | None -> (
+        match Hashtbl.find_opt t.unread key with
+        | Some v -> v
+        | None -> t.base_valuation key)
+  in
+  (* keys the new circuit stops reading keep their last value *)
+  let leaving =
+    Hashtbl.fold
+      (fun key _ acc ->
+        if Hashtbl.mem circuit.Circuits.Circuit.input_ids key then acc
+        else (key, Option.get (Circuits.Dyn.input_value old_dyn key)) :: acc)
+      t.circuit.Circuits.Circuit.input_ids []
   in
   let dyn = protect (fun () -> Circuits.Dyn.splice old_dyn circuit valuation) in
+  Hashtbl.filter_map_inplace
+    (fun key v -> if Hashtbl.mem circuit.Circuits.Circuit.input_ids key then None else Some v)
+    t.unread;
+  List.iter (fun (key, v) -> Hashtbl.replace t.unread key v) leaving;
   t.dyn <- dyn;
   t.circuit <- circuit;
   t.meta <- meta;
@@ -301,10 +350,9 @@ let replay (t : 'a t) (j : 'a Circuits.Journal.t) : unit =
               structural t ~insert:s.Circuits.Journal.s_insert s.Circuits.Journal.s_rel
                 s.Circuits.Journal.s_tup
           | None ->
-              Circuits.Dyn.set_inputs t.dyn
-                (List.filter
-                   (fun (key, _) -> Circuits.Dyn.has_input t.dyn key)
-                   (Circuits.Journal.writes b)))
+              let read, unread = split_read t (Circuits.Journal.writes b) in
+              Circuits.Dyn.set_inputs t.dyn read;
+              write_unread t unread)
         (Circuits.Journal.batches j))
 
 (** Per-operation cost attribution (Theorem 8 made inspectable): what one

@@ -7,45 +7,54 @@
     and near-treedepth behaviour on the path-like subgraphs that low-
     treedepth color classes induce. *)
 
-(* BFS from [s] over alive vertices; returns (farthest vertex, parent map
-   over the visited set). *)
-let bfs (g : Graph.t) alive s =
-  let n = Graph.n g in
-  let parent = Array.make n (-2) in
-  let q = Queue.create () in
-  Queue.add s q;
+(* BFS from [s] over alive vertices, in scratch arrays shared by every
+   call of one {!elimination_forest}: [parent] is -2 outside the visited
+   set and [queue] holds the visited vertices in visit order. Returns the
+   farthest vertex and the number visited; the caller reads [parent] and
+   then calls [reset], so each BFS costs its component, not n. *)
+let bfs (g : Graph.t) alive ~parent ~queue s =
+  queue.(0) <- s;
   parent.(s) <- s;
-  let last = ref s in
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    last := v;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
     List.iter
       (fun w ->
         if alive.(w) && parent.(w) = -2 then begin
           parent.(w) <- v;
-          Queue.add w q
+          queue.(!tail) <- w;
+          incr tail
         end)
       (Graph.neighbors g v)
   done;
-  (!last, parent)
+  (queue.(!tail - 1), !tail)
+
+let reset ~parent ~queue visited =
+  for i = 0 to visited - 1 do
+    parent.(queue.(i)) <- -2
+  done
 
 (** Elimination forest by recursive center removal. *)
 let elimination_forest (g : Graph.t) : Forest.t =
   let n = Graph.n g in
   let alive = Array.make n true in
   let fparent = Array.make n (-1) in
+  let parent = Array.make n (-2) and queue = Array.make n 0 in
   (* process the component of [s]; attach its chosen root below [above] *)
   let rec component s above =
     (* double BFS to find an approximate longest path, then its middle *)
-    let a, _ = bfs g alive s in
-    let b, par = bfs g alive a in
+    let a, visited = bfs g alive ~parent ~queue s in
+    reset ~parent ~queue visited;
+    let b, visited = bfs g alive ~parent ~queue a in
     (* path from b back to a *)
     let path = ref [ b ] in
     let v = ref b in
-    while par.(!v) <> !v do
-      v := par.(!v);
+    while parent.(!v) <> !v do
+      v := parent.(!v);
       path := !v :: !path
     done;
+    reset ~parent ~queue visited;
     let path = Array.of_list !path in
     let center = path.(Array.length path / 2) in
     fparent.(center) <- (if above < 0 then center else above);

@@ -50,10 +50,19 @@ let constraint_tuple fs v (c : Shape.rel_constraint) =
 let rel_holds fs v (c : Shape.rel_constraint) : bool =
   fs.holds c.Shape.rel (constraint_tuple fs v c) = c.Shape.pos
 
-(** Compile one shape into a gate of the builder [b]. *)
+(** Compile one shape into a gate of the builder [b], or [None] when its
+    value is statically zero. Nothing is emitted for a (shape node,
+    forest node) pair whose value is statically zero: a static constraint
+    fails at the node, or its children's permanent is zero because a row
+    has no non-zero entry or fewer columns than rows have one. A non-zero
+    permanent keeps only its columns with some non-zero entry; its
+    remaining zero entries point at one shared zero constant. These
+    rewrites use only "zero annihilates" and "zero is the additive
+    identity", so they hold in every semiring. Dynamic relations are
+    inputs and never pruned. *)
 let compile_shape (type a) (b : a Circuits.Circuit.builder) (fs : fstage)
-    ~(zero : a) ~(one : a) (s : Shape.t) : int =
-  if Shape.num_nodes s = 0 then Circuits.Circuit.const b one
+    ~(zero : a) ~(one : a) (s : Shape.t) : int option =
+  if Shape.num_nodes s = 0 then Some (Circuits.Circuit.const b one)
   else begin
     let zero_gate = ref (-1) in
     let get_zero () =
@@ -65,65 +74,68 @@ let compile_shape (type a) (b : a Circuits.Circuit.builder) (fs : fstage)
       if !one_gate < 0 then one_gate := Circuits.Circuit.const b one;
       !one_gate
     in
-    let memo : (int * int, int) Hashtbl.t = Hashtbl.create 1024 in
+    (* (shape node, forest node) → gate, flat as shape node × forest size
+       + forest node; [unset] before the first visit, [zero_entry] for a
+       statically zero pair *)
+    let unset = -2 and zero_entry = -1 in
+    let nv = Graphs.Forest.n fs.forest in
+    let memo = Array.make (Shape.num_nodes s * nv) unset in
+    (* the permanent of [row_sids] × [cols], or [zero_entry] *)
+    let rec perm row_sids cols =
+      let cols = Array.of_list cols in
+      let rows =
+        Array.of_list (List.map (fun sid -> Array.map (fun v -> subtree sid v) cols) row_sids)
+      in
+      let live_col j = Array.exists (fun row -> row.(j) <> zero_entry) rows in
+      let kept = List.filter live_col (List.init (Array.length cols) Fun.id) in
+      if
+        List.length kept < Array.length rows
+        || Array.exists (Array.for_all (fun g -> g = zero_entry)) rows
+      then zero_entry
+      else
+        Circuits.Circuit.perm b
+          (Array.map
+             (fun row ->
+               Array.of_list
+                 (List.map (fun j -> if row.(j) = zero_entry then get_zero () else row.(j)) kept))
+             rows)
     (* gate computing: shape subtree rooted at [sid] embeds at forest node
        [v] (with sid ↦ v), times the weights along the way *)
-    let rec subtree sid v =
-      match Hashtbl.find_opt memo (sid, v) with
-      | Some g -> g
-      | None ->
-          let sn = s.nodes.(sid) in
-          let static_rels, dynamic_rels =
-            List.partition (fun (c : Shape.rel_constraint) -> not (fs.dynamic c.Shape.rel)) sn.Shape.rels
+    and subtree sid v =
+      let k = (sid * nv) + v in
+      if memo.(k) <> unset then memo.(k)
+      else begin
+        let sn = s.nodes.(sid) in
+        let static_rels, dynamic_rels =
+          List.partition (fun (c : Shape.rel_constraint) -> not (fs.dynamic c.Shape.rel)) sn.Shape.rels
+        in
+        (* the pair's gate: the node's weight inputs times [pg] *)
+        let node pg =
+          let wgates =
+            List.map (fun w -> Circuits.Circuit.input b (weight_key fs v w)) sn.Shape.weights
+            @ List.map
+                (fun (c : Shape.rel_constraint) ->
+                  let name = if c.Shape.pos then pos_weight c.Shape.rel else neg_weight c.Shape.rel in
+                  Circuits.Circuit.input b (name, constraint_tuple fs v c))
+                dynamic_rels
           in
-          let g =
-            if not (List.for_all (rel_holds fs v) static_rels) then get_zero ()
-            else begin
-              let wgates =
-                List.map (fun w -> Circuits.Circuit.input b (weight_key fs v w)) sn.Shape.weights
-                @ List.map
-                    (fun (c : Shape.rel_constraint) ->
-                      let name = if c.Shape.pos then pos_weight c.Shape.rel else neg_weight c.Shape.rel in
-                      Circuits.Circuit.input b (name, constraint_tuple fs v c))
-                    dynamic_rels
-              in
-              let factors =
-                match sn.Shape.children with
-                | [] -> wgates
-                | cs ->
-                    let cols = Graphs.Forest.children fs.forest v in
-                    let rows =
-                      List.map
-                        (fun c -> Array.of_list (List.map (fun u -> subtree c u) cols))
-                        cs
-                    in
-                    wgates @ [ Circuits.Circuit.perm b (Array.of_list rows) ]
-              in
-              match factors with [] -> get_one () | gs -> Circuits.Circuit.mul b gs
-            end
-          in
-          Hashtbl.replace memo (sid, v) g;
-          g
+          match wgates @ pg with [] -> get_one () | gs -> Circuits.Circuit.mul b gs
+        in
+        let g =
+          if not (List.for_all (rel_holds fs v) static_rels) then zero_entry
+          else
+            match sn.Shape.children with
+            | [] -> node []
+            | cs ->
+                (* the children's permanent first, so a zero node emits no
+                   weight inputs *)
+                let pg = perm cs (Graphs.Forest.children fs.forest v) in
+                if pg = zero_entry then zero_entry else node [ pg ]
+        in
+        memo.(k) <- g;
+        g
+      end
     in
-    let cols = Graphs.Forest.roots fs.forest in
-    let rows =
-      List.map (fun r -> Array.of_list (List.map (fun v -> subtree r v) cols)) s.roots
-    in
-    Circuits.Circuit.perm b (Array.of_list rows)
+    let g = perm s.roots (Graphs.Forest.roots fs.forest) in
+    if g = zero_entry then None else Some g
   end
-
-(** Compile a closed normalized summand over the forest stage: enumerate
-    its shapes, compile each, and multiply in the constant coefficients. *)
-let compile_summand (type a) (b : a Circuits.Circuit.builder) (fs : fstage)
-    ~(zero : a) ~(one : a) (summand : a Logic.Normal.summand) : int =
-  let d = Graphs.Forest.max_depth fs.forest in
-  let shapes = Shape.enumerate ~d ~summand () in
-  let shape_gates = List.map (compile_shape b fs ~zero ~one) shapes in
-  let body =
-    match shape_gates with [] -> Circuits.Circuit.const b zero | gs -> Circuits.Circuit.add b gs
-  in
-  match summand.Logic.Normal.prod.Logic.Normal.coeffs with
-  | [] -> body
-  | coeffs ->
-      let cgates = List.map (Circuits.Circuit.const b) coeffs in
-      Circuits.Circuit.mul b (cgates @ [ body ])

@@ -86,6 +86,40 @@ let elim_forest_props =
          let f = Graphs.Treedepth.elimination_forest g in
          Graphs.Forest.is_elimination_forest f g))
 
+(* The center-removal forest shares one BFS scratch across its calls.
+   That must not change a single parent: the digests below were taken
+   from the forests the allocate-per-call BFS built. *)
+let elim_forest_digests () =
+  let digest (f : Graphs.Forest.t) =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "," (Array.to_list (Array.map string_of_int f.Graphs.Forest.parent))))
+  in
+  (* paths of 7 with one chord each: 300 components *)
+  let many_components n =
+    Graphs.Graph.of_edges ~n
+      (List.filter_map
+         (fun i -> if i mod 7 <> 6 && i + 1 < n then Some (i, i + 1) else None)
+         (List.init n Fun.id)
+      @ List.filter_map
+          (fun i -> if i mod 7 = 0 && i + 3 < n then Some (i, i + 3) else None)
+          (List.init n Fun.id))
+  in
+  List.iter
+    (fun (name, g, want) ->
+      Alcotest.(check string) name want (digest (Graphs.Treedepth.elimination_forest g)))
+    [
+      ("grid 30x30", Graphs.Gen.grid 30 30, "9535d2f7ee7b280502cebad6d918bd16");
+      ("tri-grid 30x30", Graphs.Gen.triangulated_grid 30 30, "5361a5ab291160b78113a925f806ff29");
+      ( "deg3 n=1000",
+        Graphs.Gen.random_bounded_degree ~seed:11 ~n:1000 ~max_deg:3,
+        "f6562589971d34a3e469a6335f5dd523" );
+      ("many components", many_components 2100, "1f29686a9e2c8ff5b5b7a2ecdc0c6876");
+      ( "sparse n=2000",
+        Graphs.Gen.random_sparse ~seed:5 ~n:2000 ~avg_deg:1,
+        "d28f75b978fa31723f67c49d03c4315a" );
+    ]
+
 let forest_navigation () =
   (* a two-level forest: 0 root of {1,2}; 1 parent of {3} *)
   let f = Graphs.Forest.of_parents [| 0; 0; 0; 1 |] in
@@ -140,6 +174,7 @@ let suite =
     Alcotest.test_case "known degeneracies" `Quick grid_degeneracy;
     dfs_forest_props;
     elim_forest_props;
+    Alcotest.test_case "center-removal forests unchanged" `Quick elim_forest_digests;
     Alcotest.test_case "forest navigation" `Quick forest_navigation;
     coloring_proper;
     Alcotest.test_case "color subsets" `Quick color_subsets_count;

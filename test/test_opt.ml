@@ -13,7 +13,10 @@
       pipeline's gate shrink on weighted triangles and 2-path enumeration;
    4. batched-update equivalence: [Dyn.set_inputs] waves on the optimized
       circuit track a from-scratch re-evaluation of the *unoptimized*
-      circuit, in every update mode. *)
+      circuit, in every update mode;
+   5. what the compiler hands the optimizer: no statically zero gate, and
+      a raw circuit within 3x of the optimized one, also after structural
+      updates. *)
 
 open Semiring
 module Circuit = Circuits.Circuit
@@ -377,6 +380,152 @@ let batch_on_optimized (type a) mode name (ops : a Intf.ops) ~(zero : a) ~(one :
              ops.Intf.equal (Circuits.Dyn.value d) (Circuit.eval ops c valuation))
            batches))
 
+(* ------------------------ 5. the compiler emits only non-zero gates --- *)
+
+(* Which gates are statically zero, bottom-up: a zero constant, an Add
+   whose children are all zero, a Mul with a zero factor, a Perm with an
+   all-zero row or with fewer columns holding a non-zero entry than
+   rows. *)
+let static_zero (type a) ~(zero : a) ~(equal : a -> a -> bool) (c : a Circuit.t) =
+  let z = Array.make (Array.length c.Circuit.nodes) false in
+  Array.iteri
+    (fun id node ->
+      z.(id) <-
+        (match node with
+        | Circuit.Input _ -> false
+        | Circuit.Const s -> equal s zero
+        | Circuit.Add gs -> Array.for_all (fun g -> z.(g)) gs
+        | Circuit.Mul gs -> Array.exists (fun g -> z.(g)) gs
+        | Circuit.Perm rows ->
+            let ncols = if rows = [||] then 0 else Array.length rows.(0) in
+            let live_cols =
+              List.filter
+                (fun j -> Array.exists (fun row -> not z.(row.(j))) rows)
+                (List.init ncols Fun.id)
+            in
+            Array.exists (Array.for_all (fun g -> z.(g))) rows
+            || List.length live_cols < Array.length rows))
+    c.Circuit.nodes;
+  z
+
+let check_no_zero_gates what ~zero ~equal (c : _ Circuit.t) =
+  let z = static_zero ~zero ~equal c in
+  let bad = ref 0 in
+  Array.iteri
+    (fun id node ->
+      match node with
+      | (Circuit.Add _ | Circuit.Mul _ | Circuit.Perm _) when z.(id) -> incr bad
+      | _ -> ())
+    c.Circuit.nodes;
+  check_int (what ^ ": statically zero Add/Mul/Perm gates") 0 !bad
+
+let check_raw_within_3x what ~raw ~opt =
+  check_bool (Printf.sprintf "%s: raw %d <= 3 x optimized %d" what raw opt) true (raw <= 3 * opt)
+
+(* Check a prepared query in both pipelines, then again after 20
+   structural ops: neither circuit holds a statically zero Add, Mul or
+   Perm, and the raw circuit is within 3x of the optimized one. *)
+let prepared_non_zero (type a) what (ops : a Intf.ops) inst weights expr
+    ~(toggle : int -> a Engine.Eval.t -> unit) =
+  let zero = ops.Intf.zero and equal = ops.Intf.equal in
+  let none = Engine.Eval.prepare ops ~opt:Opt.none inst weights expr in
+  let dflt = Engine.Eval.prepare ops (Db.Instance.copy inst) weights expr in
+  let check when_ =
+    let what = Printf.sprintf "%s, %s" what when_ in
+    check_no_zero_gates (what ^ ", --opt=none") ~zero ~equal none.Engine.Eval.circuit;
+    check_no_zero_gates (what ^ ", default") ~zero ~equal dflt.Engine.Eval.circuit;
+    check_raw_within_3x what
+      ~raw:(Array.length dflt.Engine.Eval.plan.Engine.Compile.pl_raw.Circuit.nodes)
+      ~opt:(Array.length dflt.Engine.Eval.circuit.Circuit.nodes);
+    check_bool (what ^ ": both pipelines agree") true
+      (equal (Engine.Eval.value none) (Engine.Eval.value dflt))
+  in
+  check "as prepared";
+  for i = 0 to 19 do
+    toggle i none;
+    toggle i dflt
+  done;
+  check "after 20 structural ops"
+
+(* the arc [a] is inserted if the query's instance lacks it, else deleted *)
+let toggle_arc a (t : _ Engine.Eval.t) =
+  if Db.Instance.mem t.Engine.Eval.inst "E" a then Engine.Eval.delete_tuple t "E" a
+  else Engine.Eval.insert_tuple t "E" a
+
+let compiler_emits_non_zero () =
+  (* churn_ring's instance: weighted triangles over the int ring on a 7x7
+     grid with the diagonals of the cells with r+c even; the ops toggle
+     cell diagonals *)
+  let side = 7 in
+  let diagonal cell =
+    let u = (cell / (side - 1) * side) + (cell mod (side - 1)) in
+    [ u; u + side + 1 ]
+  in
+  let inst = Db.Instance.of_graph (Graphs.Gen.grid side side) in
+  for cell = 0 to ((side - 1) * (side - 1)) - 1 do
+    if ((cell / (side - 1)) + (cell mod (side - 1))) land 1 = 0 then
+      Db.Instance.add inst "E" (diagonal cell)
+  done;
+  let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:0 in
+  Db.Weights.fill_unary w ~n:(Db.Instance.n inst) (fun i -> (i mod 11) - 5);
+  let wtri =
+    Logic.Expr.Sum
+      ( [ "x"; "y"; "z" ],
+        Logic.Expr.Mul
+          [
+            Logic.Expr.Guard (Logic.Formula.And [ e "x" "y"; e "y" "z"; e "z" "x" ]);
+            Logic.Expr.Weight ("w", [ vx "x" ]);
+          ] )
+  in
+  prepared_non_zero "weighted triangles, 7x7 grid + diagonals" int_ops inst
+    (Db.Weights.bundle [ w ]) wtri
+    ~toggle:(fun i -> toggle_arc (diagonal (i * 7 mod 36)));
+  (* enum_paths' closed expression on a 10x10 grid: E dynamic as Fo_enum
+     compiles it, then E static through Eval, toggling grid arcs *)
+  let path2 = Logic.Formula.And [ e "x" "y"; e "y" "z"; Logic.Formula.neq (vx "x") (vx "z") ] in
+  let closed sym =
+    Logic.Expr.Sum
+      ( [ "x"; "y"; "z" ],
+        Logic.Expr.Mul
+          (Logic.Expr.Guard path2
+          :: List.mapi (fun i x -> Logic.Expr.Weight (sym i, [ vx x ])) [ "x"; "y"; "z" ]) )
+  in
+  let inst = Db.Instance.of_graph (Graphs.Gen.grid 10 10) in
+  let compile opt =
+    fst
+      (Engine.Compile.compile ~zero:false ~one:true ~opt ~dynamic_rels:[ "E" ] inst
+         (closed Fo_enum.weight_sym))
+  in
+  let raw = compile Opt.none and opt = compile Opt.default_passes in
+  check_no_zero_gates "2-paths, E dynamic, --opt=none" ~zero:false ~equal:Bool.equal raw;
+  check_no_zero_gates "2-paths, E dynamic, default" ~zero:false ~equal:Bool.equal opt;
+  check_raw_within_3x "2-paths, E dynamic" ~raw:(Array.length raw.Circuit.nodes)
+    ~opt:(Array.length opt.Circuit.nodes);
+  let weights =
+    Db.Weights.bundle
+      (List.init 3 (fun i ->
+           let w = Db.Weights.create ~name:(Printf.sprintf "v%d" i) ~arity:1 ~zero:0 in
+           Db.Weights.fill_unary w ~n:100 (fun j -> (j + i) mod 4);
+           w))
+  in
+  prepared_non_zero "2-paths, 10x10 grid" nat_ops inst weights
+    (closed (Printf.sprintf "v%d"))
+    ~toggle:(fun i -> toggle_arc [ i; i + 10 ]);
+  (* serve_weights' query: weighted degree on a degree-3 graph, n = 1024 *)
+  let inst =
+    Db.Instance.of_graph (Graphs.Gen.random_bounded_degree ~seed:1 ~n:1024 ~max_deg:3)
+  in
+  let arcs = Array.of_list (Db.Instance.tuples inst "E") in
+  let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:0 in
+  Db.Weights.fill_unary w ~n:1024 (fun i -> i mod 7);
+  let wdeg =
+    Logic.Expr.Sum
+      ( [ "y" ],
+        Logic.Expr.Mul [ Logic.Expr.Guard (e "x" "y"); Logic.Expr.Weight ("w", [ vx "y" ]) ] )
+  in
+  prepared_non_zero "weighted degree, deg3 n=1024" nat_ops inst (Db.Weights.bundle [ w ]) wdeg
+    ~toggle:(fun i -> toggle_arc arcs.(i mod 10))
+
 let suite =
   [
     Alcotest.test_case "fold: identities and annihilation" `Quick fold_annihilates_and_drops;
@@ -386,6 +535,8 @@ let suite =
     Alcotest.test_case "balance: fan-in capped" `Quick balance_caps_fan_in;
     Alcotest.test_case "default pipeline shrinks triangles and 2-paths" `Quick
       default_pipeline_shrinks;
+    Alcotest.test_case "compiler emits no statically zero gate" `Quick
+      compiler_emits_non_zero;
     Alcotest.test_case "remap contract" `Quick remap_contract;
     Alcotest.test_case "compact rejects dropped perm child" `Quick
       compact_rejects_dropped_perm_child;

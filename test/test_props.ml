@@ -163,9 +163,11 @@ let structural_churn_prop (type a) name (ops : a Intf.ops) (mk : int -> a) ~coun
    to disk and loaded back, replayed onto a fresh prepare of the
    pre-journal instance must reconstruct the served state: the same
    value, the same tuple set, and a circuit whose static evaluation under
-   the replayed inputs agrees. Weights are not written through on either
-   side (plain [Eval.update]), so both read the same pristine store for
-   inputs a splice introduces. *)
+   the replayed inputs agrees. Weights are not written through to the
+   store on either side (plain [Eval.update]): a write to a weight the
+   circuit does not read is kept by the engine and journaled, so a splice
+   that brings the weight in seeds it with the last write, live and in
+   the replay alike. *)
 let journal_replay_prop (type a) name (ops : a Intf.ops) (mk : int -> a) ~count =
   t
     (QCheck.Test.make ~count

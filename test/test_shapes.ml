@@ -73,7 +73,7 @@ let distinctness_shapes () =
     }
   in
   let b = Circuits.Circuit.builder () in
-  let g = Shapes.Forest_compile.compile_shape b fs ~zero:0 ~one:1 sh in
+  let g = Option.get (Shapes.Forest_compile.compile_shape b fs ~zero:0 ~one:1 sh) in
   let c = Circuits.Circuit.finish b ~output:g in
   let value = Circuits.Circuit.eval nat_ops c (fun (_, t) -> List.hd t + 1) in
   (* u = [1;2;3]: Σ_{i≠j} u_i u_j = (1+2+3)^2 − (1+4+9) = 22 *)

@@ -104,6 +104,54 @@ let weighted_churn () =
   ins t 3 4;
   agree "after re-insert 3-4" t inst weights edge_weight
 
+(* a write to a weight the circuit does not read is not lost: the
+   structural update that brings the weight into the circuit reads the
+   last value written, as the reference does, and so does a replay of
+   the journal *)
+let unread_weight_writes () =
+  let inst = Db.Instance.of_graph (Graphs.Gen.path 8) in
+  let inst0 = Db.Instance.copy inst in
+  let store () =
+    let w = Db.Weights.create ~name:"w" ~arity:2 ~zero:0 in
+    Db.Weights.fill_from_relation w inst "E" (fun tup -> List.fold_left ( + ) 1 tup);
+    Db.Weights.set w [ 2; 6 ] 3;
+    (w, Db.Weights.bundle [ w ])
+  in
+  (* [weights] stays the prepare-time store; [mirror] follows the writes *)
+  let _, weights = store () and mirror_w, mirror = store () in
+  let t = Engine.Eval.prepare nat_ops inst weights edge_weight in
+  let j = Engine.Eval.enable_journal t in
+  let write v =
+    Engine.Eval.update t "w" [ 2; 6 ] v;
+    Db.Weights.set mirror_w [ 2; 6 ] v
+  in
+  let agree_mirror name =
+    check_int name (Logic.Expr.eval (module Instances.Nat) inst mirror edge_weight ())
+      (Engine.Eval.value t)
+  in
+  write 11;
+  Engine.Eval.insert_tuple t "E" [ 2; 6 ];
+  agree_mirror "write while absent, then insert";
+  check_int "the last write counts" 123 (Engine.Eval.value t);
+  Engine.Eval.delete_tuple t "E" [ 2; 6 ];
+  write 17;
+  Engine.Eval.insert_tuple t "E" [ 2; 6 ];
+  agree_mirror "delete, write, re-insert";
+  check_int "the last write counts again" 129 (Engine.Eval.value t);
+  (* a weight that leaves the circuit keeps its last value *)
+  write 19;
+  Engine.Eval.delete_tuple t "E" [ 2; 6 ];
+  Engine.Eval.insert_tuple t "E" [ 2; 6 ];
+  agree_mirror "write, delete, re-insert";
+  let path = Filename.temp_file "sparseq_test" ".spqj" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Circuits.Journal.save j path;
+      let t2 = Engine.Eval.prepare nat_ops inst0 weights edge_weight in
+      Engine.Eval.replay t2 (Circuits.Journal.load path);
+      check_int "save, load, replay = live" (Engine.Eval.value t) (Engine.Eval.value t2))
+
 (* a duplicate insert / absent delete is a structured error and leaves
    the engine fully intact *)
 let bad_deltas_rejected () =
@@ -287,6 +335,7 @@ let suite =
   [
     Alcotest.test_case "counting churn (localized)" `Quick counting_churn;
     Alcotest.test_case "weighted churn" `Quick weighted_churn;
+    Alcotest.test_case "writes to unread weights" `Quick unread_weight_writes;
     Alcotest.test_case "bad deltas rejected" `Quick bad_deltas_rejected;
     Alcotest.test_case "fallback on depth growth" `Quick fallback_on_depth_growth;
     Alcotest.test_case "journal replay (mixed batches)" `Quick journal_replay_mixed;
