@@ -125,7 +125,7 @@ type 'a t = {
           its last recomputation, flushed in one {!Perm.Segtree.set_many}
           (resp. Ring/Finite) when the wave reaches the gate *)
   mutable update_ops : int;  (** gate recomputations since creation (for benches) *)
-  mutable obs_tick : int;
+  obs_sample : Obs.sampler;
       (** single-wave update counter driving the 1-in-64 systematic
           sample of the per-update latency/size histograms and flight
           spans: counters stay exact (cost attribution and the
@@ -273,7 +273,7 @@ let build ~on_build (ops : 'a Semiring.Intf.ops) mode fin_ctx (c : 'a Circuit.t)
     wave_saved = Array.make n ops.Semiring.Intf.zero;
     pending = Array.make n [];
     update_ops = 0;
-    obs_tick = 0;
+    obs_sample = Obs.sampler ();
     cost_log = None;
     undo_log = Array.make 64 UNop;
     undo_len = 0;
@@ -611,17 +611,10 @@ let set_input t (key : Circuit.input_key) v =
       let old_v = vget t id in
       if not (t.ops.Semiring.Intf.equal old_v v) then begin
         let instrumented = Obs.is_enabled () in
-        (* 1-in-64 systematic sample: the wall-clock reads, histogram
-           observes and flight-ring span below cost more than a small
-           wave itself; the exact counters carry the totals, while the
+        (* {!Obs.sampler}: the exact counters carry the totals, while the
            latency/size histograms and the flight context see every 64th
            wave (and every wave while a trace is being recorded) *)
-        let sampled =
-          instrumented
-          &&
-          (t.obs_tick <- t.obs_tick + 1;
-           t.obs_tick land 63 = 0)
-        in
+        let sampled = Obs.sampled t.obs_sample in
         let t0 = if sampled then Obs.now_ns () else 0. in
         let ops0 = t.update_ops in
         (try
@@ -860,7 +853,7 @@ let splice (t : 'a t) (c : 'a Circuit.t) (valuation : Circuit.input_key -> 'a) :
   {
     fresh with
     update_ops = t.update_ops + n;
-    obs_tick = t.obs_tick;
+    obs_sample = t.obs_sample;
     cost_log = t.cost_log;
     journal = t.journal;
     fault_hook = t.fault_hook;

@@ -582,15 +582,6 @@ let recompile_local (type a) (plan : a plan) ~(touched : int list) : a local_res
           let lo = Circuits.Circuit.builder_len b in
           if affected seg then begin
             let subset = Option.get seg.seg_subset in
-            (* inputs first created inside this segment's range may be
-               referenced by later (copied) segments: re-emit them all so
-               the hash-consing resolves; unused ones are DCE'd by opt *)
-            for id = seg.seg_lo to seg.seg_hi - 1 do
-              match old_nodes.(id) with
-              | Circuits.Circuit.Input key ->
-                  raw_map.(id) <- Circuits.Circuit.input b key
-              | _ -> ()
-            done;
             let verts = subset_verts color n subset in
             match
               compile_subset b ~nf:plan.pl_nf ~holds ~dynamic ~zero:plan.pl_zero

@@ -45,7 +45,7 @@ type 'a t = {
       (** the last write to each weight key the current circuit does not
           read; a structural update that brings the key into the circuit
           seeds it from here *)
-  mutable obs_tick : int;  (** systematic 1-in-64 sampling of [query] timings *)
+  query_sample : Obs.sampler;  (** drives the 1-in-64 sample of [query] timings *)
   churn : churn;
 }
 
@@ -108,7 +108,7 @@ let prepare (type a) (ops : a Semiring.Intf.ops) ?mode ?opt ?tfa_rounds
     expr_closed;
     base_valuation = valuation;
     unread = Hashtbl.create 16;
-    obs_tick = 0;
+    query_sample = Obs.sampler ();
     churn =
       {
         ch_inserts = 0;
@@ -126,44 +126,42 @@ let value t = Circuits.Dyn.value t.dyn
 
 (** Value at a tuple (one element per free variable, in the order of
     [free_vars]). Like {!Circuits.Dyn.set_input}, it times and traces a
-    1-in-64 systematic sample of the calls (and every call while a trace
-    is being recorded); the [queries] counter is exact. A closed
-    expression's query is a plain read of the maintained value. *)
+    1-in-64 systematic sample of the calls ({!Obs.sampler}); the
+    [queries] counter is exact. A closed expression's query is a plain
+    read of the maintained value. *)
 let query (type a) (t : a t) (args : int list) : a =
   if List.length args <> List.length t.free_vars then
     invalid_arg "Eval.query: wrong number of arguments";
   Obs.Counter.incr m_queries;
-  let sampled =
-    Obs.is_enabled ()
-    &&
-    (t.obs_tick <- t.obs_tick + 1;
-     t.obs_tick land 63 = 0)
-  in
-  let t0 = if sampled then Obs.now_ns () else 0. in
-  let v =
-    Obs.Trace.span_hot ~force:sampled ~scope:"engine" "query" @@ fun () ->
-    match args with
-    | [] -> Circuits.Dyn.value t.dyn
-    | _ ->
-        let assignments =
-          List.mapi (fun i a -> ((query_weight i, [ a ]), t.ops.Semiring.Intf.one)) args
-        in
-        Circuits.Dyn.with_temp t.dyn assignments (fun () -> Circuits.Dyn.value t.dyn)
-  in
-  if sampled then Obs.Histogram.observe h_query_ns (Obs.elapsed_ns t0);
-  v
+  Obs.Trace.span_sampled t.query_sample h_query_ns ~scope:"engine" "query" @@ fun () ->
+  match args with
+  | [] -> Circuits.Dyn.value t.dyn
+  | _ ->
+      let assignments =
+        List.mapi (fun i a -> ((query_weight i, [ a ]), t.ops.Semiring.Intf.one)) args
+      in
+      Circuits.Dyn.with_temp t.dyn assignments (fun () -> Circuits.Dyn.value t.dyn)
 
 (* Writes to weights the circuit does not read: the last value of each
    lands in [unread] (a structural update that brings the key into the
-   circuit seeds it from there) and the batch is journaled like a wave,
-   so a replay reconstructs [unread] too. *)
+   circuit seeds it from there) and the writes that changed it are
+   journaled like a wave, so a replay reconstructs [unread] too. As in
+   {!Circuits.Dyn.set_input}, a write of the value already held is no
+   change. Applied in order, so a later write to the same key wins. *)
 let write_unread t writes =
-  if writes <> [] then begin
-    List.iter (fun (key, v) -> Hashtbl.replace t.unread key v) writes;
-    match Circuits.Dyn.journal t.dyn with
-    | Some j -> Circuits.Journal.append j writes
-    | None -> ()
-  end
+  let changed =
+    List.filter
+      (fun (key, v) ->
+        match Hashtbl.find_opt t.unread key with
+        | Some old when t.ops.Semiring.Intf.equal old v -> false
+        | _ ->
+            Hashtbl.replace t.unread key v;
+            true)
+      writes
+  in
+  match Circuits.Dyn.journal t.dyn with
+  | Some j when changed <> [] -> Circuits.Journal.append j changed
+  | _ -> ()
 
 (** Update one weight. A weight the circuit does not read is remembered,
     for a later structural update that makes the circuit read it. *)

@@ -55,6 +55,23 @@ let elapsed_ns t0 =
   let d = now_ns () -. t0 in
   if Float.is_nan d || d < 0. then 0. else d
 
+(** Systematic 1-in-64 sampling of a hot operation's telemetry, one tick
+    counter per sampled call site: the wall-clock reads, histogram
+    observes and flight-ring span cost more than a sub-microsecond
+    operation itself, so such a site times and traces every 64th call
+    and keeps exact counters for the totals. *)
+type sampler = { mutable tick : int }
+
+let sampler () = { tick = 0 }
+
+(** Whether this call is in the sample: every 64th call while telemetry
+    is enabled. *)
+let sampled s =
+  !enabled_flag
+  &&
+  (s.tick <- s.tick + 1;
+   s.tick land 63 = 0)
+
 (* --- crash-safe file writes --- *)
 
 (** Replace [path] with what [write] puts on the channel, crash-safely:
@@ -858,6 +875,16 @@ module Trace = struct
                err = Some (Printexc.to_string e);
              });
         Printexc.raise_with_backtrace e bt
+
+  (** {!span_hot} driven by a {!sampler}: a sampled call opens a full span
+      and records its duration in [h]; every other call runs [f] bare
+      (still opening a span while a recording is being collected). *)
+  let[@inline] span_sampled s h ~scope name f =
+    let hit = sampled s in
+    let t0 = if hit then now_ns () else 0. in
+    let v = span_hot ~force:hit ~scope name f in
+    if hit then Histogram.observe h (elapsed_ns t0);
+    v
 
   (** Attach an attribute to the innermost open span (no-op when disabled
       or outside every span). *)

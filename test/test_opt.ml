@@ -419,12 +419,32 @@ let check_no_zero_gates what ~zero ~equal (c : _ Circuit.t) =
     c.Circuit.nodes;
   check_int (what ^ ": statically zero Add/Mul/Perm gates") 0 !bad
 
+(* every Input gate is read by some gate (or is the output): the
+   compiler, and a structural op's rebuild, leave no input behind that
+   nothing reads *)
+let check_no_unread_inputs what (c : _ Circuit.t) =
+  let read = Array.make (Array.length c.Circuit.nodes) false in
+  read.(c.Circuit.output) <- true;
+  Array.iter
+    (function
+      | Circuit.Input _ | Circuit.Const _ -> ()
+      | Circuit.Add gs | Circuit.Mul gs -> Array.iter (fun g -> read.(g) <- true) gs
+      | Circuit.Perm rows -> Array.iter (Array.iter (fun g -> read.(g) <- true)) rows)
+    c.Circuit.nodes;
+  let unread = ref 0 in
+  Array.iteri
+    (fun id node ->
+      match node with Circuit.Input _ when not read.(id) -> incr unread | _ -> ())
+    c.Circuit.nodes;
+  check_int (what ^ ": Input gates nothing reads") 0 !unread
+
 let check_raw_within_3x what ~raw ~opt =
   check_bool (Printf.sprintf "%s: raw %d <= 3 x optimized %d" what raw opt) true (raw <= 3 * opt)
 
 (* Check a prepared query in both pipelines, then again after 20
    structural ops: neither circuit holds a statically zero Add, Mul or
-   Perm, and the raw circuit is within 3x of the optimized one. *)
+   Perm, the --opt=none circuit has no input nothing reads, and the raw
+   circuit is within 3x of the optimized one. *)
 let prepared_non_zero (type a) what (ops : a Intf.ops) inst weights expr
     ~(toggle : int -> a Engine.Eval.t -> unit) =
   let zero = ops.Intf.zero and equal = ops.Intf.equal in
@@ -434,6 +454,7 @@ let prepared_non_zero (type a) what (ops : a Intf.ops) inst weights expr
     let what = Printf.sprintf "%s, %s" what when_ in
     check_no_zero_gates (what ^ ", --opt=none") ~zero ~equal none.Engine.Eval.circuit;
     check_no_zero_gates (what ^ ", default") ~zero ~equal dflt.Engine.Eval.circuit;
+    check_no_unread_inputs (what ^ ", --opt=none") none.Engine.Eval.circuit;
     check_raw_within_3x what
       ~raw:(Array.length dflt.Engine.Eval.plan.Engine.Compile.pl_raw.Circuit.nodes)
       ~opt:(Array.length dflt.Engine.Eval.circuit.Circuit.nodes);
@@ -499,6 +520,7 @@ let compiler_emits_non_zero () =
   let raw = compile Opt.none and opt = compile Opt.default_passes in
   check_no_zero_gates "2-paths, E dynamic, --opt=none" ~zero:false ~equal:Bool.equal raw;
   check_no_zero_gates "2-paths, E dynamic, default" ~zero:false ~equal:Bool.equal opt;
+  check_no_unread_inputs "2-paths, E dynamic, --opt=none" raw;
   check_raw_within_3x "2-paths, E dynamic" ~raw:(Array.length raw.Circuit.nodes)
     ~opt:(Array.length opt.Circuit.nodes);
   let weights =

@@ -130,6 +130,10 @@ let unread_weight_writes () =
       (Engine.Eval.value t)
   in
   write 11;
+  (* rewriting the value already held is no change: nothing is journaled *)
+  let batches = Circuits.Journal.length j in
+  write 11;
+  check_int "an unchanged unread write is not journaled" batches (Circuits.Journal.length j);
   Engine.Eval.insert_tuple t "E" [ 2; 6 ];
   agree_mirror "write while absent, then insert";
   check_int "the last write counts" 123 (Engine.Eval.value t);
