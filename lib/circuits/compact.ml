@@ -89,10 +89,10 @@ let plane_length : type a. a plane -> int =
 
 (** One-shot conversion from the boxed graph, meant to run on the output
     of the {!Opt} pipeline. Child references are re-validated here even
-    though {!Circuit.finish} already checks them: optimized circuits carry
-    remap tables in which dropped gates map to [-1], and a Perm matrix
-    rebuilt from such a table must fail with a structured error, not a
-    bounds [Invalid_argument] deep inside an array blit. *)
+    though {!Circuit.finish} already checks them: the node array is
+    mutable, so a Perm matrix rewritten after [finish] can hold a
+    negative (dropped) gate id, and it must fail with a structured error,
+    not a bounds [Invalid_argument] deep inside an array blit. *)
 let of_circuit (c : 'a Circuit.t) : 'a t =
   let nodes = c.Circuit.nodes in
   let n = Array.length nodes in
@@ -103,9 +103,7 @@ let of_circuit (c : 'a Circuit.t) : 'a t =
   let check_child id g =
     if g < 0 then
       Robust.bad_input
-        "Compact.of_circuit: gate %d references dropped child %d (an optimizer remap \
-         maps dead gates to -1; rebuild the matrix from live gate ids)"
-        id g
+        "Compact.of_circuit: gate %d references dropped child %d (a negative gate id)" id g
     else if g >= id then
       Robust.bad_input
         "Compact.of_circuit: gate %d references child %d; children must have strictly \

@@ -36,9 +36,8 @@ type 'a t = {
   mutable circuit : 'a Circuits.Circuit.t;
   mutable plan : 'a Compile.plan;
       (** the compile plan behind [circuit] — segments, live graph, raw
-          circuit — that {!Compile.recompile_local} rebuilds from *)
+          circuit — that {!Compile.recompile_local} maintains *)
   inst : Db.Instance.t;  (** the live instance; structural ops mutate it *)
-  expr_closed : 'a Logic.Expr.t;  (** closed form, for fallback recompiles *)
   base_valuation : Circuits.Circuit.input_key -> 'a;
       (** weights-store valuation for input keys a new circuit introduces *)
   unread : (Circuits.Circuit.input_key, 'a) Hashtbl.t;
@@ -105,7 +104,6 @@ let prepare (type a) (ops : a Semiring.Intf.ops) ?mode ?opt ?tfa_rounds
     circuit;
     plan;
     inst;
-    expr_closed;
     base_valuation = valuation;
     unread = Hashtbl.create 16;
     query_sample = Obs.sampler ();
@@ -206,25 +204,15 @@ let journal_structural t ~insert rel tuple =
   | Some j -> Circuits.Journal.append_structural j ~insert ~rel ~tup:tuple
   | None -> ()
 
-(* The amortization fallback: the update grew a treedepth witness past
-   the compiled bound, so recompile from scratch — fresh coloring, fresh
-   plan; the instance already holds the new tuple set. *)
-let full_recompile (t : 'a t) =
-  let plan = t.plan in
-  Compile.compile_plan ~zero:plan.Compile.pl_zero ~one:plan.Compile.pl_one
-    ~equal:plan.Compile.pl_equal ~opt:plan.Compile.pl_opt
-    ~tfa_rounds:plan.Compile.pl_tfa_rounds ~max_depth:plan.Compile.pl_max_depth
-    ~budget:plan.Compile.pl_budget ~dynamic_rels:plan.Compile.pl_dynamic_rels t.inst
-    t.expr_closed
-
 (* One structural update: apply the tuple delta to the instance and the
-   live Gaifman graph, run the localized recompile (or a full recompile
-   past the amortization trigger), splice the new circuit in, journal the
-   op. Both branches swap the runtime through the same {!Circuits.Dyn.splice},
-   which builds the new structure aside, seeded from the old one's input
-   values, then [unread], then the weights store. Transactional: any fault before commit reverts the instance
-   and graph deltas, so the served state stays the pre-update one (the
-   splice never mutates the old structure). *)
+   live Gaifman graph, let {!Compile.recompile_local} maintain the circuit
+   (localized, or a full compile past the amortization trigger), splice
+   the new circuit in, journal the op. {!Circuits.Dyn.splice} builds the
+   new structure aside, seeded from the old one's input values, then
+   [unread], then the weights store. Transactional: any fault before
+   commit reverts the instance and graph deltas, so the served state
+   stays the pre-update one (the splice never mutates the old
+   structure). *)
 let structural (t : 'a t) ~insert rel tuple : unit =
   Obs.Trace.span ~scope:"engine" (if insert then "insert_tuple" else "delete_tuple")
   @@ fun () ->
@@ -253,17 +241,13 @@ let structural (t : 'a t) ~insert rel tuple : unit =
        reverted graph; drop them so nothing stale survives the abort *)
     match Graphs.Live.coloring live with
     | Some _ ->
-        ignore
-          (Graphs.Live.invalidate live
-             ~touched_colors:(Graphs.Live.colors_of live (List.sort_uniq compare tuple)))
+        Graphs.Live.invalidate live
+          ~touched_colors:(Graphs.Live.colors_of live (List.sort_uniq compare tuple))
     | None -> ()
   in
   let protect f = match f () with v -> v | exception e -> revert (); raise e in
-  let (circuit, meta, plan), localized =
-    protect (fun () ->
-        match Compile.recompile_local t.plan ~touched:(List.sort_uniq compare tuple) with
-        | Compile.Localized { circuit; meta; plan } -> ((circuit, meta, plan), true)
-        | Compile.Fallback _reason -> (full_recompile t, false))
+  let circuit, meta, plan, localized =
+    protect (fun () -> Compile.recompile_local t.plan ~touched:(List.sort_uniq compare tuple))
   in
   let old_dyn = t.dyn in
   let valuation key =

@@ -11,9 +11,9 @@
       in the fraternal-augmentation orientation) is attached once per
       full compile and deliberately {e not} recomputed per update — the
       color classes are what make affected-region reporting possible.
-      When the pinned witness degrades past the compiled depth bound the
-      caller falls back to a full recompile with a fresh coloring (the
-      amortization trigger in [Engine.Compile.recompile_local]);
+      When the pinned witness degrades past the compiled depth bound,
+      [Engine.Compile.recompile_local] runs a full compile with a fresh
+      coloring instead (the amortization trigger);
     - {b per-color-subset elimination forests}: cached per compiled
       subset and invalidated precisely. A structural update touching
       vertex set [V] affects exactly the subsets containing {e every}
@@ -143,16 +143,11 @@ let colors_of t verts =
 let subset_affected ~touched_colors subset =
   touched_colors <> [] && List.for_all (fun c -> List.mem c subset) touched_colors
 
-(** Drop the cached forests of every subset affected by [touched_colors];
-    returns the invalidated subsets (sorted). *)
+(** Drop the cached forests of every subset affected by [touched_colors]. *)
 let invalidate t ~touched_colors =
-  let affected =
-    Hashtbl.fold
-      (fun s _ acc -> if subset_affected ~touched_colors s then s :: acc else acc)
-      t.forests []
-  in
-  List.iter (Hashtbl.remove t.forests) affected;
-  List.sort compare affected
+  Hashtbl.filter_map_inplace
+    (fun s f -> if subset_affected ~touched_colors s then None else Some f)
+    t.forests
 
 (** The elimination forest of the subgraph induced by [verts] (the color
     classes of [subset]), cached under [subset] until invalidated. Returns

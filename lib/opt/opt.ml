@@ -26,14 +26,12 @@
       input update recomputes O(log n) gates of at most [balance_cap]
       children each.
 
-    Each pass emits a remap table (old gate id → new gate id, [-1] for
-    gates dropped by dce); {!run} composes them so callers holding gate
-    ids into the pre-optimization circuit can translate them. [input_ids]
-    are rebuilt by the builder's own hash-consing, so every consumer that
-    addresses the circuit through weight keys needs no translation at
-    all. Gate creation order stays a topological order — each pass emits
+    Each pass rebuilds the circuit; consumers address it through weight
+    keys, and [input_ids] is rebuilt by the builder's own hash-consing,
+    so no gate id of the pre-optimization circuit survives or is needed.
+    Gate creation order stays a topological order — each pass emits
     children before parents — which {!Circuits.Dyn} relies on (and
-    {!Circuits.Circuit.finish} now validates). *)
+    {!Circuits.Circuit.finish} validates). *)
 
 module Circuit = Circuits.Circuit
 
@@ -130,9 +128,8 @@ let pp_report fmt (r : report) =
     (arrow r.r_depth_before r.r_depth_after)
     (shrink_pct ~before:r.r_gates_before ~after:r.r_gates_after)
 
-(** An optimized circuit with its remap table (old gate id → new gate id,
-    [-1] for dead gates) and the per-pass shrink report. *)
-type 'a optimized = { circuit : 'a Circuit.t; remap : int array; report : report }
+(** An optimized circuit and the per-pass shrink report. *)
+type 'a optimized = { circuit : 'a Circuit.t; report : report }
 
 (* --- fold: identity folding --- *)
 
@@ -144,7 +141,7 @@ type 'a optimized = { circuit : 'a Circuit.t; remap : int array; report : report
 type cls = CZero | COne | COther
 
 let fold (type a) ~(zero : a) ~(one : a) ~(equal : a -> a -> bool) (c : a Circuit.t) :
-    a Circuit.t * int array =
+    a Circuit.t =
   let n = Array.length c.Circuit.nodes in
   let b = Circuit.builder () in
   let remap = Array.make n (-1) in
@@ -193,7 +190,7 @@ let fold (type a) ~(zero : a) ~(one : a) ~(equal : a -> a -> bool) (c : a Circui
       remap.(id) <- nid;
       cls.(id) <- k)
     c.Circuit.nodes;
-  (Circuit.finish b ~output:remap.(c.Circuit.output), remap)
+  Circuit.finish b ~output:remap.(c.Circuit.output)
 
 (* --- cse: hash-consing of structurally equal gates --- *)
 
@@ -209,7 +206,7 @@ type key =
   | KMul of int list
   | KPerm of int array array
 
-let cse (type a) ~(equal : a -> a -> bool) (c : a Circuit.t) : a Circuit.t * int array =
+let cse (type a) ~(equal : a -> a -> bool) (c : a Circuit.t) : a Circuit.t =
   let n = Array.length c.Circuit.nodes in
   let b = Circuit.builder () in
   let remap = Array.make n (-1) in
@@ -249,11 +246,11 @@ let cse (type a) ~(equal : a -> a -> bool) (c : a Circuit.t) : a Circuit.t * int
             let mapped = Array.map (Array.map (fun g -> remap.(g))) rows in
             consed (KPerm mapped) (fun () -> Circuit.perm b mapped)))
     c.Circuit.nodes;
-  (Circuit.finish b ~output:remap.(c.Circuit.output), remap)
+  Circuit.finish b ~output:remap.(c.Circuit.output)
 
 (* --- dce: dead-gate elimination from the output cone --- *)
 
-let dce (c : 'a Circuit.t) : 'a Circuit.t * int array =
+let dce (c : 'a Circuit.t) : 'a Circuit.t =
   let n = Array.length c.Circuit.nodes in
   let live = Array.make n false in
   live.(c.Circuit.output) <- true;
@@ -279,11 +276,11 @@ let dce (c : 'a Circuit.t) : 'a Circuit.t * int array =
           | Circuit.Perm rows ->
               Circuit.perm b (Array.map (Array.map (fun g -> remap.(g))) rows)))
     c.Circuit.nodes;
-  (Circuit.finish b ~output:remap.(c.Circuit.output), remap)
+  Circuit.finish b ~output:remap.(c.Circuit.output)
 
 (* --- balance: cap fan-in by splitting wide gates into trees --- *)
 
-let balance (c : 'a Circuit.t) : 'a Circuit.t * int array =
+let balance (c : 'a Circuit.t) : 'a Circuit.t =
   let n = Array.length c.Circuit.nodes in
   let b = Circuit.builder () in
   let remap = Array.make n (-1) in
@@ -321,12 +318,9 @@ let balance (c : 'a Circuit.t) : 'a Circuit.t * int array =
         | Circuit.Perm rows ->
             Circuit.perm b (Array.map (Array.map (fun g -> remap.(g))) rows)))
     c.Circuit.nodes;
-  (Circuit.finish b ~output:remap.(c.Circuit.output), remap)
+  Circuit.finish b ~output:remap.(c.Circuit.output)
 
 (* --- the pipeline --- *)
-
-(* Compose remaps: [r1] old → mid, [r2] mid → new; dropped stays dropped. *)
-let compose r1 r2 = Array.map (fun m -> if m < 0 then -1 else r2.(m)) r1
 
 (** Run the pipeline. [equal] decides constant equality for identity
     folding and hash-consing; it defaults to structural equality, which
@@ -338,26 +332,21 @@ let compose r1 r2 = Array.map (fun m -> if m < 0 then -1 else r2.(m)) r1
 let run (type a) ?(passes = default_passes) ~(zero : a) ~(one : a)
     ?(equal : a -> a -> bool = ( = )) (c : a Circuit.t) : a optimized =
   let s0 = Circuit.stats c in
-  if passes = [] then
-    {
-      circuit = c;
-      remap = Array.init (Array.length c.Circuit.nodes) Fun.id;
-      report = empty_report s0;
-    }
+  if passes = [] then { circuit = c; report = empty_report s0 }
   else
     Obs.Trace.span ~scope:"opt" "optimize"
       ~attrs:[ ("gates", Obs.Trace.I s0.Circuit.gates) ]
     @@ fun () ->
     Obs.Counter.incr m_runs;
     Obs.Gauge.set_int g_gates_before s0.Circuit.gates;
-    let c, remap, s_final, deltas_rev =
+    let c, s_final, deltas_rev =
       List.fold_left
-        (fun (c, remap, before, acc) pass ->
+        (fun (c, before, acc) pass ->
           let name = pass_name pass in
           Obs.Trace.span ~scope:"opt" name
             ~attrs:[ ("gates_before", Obs.Trace.I before.Circuit.gates) ]
           @@ fun () ->
-          let c', r =
+          let c' =
             match pass with
             | Fold -> fold ~zero ~one ~equal c
             | Cse -> cse ~equal c
@@ -380,15 +369,14 @@ let run (type a) ?(passes = default_passes) ~(zero : a) ~(one : a)
               depth_after = after.Circuit.depth;
             }
           in
-          (c', compose remap r, after, d :: acc))
-        (c, Array.init (Array.length c.Circuit.nodes) Fun.id, s0, [])
+          (c', after, d :: acc))
+        (c, s0, [])
         passes
     in
     Obs.Gauge.set_int g_gates_after s_final.Circuit.gates;
     Obs.Trace.add_attr "gates_after" (Obs.Trace.I s_final.Circuit.gates);
     {
       circuit = c;
-      remap;
       report =
         {
           deltas = List.rev deltas_rev;

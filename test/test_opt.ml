@@ -4,8 +4,7 @@
    1. unit tests for the individual passes' contracts: identity folding,
       annihilation, hash-consing of structurally equal gates, dead-gate
       elimination, fan-in capping;
-   2. the remap contract: surviving gates keep their value, surviving
-      input keys keep their [input_ids] addressability;
+   2. the compact builder's guard against a dropped (negative) child;
    3. qcheck equivalence: optimized and unoptimized circuits agree — on
       random hand-built circuits with 0/1 constants in all four semirings
       (nat / int-ring / bool / zmod6), and end-to-end through
@@ -94,7 +93,6 @@ let dce_drops_dead_cone () =
   let s = Circuit.stats o.Opt.circuit in
   check_int "live gates only" 2 s.Circuit.gates;
   check_int "no dead gates left" 0 s.Circuit.dead_gates;
-  check_int "dead gate remaps to -1" (-1) o.Opt.remap.(1);
   check_bool "dead input key dropped from input_ids" true
     (Hashtbl.find_opt o.Opt.circuit.Circuit.input_ids ("w", [ 9 ]) = None)
 
@@ -169,25 +167,31 @@ let balance_caps_fan_in () =
   step m8 m10;
   step m10 m12
 
-(* ------------------------------------------------- 2. remap contract --- *)
+(* ------------------------------------------------------ 2. compact guard --- *)
 
-(* evaluate every gate, not just the output *)
-let eval_all (type a) (ops : a Intf.ops) (c : a Circuit.t) valuation : a array =
-  let values = Array.make (Array.length c.Circuit.nodes) ops.Intf.zero in
-  Array.iteri
-    (fun id node ->
-      values.(id) <-
-        (match node with
-        | Circuit.Input key -> valuation key
-        | Circuit.Const s -> s
-        | Circuit.Add gs ->
-            Array.fold_left (fun acc g -> ops.Intf.add acc values.(g)) ops.Intf.zero gs
-        | Circuit.Mul gs ->
-            Array.fold_left (fun acc g -> ops.Intf.mul acc values.(g)) ops.Intf.one gs
-        | Circuit.Perm rows ->
-            Perm.Static.perm ops (Array.map (Array.map (fun g -> values.(g))) rows)))
-    c.Circuit.nodes;
-  values
+let compact_rejects_dropped_perm_child () =
+  (* a Perm matrix rewritten after [finish] can plant a dropped gate
+     (id -1) in a row; the compact builder must refuse it with a
+     structured error, not an array-bounds [Invalid_argument] from deep
+     inside the CSR packing *)
+  let b = Circuit.builder () in
+  let w0 = Circuit.input b ("w", [ 0 ]) in
+  let w1 = Circuit.input b ("w", [ 1 ]) in
+  let p = Circuit.perm b [| [| w0; w1 |]; [| w1; w0 |] |] in
+  let c = Circuit.finish b ~output:p in
+  c.Circuit.nodes.(p) <- Circuit.Perm [| [| w0; -1 |]; [| w1; w0 |] |];
+  match Circuits.Compact.of_circuit c with
+  | _ -> Alcotest.fail "of_circuit accepted a -1 perm child"
+  | exception Robust.Error (Robust.Bad_input msg) ->
+      check_bool "error names the dropped child" true
+        (let sub = "dropped" in
+         let n = String.length msg and m = String.length sub in
+         let rec at i = i + m <= n && (String.sub msg i m = sub || at (i + 1)) in
+         at 0)
+  | exception Invalid_argument _ ->
+      Alcotest.fail "of_circuit leaked Invalid_argument for a -1 perm child"
+
+(* ------------------------------------- 3. optimized = unoptimized ------ *)
 
 (* random circuit with 0/1/other constants mixed into the gate pool, so
    every pass has work to do *)
@@ -213,57 +217,6 @@ let random_circuit (type a) ~(zero : a) ~(one : a) ~(mk : int -> a) seed n_input
   let out = Circuit.add b (Array.to_list !pool) in
   Circuit.finish b ~output:out
 
-let remap_contract () =
-  (* surviving gates keep their value; surviving input keys stay addressable *)
-  List.iter
-    (fun seed ->
-      let c = random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) seed 6 in
-      let o = Opt.run ~zero:0 ~one:1 c in
-      let v = function "w", [ i ] -> i + 2 | _ -> 0 in
-      let old_vals = eval_all nat_ops c v in
-      let new_vals = eval_all nat_ops o.Opt.circuit v in
-      Array.iteri
-        (fun g m ->
-          if m >= 0 && old_vals.(g) <> new_vals.(m) then
-            Alcotest.failf "seed %d: gate %d (value %d) remapped to %d (value %d)" seed g
-              old_vals.(g) m new_vals.(m))
-        o.Opt.remap;
-      check_int "output remaps to output" o.Opt.circuit.Circuit.output
-        o.Opt.remap.(c.Circuit.output);
-      Hashtbl.iter
-        (fun key id ->
-          match o.Opt.remap.(id) with
-          | -1 -> () (* input fell out of the output cone *)
-          | m ->
-              if Hashtbl.find_opt o.Opt.circuit.Circuit.input_ids key <> Some m then
-                Alcotest.failf "seed %d: input_ids disagrees with remap" seed)
-        c.Circuit.input_ids)
-    [ 1; 17; 23; 99; 1234 ]
-
-let compact_rejects_dropped_perm_child () =
-  (* a consumer that blindly rewrites a Perm matrix through an optimizer
-     remap can plant a dropped gate (remap = -1) in a row; the compact
-     builder must refuse it with a structured error, not an array-bounds
-     [Invalid_argument] from deep inside the CSR packing *)
-  let b = Circuit.builder () in
-  let w0 = Circuit.input b ("w", [ 0 ]) in
-  let w1 = Circuit.input b ("w", [ 1 ]) in
-  let p = Circuit.perm b [| [| w0; w1 |]; [| w1; w0 |] |] in
-  let c = Circuit.finish b ~output:p in
-  c.Circuit.nodes.(p) <- Circuit.Perm [| [| w0; -1 |]; [| w1; w0 |] |];
-  match Circuits.Compact.of_circuit c with
-  | _ -> Alcotest.fail "of_circuit accepted a -1 perm child"
-  | exception Robust.Error (Robust.Bad_input msg) ->
-      check_bool "error names the dropped child" true
-        (let sub = "dropped" in
-         let n = String.length msg and m = String.length sub in
-         let rec at i = i + m <= n && (String.sub msg i m = sub || at (i + 1)) in
-         at 0)
-  | exception Invalid_argument _ ->
-      Alcotest.fail "of_circuit leaked Invalid_argument for a -1 perm child"
-
-(* ------------------------------------- 3. optimized = unoptimized ------ *)
-
 let opt_preserves_value (type a) name (ops : a Intf.ops) ~(zero : a) ~(one : a)
     ~(mk : int -> a) =
   t
@@ -274,7 +227,18 @@ let opt_preserves_value (type a) name (ops : a Intf.ops) ~(zero : a) ~(one : a)
          let c = random_circuit ~zero ~one ~mk seed 6 in
          let o = Opt.run ~zero ~one ~equal:ops.Intf.equal c in
          let v = function "w", [ i ] -> mk ((i * 31) + seed) | _ -> zero in
-         ops.Intf.equal (Circuit.eval ops c v) (Circuit.eval ops o.Opt.circuit v)))
+         (* every input key the optimized circuit lists names its input gate *)
+         let addressable =
+           Hashtbl.fold
+             (fun key id ok ->
+               ok
+               && match o.Opt.circuit.Circuit.nodes.(id) with
+                  | Circuit.Input k -> k = key
+                  | _ -> false)
+             o.Opt.circuit.Circuit.input_ids true
+         in
+         addressable
+         && ops.Intf.equal (Circuit.eval ops c v) (Circuit.eval ops o.Opt.circuit v)))
 
 (* end-to-end through the engine on random sparse databases: the default
    pipeline, the disabled pipeline, and the brute-force reference must
@@ -559,7 +523,6 @@ let suite =
       default_pipeline_shrinks;
     Alcotest.test_case "compiler emits no statically zero gate" `Quick
       compiler_emits_non_zero;
-    Alcotest.test_case "remap contract" `Quick remap_contract;
     Alcotest.test_case "compact rejects dropped perm child" `Quick
       compact_rejects_dropped_perm_child;
     opt_preserves_value "nat" nat_ops ~zero:0 ~one:1 ~mk:(fun i -> i mod 7);

@@ -509,6 +509,49 @@ let classification_surfaces () =
   | Error e -> Alcotest.failf "wrong classification: %s" (Robust.to_string e)
   | Ok _ -> Alcotest.fail "expected Budget_exceeded through Nested.eval_checked"
 
+(* Nullary symbols are outside the compiled fragment: [prepare] refuses
+   them as unsupported, and the checked entry points serve the reference
+   evaluator, which gives the right value. An empty nullary relation and
+   a nullary weight [c() = 5] on a 3x3 grid, closed on their own and
+   under a sum over the edges. *)
+let nullary_symbols_degrade () =
+  let inst =
+    Db.Instance.of_graph
+      ~schema:(Db.Schema.add_rel Db.Schema.graph_schema ("R", 0))
+      (Graphs.Gen.grid 3 3)
+  in
+  let c = Db.Weights.create ~name:"c" ~arity:0 ~zero:0 in
+  Db.Weights.set c [] 5;
+  let weights = Db.Weights.bundle [ c ] in
+  let r = Logic.Formula.Rel ("R", []) and cw = Logic.Expr.Weight ("c", []) in
+  List.iter
+    (fun (name, expr) ->
+      let want = Engine.Reference.eval nat_ops inst weights expr in
+      (match Engine.Eval.evaluate_checked nat_ops inst weights expr with
+      | Ok (got, Some (Robust.Unsupported_fragment _)) ->
+          check_int (name ^ ": evaluate_checked") want got
+      | Ok (_, None) -> Alcotest.failf "%s: compiled a nullary symbol" name
+      | Ok (_, Some e) | Error e -> Alcotest.failf "%s: %s" name (Robust.to_string e));
+      (match Engine.Eval.prepare_checked nat_ops inst weights expr with
+      | Ok ck -> (
+          check_bool (name ^ ": prepare_checked degraded") true
+            (Engine.Eval.degraded ck <> None);
+          match Engine.Eval.value_checked ck with
+          | Ok got -> check_int (name ^ ": prepare_checked value") want got
+          | Error e -> Alcotest.failf "%s: %s" name (Robust.to_string e))
+      | Error e -> Alcotest.failf "%s: %s" name (Robust.to_string e));
+      match Engine.Eval.prepare nat_ops inst weights expr with
+      | _ -> Alcotest.failf "%s: prepare accepted a nullary symbol" name
+      | exception Robust.Error (Robust.Unsupported_fragment _) -> ())
+    [
+      ("c()", cw);
+      ("[R()]", Logic.Expr.Guard r);
+      ( "sum [E(x,y) & R()]",
+        Logic.Expr.Sum ([ "x"; "y" ], Logic.Expr.Guard (Logic.Formula.And [ e "x" "y"; r ])) );
+      ( "sum [E(x,y)] c()",
+        Logic.Expr.Sum ([ "x"; "y" ], Logic.Expr.Mul [ Logic.Expr.Guard (e "x" "y"); cw ]) );
+    ]
+
 let suite =
   [
     Alcotest.test_case "error taxonomy" `Quick taxonomy;
@@ -531,4 +574,5 @@ let suite =
     Alcotest.test_case "self-check catches divergence" `Quick self_check_divergence;
     Alcotest.test_case "self-check on open queries" `Quick self_check_open_query;
     Alcotest.test_case "classification across surfaces" `Quick classification_surfaces;
+    Alcotest.test_case "nullary symbols degrade to reference" `Quick nullary_symbols_degrade;
   ]

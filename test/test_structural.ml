@@ -5,7 +5,9 @@
    the compiled bound; journal replay of mixed weight + structural
    batches must reconstruct the served state; and a fault while the new
    runtime is built — after a localized or a full recompile — must leave
-   the pre-update state untouched. *)
+   the pre-update state untouched, as must a rebuild over the compile
+   budget. The emitted raw circuit is pinned by digests, and an insert
+   undone by a delete must restore it gate for gate. *)
 
 open Semiring
 
@@ -335,6 +337,148 @@ let checked_structural () =
         got
   | Error e -> Alcotest.failf "value_checked: %s" (Robust.to_string e)
 
+(* --- the emitted raw circuit, pinned gate for gate --- *)
+
+let int_ops = Intf.ops_of_ring (module Instances.Int_ring)
+let raw t = t.Engine.Eval.plan.Engine.Compile.pl_raw
+
+(* digest of a raw circuit's gates and output, independent of sharing *)
+let digest (c : _ Circuits.Circuit.t) =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string (c.Circuits.Circuit.nodes, c.Circuits.Circuit.output)
+          [ Marshal.No_sharing ]))
+
+let unary_weights name n f =
+  let w = Db.Weights.create ~name ~arity:1 ~zero:0 in
+  Db.Weights.fill_unary w ~n f;
+  w
+
+(* Σ w(x) over the triangles (x, y, z), over the int ring *)
+let weighted_triangles inst =
+  let expr =
+    Logic.Expr.Sum
+      ( [ "x"; "y"; "z" ],
+        Logic.Expr.Mul
+          [
+            Logic.Expr.Guard (Logic.Formula.And [ e "x" "y"; e "y" "z"; e "z" "x" ]);
+            Logic.Expr.Weight ("w", [ v "x" ]);
+          ] )
+  in
+  let w = unary_weights "w" (Db.Instance.n inst) (fun i -> (i mod 11) - 5) in
+  Engine.Eval.prepare int_ops inst (Db.Weights.bundle [ w ]) expr
+
+(* Σ v0(x)·v1(y)·v2(z) over the 2-paths x-y-z with x ≠ z *)
+let weighted_path2 inst =
+  let path2 = Logic.Formula.And [ e "x" "y"; e "y" "z"; Logic.Formula.neq (v "x") (v "z") ] in
+  let sym i = Printf.sprintf "v%d" i in
+  let expr =
+    Logic.Expr.Sum
+      ( [ "x"; "y"; "z" ],
+        Logic.Expr.Mul
+          (Logic.Expr.Guard path2
+          :: List.mapi (fun i x -> Logic.Expr.Weight (sym i, [ v x ])) [ "x"; "y"; "z" ]) )
+  in
+  let n = Db.Instance.n inst in
+  let weights = List.init 3 (fun i -> unary_weights (sym i) n (fun j -> (j + i) mod 4)) in
+  Engine.Eval.prepare nat_ops inst (Db.Weights.bundle weights) expr
+
+(* the 7x7 grid plus the diagonal of every cell with r+c even *)
+let grid_with_diagonals () =
+  let side = 7 in
+  let inst = Db.Instance.of_graph (Graphs.Gen.grid side side) in
+  for r = 0 to side - 2 do
+    for c = 0 to side - 2 do
+      if (r + c) land 1 = 0 then
+        Db.Instance.add inst "E" [ (r * side) + c; ((r + 1) * side) + c + 1 ]
+    done
+  done;
+  inst
+
+(* The raw circuits of four prepared queries match digests recorded
+   from an earlier build of the compiler, so a change to what it emits,
+   or in which order, shows here. Re-record them only for an intended
+   change to the emitted circuit. Normalization names bound variables
+   from a process-wide counter and shapes are ordered by variable name,
+   so each query is prepared from the counter's initial state. *)
+let raw_digests_pinned () =
+  let pinned prepare inst =
+    Logic.Normal.fresh_counter := 0;
+    raw (prepare inst)
+  in
+  let wdeg inst =
+    let expr =
+      Logic.Expr.Sum
+        ( [ "y" ],
+          Logic.Expr.Mul [ Logic.Expr.Guard (e "x" "y"); Logic.Expr.Weight ("w", [ v "y" ]) ] )
+    in
+    let w = unary_weights "w" 1024 (fun i -> i mod 7) in
+    Engine.Eval.prepare nat_ops inst (Db.Weights.bundle [ w ]) expr
+  in
+  List.iter
+    (fun (what, raw_circuit, want) -> Alcotest.(check string) what want (digest raw_circuit))
+    [
+      ( "weighted triangles, 7x7 grid + diagonals",
+        pinned weighted_triangles (grid_with_diagonals ()),
+        "15a68a5b3429b2c1196bfcf91f4c5180" );
+      ( "weighted triangles, triangulated 8x8 grid",
+        pinned weighted_triangles (Db.Instance.of_graph (Graphs.Gen.triangulated_grid 8 8)),
+        "676fd97766d403fade081c2915f72f0b" );
+      ( "weighted 2-paths, 8x8 grid",
+        pinned weighted_path2 (Db.Instance.of_graph (Graphs.Gen.grid 8 8)),
+        "9d749e4fde4a135bc2e1d2162cd1ca8d" );
+      ( "weighted degree, deg3 n=1024",
+        pinned wdeg
+          (Db.Instance.of_graph (Graphs.Gen.random_bounded_degree ~seed:1 ~n:1024 ~max_deg:3)),
+        "d0d5101dc0887f96d4cdfd9f3968d0c7" );
+    ]
+
+(* inserting an absent arc and deleting it again, both localized,
+   restores the raw circuit gate for gate *)
+let toggle_back_restores_raw () =
+  let toggle what t arc =
+    let before = raw t in
+    Engine.Eval.insert_tuple t "E" arc;
+    Engine.Eval.delete_tuple t "E" arc;
+    let after = raw t in
+    check_int (what ^ ": both ops localized") 2
+      (Engine.Eval.churn_stats t).Engine.Eval.ch_localized;
+    check_bool (what ^ ": raw circuit restored") true
+      (before.Circuits.Circuit.nodes = after.Circuits.Circuit.nodes
+      && before.Circuits.Circuit.output = after.Circuits.Circuit.output)
+  in
+  toggle "weighted triangles, 7x7 grid + diagonals"
+    (weighted_triangles (grid_with_diagonals ()))
+    [ 1; 9 ];
+  toggle "weighted triangles, triangulated 8x8 grid"
+    (weighted_triangles (Db.Instance.of_graph (Graphs.Gen.triangulated_grid 8 8)))
+    [ 0; 18 ];
+  toggle "weighted 2-paths, 8x8 grid"
+    (weighted_path2 (Db.Instance.of_graph (Graphs.Gen.grid 8 8)))
+    [ 0; 9 ]
+
+(* the compile budget also bounds a structural op's rebuild: an insert
+   whose new raw circuit outgrows it is refused, and the instance, live
+   graph and value stay the pre-insert ones *)
+let structural_budget_exceeded () =
+  let prepare budget =
+    let inst = Db.Instance.of_graph (Graphs.Gen.grid 3 3) in
+    (inst, Engine.Eval.prepare nat_ops ?budget inst (Db.Weights.bundle []) triangle_count)
+  in
+  let size = Array.length (raw (snd (prepare None))).Circuits.Circuit.nodes in
+  let inst, t = prepare (Some (Robust.budget ~max_gates:(size + 1) ())) in
+  let before = Engine.Eval.value t in
+  check_bool "insert over budget refused" true
+    (try
+       Engine.Eval.insert_tuple t "E" [ 0; 4 ];
+       false
+     with Robust.Error (Robust.Budget_exceeded _) -> true);
+  check_bool "tuple reverted" false (Db.Instance.mem inst "E" [ 0; 4 ]);
+  check_bool "live edge reverted" false
+    (Graphs.Live.has_edge t.Engine.Eval.plan.Engine.Compile.pl_live 0 4);
+  check_int "value unchanged" before (Engine.Eval.value t);
+  check_int "no churn recorded" 0 (Engine.Eval.churn_stats t).Engine.Eval.ch_inserts
+
 let suite =
   [
     Alcotest.test_case "counting churn (localized)" `Quick counting_churn;
@@ -346,4 +490,7 @@ let suite =
     Alcotest.test_case "splice fault rolls back" `Quick splice_fault_rolls_back;
     Alcotest.test_case "fault mid-fallback rolls back" `Quick fallback_fault_rolls_back;
     Alcotest.test_case "checked structural ops" `Quick checked_structural;
+    Alcotest.test_case "raw circuits match recorded digests" `Quick raw_digests_pinned;
+    Alcotest.test_case "toggle-back restores the raw circuit" `Quick toggle_back_restores_raw;
+    Alcotest.test_case "budget bounds a structural op" `Quick structural_budget_exceeded;
   ]
