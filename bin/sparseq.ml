@@ -343,7 +343,7 @@ let stats_cmd =
     (* Theorem 8 update latency: the weighted variant Σ_x̄ [φ]·w(x₁) is
        prepared as a dynamic circuit and hit with random weight updates. *)
     if (updates > 0 || churn > 0) && fv <> [] then begin
-      let nat_ops = Intf.with_int_repr (Intf.ops_of_module (module Instances.Nat)) in
+      let nat_ops = Intf.ops_of_module (module Instances.Nat) in
       let nn = Db.Instance.n inst in
       let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:0 in
       Db.Weights.fill_unary w ~n:nn (fun _ -> 1);
@@ -502,7 +502,7 @@ let count_cmd =
            as a structured error rather than a silent zero. *)
         let cc, tag = Circuits.Compact.load path in
         check_tag path tag "nat";
-        let nat_ops = Intf.with_int_repr (Intf.ops_of_module (module Instances.Nat)) in
+        let nat_ops = Intf.ops_of_module (module Instances.Nat) in
         let t0 = Sys.time () in
         let valuation (w, _) =
           Robust.bad_input
@@ -515,7 +515,7 @@ let count_cmd =
         let phi = make_query qname in
         let fv = Logic.Formula.free_vars_unique phi in
         let expr = Logic.Expr.Sum (fv, Logic.Expr.Guard phi) in
-        let nat_ops = Intf.with_int_repr (Intf.ops_of_module (module Instances.Nat)) in
+        let nat_ops = Intf.ops_of_module (module Instances.Nat) in
         let t0 = Sys.time () in
         let value, degraded =
           ok
@@ -657,8 +657,8 @@ let explain_cmd =
     in
     let pick_strategy () =
       match semiring with
-      | `Nat -> strategy (Intf.with_int_repr (Intf.ops_of_module (module Instances.Nat)))
-      | `Int -> strategy (Intf.with_int_repr (Intf.ops_of_ring (module Instances.Int_ring)))
+      | `Nat -> strategy (Intf.ops_of_module (module Instances.Nat))
+      | `Int -> strategy (Intf.ops_of_ring (module Instances.Int_ring))
       | `Bool -> strategy (Intf.ops_of_finite (module Instances.Bool))
     in
     match load with
@@ -687,8 +687,7 @@ let explain_cmd =
       in
       print_string (Obs.Trace.render_forest (Obs.Trace.forest_of records));
       Format.printf "pipeline: %a@." Engine.Compile.pp_meta ev.Engine.Eval.meta;
-      Format.printf "circuit:  %a@." Circuits.Circuit.pp_stats
-        (Circuits.Circuit.stats ev.Engine.Eval.circuit);
+      Format.printf "circuit:  %a@." Circuits.Circuit.pp_stats (Engine.Eval.stats ev);
       Format.printf "optimizer (per-pass shrink):@.%a@." Opt.pp_report
         ev.Engine.Eval.meta.Engine.Compile.opt;
       strategy ops;
@@ -703,8 +702,8 @@ let explain_cmd =
       | None -> ()
     in
     match semiring with
-    | `Nat -> explain (Intf.with_int_repr (Intf.ops_of_module (module Instances.Nat)))
-    | `Int -> explain (Intf.with_int_repr (Intf.ops_of_ring (module Instances.Int_ring)))
+    | `Nat -> explain (Intf.ops_of_module (module Instances.Nat))
+    | `Int -> explain (Intf.ops_of_ring (module Instances.Int_ring))
     | `Bool -> explain (Intf.ops_of_finite (module Instances.Bool))
   in
   Cmd.v
@@ -761,8 +760,8 @@ let compile_cmd =
       Printf.printf "saved %s (tag %S, %d bytes)\n" save tag bytes
     in
     match semiring with
-    | `Nat -> go (Intf.with_int_repr (Intf.ops_of_module (module Instances.Nat))) "nat"
-    | `Int -> go (Intf.with_int_repr (Intf.ops_of_ring (module Instances.Int_ring))) "int"
+    | `Nat -> go (Intf.ops_of_module (module Instances.Nat)) "nat"
+    | `Int -> go (Intf.ops_of_ring (module Instances.Int_ring)) "int"
     | `Bool -> go (Intf.ops_of_finite (module Instances.Bool)) "bool"
   in
   let save_semiring = Term.(const (fun s r -> (s, r)) $ save_arg $ semiring_arg) in

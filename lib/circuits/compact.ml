@@ -24,11 +24,9 @@
     so the k-th Input gate has [arg = k] — {!validate} enforces this
     canonical form, which also makes the serialized bytes deterministic.
 
-    Gate values live in a {e plane}: a Bigarray [int] vector when the
-    semiring carrier is machine-int ({!Semiring.Intf.Machine_int} — no GC
-    scanning, no float-array check on access), a boxed ['a array]
-    otherwise. The same circuit evaluates in either plane — the
-    universality of Theorem 6 is untouched by the representation.
+    Gate values live in one ['a array] indexed by gate id, for every
+    semiring. These arrays plus that value array are the only runtime
+    form of a served query.
 
     A compact circuit can be persisted: {!save}/{!load} use a versioned
     length-prefixed binary format ([SPQC1], FNV-1a section checksums like
@@ -57,33 +55,6 @@ type 'a t = {
   input_ids : (Circuit.input_key, int) Hashtbl.t;  (** key → gate id (derived) *)
   output : int;
 }
-
-(* --- value planes --- *)
-
-(** Flat gate-value storage; [PInt] is unboxed (Bigarray), [PBox] the
-    fallback for arbitrary carriers. *)
-type 'a plane =
-  | PInt : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t -> int plane
-  | PBox : 'a array -> 'a plane
-
-(** Plane matching the semiring's representation witness, filled with
-    [ops.zero]. *)
-let make_plane (type a) (ops : a Semiring.Intf.ops) (n : int) : a plane =
-  match ops.Semiring.Intf.repr with
-  | Semiring.Intf.Machine_int ->
-      let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
-      Bigarray.Array1.fill b ops.Semiring.Intf.zero;
-      PInt b
-  | Semiring.Intf.Boxed_repr -> PBox (Array.make n ops.Semiring.Intf.zero)
-
-let plane_get : type a. a plane -> int -> a =
- fun p i -> match p with PInt b -> Bigarray.Array1.get b i | PBox a -> a.(i)
-
-let plane_set : type a. a plane -> int -> a -> unit =
- fun p i v -> match p with PInt b -> Bigarray.Array1.set b i v | PBox a -> a.(i) <- v
-
-let plane_length : type a. a plane -> int =
- fun p -> match p with PInt b -> Bigarray.Array1.dim b | PBox a -> Array.length a
 
 (* --- conversion --- *)
 
@@ -198,8 +169,8 @@ let of_circuit (c : 'a Circuit.t) : 'a t =
     output = c.Circuit.output;
   }
 
-(** Back to the boxed graph — O(size); used by the loaded-circuit path to
-    report a persisted circuit's statistics. *)
+(** Back to the boxed graph, gate ids unchanged — O(size); how a loaded
+    circuit's or a served query's statistics are reported. *)
 let to_circuit (t : 'a t) : 'a Circuit.t =
   let nodes =
     Array.init t.n (fun id ->
@@ -221,81 +192,61 @@ let to_circuit (t : 'a t) : 'a Circuit.t =
 
 (* --- evaluation --- *)
 
-(* Permanent gate: materialize the matrix from the plane and run the
-   static O(2ᵏ·k·n) DP — identical to the boxed evaluator's Perm case. *)
-let perm_matrix (type a) (t : a t) (vals : a plane) (id : int) : a array array =
+(* Permanent gate: materialize the matrix from the gate values and run
+   the static O(2ᵏ·k·n) DP — identical to the boxed evaluator's Perm case. *)
+let perm_matrix (t : 'a t) (vals : 'a array) (id : int) : 'a array array =
   let d = t.arg.(id) in
   let rows = t.perm_rows.(d) and cols = t.perm_cols.(d) in
   let base = t.child_off.(id) in
   Array.init rows (fun r ->
-      Array.init cols (fun c -> plane_get vals t.children.(base + (r * cols) + c)))
+      Array.init cols (fun c -> vals.(t.children.(base + (r * cols) + c))))
 
-(** Evaluate every gate bottom-up into [vals] (length ≥ n), seeding input
-    gates from [valuation]. Exposed for callers that want to keep the
-    plane (e.g. to read several gate values). *)
-let eval_into (type a) (ops : a Semiring.Intf.ops) (t : a t)
-    (valuation : Circuit.input_key -> a) (vals : a plane) : unit =
+(** Evaluate every gate bottom-up into [vals], seeding input gates from
+    [valuation]. Exposed for callers that want to read several gate
+    values. Raises [Invalid_argument] if [vals] has fewer than [n]
+    entries. *)
+let eval_into (ops : 'a Semiring.Intf.ops) (t : 'a t) (valuation : Circuit.input_key -> 'a)
+    (vals : 'a array) : unit =
   let open Semiring.Intf in
+  if Array.length vals < t.n then
+    invalid_arg
+      (Printf.sprintf "Compact.eval_into: value array has %d entries for %d gates"
+         (Array.length vals) t.n);
   let opcode = t.opcode
   and arg = t.arg
   and child_off = t.child_off
   and children = t.children in
-  (* dispatch on the plane once, not per access: this loop is the whole
-     point of the flat layout. unsafe_get is sound — every index was
-     validated by of_circuit/load ([children] ids < gate < n). *)
-  match vals with
-  | PInt b ->
-      for id = 0 to t.n - 1 do
-        let v =
-          match Array.unsafe_get opcode id with
-          | 0 -> valuation t.input_keys.(Array.unsafe_get arg id)
-          | 1 -> t.consts.(Array.unsafe_get arg id)
-          | 2 ->
-              let acc = ref ops.zero in
-              for i = Array.unsafe_get child_off id to Array.unsafe_get child_off (id + 1) - 1 do
-                acc := ops.add !acc (Bigarray.Array1.unsafe_get b (Array.unsafe_get children i))
-              done;
-              !acc
-          | 3 ->
-              let acc = ref ops.one in
-              for i = Array.unsafe_get child_off id to Array.unsafe_get child_off (id + 1) - 1 do
-                acc := ops.mul !acc (Bigarray.Array1.unsafe_get b (Array.unsafe_get children i))
-              done;
-              !acc
-          | _ -> Perm.Static.perm ops (perm_matrix t vals id)
-        in
-        Bigarray.Array1.unsafe_set b id v
-      done
-  | PBox a ->
-      for id = 0 to t.n - 1 do
-        let v =
-          match Array.unsafe_get opcode id with
-          | 0 -> valuation t.input_keys.(Array.unsafe_get arg id)
-          | 1 -> t.consts.(Array.unsafe_get arg id)
-          | 2 ->
-              let acc = ref ops.zero in
-              for i = Array.unsafe_get child_off id to Array.unsafe_get child_off (id + 1) - 1 do
-                acc := ops.add !acc (Array.unsafe_get a (Array.unsafe_get children i))
-              done;
-              !acc
-          | 3 ->
-              let acc = ref ops.one in
-              for i = Array.unsafe_get child_off id to Array.unsafe_get child_off (id + 1) - 1 do
-                acc := ops.mul !acc (Array.unsafe_get a (Array.unsafe_get children i))
-              done;
-              !acc
-          | _ -> Perm.Static.perm ops (perm_matrix t vals id)
-        in
-        Array.unsafe_set a id v
-      done
+  (* unsafe_get is sound: every index was validated by of_circuit/load
+     ([children] ids < gate < n), and [vals] was checked above *)
+  for id = 0 to t.n - 1 do
+    let v =
+      match Array.unsafe_get opcode id with
+      | 0 -> valuation t.input_keys.(Array.unsafe_get arg id)
+      | 1 -> t.consts.(Array.unsafe_get arg id)
+      | 2 ->
+          let acc = ref ops.zero in
+          for i = Array.unsafe_get child_off id to Array.unsafe_get child_off (id + 1) - 1 do
+            acc := ops.add !acc (Array.unsafe_get vals (Array.unsafe_get children i))
+          done;
+          !acc
+      | 3 ->
+          let acc = ref ops.one in
+          for i = Array.unsafe_get child_off id to Array.unsafe_get child_off (id + 1) - 1 do
+            acc := ops.mul !acc (Array.unsafe_get vals (Array.unsafe_get children i))
+          done;
+          !acc
+      | _ -> Perm.Static.perm ops (perm_matrix t vals id)
+    in
+    Array.unsafe_set vals id v
+  done
 
 (** Evaluate under a valuation of the input gates; same empty-gate
     conventions as {!Circuit.eval} ([Add [||]] = zero, [Mul [||]] = one). *)
-let eval (type a) (ops : a Semiring.Intf.ops) (t : a t)
-    (valuation : Circuit.input_key -> a) : a =
-  let vals = make_plane ops t.n in
+let eval (ops : 'a Semiring.Intf.ops) (t : 'a t) (valuation : Circuit.input_key -> 'a) :
+    'a =
+  let vals = Array.make t.n ops.Semiring.Intf.zero in
   eval_into ops t valuation vals;
-  plane_get vals t.output
+  vals.(t.output)
 
 (* --- structural validation --- *)
 

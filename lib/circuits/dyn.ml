@@ -107,9 +107,7 @@ type 'a t = {
   par_off : int array;  (** n+1 CSR offsets into [par_gate]/[par_slot] *)
   par_gate : int array;  (** parent gate ids, per child contiguous *)
   par_slot : int array;  (** slot of the child in that parent's child order *)
-  values : 'a Compact.plane;
-      (** current gate values; Bigarray-backed for machine-int semirings,
-          a boxed array otherwise *)
+  values : 'a array;  (** current gate values, indexed by gate id *)
   aux : 'a aux array;
   fin_ctx : 'a Perm.Finite.ctx option;
   mutable wave_heap : int array;
@@ -170,30 +168,28 @@ let mode_name = function General -> "general" | Ring -> "ring" | Finite -> "fini
    [splice]; [on_build] fires before each derived gate is built — the
    splice path's fault-injection hook. *)
 let init_derived ?(on_build = fun _ -> ()) (ops : 'a Semiring.Intf.ops) mode fin_ctx
-    (cc : 'a Compact.t) (values : 'a Compact.plane) (aux : 'a aux array) =
+    (cc : 'a Compact.t) (values : 'a array) (aux : 'a aux array) =
   let open Semiring.Intf in
-  let vget g = Compact.plane_get values g in
-  let vset id v = Compact.plane_set values id v in
   let off = cc.Compact.child_off and ch = cc.Compact.children in
   for id = 0 to cc.Compact.n - 1 do
     match cc.Compact.opcode.(id) with
     | 0 (* input *) -> ()
     | 1 (* const *) ->
         on_build id;
-        vset id cc.Compact.consts.(cc.Compact.arg.(id))
+        values.(id) <- cc.Compact.consts.(cc.Compact.arg.(id))
     | 2 (* add *) -> (
         on_build id;
         let acc = ref ops.zero in
         for i = off.(id) to off.(id + 1) - 1 do
-          acc := ops.add !acc (vget ch.(i))
+          acc := ops.add !acc values.(ch.(i))
         done;
-        vset id !acc;
+        values.(id) <- !acc;
         (* Finite mode: a counting gate's per-element counters (Lemma 18) *)
         match fin_ctx with
         | Some ctx ->
             let counts = Array.make (Array.length ctx.Perm.Finite.elems) 0 in
             for i = off.(id) to off.(id + 1) - 1 do
-              let e = Perm.Finite.index_of ctx (vget ch.(i)) in
+              let e = Perm.Finite.index_of ctx values.(ch.(i)) in
               counts.(e) <- counts.(e) + 1
             done;
             aux.(id) <- ACount counts
@@ -202,9 +198,9 @@ let init_derived ?(on_build = fun _ -> ()) (ops : 'a Semiring.Intf.ops) mode fin
         on_build id;
         let acc = ref ops.one in
         for i = off.(id) to off.(id + 1) - 1 do
-          acc := ops.mul !acc (vget ch.(i))
+          acc := ops.mul !acc values.(ch.(i))
         done;
-        vset id !acc
+        values.(id) <- !acc
     | _ (* perm *) ->
         on_build id;
         let m = Compact.perm_matrix cc values id in
@@ -215,7 +211,7 @@ let init_derived ?(on_build = fun _ -> ()) (ops : 'a Semiring.Intf.ops) mode fin
           | Finite -> PFin (Perm.Finite.create ops m)
         in
         aux.(id) <- APerm (st, cc.Compact.perm_cols.(cc.Compact.arg.(id)));
-        vset id
+        values.(id) <-
           (match st with
           | PSeg s -> Perm.Segtree.perm s
           | PRing s -> Perm.Ring.perm s
@@ -248,11 +244,10 @@ let build ~on_build (ops : 'a Semiring.Intf.ops) mode fin_ctx (c : 'a Circuit.t)
       cursor.(g) <- cursor.(g) + 1
     done
   done;
-  let values = Compact.make_plane ops n in
+  let values = Array.make n ops.Semiring.Intf.zero in
   Array.iteri
     (fun id op ->
-      if op = 0 then
-        Compact.plane_set values id (valuation cc.Compact.input_keys.(cc.Compact.arg.(id))))
+      if op = 0 then values.(id) <- valuation cc.Compact.input_keys.(cc.Compact.arg.(id)))
     cc.Compact.opcode;
   let aux = Array.make n ANone in
   init_derived ~on_build ops mode fin_ctx cc values aux;
@@ -317,9 +312,8 @@ let set_cost_log t sink = t.cost_log <- sink
 
 let num_gates t = t.n
 
-(* Plane accessors for the current gate values. *)
-let vget t id = Compact.plane_get t.values id
-let vset t id v = Compact.plane_set t.values id v
+let vget t id = t.values.(id)
+let vset t id v = t.values.(id) <- v
 
 let check_live t =
   match t.poisoned with Some msg -> raise (Poisoned msg) | None -> ()
@@ -425,27 +419,32 @@ let commit_wave t (writes : (Circuit.input_key * 'a) list) =
   undo_reset t;
   match t.journal with None -> () | Some j -> Journal.append j writes
 
-(* A wave faulted: try to unwind it. On success the structure is healthy
-   again and the caller's update reports [Rolled_back]; if the rollback
-   itself raises, the structure is truly inconsistent — poison it as the
-   last resort (only {!repair} clears it). The flight recorder fires in
-   both cases, tagged with the outcome. *)
-let fault_wave t (e : exn) : 'b =
-  match rollback t with
+(* A wave or a splice faulted: [undo] restores the pre-fault state. On
+   success the structure is healthy again and the caller's operation
+   reports [Rolled_back]; if [undo] itself raises, the structure is truly
+   inconsistent — poison it as the last resort (only {!repair} clears it).
+   The flight recorder fires in both cases, tagged with the outcome and
+   [what] faulted ("wave" or "splice"). *)
+let fault t ~what ~undo (e : exn) : 'b =
+  match undo () with
   | () ->
       Obs.Counter.incr m_rollbacks;
       Obs.Trace.dump_flight
-        ~reason:("Circuits.Dyn rolled_back mid-wave fault: " ^ Printexc.to_string e)
+        ~reason:
+          (Printf.sprintf "Circuits.Dyn rolled_back mid-%s fault: %s" what
+             (Printexc.to_string e))
         ();
       raise (Rolled_back (Printexc.to_string e))
   | exception re ->
       t.poisoned <- Some (Printexc.to_string e);
       Obs.Trace.dump_flight
         ~reason:
-          (Printf.sprintf "Circuits.Dyn poisoned mid-wave: %s (rollback failed: %s)"
+          (Printf.sprintf "Circuits.Dyn poisoned mid-%s: %s (rollback failed: %s)" what
              (Printexc.to_string e) (Printexc.to_string re))
         ();
       raise e
+
+let fault_wave t e = fault t ~what:"wave" ~undo:(fun () -> rollback t) e
 
 (* Is this gate an addition? The only kind query [notify] needs beyond
    what the aux array already encodes (APerm ⇔ Perm, ACount ⇔ Finite-mode
@@ -824,25 +823,13 @@ let splice (t : 'a t) (c : 'a Circuit.t) (valuation : Circuit.input_key -> 'a) :
   let fresh =
     match build ~on_build t.ops t.mode t.fin_ctx c valuation with
     | fresh -> fresh
-    | exception e -> (
+    | exception e ->
         (* [t] was never touched: discarding the half-built structure IS
            the rollback. The hooks still get their say so the chaos
            battery can drive all three outcomes. *)
-        match (match t.rollback_fault_hook with Some h -> h () | None -> ()) with
-        | () ->
-            Obs.Counter.incr m_rollbacks;
-            Obs.Trace.dump_flight
-              ~reason:("Circuits.Dyn rolled_back mid-splice fault: " ^ Printexc.to_string e)
-              ();
-            raise (Rolled_back (Printexc.to_string e))
-        | exception re ->
-            t.poisoned <- Some (Printexc.to_string e);
-            Obs.Trace.dump_flight
-              ~reason:
-                (Printf.sprintf "Circuits.Dyn poisoned mid-splice: %s (rollback failed: %s)"
-                   (Printexc.to_string e) (Printexc.to_string re))
-              ();
-            raise e)
+        fault t ~what:"splice"
+          ~undo:(fun () -> match t.rollback_fault_hook with Some h -> h () | None -> ())
+          e
   in
   let n = fresh.n in
   (match t.cost_log with Some sink -> sink := n :: !sink | None -> ());

@@ -33,10 +33,9 @@ type 'a t = {
           new runtime aside and the old one is retired on commit *)
   free_vars : string list;  (** in query-argument order *)
   mutable meta : Compile.meta;
-  mutable circuit : 'a Circuits.Circuit.t;
   mutable plan : 'a Compile.plan;
-      (** the compile plan behind [circuit] — segments, live graph, raw
-          circuit — that {!Compile.recompile_local} maintains *)
+      (** the compile plan behind [dyn]'s circuit — segments, live graph,
+          raw circuit — that {!Compile.recompile_local} maintains *)
   inst : Db.Instance.t;  (** the live instance; structural ops mutate it *)
   base_valuation : Circuits.Circuit.input_key -> 'a;
       (** weights-store valuation for input keys a new circuit introduces *)
@@ -101,7 +100,6 @@ let prepare (type a) (ops : a Semiring.Intf.ops) ?mode ?opt ?tfa_rounds
     dyn;
     free_vars = fv;
     meta;
-    circuit;
     plan;
     inst;
     base_valuation = valuation;
@@ -186,7 +184,12 @@ let update_many t (updates : (string * int list * 'a) list) =
   write_unread t unread
 
 let meta t = t.meta
-let stats t = Circuits.Circuit.stats t.circuit
+
+(** The optimized circuit being served, rebuilt from the runtime's CSR
+    arrays (gate ids unchanged) — O(size), for statistics and tests. *)
+let circuit t = Circuits.Compact.to_circuit t.dyn.Circuits.Dyn.cc
+
+let stats t = Circuits.Circuit.stats (circuit t)
 let churn_stats t = t.churn
 
 (* --- structural updates: tuple insert/delete --- *)
@@ -264,7 +267,7 @@ let structural (t : 'a t) ~insert rel tuple : unit =
       (fun key _ acc ->
         if Hashtbl.mem circuit.Circuits.Circuit.input_ids key then acc
         else (key, Option.get (Circuits.Dyn.input_value old_dyn key)) :: acc)
-      t.circuit.Circuits.Circuit.input_ids []
+      old_dyn.Circuits.Dyn.cc.Circuits.Compact.input_ids []
   in
   let dyn = protect (fun () -> Circuits.Dyn.splice old_dyn circuit valuation) in
   Hashtbl.filter_map_inplace
@@ -272,7 +275,6 @@ let structural (t : 'a t) ~insert rel tuple : unit =
     t.unread;
   List.iter (fun (key, v) -> Hashtbl.replace t.unread key v) leaving;
   t.dyn <- dyn;
-  t.circuit <- circuit;
   t.meta <- meta;
   t.plan <- plan;
   t.churn.ch_gates_rebuilt <- t.churn.ch_gates_rebuilt + Circuits.Dyn.num_gates dyn;
@@ -444,7 +446,7 @@ let update_many_cost (t : 'a t) (updates : (string * int list * 'a) list) : Cost
 (** One-shot static evaluation of a closed expression through the circuit
     pipeline (compile + one linear evaluation, no dynamic structures): the
     optimized circuit is frozen into the CSR layout of {!Circuits.Compact}
-    and evaluated over a flat value plane. [?cost] receives a {!Cost.t} for the
+    and evaluated over a flat value array. [?cost] receives a {!Cost.t} for the
     evaluation proper (compile excluded): every gate is evaluated exactly
     once, so [gates_visited] is the circuit's gate count and [waves] 0. *)
 let evaluate (type a) (ops : a Semiring.Intf.ops) ?opt ?tfa_rounds ?max_depth ?budget
@@ -754,40 +756,16 @@ let apply_with_recovery (ck : 'a checked) (t : 'a t)
   in
   go 0
 
-(** Update one weight. Unlike the unchecked {!update}, this writes through
-    to the weight bundle as well, so the circuit, the reference fallback,
-    and the self-check all observe the same state — and only {e after} the
-    circuit wave committed, so a rolled-back fault cannot leave the
-    weights store disagreeing with circuit state. A fault mid-update is
-    handled per the [recover] policy (retry, repair, or report with the
-    state rolled back); the error surfaces as [Internal_divergence] and
-    never leaves a silently corrupt value behind. *)
-let update_checked (ck : 'a checked) (w : string) (tuple : int list) (v : 'a) :
-    (unit, Robust.error) result =
-  Robust.protect
-    ~classify:(classify_engine (Some ck.backend))
-    (fun () ->
-      (* resolve — and thereby validate — the weight column up front, so a
-         bad symbol cannot fail the write-through after the wave committed *)
-      let col = Db.Weights.find ck.c_weights w in
-      (match ck.backend with
-      | Circuit t ->
-          apply_with_recovery ck t
-            [ (w, tuple, v) ]
-            (fun () -> update t w tuple v)
-      | Degraded _ -> ());
-      Db.Weights.set col tuple v;
-      if ck.self_check then self_check_now ck)
-
 (** Batched checked update: the whole batch is validated against the
     weight bundle, then the circuit sees one (transactional) propagation
     wave, and only after it commits does every write go through to the
     weight bundle — so the reference fallback and the self-check observe
     either the full batch or none of it. The self-check, when enabled,
     runs once per batch rather than once per update. A fault mid-batch is
-    handled per the [recover] policy exactly like {!update_checked}.
-    [?cost] receives the batch's {!Cost.t} (retries included in the
-    measured bracket; a degraded backend leaves the cell untouched). *)
+    handled per the [recover] policy (retry, repair, or report with the
+    state rolled back). [?cost] receives the batch's {!Cost.t} (retries
+    included in the measured bracket; a degraded backend leaves the cell
+    untouched). *)
 let update_many_checked ?(cost : Cost.t option ref option) (ck : 'a checked)
     (updates : (string * int list * 'a) list) : (unit, Robust.error) result =
   Robust.protect
@@ -814,6 +792,20 @@ let update_many_checked ?(cost : Cost.t option ref option) (ck : 'a checked)
       | Degraded _ -> ());
       List.iter (fun (col, tuple, v) -> Db.Weights.set col tuple v) cols;
       if ck.self_check then self_check_now ck)
+
+(** Update one weight: a one-write {!update_many_checked}. Unlike the
+    unchecked {!update}, this writes through to the weight bundle as well,
+    so the circuit, the reference fallback, and the self-check all observe
+    the same state — and only {e after} the circuit wave committed, so a
+    rolled-back fault cannot leave the weights store disagreeing with
+    circuit state. The symbol and the tuple's arity are validated before
+    anything changes, so a rejected write leaves no trace (no circuit
+    wave, no journal record). A fault mid-update surfaces as
+    [Internal_divergence] and never leaves a silently corrupt value
+    behind. *)
+let update_checked (ck : 'a checked) (w : string) (tuple : int list) (v : 'a) :
+    (unit, Robust.error) result =
+  update_many_checked ck [ (w, tuple, v) ]
 
 (* Checked structural update: on the circuit backend run the full
    localized-recompile machinery (which reverts the instance and graph on

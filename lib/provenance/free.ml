@@ -60,6 +60,5 @@ module Explicit = struct
       equal;
       neg = None;
       elements = None;
-      repr = Boxed_repr;
     }
 end

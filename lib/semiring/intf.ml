@@ -32,20 +32,13 @@ module type FINITE = sig
   val elements : t list
 end
 
-(** Runtime-representation witness: [Machine_int] certifies that the
-    carrier is OCaml's immediate [int], which lets value planes live in
-    unboxed {!Bigarray} storage (no GC scanning, no float-array check on
-    access) in the compact circuit runtime. The witness is opt-in —
-    [ops_of_module] cannot see through the abstraction, so callers that
-    know their semiring is int-carried (ℕ, ℤ, ℤ/m) assert it with
-    {!with_int_repr}. [Boxed_repr] is always sound. *)
-type _ repr = Machine_int : int repr | Boxed_repr : 'a repr
-
 (** First-class semiring operations, for components that choose the
     semiring at runtime (the nested-query evaluator of Section 7 mixes
     several semirings inside one formula). [neg] is present for rings,
     [elements] for finite semirings — these unlock the constant-update
-    strategies of Corollaries 17 and 20. *)
+    strategies of Corollaries 17 and 20. Nothing here describes the
+    carrier's runtime representation: the circuit runtime keeps gate
+    values in one plain ['a array] for every semiring. *)
 type 'a ops = {
   zero : 'a;
   one : 'a;
@@ -54,7 +47,6 @@ type 'a ops = {
   equal : 'a -> 'a -> bool;
   neg : ('a -> 'a) option;
   elements : 'a list option;
-  repr : 'a repr;
 }
 
 let ops_of_module (type a) (module S : BASIC with type t = a) : a ops =
@@ -66,7 +58,6 @@ let ops_of_module (type a) (module S : BASIC with type t = a) : a ops =
     equal = S.equal;
     neg = None;
     elements = None;
-    repr = Boxed_repr;
   }
 
 let ops_of_ring (type a) (module R : RING with type t = a) : a ops =
@@ -75,9 +66,10 @@ let ops_of_ring (type a) (module R : RING with type t = a) : a ops =
 let ops_of_finite (type a) (module F : FINITE with type t = a) : a ops =
   { (ops_of_module (module F)) with elements = Some F.elements }
 
-(** Brand an int-carried [ops] with the {!Machine_int} witness; the type
-    restricts this to carriers that really are [int]. *)
-let with_int_repr (o : int ops) : int ops = { o with repr = Machine_int }
+(** The identity. It once selected an unboxed value store for int-carried
+    semirings; perfbench/ is its last caller, and it goes with the next
+    change to the benchmark. *)
+let with_int_repr (o : int ops) : int ops = o
 
 (** Iterated sum [n · s = s + ... + s] ([n] times), with [0 · s = zero]. *)
 let iterate (type a) (module S : BASIC with type t = a) (n : int) (s : a) : a =

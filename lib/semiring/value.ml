@@ -147,7 +147,6 @@ let ops_of_descr (d : descr) : t Intf.ops =
     equal;
     neg = (match d.kind with Ring n -> Some n | _ -> None);
     elements = (match d.kind with Finite es -> Some es | _ -> None);
-    repr = Boxed_repr;
   }
 
 (** Connectives c : S₁ × ⋯ × Sₖ → S transferring between semirings

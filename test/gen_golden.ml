@@ -33,7 +33,7 @@ let () =
   let nat = Compact.of_circuit (Circuit.finish b ~output:out) in
   let nat_path = Filename.concat dir "nat_small.spqc" in
   Compact.save ~tag:"nat" nat nat_path;
-  let nat_ops = Intf.with_int_repr (Intf.ops_of_module (module Instances.Nat)) in
+  let nat_ops = Intf.ops_of_module (module Instances.Nat) in
   Printf.printf "%s: eval w[i]=i+1 -> %d\n" nat_path
     (Compact.eval nat_ops nat (function "w", [ i ] -> i + 1 | _ -> 0));
 
@@ -49,7 +49,7 @@ let () =
   let int_c = Compact.of_circuit (Circuit.finish b ~output:out) in
   let int_path = Filename.concat dir "int_perm.spqc" in
   Compact.save ~tag:"int" int_c int_path;
-  let int_ops = Intf.with_int_repr (Intf.ops_of_ring (module Instances.Int_ring)) in
+  let int_ops = Intf.ops_of_ring (module Instances.Int_ring) in
   Printf.printf "%s: eval w[i]=2i-3 -> %d\n" int_path
     (Compact.eval int_ops int_c (function "w", [ i ] -> (2 * i) - 3 | _ -> 0));
 

@@ -2,16 +2,14 @@
 
    1. qcheck differential eval: [Compact.eval] over the flat arrays agrees
       with the boxed [Circuit.eval] on random *optimized* circuits in all
-      four semirings (nat / int-ring / bool / zmod6) — nat and int-ring
-      additionally through the machine-int Bigarray plane
-      ([Intf.with_int_repr]), bool and zmod6 through the boxed plane
-      fallback;
+      four semirings (nat / int-ring / bool / zmod6), and [eval_into]
+      rejects a value array shorter than the circuit;
    2. qcheck dynamic differential: a [Dyn] over an optimized circuit, fed
       random [set_inputs] batches, agrees on every gate value with a
       from-scratch [Compact.eval_into] and on its output with
       [Circuit.eval], in all three permanent strategies (General/Segtree,
-      Ring, Finite) and on both value planes, and a whole-valuation batch
-      lands where a fresh create does; end to end, [Eval.prepare]/
+      Ring, Finite), and a whole-valuation batch lands where a fresh
+      create does; end to end, [Eval.prepare]/
       [update_many] agrees with [Circuit.eval] of its circuit and with
       [Engine.Reference] on random sparse databases, and so does the
       one-shot [Eval.evaluate];
@@ -46,30 +44,6 @@ let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 let t p = QCheck_alcotest.to_alcotest p
 
-(* random circuit over inputs ("w", [0..n-1]), same shape as the optimizer
-   and recovery tests: adds, muls, 2x2 permanents, and constants *)
-let random_circuit (type a) ~(zero : a) ~(one : a) ~(mk : int -> a) seed n_inputs :
-    a Circuit.t =
-  let rng = Graphs.Rand.create seed in
-  let b = Circuit.builder () in
-  let inputs = List.init n_inputs (fun i -> Circuit.input b ("w", [ i ])) in
-  let pool = ref (Array.of_list (Circuit.const b zero :: Circuit.const b one :: inputs)) in
-  let pick () = !pool.(Graphs.Rand.int rng (Array.length !pool)) in
-  for _ = 1 to 14 do
-    let g =
-      match Graphs.Rand.int rng 6 with
-      | 0 -> Circuit.add b [ pick (); pick (); pick () ]
-      | 1 -> Circuit.add b [ pick (); pick () ]
-      | 2 -> Circuit.mul b [ pick (); pick () ]
-      | 3 -> Circuit.mul b [ pick (); pick (); pick () ]
-      | 4 -> Circuit.perm b [| [| pick (); pick () |]; [| pick (); pick () |] |]
-      | _ -> Circuit.const b (mk (Graphs.Rand.int rng 100))
-    in
-    pool := Array.append !pool [| g |]
-  done;
-  let out = Circuit.add b (Array.to_list !pool) in
-  Circuit.finish b ~output:out
-
 (* ------------------------------ 1. compact eval = boxed eval ----------- *)
 
 let compact_eval_eq_boxed (type a) name (ops : a Intf.ops) ~(zero : a) ~(one : a)
@@ -79,11 +53,26 @@ let compact_eval_eq_boxed (type a) name (ops : a Intf.ops) ~(zero : a) ~(one : a
        ~name:(Printf.sprintf "compact eval = boxed eval: %s" name)
        QCheck.(int_range 0 100000)
        (fun seed ->
-         let c = random_circuit ~zero ~one ~mk seed 6 in
+         let c = Circuit_gen.random_circuit ~zero ~one ~mk seed 6 in
          let o = Opt.run ~zero ~one ~equal:ops.Intf.equal c in
          let cc = Compact.of_circuit o.Opt.circuit in
          let v = function "w", [ i ] -> mk ((i * 31) + seed) | _ -> zero in
          ops.Intf.equal (Compact.eval ops cc v) (Circuit.eval ops o.Opt.circuit v)))
+
+(* [eval_into] writes every gate with unchecked stores, so a caller's
+   value array shorter than the circuit is refused before any write. *)
+let eval_into_short_array () =
+  let b = Circuit.builder () in
+  let x = Circuit.input b ("w", [ 0 ]) in
+  let cc = Compact.of_circuit (Circuit.finish b ~output:(Circuit.add b [ x; x ])) in
+  let short = Array.make (cc.Compact.n - 1) (-1) in
+  (match Compact.eval_into nat_ops cc (fun _ -> 5) short with
+  | () -> Alcotest.fail "a short value array was accepted"
+  | exception Invalid_argument _ -> ());
+  check_bool "short array untouched" true (Array.for_all (fun v -> v = -1) short);
+  let exact = Array.make cc.Compact.n 0 in
+  Compact.eval_into nat_ops cc (fun _ -> 5) exact;
+  check_int "exact-length array" 10 exact.(cc.Compact.output)
 
 (* ------------------------------ 2. dynamic differential --------------- *)
 
@@ -96,7 +85,7 @@ let dyn_eq_static (type a) mode name (ops : a Intf.ops) ~(zero : a) ~(one : a)
          pair (int_range 0 1000)
            (small_list (small_list (pair (int_range 0 5) (int_range 0 50)))))
        (fun (seed, batches) ->
-         let c = random_circuit ~zero ~one ~mk seed 6 in
+         let c = Circuit_gen.random_circuit ~zero ~one ~mk seed 6 in
          let o = Opt.run ~zero ~one ~equal:ops.Intf.equal c in
          let vals = Array.init 6 mk in
          let valuation = function "w", [ i ] -> vals.(i) | _ -> zero in
@@ -104,7 +93,7 @@ let dyn_eq_static (type a) mode name (ops : a Intf.ops) ~(zero : a) ~(one : a)
          (* runtime gate ids are the optimized circuit's, so a static
             evaluation of the same circuit lines up gate by gate *)
          let cc = Compact.of_circuit o.Opt.circuit in
-         let static = Compact.make_plane ops cc.Compact.n in
+         let static = Array.make cc.Compact.n zero in
          List.for_all
            (fun batch ->
              let writes =
@@ -119,8 +108,7 @@ let dyn_eq_static (type a) mode name (ops : a Intf.ops) ~(zero : a) ~(one : a)
              Compact.eval_into ops cc valuation static;
              let ok = ref (Dyn.num_gates d = cc.Compact.n) in
              for id = 0 to Dyn.num_gates d - 1 do
-               if not (ops.Intf.equal (Dyn.gate_value d id) (Compact.plane_get static id))
-               then ok := false
+               if not (ops.Intf.equal (Dyn.gate_value d id) static.(id)) then ok := false
              done;
              !ok && ops.Intf.equal (Dyn.value d) (Circuit.eval ops o.Opt.circuit valuation))
            batches))
@@ -165,7 +153,7 @@ let engine_eq_reference (type a) name (ops : a Intf.ops) (mk : int -> a) ~count 
            List.iter (fun (_, tup, v) -> Db.Weights.set w tup v) batch;
            Engine.Eval.update_many ev batch;
            let got = Engine.Eval.value ev in
-           let static = Circuit.eval ops ev.Engine.Eval.circuit valuation in
+           let static = Circuit.eval ops (Engine.Eval.circuit ev) valuation in
            let want = Engine.Reference.eval ops inst weights expr_wedge in
            if not (ops.Intf.equal got static && ops.Intf.equal got want)
            then ok := false
@@ -174,7 +162,7 @@ let engine_eq_reference (type a) name (ops : a Intf.ops) (mk : int -> a) ~count 
 
 (* the one-shot [Eval.evaluate] (compile + Compact.eval, no dynamic
    structure), the maintained value of [Eval.prepare] and the brute-force
-   reference agree — in carriers that take the boxed value plane *)
+   reference agree *)
 let evaluate_eq_prepare (type a) name (ops : a Intf.ops) (mk : int -> a) ~count =
   t
     (QCheck.Test.make ~count
@@ -198,12 +186,11 @@ let dyn_revaluation =
     (QCheck.Test.make ~count:60 ~name:"Dyn: whole-valuation batch = fresh create"
        QCheck.(int_range 0 100000)
        (fun seed ->
-         let ops = Intf.with_int_repr nat_ops in
-         let c = random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) seed 6 in
-         let o = Opt.run ~zero:0 ~one:1 ~equal:ops.Intf.equal c in
+         let c = Circuit_gen.random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) seed 6 in
+         let o = Opt.run ~zero:0 ~one:1 ~equal:Int.equal c in
          let v1 = function "w", [ i ] -> (i + seed) mod 7 | _ -> 0 in
          let v2 = function "w", [ i ] -> ((i * 5) + 1) mod 11 | _ -> 0 in
-         let d = Dyn.create ops o.Opt.circuit v1 in
+         let d = Dyn.create nat_ops o.Opt.circuit v1 in
          let all =
            List.filter_map
              (fun i ->
@@ -212,7 +199,7 @@ let dyn_revaluation =
              (List.init 6 Fun.id)
          in
          Dyn.set_inputs d all;
-         let fresh = Dyn.create ops o.Opt.circuit v2 in
+         let fresh = Dyn.create nat_ops o.Opt.circuit v2 in
          Dyn.num_gates d = Dyn.num_gates fresh
          && List.for_all
               (fun id -> Dyn.gate_value d id = Dyn.gate_value fresh id)
@@ -230,7 +217,7 @@ let layout_is_topological =
     (QCheck.Test.make ~count:60 ~name:"compact layout is topological"
        QCheck.(pair bool (int_range 0 100000))
        (fun (optimize, seed) ->
-         let c = random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) seed 6 in
+         let c = Circuit_gen.random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) seed 6 in
          let c =
            if optimize then (Opt.run ~zero:0 ~one:1 ~equal:Int.equal c).Opt.circuit else c
          in
@@ -252,7 +239,7 @@ let to_circuit_round_trip =
     (QCheck.Test.make ~count:60 ~name:"Compact.to_circuit inverts of_circuit"
        QCheck.(int_range 0 100000)
        (fun seed ->
-         let c = random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) seed 6 in
+         let c = Circuit_gen.random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) seed 6 in
          let o = (Opt.run ~zero:0 ~one:1 ~equal:Int.equal c).Opt.circuit in
          let back = Compact.to_circuit (Compact.of_circuit o) in
          let v = function "w", [ i ] -> (i * 13) + seed | _ -> 0 in
@@ -280,7 +267,7 @@ let rollback_identity_compact (type a) mode name (ops : a Intf.ops) ~(zero : a)
          triple (int_range 0 100000) (int_range 1 12)
            (small_list (pair (int_range 0 5) (int_range 0 50))))
        (fun (seed, fuse, batch) ->
-         let c = random_circuit ~zero ~one ~mk seed 6 in
+         let c = Circuit_gen.random_circuit ~zero ~one ~mk seed 6 in
          let vals = Array.init 6 (fun i -> mk ((i * 3) + seed)) in
          let valuation = function "w", [ i ] -> vals.(i) | _ -> zero in
          let d = Dyn.create ~mode ops c valuation in
@@ -337,7 +324,7 @@ let with_tmp f =
 
 (* a serialized random optimized circuit, as bytes *)
 let serialized seed =
-  let c = random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) seed 6 in
+  let c = Circuit_gen.random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) seed 6 in
   let o = Opt.run ~zero:0 ~one:1 c in
   let cc = Compact.of_circuit o.Opt.circuit in
   with_tmp (fun path ->
@@ -398,7 +385,8 @@ let save_load_save_identity =
     (QCheck.Test.make ~count:40 ~name:"save -> load -> save is byte-identical"
        QCheck.(int_range 0 100000)
        (fun seed ->
-         let c = random_circuit ~zero:0 ~one:1 ~mk:(fun i -> (i mod 9) - 4) seed 6 in
+         let c = Circuit_gen.random_circuit ~zero:0 ~one:1 ~mk:(fun i -> (i mod 9) - 4) seed 6
+         in
          let o = Opt.run ~zero:0 ~one:1 c in
          let cc = Compact.of_circuit o.Opt.circuit in
          with_tmp (fun p1 ->
@@ -410,19 +398,18 @@ let save_load_save_identity =
                  read_file p1 = read_file p2))))
 
 let roundtrip_eval () =
-  (* save → load preserves evaluation bit-for-bit, machine-int plane included *)
+  (* save → load preserves evaluation bit-for-bit *)
   List.iter
     (fun seed ->
-      let c = random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) seed 6 in
+      let c = Circuit_gen.random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) seed 6 in
       let o = Opt.run ~zero:0 ~one:1 c in
       let cc = Compact.of_circuit o.Opt.circuit in
       let v = function "w", [ i ] -> i + 2 | _ -> 0 in
-      let iops = Intf.with_int_repr nat_ops in
       with_tmp (fun path ->
           Compact.save ~tag:"nat" cc path;
           let cc2, _ = Compact.load path in
-          check_int (Printf.sprintf "seed %d reload eval" seed) (Compact.eval iops cc v)
-            (Compact.eval iops cc2 v)))
+          check_int (Printf.sprintf "seed %d reload eval" seed) (Compact.eval nat_ops cc v)
+            (Compact.eval nat_ops cc2 v)))
     [ 3; 44; 512; 9000 ]
 
 (* Crash-safe saves: both writers fill a [path.tmp] sibling and rename it
@@ -471,17 +458,15 @@ let saves_are_crash_safe () =
 (* ------------------------------ 4b. degenerate and malformed layouts -- *)
 
 (* Degenerate shapes: a circuit of one constant gate and one of a bare
-   input gate run through every layer — static eval on both planes, Dyn
+   input gate run through every layer — static eval, Dyn
    (including an update of the input that is the output) and save/load. *)
 let one_gate_circuits () =
-  let iops = Intf.with_int_repr nat_ops in
   let b = Circuit.builder () in
   let k = Circuit.finish b ~output:(Circuit.const b 42) in
   let cc = Compact.of_circuit k in
   check_int "single gate" 1 cc.Compact.n;
-  check_int "const: boxed plane" 42 (Compact.eval nat_ops cc (fun _ -> 0));
-  check_int "const: Bigarray plane" 42 (Compact.eval iops cc (fun _ -> 0));
-  let d = Dyn.create iops k (fun _ -> 0) in
+  check_int "const: static eval" 42 (Compact.eval nat_ops cc (fun _ -> 0));
+  let d = Dyn.create nat_ops k (fun _ -> 0) in
   check_int "const: Dyn" 42 (Dyn.value d);
   check_bool "const: no inputs" false (Dyn.has_input d ("w", [ 0 ]));
   Dyn.set_inputs d [];
@@ -489,10 +474,10 @@ let one_gate_circuits () =
   let b = Circuit.builder () in
   let x = Circuit.finish b ~output:(Circuit.input b ("w", [ 0 ])) in
   let cx = Compact.of_circuit x in
-  check_int "input: Bigarray plane" 9 (Compact.eval iops cx (fun _ -> 9));
+  check_int "input: static eval" 9 (Compact.eval nat_ops cx (fun _ -> 9));
   List.iter
     (fun mode ->
-      let d = Dyn.create ~mode iops x (fun _ -> 9) in
+      let d = Dyn.create ~mode nat_ops x (fun _ -> 9) in
       check_int "input: Dyn" 9 (Dyn.value d);
       Dyn.set_input d ("w", [ 0 ]) 4;
       check_int "input: Dyn after update" 4 (Dyn.value d);
@@ -577,11 +562,11 @@ let golden_stability () =
   let cc_nat, tag_nat = Compact.load (golden_path "nat_small.spqc") in
   check_string "nat tag" "nat" tag_nat;
   let v = function "w", [ i ] -> i + 1 | _ -> 0 in
-  check_int "nat golden value" 43 (Compact.eval (Intf.with_int_repr nat_ops) cc_nat v);
+  check_int "nat golden value" 43 (Compact.eval nat_ops cc_nat v);
   let cc_int, tag_int = Compact.load (golden_path "int_perm.spqc") in
   check_string "int tag" "int" tag_int;
   check_int "int golden value" (-5)
-    (Compact.eval (Intf.with_int_repr int_ops) cc_int (function
+    (Compact.eval int_ops cc_int (function
       | "w", [ i ] -> (2 * i) - 3
       | _ -> 0))
 
@@ -650,26 +635,17 @@ let journal_structural_round_trip () =
 
 let suite =
   [
-    compact_eval_eq_boxed "nat (Bigarray plane)" (Intf.with_int_repr nat_ops) ~zero:0
-      ~one:1 ~mk:(fun i -> i mod 7);
-    compact_eval_eq_boxed "nat (boxed plane)" nat_ops ~zero:0 ~one:1
-      ~mk:(fun i -> i mod 7);
-    compact_eval_eq_boxed "int-ring (Bigarray plane)" (Intf.with_int_repr int_ops)
-      ~zero:0 ~one:1
-      ~mk:(fun i -> (i mod 9) - 4);
+    compact_eval_eq_boxed "nat" nat_ops ~zero:0 ~one:1 ~mk:(fun i -> i mod 7);
+    compact_eval_eq_boxed "int-ring" int_ops ~zero:0 ~one:1 ~mk:(fun i -> (i mod 9) - 4);
     compact_eval_eq_boxed "bool" bool_ops ~zero:false ~one:true ~mk:(fun i -> i mod 3 = 0);
     compact_eval_eq_boxed "zmod6" z6_ops ~zero:Zmod.Z6.zero ~one:Zmod.Z6.one
       ~mk:Zmod.Z6.of_int;
-    dyn_eq_static Dyn.General "general/nat" (Intf.with_int_repr nat_ops) ~zero:0 ~one:1
-      ~mk:(fun i -> i mod 7);
-    dyn_eq_static Dyn.Ring "ring/int" (Intf.with_int_repr int_ops) ~zero:0 ~one:1
-      ~mk:(fun i -> (i mod 9) - 4);
+    Alcotest.test_case "eval_into rejects a short value array" `Quick
+      eval_into_short_array;
+    dyn_eq_static Dyn.General "general/nat" nat_ops ~zero:0 ~one:1 ~mk:(fun i -> i mod 7);
+    dyn_eq_static Dyn.Ring "ring/int" int_ops ~zero:0 ~one:1 ~mk:(fun i -> (i mod 9) - 4);
     dyn_eq_static Dyn.Finite "finite/zmod6" z6_ops ~zero:Zmod.Z6.zero ~one:Zmod.Z6.one
       ~mk:Zmod.Z6.of_int;
-    dyn_eq_static Dyn.General "general/nat (boxed plane)" nat_ops ~zero:0 ~one:1
-      ~mk:(fun i -> i mod 7);
-    dyn_eq_static Dyn.Ring "ring/int (boxed plane)" int_ops ~zero:0 ~one:1
-      ~mk:(fun i -> (i mod 9) - 4);
     dyn_eq_static Dyn.Finite "finite/bool" bool_ops ~zero:false ~one:true
       ~mk:(fun i -> i mod 3 = 0);
     dyn_revaluation;
@@ -679,11 +655,9 @@ let suite =
     evaluate_eq_prepare "wedge/zmod6" z6_ops Zmod.Z6.of_int ~count:15;
     layout_is_topological;
     to_circuit_round_trip;
-    rollback_identity_compact Dyn.General "general/nat" (Intf.with_int_repr nat_ops)
-      ~zero:0 ~one:1
+    rollback_identity_compact Dyn.General "general/nat" nat_ops ~zero:0 ~one:1
       ~mk:(fun i -> i mod 7);
-    rollback_identity_compact Dyn.Ring "ring/int" (Intf.with_int_repr int_ops) ~zero:0
-      ~one:1
+    rollback_identity_compact Dyn.Ring "ring/int" int_ops ~zero:0 ~one:1
       ~mk:(fun i -> (i mod 9) - 4);
     rollback_identity_compact Dyn.Finite "finite/zmod6" z6_ops ~zero:Zmod.Z6.zero
       ~one:Zmod.Z6.one ~mk:Zmod.Z6.of_int;

@@ -10,8 +10,8 @@ open Semiring
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let nat_ops = Intf.with_int_repr (Intf.ops_of_module (module Instances.Nat))
-let int_ops = Intf.with_int_repr (Intf.ops_of_ring (module Instances.Int_ring))
+let nat_ops = Intf.ops_of_module (module Instances.Nat)
+let int_ops = Intf.ops_of_ring (module Instances.Int_ring)
 let bool_ops = Intf.ops_of_finite (module Instances.Bool)
 let v x = Logic.Term.Var x
 let e x y = Logic.Formula.Rel ("E", [ v x; v y ])

@@ -358,9 +358,8 @@ let finite_engine_updates () =
   done
 
 (* Example 9's PageRank kernel over the rationals in Ring mode:
-   f(x) = (1-d)/n + d · Σ_y [E(y,x)] · w(y). Rat is not machine-int
-   representable, so this runs on the boxed value plane. After each
-   write-through update every query equals Engine.Reference. *)
+   f(x) = (1-d)/n + d · Σ_y [E(y,x)] · w(y), on a boxed carrier. After
+   each write-through update every query equals Engine.Reference. *)
 let pagerank_rat_updates () =
   let rat_ops = Intf.ops_of_ring (module Rat.Ring) in
   let inst = Db.Instance.of_graph (Graphs.Gen.random_sparse ~seed:13 ~n:30 ~avg_deg:4) in

@@ -193,30 +193,6 @@ let compact_rejects_dropped_perm_child () =
 
 (* ------------------------------------- 3. optimized = unoptimized ------ *)
 
-(* random circuit with 0/1/other constants mixed into the gate pool, so
-   every pass has work to do *)
-let random_circuit (type a) ~(zero : a) ~(one : a) ~(mk : int -> a) seed n_inputs :
-    a Circuit.t =
-  let rng = Graphs.Rand.create seed in
-  let b = Circuit.builder () in
-  let inputs = List.init n_inputs (fun i -> Circuit.input b ("w", [ i ])) in
-  let pool = ref (Array.of_list (Circuit.const b zero :: Circuit.const b one :: inputs)) in
-  let pick () = !pool.(Graphs.Rand.int rng (Array.length !pool)) in
-  for _ = 1 to 14 do
-    let g =
-      match Graphs.Rand.int rng 6 with
-      | 0 -> Circuit.add b [ pick (); pick (); pick () ]
-      | 1 -> Circuit.add b [ pick (); pick () ]
-      | 2 -> Circuit.mul b [ pick (); pick () ]
-      | 3 -> Circuit.mul b [ pick (); pick (); pick () ]
-      | 4 -> Circuit.perm b [| [| pick (); pick () |]; [| pick (); pick () |] |]
-      | _ -> Circuit.const b (mk (Graphs.Rand.int rng 100))
-    in
-    pool := Array.append !pool [| g |]
-  done;
-  let out = Circuit.add b (Array.to_list !pool) in
-  Circuit.finish b ~output:out
-
 let opt_preserves_value (type a) name (ops : a Intf.ops) ~(zero : a) ~(one : a)
     ~(mk : int -> a) =
   t
@@ -224,7 +200,7 @@ let opt_preserves_value (type a) name (ops : a Intf.ops) ~(zero : a) ~(one : a)
        ~name:(Printf.sprintf "opt preserves value: %s" name)
        QCheck.(int_range 0 100000)
        (fun seed ->
-         let c = random_circuit ~zero ~one ~mk seed 6 in
+         let c = Circuit_gen.random_circuit ~zero ~one ~mk seed 6 in
          let o = Opt.run ~zero ~one ~equal:ops.Intf.equal c in
          let v = function "w", [ i ] -> mk ((i * 31) + seed) | _ -> zero in
          (* every input key the optimized circuit lists names its input gate *)
@@ -323,7 +299,7 @@ let batch_on_optimized (type a) mode name (ops : a Intf.ops) ~(zero : a) ~(one :
          pair (int_range 0 1000)
            (small_list (small_list (pair (int_range 0 5) (int_range 0 50)))))
        (fun (seed, batches) ->
-         let c = random_circuit ~zero ~one ~mk seed 6 in
+         let c = Circuit_gen.random_circuit ~zero ~one ~mk seed 6 in
          let o = Opt.run ~zero ~one ~equal:ops.Intf.equal c in
          let vals = Array.init 6 (fun i -> mk i) in
          let valuation = function "w", [ i ] -> vals.(i) | _ -> zero in
@@ -416,12 +392,12 @@ let prepared_non_zero (type a) what (ops : a Intf.ops) inst weights expr
   let dflt = Engine.Eval.prepare ops (Db.Instance.copy inst) weights expr in
   let check when_ =
     let what = Printf.sprintf "%s, %s" what when_ in
-    check_no_zero_gates (what ^ ", --opt=none") ~zero ~equal none.Engine.Eval.circuit;
-    check_no_zero_gates (what ^ ", default") ~zero ~equal dflt.Engine.Eval.circuit;
-    check_no_unread_inputs (what ^ ", --opt=none") none.Engine.Eval.circuit;
+    check_no_zero_gates (what ^ ", --opt=none") ~zero ~equal (Engine.Eval.circuit none);
+    check_no_zero_gates (what ^ ", default") ~zero ~equal (Engine.Eval.circuit dflt);
+    check_no_unread_inputs (what ^ ", --opt=none") (Engine.Eval.circuit none);
     check_raw_within_3x what
       ~raw:(Array.length dflt.Engine.Eval.plan.Engine.Compile.pl_raw.Circuit.nodes)
-      ~opt:(Array.length dflt.Engine.Eval.circuit.Circuit.nodes);
+      ~opt:(Array.length (Engine.Eval.circuit dflt).Circuit.nodes);
     check_bool (what ^ ": both pipelines agree") true
       (equal (Engine.Eval.value none) (Engine.Eval.value dflt))
   in

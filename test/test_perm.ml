@@ -329,7 +329,6 @@ let set_many_all_or_nothing () =
       equal = Int.equal;
       neg = None;
       elements = Some [ 0; 1 ];
-      repr = Machine_int;
     }
   in
   let bm = [| [| 1; 0; 1 |]; [| 0; 1; 1 |] |] in

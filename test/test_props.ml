@@ -148,7 +148,7 @@ let structural_churn_prop (type a) name (ops : a Intf.ops) (mk : int -> a) ~coun
              Engine.Eval.delete_tuple ev "E" [ u; v2 ]
            else Engine.Eval.insert_tuple ev "E" [ u; v2 ];
            let got = Engine.Eval.value ev in
-           let static = Circuits.Circuit.eval ops ev.Engine.Eval.circuit valuation in
+           let static = Circuits.Circuit.eval ops (Engine.Eval.circuit ev) valuation in
            let scratch = Engine.Eval.evaluate ops ~tfa_rounds:1 inst weights expr_wtri in
            let want = Engine.Reference.eval ops inst weights expr_wtri in
            if
@@ -212,7 +212,7 @@ let journal_replay_prop (type a) name (ops : a Intf.ops) (mk : int -> a) ~count 
            | None -> ops.Intf.zero
          in
          let static =
-           Circuits.Circuit.eval ops ev2.Engine.Eval.circuit replayed_inputs
+           Circuits.Circuit.eval ops (Engine.Eval.circuit ev2) replayed_inputs
          in
          ops.Intf.equal (Engine.Eval.value ev) (Engine.Eval.value ev2)
          && ops.Intf.equal (Engine.Eval.value ev2) static

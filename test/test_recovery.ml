@@ -33,30 +33,6 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let t p = QCheck_alcotest.to_alcotest p
 
-(* random circuit over inputs ("w", [0..n-1]), same shape as the
-   optimizer tests: adds, muls, 2x2 permanents, and constants *)
-let random_circuit (type a) ~(zero : a) ~(one : a) ~(mk : int -> a) seed n_inputs :
-    a Circuit.t =
-  let rng = Graphs.Rand.create seed in
-  let b = Circuit.builder () in
-  let inputs = List.init n_inputs (fun i -> Circuit.input b ("w", [ i ])) in
-  let pool = ref (Array.of_list (Circuit.const b zero :: Circuit.const b one :: inputs)) in
-  let pick () = !pool.(Graphs.Rand.int rng (Array.length !pool)) in
-  for _ = 1 to 14 do
-    let g =
-      match Graphs.Rand.int rng 6 with
-      | 0 -> Circuit.add b [ pick (); pick (); pick () ]
-      | 1 -> Circuit.add b [ pick (); pick () ]
-      | 2 -> Circuit.mul b [ pick (); pick () ]
-      | 3 -> Circuit.mul b [ pick (); pick (); pick () ]
-      | 4 -> Circuit.perm b [| [| pick (); pick () |]; [| pick (); pick () |] |]
-      | _ -> Circuit.const b (mk (Graphs.Rand.int rng 100))
-    in
-    pool := Array.append !pool [| g |]
-  done;
-  let out = Circuit.add b (Array.to_list !pool) in
-  Circuit.finish b ~output:out
-
 let snapshot d = Array.init (Dyn.num_gates d) (Dyn.gate_value d)
 
 let same_values (type a) (ops : a Intf.ops) (xs : a array) (ys : a array) =
@@ -77,7 +53,7 @@ let rollback_identity (type a) mode name (ops : a Intf.ops) ~(zero : a) ~(one : 
          triple (int_range 0 100000) (int_range 1 12)
            (small_list (pair (int_range 0 5) (int_range 0 50))))
        (fun (seed, fuse, batch) ->
-         let c = random_circuit ~zero ~one ~mk seed 6 in
+         let c = Circuit_gen.random_circuit ~zero ~one ~mk seed 6 in
          let vals = Array.init 6 (fun i -> mk ((i * 3) + seed)) in
          let valuation = function "w", [ i ] -> vals.(i) | _ -> zero in
          let d = Dyn.create ~mode ops c valuation in
@@ -127,7 +103,7 @@ let replay_matches_live (type a) mode name (ops : a Intf.ops) ~(zero : a) ~(one 
          pair (int_range 0 100000)
            (small_list (small_list (pair (int_range 0 5) (int_range 0 50)))))
        (fun (seed, batches) ->
-         let c = random_circuit ~zero ~one ~mk seed 6 in
+         let c = Circuit_gen.random_circuit ~zero ~one ~mk seed 6 in
          let valuation = function "w", [ i ] -> mk i | _ -> zero in
          let d = Dyn.create ~mode ops c valuation in
          let j = Dyn.enable_journal d in
@@ -158,7 +134,7 @@ let replay_matches_live (type a) mode name (ops : a Intf.ops) ~(zero : a) ~(one 
 (* --------------------------------------- 3. journal file round trip --- *)
 
 let journal_file_round_trip () =
-  let c = random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) 42 6 in
+  let c = Circuit_gen.random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) 42 6 in
   let valuation = function "w", [ i ] -> i + 1 | _ -> 0 in
   let d = Dyn.create ~mode:Dyn.General nat_ops c valuation in
   let j = Dyn.enable_journal d in

@@ -413,6 +413,32 @@ let batched_checked_updates () =
   | Error e -> Alcotest.failf "wrong classification: %s" (Robust.to_string e)
   | Ok () -> Alcotest.fail "unknown weight symbol in batch must be Bad_input"
 
+(* A rejected single write leaves no trace: a tuple of the wrong arity is
+   refused before the circuit, the table of unread weights or the journal
+   sees it. *)
+let rejected_update_changes_nothing () =
+  let inst, _, weights = weighted_setup ~of_int:Fun.id (Graphs.Gen.grid 3 3) in
+  let ck =
+    unwrap "prepare"
+      (Engine.Eval.prepare_checked nat_ops ~tfa_rounds:1 inst weights edge_weight_expr)
+  in
+  let t =
+    match ck.Engine.Eval.backend with
+    | Engine.Eval.Circuit t -> t
+    | Engine.Eval.Degraded _ -> Alcotest.fail "expected the circuit backend"
+  in
+  let j = Engine.Eval.enable_journal t in
+  let v0 = unwrap "value" (Engine.Eval.value_checked ck) in
+  (match Engine.Eval.update_checked ck "w" [ 0; 1 ] 9 with
+  | Error (Robust.Bad_input _) -> ()
+  | Error e -> Alcotest.failf "wrong classification: %s" (Robust.to_string e)
+  | Ok () -> Alcotest.fail "a wrong-arity write must be Bad_input");
+  check_int "journal length unchanged" 0 (Circuits.Journal.length j);
+  check_int "no unread weight recorded" 0 (Hashtbl.length t.Engine.Eval.unread);
+  check_int "value unchanged" v0 (unwrap "value after" (Engine.Eval.value_checked ck));
+  check_int "matches the reference" v0
+    (Engine.Reference.eval nat_ops inst weights edge_weight_expr)
+
 (* --- self-check: circuit cross-validated against the reference --- *)
 
 let self_check_divergence () =
@@ -571,6 +597,8 @@ let suite =
       rollback_fault_poisons_and_repairs;
     fault_schedule_fuzz;
     Alcotest.test_case "batched checked updates" `Quick batched_checked_updates;
+    Alcotest.test_case "rejected single update changes nothing" `Quick
+      rejected_update_changes_nothing;
     Alcotest.test_case "self-check catches divergence" `Quick self_check_divergence;
     Alcotest.test_case "self-check on open queries" `Quick self_check_open_query;
     Alcotest.test_case "classification across surfaces" `Quick classification_surfaces;

@@ -106,6 +106,36 @@ let weighted_churn () =
   ins t 3 4;
   agree "after re-insert 3-4" t inst weights edge_weight
 
+(* [Eval.circuit] reads the served circuit back from the runtime, so it
+   follows every splice: its gate count and input keys are the runtime's,
+   it evaluates to the maintained value under the runtime's input values,
+   and a key a delete takes out of the circuit keeps its last value in
+   the unread table. *)
+let served_circuit_follows_splices () =
+  let inst = Db.Instance.of_graph (Graphs.Gen.path 8) in
+  let w = Db.Weights.create ~name:"w" ~arity:2 ~zero:0 in
+  Db.Weights.fill_from_relation w inst "E" (fun tup -> List.fold_left ( + ) 1 tup);
+  let t = Engine.Eval.prepare nat_ops inst (Db.Weights.bundle [ w ]) edge_weight in
+  let served what =
+    let dyn = t.Engine.Eval.dyn in
+    let c = Engine.Eval.circuit t in
+    check_int (what ^ ": gates") (Circuits.Dyn.num_gates dyn)
+      (Engine.Eval.stats t).Circuits.Circuit.gates;
+    check_int (what ^ ": value") (Engine.Eval.value t)
+      (Circuits.Circuit.eval nat_ops c (fun key ->
+           Option.get (Circuits.Dyn.input_value dyn key)));
+    c
+  in
+  let reads c key = Hashtbl.mem c.Circuits.Circuit.input_ids ("w", key) in
+  check_bool "initial: no 2-6 input" false (reads (served "initial") [ 2; 6 ]);
+  ins t 2 6;
+  check_bool "after ins 2-6: reads w(2,6)" true (reads (served "after ins 2-6") [ 2; 6 ]);
+  Engine.Eval.update t "w" [ 3; 4 ] 13;
+  del t 3 4;
+  check_bool "after del 3-4: w(3,4) left" false (reads (served "after del 3-4") [ 3; 4 ]);
+  check_bool "w(3,4) kept as unread" true
+    (Hashtbl.find_opt t.Engine.Eval.unread ("w", [ 3; 4 ]) = Some 13)
+
 (* a write to a weight the circuit does not read is not lost: the
    structural update that brings the weight into the circuit reads the
    last value written, as the reference does, and so does a replay of
@@ -483,6 +513,8 @@ let suite =
   [
     Alcotest.test_case "counting churn (localized)" `Quick counting_churn;
     Alcotest.test_case "weighted churn" `Quick weighted_churn;
+    Alcotest.test_case "served circuit follows the splices" `Quick
+      served_circuit_follows_splices;
     Alcotest.test_case "writes to unread weights" `Quick unread_weight_writes;
     Alcotest.test_case "bad deltas rejected" `Quick bad_deltas_rejected;
     Alcotest.test_case "fallback on depth growth" `Quick fallback_on_depth_growth;
