@@ -382,7 +382,7 @@ let push_undo t e =
   t.undo_len <- len + 1
 
 (* Drop the log on a successful commit; slots are blanked so the old
-   values (and any superseded perm node arrays they keep alive) can be
+   values (and the perm column logs they keep alive) can be
    collected, but the array itself is reused by the next wave. *)
 let undo_reset t =
   for i = 0 to t.undo_len - 1 do
@@ -503,8 +503,9 @@ let perm_value t id st =
   | pend ->
       (* the gate's UTouch already restores pending to [] on rollback *)
       t.pending.(id) <- [];
-      (* accumulated newest-first; sequential order = reverse *)
-      let writes = List.rev pend in
+      (* accumulated newest-first; sequential order = reverse (a single
+         write, the common case of a one-input wave, is its own reverse) *)
+      let writes = match pend with [ _ ] -> pend | _ -> List.rev pend in
       (match st with
       | PSeg s ->
           let u = Perm.Segtree.undo_create () in
@@ -741,8 +742,8 @@ let has_input t key = Hashtbl.mem t.cc.Compact.input_ids key
 (** Temporarily set some inputs, run [f], restore — the free-variable query
     mechanism in the proof of Theorem 8. Both directions go through
     {!set_inputs}, so the 2·|x̄| weight flips of a tuple query cost two
-    propagation waves instead of 2·|x̄|. The restore runs under
-    [Fun.protect] (in reverse order, so duplicate keys land back on their
+    propagation waves instead of 2·|x̄|. The restore runs on every exit
+    of [f] (in reverse order, so duplicate keys land back on their
     first-saved value): a raising [f] no longer leaves the temporary
     weights stuck and silently corrupting every later read. The journal
     is suspended for the duration — a query's temporary flips are not
@@ -750,24 +751,35 @@ let has_input t key = Hashtbl.mem t.cc.Compact.input_ids key
 let with_temp t (assignments : (Circuit.input_key * 'a) list) (f : unit -> 'b) : 'b =
   check_live t;
   let known = List.filter (fun (key, _) -> has_input t key) assignments in
+  (* prior values newest first, the restore order *)
   let saved =
-    List.filter_map
-      (fun (key, _) -> Option.map (fun old_v -> (key, old_v)) (input_value t key))
-      known
+    List.rev_map (fun (key, _) -> (key, vget t (Hashtbl.find t.cc.Compact.input_ids key))) known
   in
   let journal = t.journal in
   t.journal <- None;
-  Fun.protect
-    ~finally:(fun () -> t.journal <- journal)
-    (fun () ->
-      set_inputs t known;
-      Fun.protect
-        ~finally:(fun () ->
-          (* If [f] poisoned the structure the incremental state is already
-             unrecoverable and restoring would raise [Poisoned] out of
-             [~finally], masking [f]'s own exception. *)
-          if t.poisoned = None then set_inputs t (List.rev saved))
-        f)
+  (* Put the inputs back, unless [f] poisoned the structure (restoring
+     would then raise [Poisoned] over [f]'s own exception), and resume the
+     journal; a raising restore surfaces as [Fun.Finally_raised]. *)
+  let restore () =
+    match if t.poisoned = None then set_inputs t saved with
+    | () -> t.journal <- journal
+    | exception e ->
+        t.journal <- journal;
+        raise (Fun.Finally_raised e)
+  in
+  match set_inputs t known with
+  | exception e ->
+      t.journal <- journal;
+      raise e
+  | () -> (
+      match f () with
+      | r ->
+          restore ();
+          r
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          restore ();
+          Printexc.raise_with_backtrace e bt)
 
 (* --- recovery and durability --- *)
 

@@ -47,7 +47,11 @@ type 'a t = {
   churn : churn;
 }
 
-let query_weight i = Printf.sprintf "%s%d" Db.Weights.reserved_prefix i
+let query_weight =
+  let name i = Printf.sprintf "%s%d" Db.Weights.reserved_prefix i in
+  (* formatted once for the arities queries have, not on every query *)
+  let names = Array.init 8 name in
+  fun i -> if i < Array.length names then names.(i) else name i
 
 (* Theorem 8 observables (scope "engine"): preparation is linear-time,
    per-tuple queries cost 2|x̄| temporary updates, and degradations to the

@@ -9,15 +9,22 @@
     which is identity (3) of Lemma 10 applied recursively. Building costs
     O(3ᵏ n); a single-entry update recomputes one leaf-to-root path,
     O(3ᵏ log n) — the logarithmic update of Corollary 13, tight for general
-    semirings by Proposition 14. *)
+    semirings by Proposition 14. Nodes and columns are flat arrays and a
+    merge writes the parent's slots in place, so an update allocates
+    nothing. *)
+
+(** The subsets T of [mask] are [sub.(off.(mask))] … [sub.(off.(mask + 1) - 1)],
+    ascending (so the first is 0): 3ᵏ pairs, built once per k. *)
+type pairs = { off : int array; sub : int array }
 
 type 'a t = {
   ops : 'a Semiring.Intf.ops;
   k : int;
   n : int;
   size : int;  (** number of leaves (≥ n, a power of two) *)
-  nodes : 'a array array;  (** heap-ordered; nodes.(i).(mask) *)
-  columns : 'a array array;  (** current column vectors, n × k *)
+  nodes : 'a array;  (** heap-ordered, 2ᵏ slots per node: [(i lsl k) + mask] *)
+  columns : 'a array;  (** current entries, column-major: [(col * k) + row] *)
+  pairs : pairs;  (** shared by every tree with the same k *)
 }
 
 (* Gate-strategy counters (scope "perm"): how often the logarithmic
@@ -27,33 +34,45 @@ let m_creates = Obs.counter ~scope:"perm" "segtree_creates"
 let m_sets = Obs.counter ~scope:"perm" "segtree_sets"
 let m_batches = Obs.counter ~scope:"perm" "segtree_batches"
 
-let full t = (1 lsl t.k) - 1
+let pair_tables : (int, pairs) Hashtbl.t = Hashtbl.create 4
 
-let leaf_vector ops k col =
-  let v = Array.make (1 lsl k) ops.Semiring.Intf.zero in
-  v.(0) <- ops.Semiring.Intf.one;
-  for r = 0 to k - 1 do
-    v.(1 lsl r) <- col.(r)
-  done;
-  v
+let pairs_for k =
+  match Hashtbl.find_opt pair_tables k with
+  | Some p -> p
+  | None ->
+      let subs = Array.init (1 lsl k) Subsets.subsets_of in
+      let off = Array.make ((1 lsl k) + 1) 0 in
+      Array.iteri (fun mask l -> off.(mask + 1) <- off.(mask) + List.length l) subs;
+      let p = { off; sub = Array.concat (Array.to_list (Array.map Array.of_list subs)) } in
+      Hashtbl.add pair_tables k p;
+      p
 
-let neutral_vector ops k =
-  let v = Array.make (1 lsl k) ops.Semiring.Intf.zero in
-  v.(0) <- ops.Semiring.Intf.one;
-  v
-
-let merge ops k a b =
+(* Write leaf [c]'s slots from its column: 1 at the empty subset, the
+   entry of row r at {r}, zero at every larger subset. *)
+let leaf_into t c =
   let open Semiring.Intf in
-  let res = Array.make (1 lsl k) ops.zero in
-  let fullmask = (1 lsl k) - 1 in
-  for mask = 0 to fullmask do
-    let acc = ref ops.zero in
-    List.iter
-      (fun sub -> acc := ops.add !acc (ops.mul a.(sub) b.(mask lxor sub)))
-      (Subsets.subsets_of mask);
-    res.(mask) <- !acc
-  done;
-  res
+  let base = (t.size + c) lsl t.k in
+  Array.fill t.nodes base (1 lsl t.k) t.ops.zero;
+  t.nodes.(base) <- t.ops.one;
+  for r = 0 to t.k - 1 do
+    t.nodes.(base + (1 lsl r)) <- t.columns.((c * t.k) + r)
+  done
+
+(* Recompute internal node [i] in place from its two children. *)
+let merge_into t i =
+  let open Semiring.Intf in
+  let k = t.k and nodes = t.nodes and add = t.ops.add and mul = t.ops.mul in
+  let off = t.pairs.off and sub = t.pairs.sub in
+  let dst = i lsl k and l = (2 * i) lsl k and r = ((2 * i) + 1) lsl k in
+  for mask = 0 to (1 lsl k) - 1 do
+    (* the first subset is 0: start from its term instead of from zero *)
+    let acc = ref (mul nodes.(l) nodes.(r + mask)) in
+    for j = off.(mask) + 1 to off.(mask + 1) - 1 do
+      let s = sub.(j) in
+      acc := add !acc (mul nodes.(l + s) nodes.(r + (mask lxor s)))
+    done;
+    nodes.(dst + mask) <- !acc
+  done
 
 (** Build from a k × n matrix given as rows. *)
 let create (ops : 'a Semiring.Intf.ops) (m : 'a array array) : 'a t =
@@ -66,32 +85,31 @@ let create (ops : 'a Semiring.Intf.ops) (m : 'a array array) : 'a t =
     done;
     !s
   in
-  let columns = Array.init n (fun c -> Array.init k (fun r -> m.(r).(c))) in
-  let nodes = Array.make (2 * size) (neutral_vector ops k) in
+  let columns = Array.init (n * k) (fun j -> m.(j mod k).(j / k)) in
+  (* every slot starts at zero; a padding leaf holds 1 at the empty subset *)
+  let nodes = Array.make ((2 * size) lsl k) ops.Semiring.Intf.zero in
+  let t = { ops; k; n; size; nodes; columns; pairs = pairs_for k } in
   for c = 0 to n - 1 do
-    nodes.(size + c) <- leaf_vector ops k columns.(c)
+    leaf_into t c
   done;
   for c = n to size - 1 do
-    nodes.(size + c) <- neutral_vector ops k
+    nodes.((size + c) lsl k) <- ops.Semiring.Intf.one
   done;
   for i = size - 1 downto 1 do
-    nodes.(i) <- merge ops k nodes.(2 * i) nodes.((2 * i) + 1)
+    merge_into t i
   done;
   Obs.Counter.incr m_creates;
-  { ops; k; n; size; nodes; columns }
+  t
 
-(** Current permanent: O(1) read at the root. *)
-let perm t = t.nodes.(1).(full t)
-
-(** Permanent of the submatrix restricted to the row subset [mask]. *)
-let perm_rows t mask = t.nodes.(1).(mask land full t)
+(** Current permanent: O(1) read of the root's full-mask slot. *)
+let perm t = t.nodes.((1 lsl t.k) + (1 lsl t.k) - 1)
 
 (* Rebuild the leaf-to-root paths of a sorted list of leaf indices from
-   the current column vectors: rebuild each touched leaf once, then merge
-   the touched internal nodes level by level. Shared by batched updates
-   (hot path) and {!undo_apply} (cold path). *)
+   the current columns: rebuild each touched leaf once, then merge the
+   touched internal nodes level by level. Shared by batched updates (hot
+   path) and {!undo_apply} (cold path). *)
 let rebuild_paths t (leaves : int list) =
-  List.iter (fun i -> t.nodes.(i) <- leaf_vector t.ops t.k t.columns.(i - t.size)) leaves;
+  List.iter (fun i -> leaf_into t (i - t.size)) leaves;
   (* Halving a sorted list keeps it sorted, so each level only needs an
      adjacent-duplicate sweep — no re-sorting while climbing. *)
   let rec dedup = function
@@ -102,19 +120,17 @@ let rebuild_paths t (leaves : int list) =
     match dedup (List.filter_map (fun i -> if i > 1 then Some (i / 2) else None) nodes) with
     | [] -> ()
     | parents ->
-        List.iter
-          (fun i -> t.nodes.(i) <- merge t.ops t.k t.nodes.(2 * i) t.nodes.((2 * i) + 1))
-          parents;
+        List.iter (merge_into t) parents;
         climb parents
   in
   climb leaves
 
 (** Undo log for transactional callers: every column write records the
-    prior scalar before it is overwritten. Node arrays are {e not} logged —
-    the hot path stays one cons per write, and {!undo_apply} (the cold
-    path) rebuilds the touched leaf-to-root paths from the restored
-    columns instead, which recovers the structure even when a batch died
-    with only some of its nodes remerged. *)
+    prior scalar before it is overwritten. Nodes are {e not} logged — the
+    hot path stays one cons per write, and {!undo_apply} (the cold path)
+    rebuilds the touched leaf-to-root paths from the restored columns
+    instead, which recovers the structure even when a batch died with
+    only some of its nodes remerged. *)
 type 'a undo = { mutable u_cols : (int * int * 'a) list }
     (** (col, row, prior scalar), newest first *)
 
@@ -124,27 +140,28 @@ let undo_create () = { u_cols = [] }
     was logged twice the oldest, pre-transaction value wins), then rebuild
     the touched paths from the restored columns. *)
 let undo_apply t (u : 'a undo) =
-  List.iter (fun (c, r, v) -> t.columns.(c).(r) <- v) u.u_cols;
+  List.iter (fun (c, r, v) -> t.columns.((c * t.k) + r) <- v) u.u_cols;
   let leaves =
     List.sort_uniq Int.compare (List.map (fun (c, _, _) -> t.size + c) u.u_cols)
   in
   rebuild_paths t leaves;
   u.u_cols <- []
 
-let log_col undo c r prior =
-  match undo with Some u -> u.u_cols <- (c, r, prior) :: u.u_cols | None -> ()
+(* Log the prior entry (when a log is attached), then write the new one. *)
+let write_col t undo ~row ~col v =
+  let j = (col * t.k) + row in
+  (match undo with Some u -> u.u_cols <- (col, row, t.columns.(j)) :: u.u_cols | None -> ());
+  t.columns.(j) <- v
 
 let set_impl t undo ~row ~col v =
   if row < 0 || row >= t.k then invalid_arg "Segtree.set: bad row";
   if col < 0 || col >= t.n then invalid_arg "Segtree.set: bad col";
   Obs.Counter.incr m_sets;
-  log_col undo col row t.columns.(col).(row);
-  t.columns.(col).(row) <- v;
-  let i = ref (t.size + col) in
-  t.nodes.(!i) <- leaf_vector t.ops t.k t.columns.(col);
-  i := !i / 2;
+  write_col t undo ~row ~col v;
+  leaf_into t col;
+  let i = ref ((t.size + col) / 2) in
   while !i >= 1 do
-    t.nodes.(!i) <- merge t.ops t.k t.nodes.(2 * !i) t.nodes.((2 * !i) + 1);
+    merge_into t !i;
     i := !i / 2
   done
 
@@ -176,11 +193,7 @@ let set_many_impl t undo (updates : (int * int * 'a) list) =
           if row < 0 || row >= t.k then invalid_arg "Segtree.set_many: bad row";
           if col < 0 || col >= t.n then invalid_arg "Segtree.set_many: bad col")
         updates;
-      List.iter
-        (fun (row, col, v) ->
-          log_col undo col row t.columns.(col).(row);
-          t.columns.(col).(row) <- v)
-        updates;
+      List.iter (fun (row, col, v) -> write_col t undo ~row ~col v) updates;
       let leaves =
         List.sort_uniq Int.compare (List.map (fun (_, col, _) -> t.size + col) updates)
       in
@@ -193,7 +206,7 @@ let set_many t updates = set_many_impl t None updates
     log, so [undo_apply t u] restores the pre-batch structure exactly. *)
 let set_many_logged t (u : 'a undo) updates = set_many_impl t (Some u) updates
 
-let get t ~row ~col = t.columns.(col).(row)
+let get t ~row ~col = t.columns.((col * t.k) + row)
 
 (** Functor sugar over a statically-known semiring. *)
 module Make (S : Semiring.Intf.BASIC) = struct
@@ -202,7 +215,6 @@ module Make (S : Semiring.Intf.BASIC) = struct
   let ops = Semiring.Intf.ops_of_module (module S)
   let create m = create ops m
   let perm = perm
-  let perm_rows = perm_rows
   let set = set
   let set_many = set_many
   let get = get

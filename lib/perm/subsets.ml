@@ -11,14 +11,6 @@ let subsets_of mask =
   let rec go sub acc = if sub = 0 then 0 :: acc else go ((sub - 1) land mask) (sub :: acc) in
   go mask []
 
-(** Elements (bit indices) of a mask. *)
-let elements mask =
-  let rec go i m acc =
-    if m = 0 then List.rev acc
-    else go (i + 1) (m lsr 1) (if m land 1 = 1 then i :: acc else acc)
-  in
-  go 0 mask []
-
 (** All set partitions of {0, …, k−1}, each partition a list of masks. *)
 let partitions k =
   let rec go remaining =
@@ -39,24 +31,3 @@ let partitions k =
 let factorial n =
   let rec go acc n = if n <= 1 then acc else go (acc * n) (n - 1) in
   go 1 n
-
-(** All injective functions from {0, …, k−1} into the elements of [l],
-    each returned as a list of length k. *)
-let injections k (l : 'a list) : 'a list list =
-  let indexed = List.mapi (fun i x -> (i, x)) l in
-  let rec go k avail =
-    if k = 0 then [ [] ]
-    else
-      List.concat_map
-        (fun (i, x) ->
-          List.map
-            (fun rest -> x :: rest)
-            (go (k - 1) (List.filter (fun (j, _) -> j <> i) avail)))
-        avail
-  in
-  go k indexed
-
-(** All functions from {0, …, k−1} to the elements of [l]. *)
-let functions k (l : 'a list) : 'a list list =
-  let rec go k = if k = 0 then [ [] ] else List.concat_map (fun rest -> List.map (fun x -> x :: rest) l) (go (k - 1)) in
-  go k

@@ -1,0 +1,85 @@
+(* Allocation gates on the General-mode path (segment-tree permanents):
+   minor words per operation, counted with Gc.minor_words over many calls.
+   A word count depends on the code and the compiler, not on the speed
+   of the host, so these bounds hold on any 64-bit machine. *)
+
+open Semiring
+
+let nat = Intf.ops_of_module (module Instances.Nat)
+
+(* Average minor words per call of [f] over 4,096 calls, after one
+   warm-up call. A multiple of 64 calls takes in the same share of the
+   1-in-64 sampled (span-recording) waves whatever the sampler's phase. *)
+let words_per f =
+  let calls = 4096 in
+  f 0;
+  let w0 = Gc.minor_words () in
+  for i = 1 to calls do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
+
+(* Segment-tree updates allocate nothing: the nodes are one flat array
+   merged in place through a per-k table of subset pairs. An average
+   under 0.01 words is under 41 words in all: no call allocates. *)
+let segtree_sets_allocate_nothing () =
+  Obs.set_enabled true;
+  for k = 1 to 3 do
+    let m = Array.init k (fun r -> Array.init 754 (fun c -> (r + c) mod 7)) in
+    let t = Perm.Segtree.create nat m in
+    let set =
+      words_per (fun i -> Perm.Segtree.set t ~row:(i mod k) ~col:(i * 7919 mod 754) (i land 15))
+    in
+    let batches = Array.init 16 (fun i -> [ (i mod k, i * 31 mod 754, i) ]) in
+    let one_write = words_per (fun i -> Perm.Segtree.set_many t batches.(i land 15)) in
+    Alcotest.(check bool)
+      (Printf.sprintf "k=%d: set allocates nothing (%.4f words)" k set)
+      true (set < 0.01);
+    Alcotest.(check bool)
+      (Printf.sprintf "k=%d: one-write set_many allocates nothing (%.4f words)" k one_write)
+      true (one_write < 0.01)
+  done
+
+(* Bounds a little above the counts at the time of writing (58.2 words
+   per update, 337.9 per point query), so that a new allocation on either
+   path fails here before it shows in the benchmark. *)
+let update_bound = 64.
+let query_bound = 352.
+
+(* The serving instance: weighted degree f(x) = Σ_y E(x,y)·w(y) over the
+   naturals on a fixed random graph of maximum degree 3, journal off. *)
+let eval_ops_bounded () =
+  Obs.set_enabled true;
+  let var x = Logic.Term.Var x in
+  let expr =
+    Logic.Expr.Sum
+      ( [ "y" ],
+        Logic.Expr.Mul
+          [
+            Logic.Expr.Guard (Logic.Formula.Rel ("E", [ var "x"; var "y" ]));
+            Logic.Expr.Weight ("w", [ var "y" ]);
+          ] )
+  in
+  let inst = Db.Instance.of_graph (Graphs.Gen.random_bounded_degree ~seed:1 ~n:8192 ~max_deg:3) in
+  let n = Db.Instance.n inst in
+  let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:0 in
+  Db.Weights.fill_unary w ~n (fun i -> i mod 1000);
+  let ev = Engine.Eval.prepare nat inst (Db.Weights.bundle [ w ]) expr in
+  let keys = Array.init 4096 (fun i -> [ i * 7919 mod n ]) in
+  let update = words_per (fun i -> Engine.Eval.update ev "w" keys.(i land 4095) (i mod 1000)) in
+  let sink = ref 0 in
+  let query = words_per (fun i -> sink := !sink + Engine.Eval.query ev keys.(i land 4095)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Eval.update: %.1f words <= %.0f" update update_bound)
+    true (update <= update_bound);
+  Alcotest.(check bool)
+    (Printf.sprintf "Eval.query [x]: %.1f words <= %.0f" query query_bound)
+    true (query <= query_bound)
+
+let suite =
+  [
+    Alcotest.test_case "segtree set allocates nothing (k=1..3)" `Quick
+      segtree_sets_allocate_nothing;
+    Alcotest.test_case "General-mode update and point query words bounded" `Quick
+      eval_ops_bounded;
+  ]

@@ -7,6 +7,7 @@ let () =
       ("db", Test_db.suite);
       ("logic", Test_logic.suite);
       ("perm", Test_perm.suite);
+      ("alloc", Test_alloc.suite);
       ("circuit", Test_circuit.suite);
       ("opt", Test_opt.suite);
       ("compact", Test_compact.suite);

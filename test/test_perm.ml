@@ -152,6 +152,106 @@ let set_many_agreement =
          && Int_ring_perm.perm ring = Int_naive.perm cur
          && Z4_fin.perm z4 = Z4_naive.perm cur))
 
+(* Random sequences of single sets, batches, and logged batches that are
+   either kept or undone, against the naive permanent after every step.
+   n runs over 1..7, so trees of one leaf and trees with padding leaves
+   (n not a power of two) are both exercised; an undone batch must give
+   back the pre-batch permanent and entries exactly. *)
+type seg_op =
+  | Set of int * int * int
+  | Many of (int * int * int) list
+  | Logged of (int * int * int) list * bool  (** undone afterwards? *)
+
+let segtree_sequence (type a) name (module S : Intf.BASIC with type t = a) (of_int : int -> a)
+    k =
+  let module N = Perm.Naive.Make (S) in
+  let ops = Intf.ops_of_module (module S) in
+  let write = QCheck.Gen.(triple (int_range 0 3) (int_range 0 6) (int_range 0 5)) in
+  let writes = QCheck.Gen.(list_size (int_range 0 4) write) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun (r, c, v) -> Set (r, c, v)) write);
+          (2, map (fun ws -> Many ws) writes);
+          (2, map2 (fun ws undo -> Logged (ws, undo)) writes bool);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 7 >>= fun n ->
+      pair
+        (array_size (return k) (array_size (return n) (int_range 0 5)))
+        (list_size (int_range 0 12) op))
+  in
+  let print (m, ops) =
+    let ws l =
+      String.concat ";" (List.map (fun (r, c, v) -> Printf.sprintf "(%d,%d,%d)" r c v) l)
+    in
+    Printf.sprintf "n=%d ops=[%s]"
+      (if k = 0 then 0 else Array.length m.(0))
+      (String.concat " "
+         (List.map
+            (function
+              | Set (r, c, v) -> Printf.sprintf "set(%d,%d,%d)" r c v
+              | Many l -> Printf.sprintf "many[%s]" (ws l)
+              | Logged (l, u) -> Printf.sprintf "logged%s[%s]" (if u then "+undo" else "") (ws l))
+            ops))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:(Printf.sprintf "segtree update sequences = naive: %s (k=%d)" name k)
+       ~count:100 (QCheck.make ~print gen)
+       (fun (m, seq) ->
+         let m = Array.map (Array.map of_int) m in
+         let n = if k = 0 then 0 else Array.length m.(0) in
+         (* fold raw writes onto the matrix shape; with no rows there is
+            nothing to write *)
+         let fit l =
+           if k = 0 then [] else List.map (fun (r, c, v) -> (r mod k, c mod n, of_int v)) l
+         in
+         let t = Perm.Segtree.create ops m in
+         let cur = Array.map Array.copy m in
+         let agrees () =
+           S.equal (Perm.Segtree.perm t) (N.perm cur)
+           && Array.for_all Fun.id
+                (Array.mapi
+                   (fun r row ->
+                     Array.for_all Fun.id
+                       (Array.mapi (fun c v -> S.equal v (Perm.Segtree.get t ~row:r ~col:c)) row))
+                   cur)
+         in
+         let write l =
+           List.iter (fun (r, c, v) -> cur.(r).(c) <- v) l;
+           agrees ()
+         in
+         agrees ()
+         && List.for_all
+              (function
+                | Set (r, c, v) ->
+                    let l = fit [ (r, c, v) ] in
+                    List.iter (fun (row, col, v) -> Perm.Segtree.set t ~row ~col v) l;
+                    write l
+                | Many l ->
+                    let l = fit l in
+                    Perm.Segtree.set_many t l;
+                    write l
+                | Logged (l, undo) ->
+                    let l = fit l in
+                    let before = Perm.Segtree.perm t and prior = Array.map Array.copy cur in
+                    let u = Perm.Segtree.undo_create () in
+                    Perm.Segtree.set_many_logged t u l;
+                    write l
+                    && ((not undo)
+                       || begin
+                            Perm.Segtree.undo_apply t u;
+                            Array.blit prior 0 cur 0 k;
+                            S.equal before (Perm.Segtree.perm t) && agrees ()
+                          end))
+              seq))
+
+let trop_of_int v = if v = 5 then Instances.Inf else Instances.Fin v
+
 let finite_updates () =
   let m = Array.map (Array.map (fun v -> v = 1)) [| [| 1; 0; 1; 0 |]; [| 0; 1; 0; 1 |] |] in
   let t = Bool_fin.create m in
@@ -414,6 +514,14 @@ let suite =
     Alcotest.test_case "tropical permanents" `Quick tropical_matches;
     update_agreement;
     set_many_agreement;
+    segtree_sequence "nat" (module Instances.Nat) Fun.id 0;
+    segtree_sequence "nat" (module Instances.Nat) Fun.id 1;
+    segtree_sequence "nat" (module Instances.Nat) Fun.id 2;
+    segtree_sequence "nat" (module Instances.Nat) Fun.id 3;
+    segtree_sequence "min-plus" (module Tropical.Min_plus) trop_of_int 0;
+    segtree_sequence "min-plus" (module Tropical.Min_plus) trop_of_int 1;
+    segtree_sequence "min-plus" (module Tropical.Min_plus) trop_of_int 2;
+    segtree_sequence "min-plus" (module Tropical.Min_plus) trop_of_int 3;
     Alcotest.test_case "set_many is all-or-nothing" `Quick set_many_all_or_nothing;
     Alcotest.test_case "finite semiring updates" `Quick finite_updates;
     Alcotest.test_case "single-entry sets counted exactly" `Quick single_sets_counted;
