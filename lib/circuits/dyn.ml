@@ -57,9 +57,10 @@ let m_splice_rebuilt = Obs.counter ~scope:"dyn" "splice_rebuilt_gates"
 exception Poisoned of string
 
 (** Raised by {!set_input}/{!set_inputs} when a mid-wave fault was caught
-    and the undo log restored the structure bit-for-bit to its pre-wave
-    state: the update did {e not} apply, but the circuit stays healthy and
-    every later read or update works; carries the original failure. *)
+    and the rollback restored the structure to its pre-wave state (every
+    gate value bit-for-bit, every touched permanent rebuilt): the update
+    did {e not} apply, but the circuit stays healthy and every later read
+    or update works; carries the original failure. *)
 exception Rolled_back of string
 
 let () =
@@ -77,25 +78,6 @@ type 'a aux =
   | ANone
   | APerm of 'a perm_state * int  (** columns count, for slot decoding *)
   | ACount of int array  (** finite-mode addition: per-element counters *)
-
-(** One cell of the per-wave undo log, recorded {e before} the mutation it
-    covers. Unwinding the log in reverse restores the structure exactly:
-    when a cell was mutated several times in one wave, its first-logged
-    (pre-wave) value is applied last and wins. *)
-type 'a undo_entry =
-  | UNop  (** consumed / free slot *)
-  | UTouch of int * 'a
-      (** first contact with a gate this wave: restores its pre-wave value
-          and re-establishes the between-waves invariants ([wave_in] false,
-          [pending] empty) — one entry covers every later mutation of the
-          gate's value, flag, and pending list in this wave *)
-  | UCounts of int array * int array
-      (** counting gate touched this wave: (live counters, pre-wave copy) —
-          the per-element array is small (|S| entries), so one snapshot at
-          first contact replaces logging every counter move *)
-  | USeg of 'a Perm.Segtree.t * 'a Perm.Segtree.undo
-  | URing of 'a Perm.Ring.t * 'a Perm.Ring.undo
-  | UFin of 'a Perm.Finite.t * 'a Perm.Finite.undo
 
 type 'a t = {
   ops : 'a Semiring.Intf.ops;
@@ -117,7 +99,7 @@ type 'a t = {
   wave_in : bool array;
       (** per gate: queued in the current wave (snapshot saved)? doubles as
           the stamped-flag for inputs during {!set_inputs}' stamp phase *)
-  wave_saved : 'a array;  (** per queued gate: value before the wave *)
+  wave_saved : 'a array;  (** per gate the wave wrote: value before the wave *)
   pending : (int * int * 'a) list array;
       (** per permanent gate: (row, col, v) entry writes accumulated since
           its last recomputation, flushed in one {!Perm.Segtree.set_many}
@@ -135,9 +117,10 @@ type 'a t = {
           {e committed} wave is pushed onto the list — the raw material of
           per-query cost attribution (rolled-back waves never commit, so
           the log agrees with the "dyn" touched counters by construction) *)
-  mutable undo_log : 'a undo_entry array;
-      (** reusable scratch log of the running wave's prior cells; unwound
-          in reverse on a mid-wave fault, reset on commit *)
+  mutable undo_log : int array;
+      (** the running wave's undo log: every gate it has written, each
+          logged once at first contact with its prior value already in
+          [wave_saved]; reused across waves, reset on commit *)
   mutable undo_len : int;  (** live prefix of [undo_log] *)
   mutable journal : 'a Journal.t option;
       (** when attached, every committed update batch is appended (queries'
@@ -162,60 +145,63 @@ let pick_mode (ops : 'a Semiring.Intf.ops) =
 
 let mode_name = function General -> "general" | Ring -> "ring" | Finite -> "finite"
 
-(* (Re)compute every derived gate value and auxiliary structure bottom-up
-   from the current input/const values: one topological pass, exactly the
-   initial-evaluation semantics. Shared by [create], [repair] and
-   [splice]; [on_build] fires before each derived gate is built — the
-   splice path's fault-injection hook. *)
-let init_derived ?(on_build = fun _ -> ()) (ops : 'a Semiring.Intf.ops) mode fin_ctx
-    (cc : 'a Compact.t) (values : 'a array) (aux : 'a aux array) =
+(* Build derived gate [id] from its children's current values, exactly
+   the initial-evaluation semantics: return its value and (re)create its
+   auxiliary state — a permanent gate's strategy structure, a Finite-mode
+   addition's per-element counters (Lemma 18). The one build path of
+   [create], [repair], [splice] and [rollback]. *)
+let build_gate (ops : 'a Semiring.Intf.ops) mode fin_ctx (cc : 'a Compact.t)
+    (values : 'a array) (aux : 'a aux array) id : 'a =
   let open Semiring.Intf in
   let off = cc.Compact.child_off and ch = cc.Compact.children in
+  match cc.Compact.opcode.(id) with
+  | 0 (* input *) -> values.(id)
+  | 1 (* const *) -> cc.Compact.consts.(cc.Compact.arg.(id))
+  | 2 (* add *) ->
+      let acc = ref ops.zero in
+      for i = off.(id) to off.(id + 1) - 1 do
+        acc := ops.add !acc values.(ch.(i))
+      done;
+      (match fin_ctx with
+      | Some ctx ->
+          let counts = Array.make (Array.length ctx.Perm.Finite.elems) 0 in
+          for i = off.(id) to off.(id + 1) - 1 do
+            let e = Perm.Finite.index_of ctx values.(ch.(i)) in
+            counts.(e) <- counts.(e) + 1
+          done;
+          aux.(id) <- ACount counts
+      | None -> ());
+      !acc
+  | 3 (* mul *) ->
+      let acc = ref ops.one in
+      for i = off.(id) to off.(id + 1) - 1 do
+        acc := ops.mul !acc values.(ch.(i))
+      done;
+      !acc
+  | _ (* perm *) -> (
+      let m = Compact.perm_matrix cc values id in
+      let st =
+        match mode with
+        | General -> PSeg (Perm.Segtree.create ops m)
+        | Ring -> PRing (Perm.Ring.create ops m)
+        | Finite -> PFin (Perm.Finite.create ops m)
+      in
+      aux.(id) <- APerm (st, cc.Compact.perm_cols.(cc.Compact.arg.(id)));
+      match st with
+      | PSeg s -> Perm.Segtree.perm s
+      | PRing s -> Perm.Ring.perm s
+      | PFin s -> Perm.Finite.perm s)
+
+(* (Re)compute every derived gate bottom-up from the current input/const
+   values: one topological pass. [on_build] fires before each derived
+   gate is built — the splice path's fault-injection hook. *)
+let init_derived ?(on_build = fun _ -> ()) ops mode fin_ctx (cc : 'a Compact.t)
+    (values : 'a array) (aux : 'a aux array) =
   for id = 0 to cc.Compact.n - 1 do
-    match cc.Compact.opcode.(id) with
-    | 0 (* input *) -> ()
-    | 1 (* const *) ->
-        on_build id;
-        values.(id) <- cc.Compact.consts.(cc.Compact.arg.(id))
-    | 2 (* add *) -> (
-        on_build id;
-        let acc = ref ops.zero in
-        for i = off.(id) to off.(id + 1) - 1 do
-          acc := ops.add !acc values.(ch.(i))
-        done;
-        values.(id) <- !acc;
-        (* Finite mode: a counting gate's per-element counters (Lemma 18) *)
-        match fin_ctx with
-        | Some ctx ->
-            let counts = Array.make (Array.length ctx.Perm.Finite.elems) 0 in
-            for i = off.(id) to off.(id + 1) - 1 do
-              let e = Perm.Finite.index_of ctx values.(ch.(i)) in
-              counts.(e) <- counts.(e) + 1
-            done;
-            aux.(id) <- ACount counts
-        | None -> ())
-    | 3 (* mul *) ->
-        on_build id;
-        let acc = ref ops.one in
-        for i = off.(id) to off.(id + 1) - 1 do
-          acc := ops.mul !acc values.(ch.(i))
-        done;
-        values.(id) <- !acc
-    | _ (* perm *) ->
-        on_build id;
-        let m = Compact.perm_matrix cc values id in
-        let st =
-          match mode with
-          | General -> PSeg (Perm.Segtree.create ops m)
-          | Ring -> PRing (Perm.Ring.create ops m)
-          | Finite -> PFin (Perm.Finite.create ops m)
-        in
-        aux.(id) <- APerm (st, cc.Compact.perm_cols.(cc.Compact.arg.(id)));
-        values.(id) <-
-          (match st with
-          | PSeg s -> Perm.Segtree.perm s
-          | PRing s -> Perm.Ring.perm s
-          | PFin s -> Perm.Finite.perm s)
+    if cc.Compact.opcode.(id) <> 0 then begin
+      on_build id;
+      values.(id) <- build_gate ops mode fin_ctx cc values aux id
+    end
   done
 
 (* Freeze [c] into the CSR layout, build its parent CSR triple, seed the
@@ -270,7 +256,7 @@ let build ~on_build (ops : 'a Semiring.Intf.ops) mode fin_ctx (c : 'a Circuit.t)
     update_ops = 0;
     obs_sample = Obs.sampler ();
     cost_log = None;
-    undo_log = Array.make 64 UNop;
+    undo_log = Array.make 64 0;
     undo_len = 0;
     journal = None;
     poisoned = None;
@@ -371,52 +357,46 @@ let heap_pop t =
 
 (* --- the per-wave undo log --- *)
 
-let push_undo t e =
+(* Log gate [id] as written by the running wave. Callers save its prior
+   value in [wave_saved] first, so a logged id always has one. *)
+let log_touch t id =
   let len = t.undo_len in
   if len = Array.length t.undo_log then begin
-    let bigger = Array.make (2 * len) UNop in
+    let bigger = Array.make (2 * len) 0 in
     Array.blit t.undo_log 0 bigger 0 len;
     t.undo_log <- bigger
   end;
-  t.undo_log.(len) <- e;
+  t.undo_log.(len) <- id;
   t.undo_len <- len + 1
 
-(* Drop the log on a successful commit; slots are blanked so the old
-   values (and the perm column logs they keep alive) can be
-   collected, but the array itself is reused by the next wave. *)
-let undo_reset t =
-  for i = 0 to t.undo_len - 1 do
-    t.undo_log.(i) <- UNop
-  done;
-  t.undo_len <- 0
-
-(* Unwind the running wave: reverse-apply every logged prior cell, then
-   drain the heap. The wave_in flags of still-queued gates are cleared by
-   their UFlag entries (between waves the flag is false everywhere), and
-   [wave_saved] is pure scratch, so after this the structure is
-   bit-for-bit the pre-wave one. Raises only if the undo itself faults —
-   the caller then falls back to poisoning. *)
+(* Unwind the running wave. Every gate it wrote gets its pre-wave value
+   back from [wave_saved], with the between-waves invariants ([wave_in]
+   false, [pending] empty); then the auxiliary state of every touched
+   permanent and counting gate — a function of its children's values —
+   is rebuilt from the restored values, which also covers a flush a
+   fault cut short. The saved value stays authoritative over the rebuilt
+   one, and the fault hook does not fire. Raises only if the rebuild
+   itself faults — the caller then falls back to poisoning. *)
 let rollback t =
   (match t.rollback_fault_hook with Some h -> h () | None -> ());
-  for i = t.undo_len - 1 downto 0 do
-    (match t.undo_log.(i) with
-    | UNop -> ()
-    | UTouch (id, v) ->
-        vset t id v;
-        t.wave_in.(id) <- false;
-        t.pending.(id) <- []
-    | UCounts (live, snap) -> Array.blit snap 0 live 0 (Array.length snap)
-    | USeg (s, u) -> Perm.Segtree.undo_apply s u
-    | URing (s, u) -> Perm.Ring.undo_apply s u
-    | UFin (s, u) -> Perm.Finite.undo_apply s u);
-    t.undo_log.(i) <- UNop
+  for i = 0 to t.undo_len - 1 do
+    let id = t.undo_log.(i) in
+    vset t id t.wave_saved.(id);
+    t.wave_in.(id) <- false;
+    t.pending.(id) <- []
+  done;
+  for i = 0 to t.undo_len - 1 do
+    let id = t.undo_log.(i) in
+    match t.aux.(id) with
+    | APerm _ | ACount _ -> ignore (build_gate t.ops t.mode t.fin_ctx t.cc t.values t.aux id)
+    | ANone -> ()
   done;
   t.undo_len <- 0;
   t.wave_len <- 0
 
 (* A wave committed: forget the undo log and journal the batch. *)
 let commit_wave t (writes : (Circuit.input_key * 'a) list) =
-  undo_reset t;
+  t.undo_len <- 0;
   match t.journal with None -> () | Some j -> Journal.append j writes
 
 (* A wave or a splice faulted: [undo] restores the pre-fault state. On
@@ -455,26 +435,22 @@ let gate_is_add t id = t.cc.Compact.opcode.(id) = 2
    state; cheap bookkeeping only, no recomputation. Permanent gates only
    accumulate the entry write — the wave flushes all of a gate's pending
    writes through one [set_many] when it recomputes the gate, so a batch
-   touching many columns pays each leaf-to-root path segment once. Every
-   mutation logs its prior cell first. *)
+   touching many columns pays each leaf-to-root path segment once. The
+   parent was logged at first contact; a rollback rebuilds whatever this
+   changes. *)
 let notify t parent slot ~old_v ~new_v =
   let open Semiring.Intf in
   match t.aux.(parent) with
   | APerm (_, ncols) ->
-      (* the cons chain is dropped wholesale by the parent's UTouch
-         (between waves every pending list is empty) *)
       let row = slot / ncols and col = slot mod ncols in
       t.pending.(parent) <- (row, col, new_v) :: t.pending.(parent)
   | ACount counts ->
-      (* counter drift is covered by the UCounts snapshot pushed at the
-         gate's first contact this wave *)
       let ctx = Option.get t.fin_ctx in
       let oi = Perm.Finite.index_of ctx old_v and ni = Perm.Finite.index_of ctx new_v in
       counts.(oi) <- counts.(oi) - 1;
       counts.(ni) <- counts.(ni) + 1
   | ANone ->
       if t.mode = Ring && gate_is_add t parent then begin
-        (* value drift is covered by the parent's first-contact UTouch *)
         let neg = Option.get t.ops.neg in
         vset t parent (t.ops.add (t.ops.add (vget t parent) (neg old_v)) new_v)
       end
@@ -494,31 +470,20 @@ let count_value t counts =
   !acc
 
 (* Flush a permanent gate's accumulated pending entry writes through one
-   batched [set_many], then read the permanent. The perm undo cell is
-   pushed before the flush starts, so a flush interrupted halfway is
-   still fully covered by the log. *)
+   batched [set_many], then read the permanent. A flush a fault cuts
+   short is undone by the rollback's rebuild of the gate. *)
 let perm_value t id st =
   (match t.pending.(id) with
   | [] -> ()
-  | pend ->
-      (* the gate's UTouch already restores pending to [] on rollback *)
+  | pend -> (
       t.pending.(id) <- [];
       (* accumulated newest-first; sequential order = reverse (a single
          write, the common case of a one-input wave, is its own reverse) *)
       let writes = match pend with [ _ ] -> pend | _ -> List.rev pend in
-      (match st with
-      | PSeg s ->
-          let u = Perm.Segtree.undo_create () in
-          push_undo t (USeg (s, u));
-          Perm.Segtree.set_many_logged s u writes
-      | PRing s ->
-          let u = Perm.Ring.undo_create () in
-          push_undo t (URing (s, u));
-          Perm.Ring.set_many_logged s u writes
-      | PFin s ->
-          let u = Perm.Finite.undo_create () in
-          push_undo t (UFin (s, u));
-          Perm.Finite.set_many_logged s u writes));
+      match st with
+      | PSeg s -> Perm.Segtree.set_many s writes
+      | PRing s -> Perm.Ring.set_many s writes
+      | PFin s -> Perm.Finite.set_many s writes));
   match st with
   | PSeg s -> Perm.Segtree.perm s
   | PRing s -> Perm.Ring.perm s
@@ -561,12 +526,9 @@ let recompute t id =
    contact) and push the child's delta into its auxiliary state. *)
 let enqueue_one t p slot ~old_v ~new_v =
   if not t.wave_in.(p) then begin
-    push_undo t (UTouch (p, vget t p));
-    (match t.aux.(p) with
-    | ACount counts -> push_undo t (UCounts (counts, Array.copy counts))
-    | _ -> ());
-    t.wave_in.(p) <- true;
     t.wave_saved.(p) <- vget t p;
+    log_touch t p;
+    t.wave_in.(p) <- true;
     heap_push t p
   end;
   notify t p slot ~old_v ~new_v
@@ -585,11 +547,9 @@ let enqueue_parents t g ~old_v ~new_v =
 let run_wave t =
   while t.wave_len > 0 do
     let g = heap_pop t in
-    (* no undo cell for this clear: false is the between-waves state *)
     t.wave_in.(g) <- false;
     let old_g = t.wave_saved.(g) in
     let new_g = recompute t g in
-    (* the write is covered by the gate's first-contact UTouch *)
     vset t g new_g;
     if not (t.ops.Semiring.Intf.equal old_g new_g) then
       enqueue_parents t g ~old_v:old_g ~new_v:new_g
@@ -597,8 +557,8 @@ let run_wave t =
 
 (** Update one input weight; propagates along all ancestor paths in
     topological order. The wave is transactional: if anything raises
-    mid-propagation (crash, fault injection) the undo log restores the
-    structure bit-for-bit to its pre-wave state and {!Rolled_back} is
+    mid-propagation (crash, fault injection) the rollback restores the
+    structure to its pre-wave state and {!Rolled_back} is
     raised — the circuit stays healthy and retryable. Only when the
     rollback itself faults is the structure poisoned: gate values may then
     be stale, so rather than silently returning corrupt answers every
@@ -624,7 +584,8 @@ let set_input t (key : Circuit.input_key) v =
              sampled, so a post-mortem dump always contains the fatal
              wave. *)
           Obs.Trace.span_hot ~force:sampled ~scope:"dyn" "update" (fun () ->
-              push_undo t (UTouch (id, vget t id));
+              t.wave_saved.(id) <- old_v;
+              log_touch t id;
               vset t id v;
               enqueue_parents t id ~old_v ~new_v:v;
               run_wave t;
@@ -688,16 +649,16 @@ let set_inputs t (assignments : (Circuit.input_key * 'a) list) =
               List.filter_map
                 (fun (id, v) ->
                   if t.wave_in.(id) then begin
-                    (* re-stamped input: its first UTouch already holds the
+                    (* re-stamped input: [wave_saved] already holds its
                        pre-batch value *)
                     vset t id v;
                     None
                   end
                   else if t.ops.Semiring.Intf.equal (vget t id) v then None
                   else begin
-                    push_undo t (UTouch (id, vget t id));
-                    t.wave_in.(id) <- true;
                     t.wave_saved.(id) <- vget t id;
+                    log_touch t id;
+                    t.wave_in.(id) <- true;
                     vset t id v;
                     Some id
                   end)
@@ -745,9 +706,12 @@ let has_input t key = Hashtbl.mem t.cc.Compact.input_ids key
     propagation waves instead of 2·|x̄|. The restore runs on every exit
     of [f] (in reverse order, so duplicate keys land back on their
     first-saved value): a raising [f] no longer leaves the temporary
-    weights stuck and silently corrupting every later read. The journal
-    is suspended for the duration — a query's temporary flips are not
-    committed state and must not bloat (or corrupt) a later replay. *)
+    weights stuck and silently corrupting every later read. When the
+    restore wave itself faults, the prior values are written straight
+    into the input gates and the structure is poisoned, so {!repair}
+    rebuilds from the pre-call inputs. The journal is suspended for the
+    duration — a query's temporary flips are not committed state and must
+    not bloat (or corrupt) a later replay. *)
 let with_temp t (assignments : (Circuit.input_key * 'a) list) (f : unit -> 'b) : 'b =
   check_live t;
   let known = List.filter (fun (key, _) -> has_input t key) assignments in
@@ -759,12 +723,17 @@ let with_temp t (assignments : (Circuit.input_key * 'a) list) (f : unit -> 'b) :
   t.journal <- None;
   (* Put the inputs back, unless [f] poisoned the structure (restoring
      would then raise [Poisoned] over [f]'s own exception), and resume the
-     journal; a raising restore surfaces as [Fun.Finally_raised]. *)
+     journal. A faulted restore wave leaves the temporary values applied,
+     so they are overwritten in the input gates and the structure is
+     poisoned for {!repair}; the fault surfaces as [Fun.Finally_raised]. *)
   let restore () =
     match if t.poisoned = None then set_inputs t saved with
     | () -> t.journal <- journal
     | exception e ->
         t.journal <- journal;
+        List.iter (fun (key, v) -> vset t (Hashtbl.find t.cc.Compact.input_ids key) v) saved;
+        if t.poisoned = None then
+          t.poisoned <- Some ("restore of temporary inputs failed: " ^ Printexc.to_string e);
         raise (Fun.Finally_raised e)
   in
   match set_inputs t known with
@@ -798,7 +767,7 @@ let repair t =
     t.pending.(i) <- []
   done;
   t.wave_len <- 0;
-  undo_reset t;
+  t.undo_len <- 0;
   init_derived t.ops t.mode t.fin_ctx t.cc t.values t.aux;
   t.poisoned <- None;
   Obs.Counter.incr m_repairs
@@ -880,27 +849,17 @@ let set_journal t j = t.journal <- j
     exact served state (gate values, aux state, pending buffers) the
     journaling structure reached — checksums are verified first, and the
     structure's own journal is suspended while replaying so the batches
-    are not re-appended.
-
-    Structural records are forwarded to [structural] in commit order —
-    the caller (normally [Engine.Eval.replay]) re-runs the tuple op and
-    splices; a bare [Dyn] cannot change its own circuit, so the default
-    rejects them rather than silently replaying a wrong state. *)
-let replay ?structural t (j : 'a Journal.t) =
+    are not re-appended. A bare [Dyn] cannot change its own circuit, so a
+    structural record is rejected as [Bad_input] rather than silently
+    replaying a wrong state: journals with structural ops replay through
+    [Engine.Eval.replay]. *)
+let replay t (j : 'a Journal.t) =
   Obs.Trace.span ~scope:"dyn" "replay"
     ~attrs:[ ("batches", Obs.Trace.I (Journal.length j)) ]
   @@ fun () ->
   (match Journal.verify j with
   | Some seq -> Robust.bad_input "Dyn.replay: journal batch %d fails its checksum" seq
   | None -> ());
-  let structural =
-    match structural with
-    | Some f -> f
-    | None ->
-        fun (_ : Journal.structural_op) ->
-          Robust.bad_input
-            "Dyn.replay: journal holds structural ops; replay through Engine.Eval"
-  in
   let journal = t.journal in
   t.journal <- None;
   Fun.protect
@@ -909,6 +868,8 @@ let replay ?structural t (j : 'a Journal.t) =
       List.iter
         (fun b ->
           match Journal.structural b with
-          | Some s -> structural s
+          | Some _ ->
+              Robust.bad_input
+                "Dyn.replay: journal holds structural ops; replay through Engine.Eval"
           | None -> set_inputs t (Journal.writes b))
         (Journal.batches j))

@@ -1,7 +1,8 @@
 (** Append-only journal of committed update batches — the durability
-    primitive under {!Dyn.replay}: a fresh compile plus a replay of the
-    journal reconstructs the exact served state, so a process restart (or
-    a repair-from-scratch) never loses committed writes.
+    primitive under {!Dyn.replay} and [Engine.Eval.replay]: a fresh
+    compile plus a replay of the journal reconstructs the exact served
+    state, so a process restart (or a repair-from-scratch) never loses
+    committed writes.
 
     Two record kinds share the commit sequence:
 
@@ -9,7 +10,8 @@
       propagation wave (the only record kind before structural updates);
     - {b structural ops} — one committed tuple insert or delete, recorded
       by the localized-recompile path so a replay can re-run the same
-      splice against a fresh compile.
+      splice against a fresh compile. Only [Engine.Eval.replay] can
+      re-run one; {!Dyn.replay} rejects them as [Bad_input].
 
     Each record carries a checksum of its marshalled payload; {!verify}
     and {!load} re-derive the checksum so silent corruption (in memory or

@@ -128,76 +128,34 @@ let create (ops : 'a Semiring.Intf.ops) (m : 'a array array) : 'a t =
   Obs.Counter.incr m_creates;
   { ctx; k; n; counts; col_type; entries }
 
-(** Undo log for transactional callers: prior entry indices, column types
-    and counter moves are recorded as they happen; {!undo_apply} reverses
-    them so the structure returns bit-for-bit to its pre-batch state. *)
-type 'a undo = {
-  mutable u_entries : (int * int * int) list;  (** (col, row, prior element index) *)
-  mutable u_types : (int * int) list;  (** (col, prior type index) *)
-  mutable u_counts : (int * int) list;  (** applied counter moves (old type, new type) *)
-}
-
-let undo_create () = { u_entries = []; u_types = []; u_counts = [] }
-
-(** Reverse every logged mutation. Counter moves are each other's inverses
-    regardless of order; entry and type restores run newest-first so the
-    oldest (pre-transaction) value of a twice-logged cell wins. *)
-let undo_apply t (u : 'a undo) =
-  List.iter
-    (fun (old_t, new_t) ->
-      t.counts.(new_t) <- t.counts.(new_t) - 1;
-      t.counts.(old_t) <- t.counts.(old_t) + 1)
-    u.u_counts;
-  List.iter (fun (c, tp) -> t.col_type.(c) <- tp) u.u_types;
-  List.iter (fun (c, r, e) -> t.entries.(c).(r) <- e) u.u_entries;
-  u.u_counts <- [];
-  u.u_types <- [];
-  u.u_entries <- []
-
-let log_entry undo c r prior =
-  match undo with Some u -> u.u_entries <- (c, r, prior) :: u.u_entries | None -> ()
-
-let log_retype undo c old_t new_t =
-  match undo with
-  | Some u ->
-      u.u_types <- (c, old_t) :: u.u_types;
-      u.u_counts <- (old_t, new_t) :: u.u_counts
-  | None -> ()
-
-(* Single-entry core over a pre-resolved element index: bounds and value
-   were validated (and the index computed) before any mutation. *)
-let set_idx t undo ~row ~col vi =
-  Obs.Counter.incr m_sets;
-  let old_t = t.col_type.(col) in
-  log_entry undo col row t.entries.(col).(row);
-  t.entries.(col).(row) <- vi;
-  let new_t = type_index t.ctx t.entries.(col) in
+(* Move column [col]'s counter to the type of its current entries. *)
+let retype t col =
+  let old_t = t.col_type.(col) and new_t = type_index t.ctx t.entries.(col) in
   if new_t <> old_t then begin
-    log_retype undo col old_t new_t;
     t.counts.(old_t) <- t.counts.(old_t) - 1;
     t.counts.(new_t) <- t.counts.(new_t) + 1;
     t.col_type.(col) <- new_t
   end
 
-let set_impl t undo ~row ~col v =
+(** O(1)-per-entry update (Corollary 20). *)
+let set t ~row ~col v =
   if row < 0 || row >= t.k then invalid_arg "Finite_perm.set: bad row";
   if col < 0 || col >= t.n then invalid_arg "Finite_perm.set: bad col";
   let vi = index_of t.ctx v in
-  set_idx t undo ~row ~col vi
+  Obs.Counter.incr m_sets;
+  t.entries.(col).(row) <- vi;
+  retype t col
 
-(** O(1)-per-entry update (Corollary 20). *)
-let set t ~row ~col v = set_impl t None ~row ~col v
-
-(** Batched entry update: group writes by column, then adjust the type
-    counters once per touched column instead of once per entry. Later
+(** Batched entry update: write every entry, then move each touched
+    column's type counter once instead of once per entry. Later
     entries win on duplicate (row, col) targets, matching sequential
     application order. Every update — bounds {e and} element membership —
     is validated before any column is written, so an [invalid_arg] leaves
     the structure untouched. *)
-let set_many_impl t undo (updates : (int * int * 'a) list) =
+let set_many t (updates : (int * int * 'a) list) =
   match updates with
   | [] -> ()
-  | [ (row, col, v) ] -> set_impl t undo ~row ~col v
+  | [ (row, col, v) ] -> set t ~row ~col v
   | _ ->
       let writes = List.length updates in
       Obs.Counter.incr m_batches;
@@ -213,40 +171,9 @@ let set_many_impl t undo (updates : (int * int * 'a) list) =
             (row, col, index_of t.ctx v))
           updates
       in
-      let by_col =
-        List.stable_sort (fun (_, c1, _) (_, c2, _) -> Int.compare c1 c2) resolved
-      in
-      let rec run = function
-        | [] -> ()
-        | (row, col, vi) :: rest ->
-            let old_t = t.col_type.(col) in
-            log_entry undo col row t.entries.(col).(row);
-            t.entries.(col).(row) <- vi;
-            let rec eat = function
-              | (r2, c2, v2) :: more when c2 = col ->
-                  log_entry undo col r2 t.entries.(col).(r2);
-                  t.entries.(col).(r2) <- v2;
-                  eat more
-              | more -> more
-            in
-            let rest = eat rest in
-            let new_t = type_index t.ctx t.entries.(col) in
-            if new_t <> old_t then begin
-              log_retype undo col old_t new_t;
-              t.counts.(old_t) <- t.counts.(old_t) - 1;
-              t.counts.(new_t) <- t.counts.(new_t) + 1;
-              t.col_type.(col) <- new_t
-            end;
-            run rest
-      in
-      run by_col
-
-let set_many t updates = set_many_impl t None updates
-
-(** Like {!set_many}, appending every prior cell to [u] before overwriting
-    it — even a batch interrupted mid-flight stays fully covered by the
-    log, so [undo_apply t u] restores the pre-batch structure exactly. *)
-let set_many_logged t (u : 'a undo) updates = set_many_impl t (Some u) updates
+      List.iter (fun (row, col, vi) -> t.entries.(col).(row) <- vi) resolved;
+      List.iter (retype t)
+        (List.sort_uniq Int.compare (List.map (fun (_, col, _) -> col) resolved))
 
 let get t ~row ~col = t.ctx.elems.(t.entries.(col).(row))
 

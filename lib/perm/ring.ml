@@ -84,47 +84,13 @@ let perm t =
         t.ops.add acc term)
       t.ops.zero t.parts
 
-(** Undo log for transactional callers: prior column scalars are recorded
-    before each overwrite, and the whole (small, 2ᵏ-entry) power-sum array
-    is snapshotted once before the first sum is touched. {!undo_apply}
-    restores both directly — bit-for-bit, without relying on the ring's
-    negation being exactly invertible on the stored representation. *)
-type 'a undo = {
-  mutable u_cols : (int * int * 'a) list;  (** (col, row, prior scalar), newest first *)
-  mutable u_sums : 'a array option;  (** pre-transaction power sums, copied once *)
-}
-
-let undo_create () = { u_cols = []; u_sums = None }
-
-(** Restore every logged cell, newest-first so the oldest (pre-transaction)
-    value of a twice-logged cell is written last and wins. *)
-let undo_apply t (u : 'a undo) =
-  (match u.u_sums with
-  | Some s -> Array.blit s 0 t.sums 0 (Array.length s)
-  | None -> ());
-  List.iter (fun (c, r, x) -> t.columns.(c).(r) <- x) u.u_cols;
-  u.u_sums <- None;
-  u.u_cols <- []
-
-let log_col undo c r prior =
-  match undo with Some u -> u.u_cols <- (c, r, prior) :: u.u_cols | None -> ()
-
-(* One snapshot covers every sum write of the transaction: the array has
-   only 2ᵏ entries, so copying it once is cheaper than logging the masks
-   touched by each column. *)
-let log_sums undo t =
-  match undo with
-  | Some u -> if u.u_sums = None then u.u_sums <- Some (Array.copy t.sums)
-  | None -> ()
-
-let set_impl t undo ~row ~col v =
+(** Constant-time single-entry update (Corollary 17). *)
+let set t ~row ~col v =
   let open Semiring.Intf in
   if row < 0 || row >= t.k then invalid_arg "Ring_perm.set: bad row";
   if col < 0 || col >= t.n then invalid_arg "Ring_perm.set: bad col";
   Obs.Counter.incr m_sets;
-  log_sums undo t;
   let old_col = Array.copy t.columns.(col) in
-  log_col undo col row t.columns.(col).(row);
   t.columns.(col).(row) <- v;
   for mask = 1 to (1 lsl t.k) - 1 do
     if mask land (1 lsl row) <> 0 then begin
@@ -134,19 +100,16 @@ let set_impl t undo ~row ~col v =
     end
   done
 
-(** Constant-time single-entry update (Corollary 17). *)
-let set t ~row ~col v = set_impl t None ~row ~col v
-
 (** Batched entry update: group writes by column, then adjust each power
     sum once per touched column — masks are visited once with the combined
     changed-rows delta instead of once per entry. Later entries win on
     duplicate (row, col) targets, matching sequential application order.
     Every update is validated before any column is written, so an
     [invalid_arg] leaves the structure untouched. *)
-let set_many_impl t undo (updates : (int * int * 'a) list) =
+let set_many t (updates : (int * int * 'a) list) =
   match updates with
   | [] -> ()
-  | [ (row, col, v) ] -> set_impl t undo ~row ~col v
+  | [ (row, col, v) ] -> set t ~row ~col v
   | _ ->
       let writes = List.length updates in
       Obs.Counter.incr m_batches;
@@ -159,7 +122,6 @@ let set_many_impl t undo (updates : (int * int * 'a) list) =
           if row < 0 || row >= t.k then invalid_arg "Ring_perm.set_many: bad row";
           if col < 0 || col >= t.n then invalid_arg "Ring_perm.set_many: bad col")
         updates;
-      log_sums undo t;
       let by_col =
         List.stable_sort (fun (_, c1, _) (_, c2, _) -> Int.compare c1 c2) updates
       in
@@ -179,12 +141,10 @@ let set_many_impl t undo (updates : (int * int * 'a) list) =
         | [] -> ()
         | (row, col, v) :: rest ->
             let old_col = Array.copy t.columns.(col) in
-            log_col undo col row t.columns.(col).(row);
             t.columns.(col).(row) <- v;
             let changed = ref (1 lsl row) in
             let rec eat = function
               | (r2, c2, v2) :: more when c2 = col ->
-                  log_col undo col r2 t.columns.(col).(r2);
                   t.columns.(col).(r2) <- v2;
                   changed := !changed lor (1 lsl r2);
                   eat more
@@ -195,13 +155,6 @@ let set_many_impl t undo (updates : (int * int * 'a) list) =
             run rest
       in
       run by_col
-
-let set_many t updates = set_many_impl t None updates
-
-(** Like {!set_many}, appending every prior cell to [u] before overwriting
-    it — even a batch interrupted mid-flight stays fully covered by the
-    log, so [undo_apply t u] restores the pre-batch structure exactly. *)
-let set_many_logged t (u : 'a undo) updates = set_many_impl t (Some u) updates
 
 let get t ~row ~col = t.columns.(col).(row)
 

@@ -106,8 +106,7 @@ let perm t = t.nodes.((1 lsl t.k) + (1 lsl t.k) - 1)
 
 (* Rebuild the leaf-to-root paths of a sorted list of leaf indices from
    the current columns: rebuild each touched leaf once, then merge the
-   touched internal nodes level by level. Shared by batched updates (hot
-   path) and {!undo_apply} (cold path). *)
+   touched internal nodes level by level. *)
 let rebuild_paths t (leaves : int list) =
   List.iter (fun i -> leaf_into t (i - t.size)) leaves;
   (* Halving a sorted list keeps it sorted, so each level only needs an
@@ -125,48 +124,18 @@ let rebuild_paths t (leaves : int list) =
   in
   climb leaves
 
-(** Undo log for transactional callers: every column write records the
-    prior scalar before it is overwritten. Nodes are {e not} logged — the
-    hot path stays one cons per write, and {!undo_apply} (the cold path)
-    rebuilds the touched leaf-to-root paths from the restored columns
-    instead, which recovers the structure even when a batch died with
-    only some of its nodes remerged. *)
-type 'a undo = { mutable u_cols : (int * int * 'a) list }
-    (** (col, row, prior scalar), newest first *)
-
-let undo_create () = { u_cols = [] }
-
-(** Restore every logged column cell (newest-first, so when the same cell
-    was logged twice the oldest, pre-transaction value wins), then rebuild
-    the touched paths from the restored columns. *)
-let undo_apply t (u : 'a undo) =
-  List.iter (fun (c, r, v) -> t.columns.((c * t.k) + r) <- v) u.u_cols;
-  let leaves =
-    List.sort_uniq Int.compare (List.map (fun (c, _, _) -> t.size + c) u.u_cols)
-  in
-  rebuild_paths t leaves;
-  u.u_cols <- []
-
-(* Log the prior entry (when a log is attached), then write the new one. *)
-let write_col t undo ~row ~col v =
-  let j = (col * t.k) + row in
-  (match undo with Some u -> u.u_cols <- (col, row, t.columns.(j)) :: u.u_cols | None -> ());
-  t.columns.(j) <- v
-
-let set_impl t undo ~row ~col v =
+(** Update a single entry (Theorem 8's weight update): O(3ᵏ log n). *)
+let set t ~row ~col v =
   if row < 0 || row >= t.k then invalid_arg "Segtree.set: bad row";
   if col < 0 || col >= t.n then invalid_arg "Segtree.set: bad col";
   Obs.Counter.incr m_sets;
-  write_col t undo ~row ~col v;
+  t.columns.((col * t.k) + row) <- v;
   leaf_into t col;
   let i = ref ((t.size + col) / 2) in
   while !i >= 1 do
     merge_into t !i;
     i := !i / 2
   done
-
-(** Update a single entry (Theorem 8's weight update): O(3ᵏ log n). *)
-let set t ~row ~col v = set_impl t None ~row ~col v
 
 (** Batched entry update: apply every write, rebuild each touched leaf
     once, then merge the touched internal nodes level by level — every
@@ -177,10 +146,10 @@ let set t ~row ~col v = set_impl t None ~row ~col v
     (row, col) targets, matching sequential application order. Every
     update is validated before any column is written, so an [invalid_arg]
     leaves the structure untouched. *)
-let set_many_impl t undo (updates : (int * int * 'a) list) =
+let set_many t (updates : (int * int * 'a) list) =
   match updates with
   | [] -> ()
-  | [ (row, col, v) ] -> set_impl t undo ~row ~col v
+  | [ (row, col, v) ] -> set t ~row ~col v
   | _ ->
       let writes = List.length updates in
       Obs.Counter.incr m_batches;
@@ -193,18 +162,11 @@ let set_many_impl t undo (updates : (int * int * 'a) list) =
           if row < 0 || row >= t.k then invalid_arg "Segtree.set_many: bad row";
           if col < 0 || col >= t.n then invalid_arg "Segtree.set_many: bad col")
         updates;
-      List.iter (fun (row, col, v) -> write_col t undo ~row ~col v) updates;
+      List.iter (fun (row, col, v) -> t.columns.((col * t.k) + row) <- v) updates;
       let leaves =
         List.sort_uniq Int.compare (List.map (fun (_, col, _) -> t.size + col) updates)
       in
       rebuild_paths t leaves
-
-let set_many t updates = set_many_impl t None updates
-
-(** Like {!set_many}, appending every prior cell to [u] before overwriting
-    it — even a batch interrupted mid-flight stays fully covered by the
-    log, so [undo_apply t u] restores the pre-batch structure exactly. *)
-let set_many_logged t (u : 'a undo) updates = set_many_impl t (Some u) updates
 
 let get t ~row ~col = t.columns.((col * t.k) + row)
 

@@ -1,5 +1,5 @@
 (* Chaos harness for the transactional update path (standalone test
-   executable, also wired into CI as a seedless smoke job).
+   executable, also run in CI).
 
    For every update strategy (General/nat, Ring/int, Finite/Z4) and all
    three update shapes (single [update_checked], batched
@@ -19,8 +19,7 @@
                  structure; the policy repairs it in place, retries, and
                  the update still reports success with post-wave agreement.
 
-   [--smoke] caps the sweep at 3 fault positions per combination for CI;
-   the default run is exhaustive. Exits nonzero on any violation. *)
+   Exits nonzero on any violation. *)
 
 open Semiring
 
@@ -157,23 +156,18 @@ let probe (type a) name (ops : a Intf.ops) mode ~(of_int : int -> a) shape pos =
       fail "%s: poisoned circuit not repaired: %s" (ctx "repair") (Robust.to_string err));
   if not !sabotaged then fail "%s: rollback sabotage never fired" (ctx "repair")
 
-let sweep (type a) ~smoke name (ops : a Intf.ops) mode ~(of_int : int -> a) =
+let sweep (type a) name (ops : a Intf.ops) mode ~(of_int : int -> a) =
   List.iter
     (fun shape ->
       let positions = count_positions ops mode ~of_int shape in
       if positions = 0 then
         fail "%s/%s: wave performed no recomputations" name (shape_name shape)
       else begin
-        let step = if smoke then max 1 (positions / 3) else 1 in
-        let probed = ref 0 in
-        let pos = ref 1 in
-        while !pos <= positions do
-          probe name ops mode ~of_int shape !pos;
-          incr probed;
-          pos := !pos + step
+        for pos = 1 to positions do
+          probe name ops mode ~of_int shape pos
         done;
-        Printf.printf "chaos: %s/%s — %d fault position(s), %d probed, 3 policies each\n%!"
-          name (shape_name shape) positions !probed
+        Printf.printf "chaos: %s/%s — %d fault position(s), 3 policies each\n%!" name
+          (shape_name shape) positions
       end)
     [ Single; Batched; Structural ]
 
@@ -183,7 +177,6 @@ let contains needle hay =
   go 0
 
 let () =
-  let smoke = Array.exists (( = ) "--smoke") Sys.argv in
   Engine.Eval.set_retry_sleep (Some (fun _ -> ()));
   let rollbacks = Obs.counter ~scope:"dyn" "rollbacks" in
   let repairs = Obs.counter ~scope:"dyn" "repairs" in
@@ -191,9 +184,9 @@ let () =
   let r0 = Obs.Counter.get rollbacks
   and p0 = Obs.Counter.get repairs
   and t0 = Obs.Counter.get retries in
-  sweep ~smoke "general-nat" nat_ops Circuits.Dyn.General ~of_int:(fun i -> i);
-  sweep ~smoke "ring-int" int_ops Circuits.Dyn.Ring ~of_int:(fun i -> i);
-  sweep ~smoke "finite-z4" z4_ops Circuits.Dyn.Finite ~of_int:Z4.of_int;
+  sweep "general-nat" nat_ops Circuits.Dyn.General ~of_int:(fun i -> i);
+  sweep "ring-int" int_ops Circuits.Dyn.Ring ~of_int:(fun i -> i);
+  sweep "finite-z4" z4_ops Circuits.Dyn.Finite ~of_int:Z4.of_int;
   Engine.Eval.set_retry_sleep None;
   if Obs.Counter.get rollbacks <= r0 then fail "dyn/rollbacks counter never moved";
   if Obs.Counter.get repairs <= p0 then fail "dyn/repairs counter never moved";

@@ -1,5 +1,5 @@
-(* Allocation gates on the General-mode path (segment-tree permanents):
-   minor words per operation, counted with Gc.minor_words over many calls.
+(* Allocation gates on the update and point-query paths: minor words per
+   operation, counted with Gc.minor_words over many calls.
    A word count depends on the code and the compiler, not on the speed
    of the host, so these bounds hold on any 64-bit machine. *)
 
@@ -40,16 +40,19 @@ let segtree_sets_allocate_nothing () =
       true (one_write < 0.01)
   done
 
-(* Bounds a little above the counts at the time of writing (58.2 words
-   per update, 337.9 per point query), so that a new allocation on either
-   path fails here before it shows in the benchmark. *)
-let update_bound = 64.
-let query_bound = 352.
+(* Bounds about 5% above the counts at the time of writing, so that a
+   new allocation on a path fails here before it shows in the benchmark:
+   General mode 29.9 words per update and 150.0 per point query, Ring
+   mode 47.8 and Finite mode 107.8 per update. *)
+let update_bound = 32.
+let query_bound = 160.
+let ring_update_bound = 50.
+let finite_update_bound = 114.
 
-(* The serving instance: weighted degree f(x) = Σ_y E(x,y)·w(y) over the
-   naturals on a fixed random graph of maximum degree 3, journal off. *)
-let eval_ops_bounded () =
-  Obs.set_enabled true;
+(* The serving instance: weighted degree f(x) = Σ_y E(x,y)·w(y) on a
+   fixed random graph of maximum degree 3, journal off. [of_int] maps the
+   weights into the semiring, whose capabilities pick the update mode. *)
+let weighted_degree (type a) (ops : a Intf.ops) (of_int : int -> a) =
   let var x = Logic.Term.Var x in
   let expr =
     Logic.Expr.Sum
@@ -62,19 +65,36 @@ let eval_ops_bounded () =
   in
   let inst = Db.Instance.of_graph (Graphs.Gen.random_bounded_degree ~seed:1 ~n:8192 ~max_deg:3) in
   let n = Db.Instance.n inst in
-  let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:0 in
-  Db.Weights.fill_unary w ~n (fun i -> i mod 1000);
-  let ev = Engine.Eval.prepare nat inst (Db.Weights.bundle [ w ]) expr in
+  let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:ops.Intf.zero in
+  Db.Weights.fill_unary w ~n (fun i -> of_int (i mod 1000));
+  let ev = Engine.Eval.prepare ops inst (Db.Weights.bundle [ w ]) expr in
   let keys = Array.init 4096 (fun i -> [ i * 7919 mod n ]) in
-  let update = words_per (fun i -> Engine.Eval.update ev "w" keys.(i land 4095) (i mod 1000)) in
+  let values = Array.init 1000 of_int in
+  (ev, keys, fun i -> Engine.Eval.update ev "w" keys.(i land 4095) values.(i mod 1000))
+
+let check_words what words bound =
+  Alcotest.(check bool) (Printf.sprintf "%s: %.1f words <= %.0f" what words bound) true
+    (words <= bound)
+
+(* General mode (naturals, segment-tree permanents): updates and point
+   queries. *)
+let eval_ops_bounded () =
+  Obs.set_enabled true;
+  let ev, keys, update = weighted_degree nat Fun.id in
+  let update = words_per update in
   let sink = ref 0 in
   let query = words_per (fun i -> sink := !sink + Engine.Eval.query ev keys.(i land 4095)) in
-  Alcotest.(check bool)
-    (Printf.sprintf "Eval.update: %.1f words <= %.0f" update update_bound)
-    true (update <= update_bound);
-  Alcotest.(check bool)
-    (Printf.sprintf "Eval.query [x]: %.1f words <= %.0f" query query_bound)
-    true (query <= query_bound)
+  check_words "Eval.update" update update_bound;
+  check_words "Eval.query [x]" query query_bound
+
+(* Ring mode (integers, power-sum permanents, delta-maintained sums) and
+   Finite mode (Z/6Z, counting gates and counting permanents): updates. *)
+let ring_finite_updates_bounded () =
+  Obs.set_enabled true;
+  let _, _, update = weighted_degree (Intf.ops_of_ring (module Instances.Int_ring)) Fun.id in
+  check_words "Ring-mode Eval.update" (words_per update) ring_update_bound;
+  let _, _, update = weighted_degree (Intf.ops_of_finite (module Zmod.Z6)) Zmod.Z6.of_int in
+  check_words "Finite-mode Eval.update" (words_per update) finite_update_bound
 
 let suite =
   [
@@ -82,4 +102,6 @@ let suite =
       segtree_sets_allocate_nothing;
     Alcotest.test_case "General-mode update and point query words bounded" `Quick
       eval_ops_bounded;
+    Alcotest.test_case "Ring- and Finite-mode update words bounded" `Quick
+      ring_finite_updates_bounded;
   ]

@@ -152,15 +152,10 @@ let set_many_agreement =
          && Int_ring_perm.perm ring = Int_naive.perm cur
          && Z4_fin.perm z4 = Z4_naive.perm cur))
 
-(* Random sequences of single sets, batches, and logged batches that are
-   either kept or undone, against the naive permanent after every step.
-   n runs over 1..7, so trees of one leaf and trees with padding leaves
-   (n not a power of two) are both exercised; an undone batch must give
-   back the pre-batch permanent and entries exactly. *)
-type seg_op =
-  | Set of int * int * int
-  | Many of (int * int * int) list
-  | Logged of (int * int * int) list * bool  (** undone afterwards? *)
+(* Random sequences of single sets and batches against the naive
+   permanent after every step. n runs over 1..7, so trees of one leaf and
+   trees with padding leaves (n not a power of two) are both exercised. *)
+type seg_op = Set of int * int * int | Many of (int * int * int) list
 
 let segtree_sequence (type a) name (module S : Intf.BASIC with type t = a) (of_int : int -> a)
     k =
@@ -174,7 +169,6 @@ let segtree_sequence (type a) name (module S : Intf.BASIC with type t = a) (of_i
         [
           (3, map (fun (r, c, v) -> Set (r, c, v)) write);
           (2, map (fun ws -> Many ws) writes);
-          (2, map2 (fun ws undo -> Logged (ws, undo)) writes bool);
         ])
   in
   let gen =
@@ -194,8 +188,7 @@ let segtree_sequence (type a) name (module S : Intf.BASIC with type t = a) (of_i
          (List.map
             (function
               | Set (r, c, v) -> Printf.sprintf "set(%d,%d,%d)" r c v
-              | Many l -> Printf.sprintf "many[%s]" (ws l)
-              | Logged (l, u) -> Printf.sprintf "logged%s[%s]" (if u then "+undo" else "") (ws l))
+              | Many l -> Printf.sprintf "many[%s]" (ws l))
             ops))
   in
   QCheck_alcotest.to_alcotest
@@ -235,19 +228,7 @@ let segtree_sequence (type a) name (module S : Intf.BASIC with type t = a) (of_i
                 | Many l ->
                     let l = fit l in
                     Perm.Segtree.set_many t l;
-                    write l
-                | Logged (l, undo) ->
-                    let l = fit l in
-                    let before = Perm.Segtree.perm t and prior = Array.map Array.copy cur in
-                    let u = Perm.Segtree.undo_create () in
-                    Perm.Segtree.set_many_logged t u l;
-                    write l
-                    && ((not undo)
-                       || begin
-                            Perm.Segtree.undo_apply t u;
-                            Array.blit prior 0 cur 0 k;
-                            S.equal before (Perm.Segtree.perm t) && agrees ()
-                          end))
+                    write l)
               seq))
 
 let trop_of_int v = if v = 5 then Instances.Inf else Instances.Fin v

@@ -19,7 +19,12 @@
       dyn/retries;
    6. torn journal files: a mixed weight + structural journal cut at every
       byte offset loads exactly its prefix on a frame boundary and is
-      [Bad_input] anywhere inside a frame. *)
+      [Bad_input] anywhere inside a frame;
+   7. a fault inside a permanent gate's flush, in all three update modes:
+      the rollback restores every gate value and rebuilds the cut-short
+      permanent, so it reads as a fresh build's and the retried batch
+      lands;
+   8. a bare [Dyn.replay] rejects structural records as [Bad_input]. *)
 
 open Semiring
 module Circuit = Circuits.Circuit
@@ -336,6 +341,99 @@ let torn_journal_every_offset () =
     | exception e -> Alcotest.failf "cut %d: wrong exception %s" cut (Printexc.to_string e)
   done
 
+(* ------------------------------ 7. fault inside a permanent flush --- *)
+
+(* Every permanent gate's strategy structure, read out: its permanent,
+   then its entries row by row. *)
+let perm_values (d : 'a Dyn.t) =
+  let read k n perm get =
+    perm :: List.concat (List.init k (fun row -> List.init n (fun col -> get ~row ~col)))
+  in
+  Array.of_list
+    (List.concat_map
+       (function
+         | Dyn.APerm (Dyn.PSeg s, _) ->
+             read s.Perm.Segtree.k s.Perm.Segtree.n (Perm.Segtree.perm s) (Perm.Segtree.get s)
+         | Dyn.APerm (Dyn.PRing s, _) ->
+             read s.Perm.Ring.k s.Perm.Ring.n (Perm.Ring.perm s) (Perm.Ring.get s)
+         | Dyn.APerm (Dyn.PFin s, _) ->
+             read s.Perm.Finite.k s.Perm.Finite.n (Perm.Finite.perm s) (Perm.Finite.get s)
+         | _ -> [])
+       (Array.to_list d.Dyn.aux))
+
+(* [mul] raises once, at its [fuse]-th call since the wave reached a
+   permanent gate — a flush (or the read after it) cut short — over every
+   fuse position 1..8 of a full six-input batch on 40 random circuits. *)
+let perm_flush_fault (type a) mode (ops : a Intf.ops) ~(zero : a) ~(one : a)
+    ~(mk : int -> a) () =
+  let in_perm = ref false and muls = ref 0 and fuse = ref 0 in
+  let ops =
+    {
+      ops with
+      Intf.mul =
+        (fun a b ->
+          if !in_perm then begin
+            incr muls;
+            if !muls = !fuse then begin
+              in_perm := false;
+              failwith "fault mid-flush"
+            end
+          end;
+          ops.Intf.mul a b);
+    }
+  in
+  let faults = ref 0 in
+  for seed = 0 to 39 do
+    for f = 1 to 8 do
+      let c = Circuit_gen.random_circuit ~zero ~one ~mk seed 6 in
+      let vals = Array.init 6 (fun i -> mk ((i * 3) + seed)) in
+      let valuation = function "w", [ i ] -> vals.(i) | _ -> zero in
+      let d = Dyn.create ~mode ops c valuation in
+      let writes =
+        List.filter
+          (fun (key, _) -> Dyn.has_input d key)
+          (List.init 6 (fun i -> (("w", [ i ]), mk (seed + (5 * i) + 1))))
+      in
+      let pre = snapshot d in
+      fuse := f;
+      muls := 0;
+      let opcode = d.Dyn.cc.Circuits.Compact.opcode in
+      Dyn.set_fault_hook d
+        (Some (fun id -> in_perm := opcode.(id) = Circuits.Compact.op_perm));
+      let rolled_back =
+        match Dyn.set_inputs d writes with () -> false | exception Dyn.Rolled_back _ -> true
+      in
+      in_perm := false;
+      Dyn.set_fault_hook d None;
+      if rolled_back then begin
+        incr faults;
+        let what = Printf.sprintf "seed %d fuse %d" seed f in
+        check_bool (what ^ ": every gate value is pre-wave") true
+          (same_values ops pre (snapshot d));
+        check_bool (what ^ ": permanents read as a fresh build's") true
+          (same_values ops
+             (perm_values (Dyn.create ~mode ops c valuation))
+             (perm_values d));
+        Dyn.set_inputs d writes;
+        List.iter (function ("w", [ i ]), v -> vals.(i) <- v | _ -> ()) writes;
+        check_bool (what ^ ": the retried batch lands") true
+          (same_values ops (snapshot (Dyn.create ~mode ops c valuation)) (snapshot d))
+      end
+    done
+  done;
+  check_bool "some fault landed inside a permanent gate" true (!faults > 0)
+
+(* ---------------------- 8. bare replay rejects structural records --- *)
+
+let bare_replay_rejects_structural () =
+  let c = Circuit_gen.random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) 42 6 in
+  let d = Dyn.create nat_ops c (fun _ -> 1) in
+  let j = Journal.create () in
+  Journal.append_structural j ~insert:true ~rel:"E" ~tup:[ 0; 1 ];
+  match Dyn.replay d j with
+  | exception Robust.Error (Robust.Bad_input _) -> ()
+  | () -> Alcotest.fail "a bare Dyn replayed a structural op"
+
 let suite =
   [
     rollback_identity Dyn.General "general/nat" nat_ops ~zero:0 ~one:1
@@ -356,4 +454,13 @@ let suite =
     Alcotest.test_case "transient fault retried after backoff" `Quick
       retry_recovers_transient_fault;
     Alcotest.test_case "journal cut at every byte offset" `Quick torn_journal_every_offset;
+    Alcotest.test_case "fault inside a permanent flush: general/nat" `Quick
+      (perm_flush_fault Dyn.General nat_ops ~zero:0 ~one:1 ~mk:(fun i -> i mod 7));
+    Alcotest.test_case "fault inside a permanent flush: ring/int" `Quick
+      (perm_flush_fault Dyn.Ring int_ops ~zero:0 ~one:1 ~mk:(fun i -> (i mod 9) - 4));
+    Alcotest.test_case "fault inside a permanent flush: finite/zmod6" `Quick
+      (perm_flush_fault Dyn.Finite z6_ops ~zero:Zmod.Z6.zero ~one:Zmod.Z6.one
+         ~mk:Zmod.Z6.of_int);
+    Alcotest.test_case "bare replay rejects structural records" `Quick
+      bare_replay_rejects_structural;
   ]

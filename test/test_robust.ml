@@ -342,6 +342,42 @@ let rollback_fault_poisons_and_repairs () =
     (Engine.Reference.eval nat_ops inst weights edge_weight_expr)
     (unwrap "value" (Engine.Eval.value_checked ck2))
 
+(* A point query whose restore wave faults must not leave the query's
+   temporary weights applied under a healthy-looking structure: the
+   restore puts the prior inputs back by hand and poisons, so reads fail
+   loudly and [repair] rebuilds the pre-query state. *)
+let with_temp_restore_fault_poisons () =
+  let expr =
+    Logic.Expr.Sum
+      ( [ "y" ],
+        Logic.Expr.Mul
+          [ Logic.Expr.Guard (e "x" "y"); Logic.Expr.Weight ("w", [ v "y" ]) ] )
+  in
+  let inst, _, weights =
+    weighted_setup ~of_int:Fun.id (Graphs.Gen.random_bounded_degree ~seed:1 ~n:64 ~max_deg:3)
+  in
+  let ev = Engine.Eval.prepare nat_ops inst weights expr in
+  let d = ev.Engine.Eval.dyn in
+  let before = Circuits.Dyn.value d in
+  let x = List.find (fun x -> Engine.Eval.query ev [ x ] <> before) (List.init 64 Fun.id) in
+  let answer = Engine.Eval.query ev [ x ] in
+  let key = (Engine.Eval.query_weight 0, [ x ]) in
+  (match
+     Circuits.Dyn.with_temp d [ (key, 1) ] (fun () ->
+         let r = Circuits.Dyn.value d in
+         Circuits.Dyn.set_fault_hook d (Some (fun _ -> failwith "injected fault"));
+         r)
+   with
+  | _ -> Alcotest.fail "a faulted restore must raise"
+  | exception Fun.Finally_raised (Circuits.Dyn.Rolled_back _) -> ());
+  Circuits.Dyn.set_fault_hook d None;
+  (match Circuits.Dyn.value d with
+  | v -> Alcotest.failf "read %d from a structure whose restore failed" v
+  | exception Circuits.Dyn.Poisoned _ -> ());
+  Circuits.Dyn.repair d;
+  check_int "repair restores the pre-query value" before (Circuits.Dyn.value d);
+  check_int "the query answers again" answer (Engine.Eval.query ev [ x ])
+
 (* Fuzzed fault schedules: inject a fault after a random number of gate
    recomputations, run a random update sequence, and assert the new
    transactional invariant — every update either succeeds or rolls back,
@@ -595,6 +631,8 @@ let suite =
     Alcotest.test_case "fault rolls the wave back" `Quick fault_rolls_back;
     Alcotest.test_case "rollback fault poisons, repair heals" `Quick
       rollback_fault_poisons_and_repairs;
+    Alcotest.test_case "faulted query restore poisons, repair heals" `Quick
+      with_temp_restore_fault_poisons;
     fault_schedule_fuzz;
     Alcotest.test_case "batched checked updates" `Quick batched_checked_updates;
     Alcotest.test_case "rejected single update changes nothing" `Quick
