@@ -460,13 +460,10 @@ let count_value t counts =
   let open Semiring.Intf in
   let ctx = Option.get t.fin_ctx in
   let acc = ref t.ops.zero in
-  Array.iteri
-    (fun i cnt ->
-      if cnt > 0 then
-        acc :=
-          t.ops.add !acc
-            (Perm.Finite.scale ctx (Perm.Finite.count_of_int ctx cnt) ctx.Perm.Finite.elems.(i)))
-    counts;
+  for i = 0 to Array.length counts - 1 do
+    if counts.(i) > 0 then
+      acc := t.ops.add !acc (Perm.Finite.scale ctx counts.(i) ctx.Perm.Finite.elems.(i))
+  done;
   !acc
 
 (* Flush a permanent gate's accumulated pending entry writes through one

@@ -14,7 +14,9 @@
        color assignments — identity (12) of Lemma 35;
     4. for each subset, build a low-depth elimination forest of the induced
        subgraph and compile each summand by shapes (Lemmas 29–33), with
-       relation literals resolved per shape against the database.
+       relation literals resolved per shape against the database and the
+       color map checked per shape node; a summand's shapes are
+       enumerated once per forest depth and shared by every subset.
 
     The raw circuit is a sequence of {!segment}s — one per color subset,
     after a preamble for the constant summands — and one function emits
@@ -40,8 +42,6 @@ let pp_meta fmt m =
   Format.fprintf fmt "p=%d colors=%d subsets=%d depth<=%d shapes=%d summands=%d gates=%d->%d"
     m.p m.num_colors m.num_subsets m.max_forest_depth m.num_shapes m.num_summands
     m.opt.Opt.r_gates_before m.opt.Opt.r_gates_after
-
-let color_rel c = Printf.sprintf "__color_%d" c
 
 (* Compilation metrics (scope "compile"): per-phase wall time through the
    Figure 2 pipeline, plus the circuit parameters Theorem 6 bounds. The
@@ -89,15 +89,6 @@ let surjective_maps vars subset =
     (fun m -> List.for_all (fun c -> List.exists (fun (_, c') -> c' = c) m) subset)
     (go vars)
 
-(* the compiled [holds] predicate: color pseudo-relations resolve against
-   the pinned coloring, everything else against the (mutable) instance *)
-let mk_holds inst (color : int array) r tuple =
-  if String.length r > 8 && String.sub r 0 8 = "__color_" then
-    match tuple with
-    | [ v ] -> color.(v) = int_of_string (String.sub r 8 (String.length r - 8))
-    | _ -> false
-  else Db.Instance.mem inst r tuple
-
 (* run [f], adding its wall time to [clock] when one is given *)
 let time clock f =
   match clock with
@@ -124,8 +115,9 @@ type segment = {
   seg_shapes : int;
 }
 
-(** The inputs of a compile, fixed for the life of a prepared query. The
-    instance is shared mutable state with the caller. *)
+(** The inputs of a compile, fixed for the life of a prepared query,
+    and the shapes met so far. The instance is shared mutable state with
+    the caller. *)
 type 'a spec = {
   sp_inst : Db.Instance.t;
   sp_nf : 'a Logic.Normal.summand list;
@@ -138,12 +130,18 @@ type 'a spec = {
   sp_max_depth : int;
   sp_budget : Robust.budget;
   sp_dynamic_rels : string list;
+  sp_shapes : (int * int, Shapes.Shape.t list) Hashtbl.t;
+      (** (summand index, forest depth) → the summand's shapes, filled on
+          first use: shapes depend on neither the database nor the color
+          split, so every subset, structural update and full recompile of
+          the plan shares them *)
 }
 
 (** Everything a structural update needs: the compile inputs, the live
     graph (with its pinned coloring and forest cache) and the segmented
-    raw circuit. The live graph is shared mutable state with the caller;
-    the rest is immutable — a successful [recompile_local] returns a
+    raw circuit. The live graph is shared mutable state with the caller,
+    and the spec's shape cache only grows; the rest is immutable — a
+    successful [recompile_local] returns a
     {e new} plan and the caller commits it, so a failed splice never
     leaves a half-updated plan. *)
 type 'a plan = {
@@ -157,16 +155,23 @@ type 'a plan = {
    variables as the subset has colors, since a color map onto the subset
    must be surjective. The test reads only the subset and the summands,
    so a compile's segment list survives structural updates. *)
-let relevant nf subset =
-  let k = List.length subset in
-  List.filter (fun s -> List.length (Logic.Normal.summand_vars s) >= k) nf
+let relevant subset s = List.length (Logic.Normal.summand_vars s) >= List.length subset
+
+(* the shapes of summand [i] at forest depth [d], enumerated on first use *)
+let shapes_of spec ?decomp i s d =
+  match Hashtbl.find_opt spec.sp_shapes (i, d) with
+  | Some shapes -> shapes
+  | None ->
+      let shapes = time decomp (fun () -> Shapes.Shape.enumerate ~d ~summand:s ()) in
+      Hashtbl.replace spec.sp_shapes (i, d) shapes;
+      shapes
 
 (* Compile one color subset into the builder: the induced elimination
    forest comes from the live graph's per-subset cache, then every
-   relevant summand × surjective color map is compiled by shapes.
-   Returns the subset's top-level gates (emission order), forest depth
-   and shape count. *)
-let compile_subset (type a) b (spec : a spec) ~holds ~(live : Graphs.Live.t)
+   relevant summand × surjective color map is compiled by the summand's
+   shapes, each color map checked per shape node. Returns the subset's
+   top-level gates (emission order), forest depth and shape count. *)
+let compile_subset (type a) b (spec : a spec) ~color ~(live : Graphs.Live.t)
     ~(verts : int list) ~check_budget ?decomp ?emit subset : int list * int * int =
   Obs.Trace.span ~scope:"compile" "subset"
     ~attrs:
@@ -183,55 +188,37 @@ let compile_subset (type a) b (spec : a spec) ~holds ~(live : Graphs.Live.t)
     Robust.unsupported "Compile: induced forest depth %d exceeds %d; increase tfa_rounds" d
       spec.sp_max_depth;
   let dynamic r = List.mem r spec.sp_dynamic_rels in
-  let fs = { Shapes.Forest_compile.forest; orig; holds; dynamic } in
+  let holds = Db.Instance.mem spec.sp_inst in
+  let fs = { Shapes.Forest_compile.forest; orig; color; holds; dynamic } in
   let tops = ref [] in
   let num_shapes = ref 0 in
-  List.iter
-    (fun (s : a Logic.Normal.summand) ->
-      let vars = Logic.Normal.summand_vars s in
-      List.iter
-        (fun cmap ->
-          let color_lits =
-            List.map
-              (fun (x, c) ->
-                {
-                  Logic.Normal.pos = true;
-                  atom = Logic.Normal.ARel (color_rel c, [ Logic.Term.Var x ]);
-                })
-              cmap
-          in
-          let s' =
-            {
-              s with
-              Logic.Normal.prod =
-                {
-                  s.Logic.Normal.prod with
-                  Logic.Normal.lits = color_lits @ s.Logic.Normal.prod.Logic.Normal.lits;
-                };
-            }
-          in
-          let shapes = time decomp (fun () -> Shapes.Shape.enumerate ~d ~summand:s' ()) in
-          num_shapes := !num_shapes + List.length shapes;
-          let sgates =
-            time emit (fun () ->
-                List.filter_map
-                  (Shapes.Forest_compile.compile_shape b fs ~zero:spec.sp_zero
-                     ~one:spec.sp_one)
-                  shapes)
-          in
-          (* a summand whose shapes are all statically zero has no top *)
-          if sgates <> [] then begin
-            let body = Circuits.Circuit.add b sgates in
-            let gate =
-              match s.Logic.Normal.prod.Logic.Normal.coeffs with
-              | [] -> body
-              | cs -> Circuits.Circuit.mul b (List.map (Circuits.Circuit.const b) cs @ [ body ])
+  List.iteri
+    (fun i (s : a Logic.Normal.summand) ->
+      if relevant subset s then
+        let shapes = shapes_of spec ?decomp i s d in
+        List.iter
+          (fun colors ->
+            num_shapes := !num_shapes + List.length shapes;
+            let sgates =
+              time emit (fun () ->
+                  List.filter_map
+                    (Shapes.Forest_compile.compile_shape b fs ~zero:spec.sp_zero
+                       ~one:spec.sp_one ~colors)
+                    shapes)
             in
-            tops := gate :: !tops
-          end;
-          check_budget ())
-        (surjective_maps vars subset))
-    (relevant spec.sp_nf subset);
+            (* a summand whose shapes are all statically zero has no top *)
+            if sgates <> [] then begin
+              let body = Circuits.Circuit.add b sgates in
+              let gate =
+                match s.Logic.Normal.prod.Logic.Normal.coeffs with
+                | [] -> body
+                | cs -> Circuits.Circuit.mul b (List.map (Circuits.Circuit.const b) cs @ [ body ])
+              in
+              tops := gate :: !tops
+            end;
+            check_budget ())
+          (surjective_maps (Logic.Normal.summand_vars s) subset))
+    spec.sp_nf;
   Obs.Trace.add_attr "depth" (Obs.Trace.I d);
   Obs.Trace.add_attr "shapes" (Obs.Trace.I !num_shapes);
   Obs.Trace.add_attr "gates_emitted" (Obs.Trace.I (Circuits.Circuit.builder_len b - gates0));
@@ -281,7 +268,6 @@ let assemble (type a) (spec : a spec) ~live ~(coloring : Graphs.Tfa.coloring) ~m
     a Circuits.Circuit.t * meta * a plan =
   let color = coloring.Graphs.Tfa.color in
   let n = Db.Instance.n spec.sp_inst in
-  let holds = mk_holds spec.sp_inst color in
   let b = Circuits.Circuit.builder () in
   let check_budget () =
     match monitor with
@@ -323,7 +309,7 @@ let assemble (type a) (spec : a spec) ~live ~(coloring : Graphs.Tfa.coloring) ~m
             { seg with seg_tops = tops }
         | Some subset ->
             let tops, d, shapes =
-              compile_subset b spec ~holds ~live ~verts:(subset_verts color n subset)
+              compile_subset b spec ~color ~live ~verts:(subset_verts color n subset)
                 ~check_budget ?decomp ?emit subset
             in
             { seg with seg_tops = tops; seg_depth = d; seg_shapes = shapes }
@@ -405,7 +391,8 @@ let full_compile (type a) (spec : a spec) ~monitor ~t_start =
      else [])
     @ List.filter_map
         (fun subset ->
-          if subset <> [] && relevant spec.sp_nf subset <> [] then Some (fresh (Some subset))
+          if subset <> [] && List.exists (relevant subset) spec.sp_nf then
+            Some (fresh (Some subset))
           else None)
         (subsets_up_to spec.sp_p
            (List.sort_uniq compare (Array.to_list coloring.Graphs.Tfa.color)))
@@ -509,6 +496,7 @@ let compile_plan (type a) ~(zero : a) ~(one : a) ?(equal : a -> a -> bool = ( = 
       sp_max_depth = max_depth;
       sp_budget = budget;
       sp_dynamic_rels = dynamic_rels;
+      sp_shapes = Hashtbl.create 16;
     }
   in
   let result = full_compile spec ~monitor ~t_start in

@@ -24,12 +24,12 @@ type 'a ctx = {
 let index_of ctx x =
   let open Semiring.Intf in
   let n = Array.length ctx.elems in
-  let rec go i =
-    if i >= n then invalid_arg "Finite_perm: value not in elements"
-    else if ctx.ops.equal ctx.elems.(i) x then i
-    else go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < n && not (ctx.ops.equal ctx.elems.(!i) x) do
+    incr i
+  done;
+  if !i >= n then invalid_arg "Finite_perm: value not in elements";
+  !i
 
 let make_ctx (ops : 'a Semiring.Intf.ops) : 'a ctx =
   let open Semiring.Intf in
@@ -62,28 +62,28 @@ let make_ctx (ops : 'a Semiring.Intf.ops) : 'a ctx =
   let modulus = Array.fold_left (fun m (_, per, _) -> lcm m per) 1 lassos in
   { ops; elems; lassos; modulus }
 
-(* Counts that may exceed machine range: saturated low part (enough to
-   compare with preperiods) plus the value mod [ctx.modulus]. *)
-type count = { low : int; modm : int }
-
+(* Counts may exceed machine range, so [scale] takes one as a saturated
+   low part (enough to compare with preperiods) plus its value mod
+   [ctx.modulus]. *)
 let cap = 1 lsl 40
-let count_of_int ctx n = { low = min n cap; modm = n mod ctx.modulus }
 
-let count_mul ctx a b =
-  {
-    low = (if a.low >= cap || b.low >= cap || a.low * b.low >= cap then cap else a.low * b.low);
-    modm = a.modm * b.modm mod ctx.modulus;
-  }
+(* the saturated product of two saturated low parts; zero absorbs *)
+let low_mul a b =
+  if a = 0 || b = 0 then 0 else if a >= cap || b >= cap || a * b >= cap then cap else a * b
 
-(** c · s using the lasso of s. *)
-let scale ctx (c : count) (s : 'a) : 'a =
+(* c · s for the count c with saturated low part [low] and residue [modm],
+   using the lasso of s *)
+let scale_parts ctx ~low ~modm (s : 'a) : 'a =
   let ei = index_of ctx s in
   let pre, per, prefix = ctx.lassos.(ei) in
-  if c.low < cap && c.low < pre + per then prefix.(c.low)
+  if low < cap && low < pre + per then prefix.(low)
   else begin
-    let r = (((c.modm - pre) mod per) + per) mod per in
+    let r = (((modm - pre) mod per) + per) mod per in
     prefix.(pre + r)
   end
+
+(** c · s for a non-negative count c. *)
+let scale ctx c s = scale_parts ctx ~low:(min c cap) ~modm:(c mod ctx.modulus) s
 
 type 'a t = {
   ctx : 'a ctx;
@@ -92,6 +92,8 @@ type 'a t = {
   counts : int array;  (** per column-type index *)
   col_type : int array;  (** column → type index *)
   entries : int array array;  (** column → element indices, n × k *)
+  present : int array;  (** [perm]'s scratch: the types with a non-zero count *)
+  assignment : int array;  (** [perm]'s scratch: row → type, length k *)
 }
 
 let ntypes ctx k =
@@ -107,8 +109,11 @@ let type_index ctx (col : int array) =
 
 let type_entry ctx tidx r =
   let ne = Array.length ctx.elems in
-  let rec go t i = if i = 0 then t mod ne else go (t / ne) (i - 1) in
-  ctx.elems.(go tidx r)
+  let t = ref tidx in
+  for _ = 1 to r do
+    t := !t / ne
+  done;
+  ctx.elems.(!t mod ne)
 
 (* Gate-strategy counters (scope "perm"): the constant-update counting
    strategy of Corollary 20, and how many batched entry points amortize
@@ -126,7 +131,16 @@ let create (ops : 'a Semiring.Intf.ops) (m : 'a array array) : 'a t =
   let col_type = Array.map (type_index ctx) entries in
   Array.iter (fun t -> counts.(t) <- counts.(t) + 1) col_type;
   Obs.Counter.incr m_creates;
-  { ctx; k; n; counts; col_type; entries }
+  {
+    ctx;
+    k;
+    n;
+    counts;
+    col_type;
+    entries;
+    present = Array.make (Array.length counts) 0;
+    assignment = Array.make k 0;
+  }
 
 (* Move column [col]'s counter to the type of its current entries. *)
 let retype t col =
@@ -177,48 +191,52 @@ let set_many t (updates : (int * int * 'a) list) =
 
 let get t ~row ~col = t.ctx.elems.(t.entries.(col).(row))
 
-(** Permanent from the counts: independent of n. *)
+(** Permanent from the counts: independent of n. Sums over the maps g
+    from rows to present types; the rows of type t pick distinct columns
+    of that type in P(n_t, |g⁻¹(t)|) ways, the product over rows of n_t
+    minus the earlier rows of the same type. Allocates nothing beyond the
+    semiring's own values. *)
 let perm t =
   let open Semiring.Intf in
   let ops = t.ctx.ops in
-  if t.k = 0 then ops.one
-  else begin
-    let present = ref [] in
-    Array.iteri (fun tidx c -> if c > 0 then present := tidx :: !present) t.counts;
-    let present = !present in
-    let acc = ref ops.zero in
-    let assignment = Array.make t.k 0 in
-    let rec go r =
-      if r = t.k then begin
-        let mult = Hashtbl.create 8 in
-        Array.iter
-          (fun tidx ->
-            Hashtbl.replace mult tidx (1 + Option.value ~default:0 (Hashtbl.find_opt mult tidx)))
-          assignment;
-        let ways = ref (count_of_int t.ctx 1) in
-        Hashtbl.iter
-          (fun tidx j ->
-            let n_t = t.counts.(tidx) in
-            for i = 0 to j - 1 do
-              ways := count_mul t.ctx !ways (count_of_int t.ctx (max 0 (n_t - i)))
-            done)
-          mult;
-        let entry_prod = ref ops.one in
-        Array.iteri
-          (fun r tidx -> entry_prod := ops.mul !entry_prod (type_entry t.ctx tidx r))
-          assignment;
-        acc := ops.add !acc (scale t.ctx !ways !entry_prod)
-      end
-      else
-        List.iter
-          (fun tidx ->
-            assignment.(r) <- tidx;
-            go (r + 1))
-          present
-    in
-    go 0;
-    !acc
-  end
+  let modulus = t.ctx.modulus in
+  let g = t.assignment in
+  let np = ref 0 in
+  for tidx = 0 to Array.length t.counts - 1 do
+    if t.counts.(tidx) > 0 then begin
+      t.present.(!np) <- tidx;
+      incr np
+    end
+  done;
+  let np = !np in
+  (* the term of the map in [g] *)
+  let term () =
+    let low = ref 1 and modm = ref (1 mod modulus) and entry_prod = ref ops.one in
+    for r = 0 to t.k - 1 do
+      let tidx = g.(r) in
+      let ways = ref t.counts.(tidx) in
+      for r' = 0 to r - 1 do
+        if g.(r') = tidx then decr ways
+      done;
+      let ways = max 0 !ways in
+      low := low_mul !low ways;
+      modm := !modm * (ways mod modulus) mod modulus;
+      entry_prod := ops.mul !entry_prod (type_entry t.ctx tidx r)
+    done;
+    scale_parts t.ctx ~low:!low ~modm:!modm !entry_prod
+  in
+  let rec go r acc =
+    if r = t.k then ops.add acc (term ())
+    else begin
+      let acc = ref acc in
+      for i = 0 to np - 1 do
+        g.(r) <- t.present.(i);
+        acc := go (r + 1) !acc
+      done;
+      !acc
+    end
+  in
+  go 0 ops.zero
 
 (** Functor sugar over a statically-known finite semiring. *)
 module Make (S : Semiring.Intf.FINITE) = struct

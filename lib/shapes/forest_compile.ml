@@ -13,8 +13,8 @@
 type fstage = {
   forest : Graphs.Forest.t;  (** reindexed vertices 0 … m−1 *)
   orig : int array;  (** forest vertex → original database element *)
-  holds : string -> int list -> bool;
-      (** relation membership over original elements (colors included) *)
+  color : int array;  (** database element → its color in the pinned coloring *)
+  holds : string -> int list -> bool;  (** relation membership over original elements *)
   dynamic : string -> bool;
       (** relations encoded as ±weight inputs (Lemma 40) instead of being
           checked at compile time — this is what makes Gaifman-preserving
@@ -51,18 +51,36 @@ let rel_holds fs v (c : Shape.rel_constraint) : bool =
   fs.holds c.Shape.rel (constraint_tuple fs v c) = c.Shape.pos
 
 (** Compile one shape into a gate of the builder [b], or [None] when its
-    value is statically zero. Nothing is emitted for a (shape node,
-    forest node) pair whose value is statically zero: a static constraint
-    fails at the node, or its children's permanent is zero because a row
-    has no non-zero entry or fewer columns than rows have one. A non-zero
+    value is statically zero. [colors] maps variables to the color their
+    element must have — the color split of Lemma 35 — and is checked at
+    each variable's shape node like a static constraint; two variables
+    on one node with different colors leave nothing to embed. Nothing
+    is emitted for a (shape node, forest node) pair whose value is
+    statically zero: a static constraint or the color fails at the node,
+    or its children's permanent is zero because a row has no non-zero
+    entry or fewer columns than rows have one. A non-zero
     permanent keeps only its columns with some non-zero entry; its
     remaining zero entries point at one shared zero constant. These
     rewrites use only "zero annihilates" and "zero is the additive
     identity", so they hold in every semiring. Dynamic relations are
     inputs and never pruned. *)
 let compile_shape (type a) (b : a Circuits.Circuit.builder) (fs : fstage)
-    ~(zero : a) ~(one : a) (s : Shape.t) : int option =
-  if Shape.num_nodes s = 0 then Some (Circuits.Circuit.const b one)
+    ~(zero : a) ~(one : a) ~(colors : (string * int) list) (s : Shape.t) : int option =
+  (* the color each shape node's forest node must have, or -1 *)
+  let need = Array.make (Shape.num_nodes s) (-1) in
+  let clash =
+    List.exists
+      (fun (x, sid) ->
+        match List.assoc_opt x colors with
+        | None -> false
+        | Some c ->
+            let other = need.(sid) in
+            need.(sid) <- c;
+            other >= 0 && other <> c)
+      s.Shape.var_node
+  in
+  if clash then None
+  else if Shape.num_nodes s = 0 then Some (Circuits.Circuit.const b one)
   else begin
     let zero_gate = ref (-1) in
     let get_zero () =
@@ -106,31 +124,38 @@ let compile_shape (type a) (b : a Circuits.Circuit.builder) (fs : fstage)
       if memo.(k) <> unset then memo.(k)
       else begin
         let sn = s.nodes.(sid) in
-        let static_rels, dynamic_rels =
-          List.partition (fun (c : Shape.rel_constraint) -> not (fs.dynamic c.Shape.rel)) sn.Shape.rels
-        in
-        (* the pair's gate: the node's weight inputs times [pg] *)
-        let node pg =
-          let wgates =
-            List.map (fun w -> Circuits.Circuit.input b (weight_key fs v w)) sn.Shape.weights
-            @ List.map
-                (fun (c : Shape.rel_constraint) ->
-                  let name = if c.Shape.pos then pos_weight c.Shape.rel else neg_weight c.Shape.rel in
-                  Circuits.Circuit.input b (name, constraint_tuple fs v c))
-                dynamic_rels
-          in
-          match wgates @ pg with [] -> get_one () | gs -> Circuits.Circuit.mul b gs
-        in
         let g =
-          if not (List.for_all (rel_holds fs v) static_rels) then zero_entry
-          else
-            match sn.Shape.children with
-            | [] -> node []
-            | cs ->
-                (* the children's permanent first, so a zero node emits no
-                   weight inputs *)
-                let pg = perm cs (Graphs.Forest.children fs.forest v) in
-                if pg = zero_entry then zero_entry else node [ pg ]
+          if need.(sid) >= 0 && fs.color.(fs.orig.(v)) <> need.(sid) then zero_entry
+          else begin
+            let static_rels, dynamic_rels =
+              List.partition
+                (fun (c : Shape.rel_constraint) -> not (fs.dynamic c.Shape.rel))
+                sn.Shape.rels
+            in
+            (* the pair's gate: the node's weight inputs times [pg] *)
+            let node pg =
+              let wgates =
+                List.map (fun w -> Circuits.Circuit.input b (weight_key fs v w)) sn.Shape.weights
+                @ List.map
+                    (fun (c : Shape.rel_constraint) ->
+                      let name =
+                        if c.Shape.pos then pos_weight c.Shape.rel else neg_weight c.Shape.rel
+                      in
+                      Circuits.Circuit.input b (name, constraint_tuple fs v c))
+                    dynamic_rels
+              in
+              match wgates @ pg with [] -> get_one () | gs -> Circuits.Circuit.mul b gs
+            in
+            if not (List.for_all (rel_holds fs v) static_rels) then zero_entry
+            else
+              match sn.Shape.children with
+              | [] -> node []
+              | cs ->
+                  (* the children's permanent first, so a zero node emits
+                     no weight inputs *)
+                  let pg = perm cs (Graphs.Forest.children fs.forest v) in
+                  if pg = zero_entry then zero_entry else node [ pg ]
+          end
         in
         memo.(k) <- g;
         g

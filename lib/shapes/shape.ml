@@ -162,8 +162,6 @@ let enumerate ~d ~(summand : 'a Logic.Normal.summand) () : t list =
             done;
             !r
           in
-          let node_key i = (rep i dep.(i), dep.(i)) in
-          ignore node_key;
           try
             (* equality literals are decided by the merge structure *)
             List.iter

@@ -43,11 +43,13 @@ let segtree_sets_allocate_nothing () =
 (* Bounds about 5% above the counts at the time of writing, so that a
    new allocation on a path fails here before it shows in the benchmark:
    General mode 29.9 words per update and 150.0 per point query, Ring
-   mode 47.8 and Finite mode 107.8 per update. *)
+   mode 47.8 per update, Finite mode 35.5 per update and 283.9 per point
+   query. *)
 let update_bound = 32.
 let query_bound = 160.
 let ring_update_bound = 50.
-let finite_update_bound = 114.
+let finite_update_bound = 38.
+let finite_query_bound = 300.
 
 (* The serving instance: weighted degree f(x) = Σ_y E(x,y)·w(y) on a
    fixed random graph of maximum degree 3, journal off. [of_int] maps the
@@ -96,6 +98,81 @@ let ring_finite_updates_bounded () =
   let _, _, update = weighted_degree (Intf.ops_of_finite (module Zmod.Z6)) Zmod.Z6.of_int in
   check_words "Finite-mode Eval.update" (words_per update) finite_update_bound
 
+(* Finite-mode point queries: two temporary writes, each reading the
+   counting permanents on its path. *)
+let finite_query_bounded () =
+  Obs.set_enabled true;
+  let ev, keys, _ = weighted_degree (Intf.ops_of_finite (module Zmod.Z6)) Zmod.Z6.of_int in
+  let sink = ref 0 in
+  let query = words_per (fun i -> sink := !sink + Engine.Eval.query ev keys.(i land 4095)) in
+  check_words "Finite-mode Eval.query [x]" query finite_query_bound
+
+(* The churn_ring-shaped instance: weighted triangles Σ_xyz
+   [E(x,y) ∧ E(y,z) ∧ E(z,x)]·w(x) over the int ring on the 7×7 grid
+   plus the diagonal of every cell with r+c even. *)
+let side = 7
+
+let churn_instance () =
+  let inst = Db.Instance.of_graph (Graphs.Gen.grid side side) in
+  for r = 0 to side - 2 do
+    for c = 0 to side - 2 do
+      if (r + c) land 1 = 0 then
+        Db.Instance.add inst "E" [ (r * side) + c; ((r + 1) * side) + c + 1 ]
+    done
+  done;
+  inst
+
+let weighted_triangles =
+  let var x = Logic.Term.Var x in
+  let e x y = Logic.Formula.Rel ("E", [ var x; var y ]) in
+  Logic.Expr.Sum
+    ( [ "x"; "y"; "z" ],
+      Logic.Expr.Mul
+        [
+          Logic.Expr.Guard (Logic.Formula.And [ e "x" "y"; e "y" "z"; e "z" "x" ]);
+          Logic.Expr.Weight ("w", [ var "x" ]);
+        ] )
+
+(* Shapes depend only on a summand and the forest depth, so a compile
+   enumerates them once per (summand, depth) and checks each color map
+   per shape node. Before that, every color subset and color map
+   re-enumerated them, and this prepare took 83.9M minor words and the
+   structural ops below 1.49M each on average; the bounds are a third of
+   those. The compile itself must not change: the shape and subset
+   counts are the ones recorded then. *)
+let prepare_bound = 83.9e6 /. 3.
+let structural_bound = 1.49e6 /. 3.
+
+let structural_ops_bounded () =
+  Obs.set_enabled true;
+  let ring = Intf.ops_of_ring (module Instances.Int_ring) in
+  let inst = churn_instance () in
+  let n = Db.Instance.n inst in
+  let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:0 in
+  Db.Weights.fill_unary w ~n (fun i -> (i mod 11) - 5);
+  let w0 = Gc.minor_words () in
+  let ev = Engine.Eval.prepare ring inst (Db.Weights.bundle [ w ]) weighted_triangles in
+  let prepare = Gc.minor_words () -. w0 in
+  let meta = ev.Engine.Eval.meta in
+  Alcotest.(check int) "shapes" 59439 meta.Engine.Compile.num_shapes;
+  Alcotest.(check int) "subsets" 1561 meta.Engine.Compile.num_subsets;
+  check_words "Eval.prepare" prepare prepare_bound;
+  (* eight cell diagonals, each toggled and toggled back *)
+  let ops = 16 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to ops - 1 do
+    let cell = i / 2 * 7 mod ((side - 1) * (side - 1)) in
+    let r = cell / (side - 1) and c = cell mod (side - 1) in
+    let arc = [ (r * side) + c; ((r + 1) * side) + c + 1 ] in
+    if Db.Instance.mem inst "E" arc then Engine.Eval.delete_tuple ev "E" arc
+    else Engine.Eval.insert_tuple ev "E" arc
+  done;
+  let per_op = (Gc.minor_words () -. w0) /. float_of_int ops in
+  check_words "structural op" per_op structural_bound;
+  Alcotest.(check int) "value = reference"
+    (Engine.Reference.eval ring inst (Db.Weights.bundle [ w ]) weighted_triangles)
+    (Engine.Eval.value ev)
+
 let suite =
   [
     Alcotest.test_case "segtree set allocates nothing (k=1..3)" `Quick
@@ -104,4 +181,7 @@ let suite =
       eval_ops_bounded;
     Alcotest.test_case "Ring- and Finite-mode update words bounded" `Quick
       ring_finite_updates_bounded;
+    Alcotest.test_case "Finite-mode point query words bounded" `Quick finite_query_bounded;
+    Alcotest.test_case "structural op and prepare words bounded (churn_ring instance)" `Quick
+      structural_ops_bounded;
   ]

@@ -68,12 +68,13 @@ let distinctness_shapes () =
     {
       Shapes.Forest_compile.forest;
       orig = [| 0; 1; 2 |];
+      color = [| 0; 0; 0 |];
       holds = (fun _ _ -> true);
       dynamic = (fun _ -> false);
     }
   in
   let b = Circuits.Circuit.builder () in
-  let g = Option.get (Shapes.Forest_compile.compile_shape b fs ~zero:0 ~one:1 sh) in
+  let g = Option.get (Shapes.Forest_compile.compile_shape b fs ~zero:0 ~one:1 ~colors:[] sh) in
   let c = Circuits.Circuit.finish b ~output:g in
   let value = Circuits.Circuit.eval nat_ops c (fun (_, t) -> List.hd t + 1) in
   (* u = [1;2;3]: Σ_{i≠j} u_i u_j = (1+2+3)^2 − (1+4+9) = 22 *)
@@ -100,6 +101,52 @@ let equality_shapes () =
     (Shapes.Shape.enumerate ~d:2 ~summand:s ());
   (* and at depth d there are exactly d+1 such shapes *)
   check_int "d+1 shapes" 3 (List.length (Shapes.Shape.enumerate ~d:2 ~summand:s ()))
+
+(* The color map is checked per shape node. With [x = y] at depth 0 the
+   only shape puts both variables on one node: different colors for
+   them leave nothing to embed, and equal colors give the same gate as
+   coloring one of them. *)
+let color_map_per_node () =
+  let s =
+    summand_of
+      (Logic.Expr.Sum
+         ( [ "x"; "y" ],
+           Logic.Expr.Mul
+             [
+               Logic.Expr.Guard (Logic.Formula.Eq (v "x", v "y"));
+               Logic.Expr.Weight ("u", [ v "x" ]);
+               Logic.Expr.Weight ("u", [ v "y" ]);
+             ] ))
+  in
+  let sh = List.hd (Shapes.Shape.enumerate ~d:0 ~summand:s ()) in
+  let x, y =
+    match sh.Shapes.Shape.var_node with
+    | [ (x, nx); (y, ny) ] when nx = ny -> (x, y)
+    | _ -> Alcotest.fail "expected two variables on one node"
+  in
+  let fs =
+    {
+      Shapes.Forest_compile.forest = Graphs.Forest.of_parents [| 0; 1; 2 |];
+      orig = [| 0; 1; 2 |];
+      color = [| 0; 1; 0 |];
+      holds = (fun _ _ -> true);
+      dynamic = (fun _ -> false);
+    }
+  in
+  let compile colors =
+    let b = Circuits.Circuit.builder () in
+    Option.map
+      (fun g -> Circuits.Circuit.finish b ~output:g)
+      (Shapes.Forest_compile.compile_shape b fs ~zero:0 ~one:1 ~colors sh)
+  in
+  check_bool "different colors: None" true (compile [ (x, 0); (y, 1) ] = None);
+  let both = Option.get (compile [ (x, 0); (y, 0) ]) in
+  let one = Option.get (compile [ (x, 0) ]) in
+  check_bool "same colors = one colored variable" true
+    (both.Circuits.Circuit.nodes = one.Circuits.Circuit.nodes
+    && both.Circuits.Circuit.output = one.Circuits.Circuit.output);
+  (* u = [1;2;3], elements 0 and 2 have color 0: 1² + 3² *)
+  check_int "value" 10 (Circuits.Circuit.eval nat_ops both (fun (_, t) -> List.hd t + 1))
 
 (* --- provenance: enumerated = explicit, property-tested --- *)
 
@@ -197,6 +244,7 @@ let suite =
     Alcotest.test_case "edges force a chain" `Quick chain_forced_by_edges;
     Alcotest.test_case "distinctness shape + permanent" `Quick distinctness_shapes;
     Alcotest.test_case "equality collapses nodes" `Quick equality_shapes;
+    Alcotest.test_case "color map checked per shape node" `Quick color_map_per_node;
     prov_matches_explicit;
     Alcotest.test_case "minheap basics" `Quick minheap_basics;
     minheap_tracks_random_updates;

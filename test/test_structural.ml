@@ -237,6 +237,51 @@ let fallback_on_depth_growth () =
   del t 1 2;
   agree "delete after fallback" t inst weights triangle_count
 
+(* Shapes are enumerated once per (summand, forest depth) and kept in
+   the plan's spec. On the 8-path, chords from vertex 0 deepen the
+   affected subsets' forests op by op: a localized op that reaches a
+   depth the compile never met enumerates that pair mid-run, every pair
+   met before keeps its shape list as it was (physically), and the
+   full-compile fallback, which recolors the graph, shares the same
+   table. The value matches Engine.Reference after every op. *)
+let shape_cache_across_churn () =
+  let run ?max_depth () =
+    let inst = Db.Instance.of_graph (Graphs.Gen.path 8) in
+    let weights = Db.Weights.bundle [] in
+    let t = Engine.Eval.prepare nat_ops ?max_depth inst weights triangle_count in
+    let spec () = t.Engine.Eval.plan.Engine.Compile.pl_spec in
+    let table = (spec ()).Engine.Compile.sp_shapes in
+    let depths () = Hashtbl.fold (fun (_, d) _ acc -> d :: acc) table [] in
+    let depths0 = depths () in
+    List.iter
+      (fun (a, b) ->
+        let before = Hashtbl.fold (fun k shapes acc -> (k, shapes) :: acc) table [] in
+        ins t a b;
+        let what = Printf.sprintf "ins %d-%d" a b in
+        check_int (what ^ " vs reference")
+          (Engine.Reference.eval nat_ops inst weights triangle_count)
+          (Engine.Eval.value t);
+        check_bool (what ^ ": one table") true ((spec ()).Engine.Compile.sp_shapes == table);
+        List.iter
+          (fun (k, shapes) ->
+            check_bool (what ^ ": shapes kept") true (Hashtbl.find table k == shapes))
+          before;
+        List.iter
+          (fun (seg : Engine.Compile.segment) ->
+            if seg.Engine.Compile.seg_subset <> None then
+              check_bool (what ^ ": segment depth cached") true
+                (Hashtbl.mem table (0, seg.Engine.Compile.seg_depth)))
+          t.Engine.Eval.plan.Engine.Compile.pl_segments)
+      [ (0, 2); (0, 3); (0, 4); (0, 5); (1, 3); (2, 4) ];
+    (t, depths0, depths ())
+  in
+  let t, depths0, depths = run () in
+  check_int "localized: no fallback" 0 (Engine.Eval.churn_stats t).Engine.Eval.ch_fallbacks;
+  check_bool "localized: a depth first met mid-run" true
+    (List.exists (fun d -> not (List.mem d depths0)) depths);
+  let t, _, _ = run ~max_depth:2 () in
+  check_int "max_depth 2: one fallback" 1 (Engine.Eval.churn_stats t).Engine.Eval.ch_fallbacks
+
 (* replaying a journal of interleaved weight batches and structural ops
    against a fresh prepare on the pre-journal state reconstructs the
    exact served value *)
@@ -518,6 +563,8 @@ let suite =
     Alcotest.test_case "writes to unread weights" `Quick unread_weight_writes;
     Alcotest.test_case "bad deltas rejected" `Quick bad_deltas_rejected;
     Alcotest.test_case "fallback on depth growth" `Quick fallback_on_depth_growth;
+    Alcotest.test_case "shapes cached per (summand, depth) across churn" `Quick
+      shape_cache_across_churn;
     Alcotest.test_case "journal replay (mixed batches)" `Quick journal_replay_mixed;
     Alcotest.test_case "splice fault rolls back" `Quick splice_fault_rolls_back;
     Alcotest.test_case "fault mid-fallback rolls back" `Quick fallback_fault_rolls_back;
