@@ -55,6 +55,20 @@ let add t r tup =
 (** Remove a tuple from relation [r]. Idempotent. *)
 let remove t r tup = Hashtbl.remove (rel_table t r) tup
 
+(** Set semantics: make [tup] present in [r] iff [present], and return
+    whether its membership changed. Unlike {!add}, setting a present tuple
+    is a no-op; a tuple set present is validated as in {!add}. One hash
+    table operation: the change shows in the table's size. *)
+let set t r tup present =
+  let tbl = rel_table t r in
+  let before = Hashtbl.length tbl in
+  if present then begin
+    check_tuple t r tup;
+    Hashtbl.replace tbl tup ()
+  end
+  else Hashtbl.remove tbl tup;
+  Hashtbl.length tbl <> before
+
 (** O(1) tuple membership. *)
 let mem t r tup = Hashtbl.mem (rel_table t r) tup
 

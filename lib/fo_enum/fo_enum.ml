@@ -19,8 +19,10 @@
 
     With [~dynamic:true], relation literals are compiled as the v⁺/v⁻
     weights of Lemma 40, so Gaifman-preserving updates ({!set_tuple}) need
-    no recompilation: the update is O(1) on the instance and the next
-    enumerator reads the current data. *)
+    no recompilation: the update is O(1) on the instance and records the
+    changed v± inputs, and the next enumerator re-reads only those inputs
+    and brings the shared emptiness index up to date from them (see
+    {!Provenance.Prov_circuit}) before it yields its first answer. *)
 
 type gen = int * int  (** (variable position, element) *)
 
@@ -31,9 +33,15 @@ type t = {
   gaifman : Graphs.Graph.t option;
       (** dynamic mode only: the Gaifman graph the circuit was compiled
           for, which {!set_tuple} must preserve *)
+  rel_keys : (string * string list) list;
+      (** dynamic mode only: for each relation, the names of its v⁺/v⁻
+          weights that occur as circuit inputs *)
 }
 
 let weight_sym i = Printf.sprintf "__enum%d" i
+
+(* What a weight symbol of the compiled expression stands for. *)
+type weight_kind = Enum_var of int | Pos of string | Neg of string
 
 (* Theorem 24 observables (scope "fo_enum"): linear-time preprocessing and
    constant per-answer delay. [answer_work] is the per-answer iterator
@@ -134,27 +142,38 @@ let prepare ?order ?(dynamic = false) ?opt ?budget (inst : Db.Instance.t)
   let dynamic_rels =
     if dynamic then List.map fst (Db.Instance.schema inst).Db.Schema.rels else []
   in
+  (* each weight symbol decoded once, not at every input read *)
+  let kinds = Hashtbl.create 8 in
+  List.iteri (fun i _ -> Hashtbl.replace kinds (weight_sym i) (Enum_var i)) fv;
+  List.iter
+    (fun r ->
+      Hashtbl.replace kinds (Shapes.Forest_compile.pos_weight r) (Pos r);
+      Hashtbl.replace kinds (Shapes.Forest_compile.neg_weight r) (Neg r))
+    dynamic_rels;
   let prov =
     Provenance.Prov_circuit.prepare ?opt ~dynamic_rels ?budget inst expr ~weight:(fun w tuple ->
-        let starts p = String.length w >= String.length p && String.sub w 0 (String.length p) = p in
-        let suffix p = String.sub w (String.length p) (String.length w - String.length p) in
-        if starts "__enum" then begin
-          let i = int_of_string (suffix "__enum") in
-          match tuple with
-          | [ a ] -> [ [ (i, a) ] ]
-          | _ -> invalid_arg "Fo_enum: enumeration weights are unary"
-        end
-        else if starts "__pos_" then begin
-          (* Lemma 40: v⁺_R = [R(ā)], read from the live instance *)
-          if Db.Instance.mem inst (suffix "__pos_") tuple then [ [] ] else []
-        end
-        else if starts "__neg_" then begin
-          if Db.Instance.mem inst (suffix "__neg_") tuple then [] else [ [] ]
-        end
-        else invalid_arg ("Fo_enum: unexpected weight " ^ w))
+        match Hashtbl.find_opt kinds w with
+        | Some (Enum_var i) -> (
+            match tuple with
+            | [ a ] -> [ [ (i, a) ] ]
+            | _ -> invalid_arg "Fo_enum: enumeration weights are unary")
+        (* Lemma 40: v⁺_R = [R(ā)], v⁻_R = [¬R(ā)], read from the live instance *)
+        | Some (Pos r) -> if Db.Instance.mem inst r tuple then [ [] ] else []
+        | Some (Neg r) -> if Db.Instance.mem inst r tuple then [] else [ [] ]
+        | None -> invalid_arg ("Fo_enum: unexpected weight " ^ w))
+  in
+  let symbols = Hashtbl.create 8 in
+  Hashtbl.iter (fun (w, _) _ -> Hashtbl.replace symbols w ()) prov.circuit.input_ids;
+  let rel_keys =
+    List.map
+      (fun r ->
+        ( r,
+          List.filter (Hashtbl.mem symbols)
+            [ Shapes.Forest_compile.pos_weight r; Shapes.Forest_compile.neg_weight r ] ))
+      dynamic_rels
   in
   let gaifman = if dynamic then Some (Db.Instance.gaifman inst) else None in
-  { free_vars = fv; prov; inst; gaifman }
+  { free_vars = fv; prov; inst; gaifman; rel_keys }
 
 (** Checked preparation: every exception the enumeration pipeline can
     raise — unguarded quantification, compile budgets, malformed instances
@@ -220,7 +239,11 @@ let observe_iter (it : 'a Enum.Iter.t) : 'a Enum.Iter.t =
   }
 
 (** A fresh constant-delay enumerator over the answers (each exactly
-    once). *)
+    once). Enumerators share one emptiness index: an enumerator stays
+    valid across later {!set_tuple} calls (it keeps yielding the answers
+    of the data it was created on) until the next [enumerate] drains
+    those updates; after that its [next]/[prev] raise
+    [Robust.Error (Bad_input _)] (a stale enumerator). *)
 let enumerate t : int array Enum.Iter.t =
   let it =
     Enum.Iter.map (decode (List.length t.free_vars)) (Provenance.Prov_circuit.enumerate t.prov)
@@ -231,11 +254,18 @@ let enumerate t : int array Enum.Iter.t =
     outputs). *)
 let answers t = Enum.Iter.to_list (enumerate t)
 
+let rec touch_all prov tuple = function
+  | [] -> ()
+  | w :: ws ->
+      Provenance.Prov_circuit.touch prov w tuple;
+      touch_all prov tuple ws
+
 (** Gaifman-preserving update (dynamic mode only): add or remove a tuple
     of an existing relation whose elements already form a clique of the
     Gaifman graph taken at {!prepare} (or of [gaifman], when given). O(1)
     plus the clique check; enumerators created afterwards see the new
-    data, with no recompilation. *)
+    data, with no recompilation. A call that leaves the tuple's membership
+    as it was records nothing. *)
 let set_tuple t ?gaifman rel tuple present =
   let prepared =
     match t.gaifman with
@@ -246,9 +276,9 @@ let set_tuple t ?gaifman rel tuple present =
   if present then begin
     let g = Option.value gaifman ~default:prepared in
     if not (Db.Instance.clique_in g tuple) then
-      Robust.bad_input "Fo_enum.set_tuple: tuple would change the Gaifman graph";
-    (* set semantics: setting an already-present tuple is a no-op, unlike
-       the strict [Instance.add] used by structural deltas *)
-    if not (Db.Instance.mem t.inst rel tuple) then Db.Instance.add t.inst rel tuple
-  end
-  else Db.Instance.remove t.inst rel tuple
+      Robust.bad_input "Fo_enum.set_tuple: tuple would change the Gaifman graph"
+  end;
+  (* set semantics: setting an already-present tuple is a no-op, unlike
+     the strict [Instance.add] used by structural deltas *)
+  if Db.Instance.set t.inst rel tuple present then
+    touch_all t.prov tuple (List.assoc rel t.rel_keys)

@@ -39,7 +39,16 @@ let instance_crud () =
     (fun () -> Db.Instance.add i "E" [ 0; 9 ]);
   Alcotest.check_raises "unknown relation"
     (Robust.Error (Robust.Bad_input "Instance: unknown relation Q")) (fun () ->
-      Db.Instance.add i "Q" [ 0 ])
+      Db.Instance.add i "Q" [ 0 ]);
+  (* set semantics: the result says whether membership changed *)
+  check_bool "set adds" true (Db.Instance.set i "E" [ 2; 3 ] true);
+  check_bool "set re-add is a no-op" false (Db.Instance.set i "E" [ 2; 3 ] true);
+  check_int "no duplicate" 1 (Db.Instance.cardinality i "E");
+  check_bool "set removes" true (Db.Instance.set i "E" [ 2; 3 ] false);
+  check_bool "set re-remove is a no-op" false (Db.Instance.set i "E" [ 2; 3 ] false);
+  Alcotest.check_raises "set validates what it adds"
+    (Robust.Error (Robust.Bad_input "Instance: element 9 out of domain [0, 5)"))
+    (fun () -> ignore (Db.Instance.set i "E" [ 0; 9 ] true))
 
 let gaifman_graph () =
   let s = Db.Schema.make [ ("R", 3) ] in

@@ -232,6 +232,212 @@ let lazy_build_counts () =
         true (per <= per8 && per <= 8.))
     sizes
 
+(* The emptiness index, counted independently of the host. After one arc
+   flip, the next enumerator recomputes only the parents along the flipped
+   input's path upward, a count that does not grow with the grid (14-16
+   on sides 8-32 when written); from the flip to the first answer it
+   allocates a few thousand words (3,406 at side 20 when written, against
+   at least 258k while every enumerator re-ran the bottom-up pass); and
+   the index, parent lists included, is about half the prepared query it
+   serves (51% when written). *)
+let index_counts () =
+  Obs.set_enabled true;
+  let recomputed = Obs.counter ~scope:"provenance" "index_gates_recomputed" in
+  let prepared side =
+    let inst = Db.Instance.of_graph (Graphs.Gen.grid side side) in
+    let t = Fo_enum.prepare ~dynamic:true inst phi_path2 in
+    let words = Obj.reachable_words (Obj.repr t) in
+    ignore (Fo_enum.enumerate t);
+    (t, words)
+  in
+  List.iter
+    (fun side ->
+      let t, _ = prepared side in
+      let c0 = Obs.Counter.get recomputed in
+      Fo_enum.set_tuple t "E" [ 0; 1 ] false;
+      ignore (Fo_enum.enumerate t);
+      let d = Obs.Counter.get recomputed - c0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "side %d: 0 < %d gates recomputed after one flip <= 32" side d)
+        true
+        (d > 0 && d <= 32))
+    [ 8; 16; 32 ];
+  let t, prepared_words = prepared 20 in
+  Fo_enum.set_tuple t "E" [ 0; 1 ] false;
+  ignore (Fo_enum.enumerate t);
+  let w0 = Gc.minor_words () in
+  Fo_enum.set_tuple t "E" [ 0; 1 ] true;
+  let it = Fo_enum.enumerate t in
+  Enum.Iter.next it;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "side 20: %.0f minor words from a flip to the first answer <= 3,600" words)
+    true (words <= 3600.);
+  let index_words =
+    Obj.reachable_words (Obj.repr t.Fo_enum.prov.Provenance.Prov_circuit.index)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "side 20: index %d words <= 60%% of the prepared query's %d" index_words
+       prepared_words)
+    true
+    (10 * index_words <= 6 * prepared_words)
+
+(* Enumerators share the index: one taken before an update keeps yielding
+   the answers it was created on until the next [enumerate] drains the
+   update, and raises from then on. *)
+let stale_enumerator () =
+  let inst = Db.Instance.of_graph (Graphs.Gen.grid 3 3) in
+  let t = Fo_enum.prepare ~dynamic:true inst phi_path2 in
+  let before = Fo_enum.answers t in
+  let old = Fo_enum.enumerate t in
+  Fo_enum.set_tuple t "E" [ 0; 1 ] false;
+  Alcotest.(check (list (list int)))
+    "undrained: the old enumerator still yields its answers"
+    (List.map Array.to_list before)
+    (List.map Array.to_list (Enum.Iter.to_list old));
+  let fresh = Fo_enum.enumerate t in
+  let stale =
+    Robust.Error
+      (Robust.Bad_input
+         "Prov_circuit: stale enumerator (an update was drained after it was built)")
+  in
+  Alcotest.check_raises "next after the drain" stale (fun () -> Enum.Iter.next old);
+  Alcotest.check_raises "prev after the drain" stale (fun () -> Enum.Iter.prev old);
+  check_int "the fresh enumerator sees the update"
+    (List.length (brute_answers (Fo_enum.instance t) (Fo_enum.free_vars t) phi_path2))
+    (List.length (Enum.Iter.to_list fresh))
+
+(* one-way arcs: the v⁻ weights of Lemma 40 next to the v⁺ ones *)
+let phi_one_way = Logic.Formula.And [ e "x" "y"; Logic.Formula.Not (e "y" "x") ]
+
+(* Random Gaifman-preserving [set_tuple] sequences against
+   Engine.Reference after every batch. A batch is a few steps among a
+   flip, a toggle pair that cancels out, a re-add of a present arc and a
+   remove of an absent one, or a burst of more changing updates than the
+   circuit has inputs, which overflows the pending list and forces the
+   index's full rebuild. *)
+let dynamic_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:30 ~name:"dynamic enumeration = Engine.Reference under set_tuple"
+       QCheck.(int_range 0 100000)
+       (fun seed ->
+         let rng = Random.State.make [| seed |] in
+         let rnd = Random.State.int rng in
+         let g =
+           if rnd 2 = 0 then Graphs.Gen.grid (3 + rnd 3) (3 + rnd 3)
+           else Graphs.Gen.random_bounded_degree ~seed ~n:(8 + rnd 7) ~max_deg:3
+         in
+         let phi = [| phi_path2; phi_triangle; phi_one_way |].(rnd 3) in
+         let inst = Db.Instance.of_graph g in
+         let arcs = Array.of_list (List.sort compare (Db.Instance.tuples inst "E")) in
+         (* start with some arcs one-way; the Gaifman graph keeps every edge *)
+         Array.iter
+           (function
+             | [ u; v ] when u < v && rnd 3 = 0 ->
+                 Db.Instance.remove inst "E" (if rnd 2 = 0 then [ u; v ] else [ v; u ])
+             | _ -> ())
+           arcs;
+         let t = Fo_enum.prepare ~dynamic:true inst phi in
+         let live = Fo_enum.instance t in
+         let inputs = Hashtbl.length t.Fo_enum.prov.Provenance.Prov_circuit.circuit.input_ids in
+         let arc () = arcs.(rnd (Array.length arcs)) in
+         let set a present = Fo_enum.set_tuple t "E" a present in
+         let flip a = set a (not (Db.Instance.mem live "E" a)) in
+         let with_state present =
+           let l = Array.to_list arcs in
+           match List.filter (fun a -> Db.Instance.mem live "E" a = present) l with
+           | [] -> None
+           | l -> Some (List.nth l (rnd (List.length l)))
+         in
+         let step () =
+           match rnd 4 with
+           | 0 -> flip (arc ())
+           | 1 ->
+               let a = arc () in
+               flip a;
+               flip a
+           | 2 -> Option.iter (fun a -> set a true) (with_state true)
+           | _ -> Option.iter (fun a -> set a false) (with_state false)
+         in
+         let matches () =
+           let got = List.map Array.to_list (Fo_enum.answers t) in
+           let _, want = Engine.Reference.answers live phi in
+           List.sort compare got = want
+           && List.length (List.sort_uniq compare got) = List.length got
+         in
+         ignore (Fo_enum.enumerate t);
+         List.for_all
+           (fun _ ->
+             if rnd 4 = 0 then begin
+               (* consecutive arcs differ, so no touch repeats the one before *)
+               let k = rnd (Array.length arcs) in
+               for j = 0 to inputs do
+                 flip arcs.((k + j) mod Array.length arcs)
+               done;
+               match t.Fo_enum.prov.Provenance.Prov_circuit.index with
+               | Some ix ->
+                   if ix.Provenance.Prov_circuit.pending
+                      <= Array.length ix.Provenance.Prov_circuit.pending_w
+                   then QCheck.Test.fail_report "the burst did not overflow the pending list"
+               | None -> QCheck.Test.fail_report "no index after the first enumerate"
+             end
+             else
+               for _ = 1 to 1 + rnd 6 do
+                 step ()
+               done;
+             matches ())
+           (List.init 6 Fun.id)))
+
+(* [Prov_circuit.update] with free-semiring values, including values that
+   keep a weight non-empty but rename it, against a fresh [prepare] of
+   the current valuation after every batch. *)
+let provenance_update_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:30 ~name:"Prov_circuit.update = fresh prepare"
+       QCheck.(int_range 0 100000)
+       (fun seed ->
+         let rng = Random.State.make [| seed |] in
+         let rnd = Random.State.int rng in
+         let inst =
+           Db.Instance.of_graph
+             (Graphs.Gen.random_bounded_degree ~seed ~n:(6 + rnd 5) ~max_deg:4)
+         in
+         let edges = Array.of_list (Db.Instance.tuples inst "E") in
+         let initial tuple =
+           if Db.Instance.mem inst "E" tuple then [ [ edge_name tuple ] ] else []
+         in
+         let current = Hashtbl.create 16 in
+         let value tuple = Option.value (Hashtbl.find_opt current tuple) ~default:(initial tuple) in
+         let prov =
+           Provenance.Prov_circuit.prepare inst triangle_prov_expr ~weight:(fun _w tuple ->
+               initial tuple)
+         in
+         let inputs = Hashtbl.length prov.Provenance.Prov_circuit.circuit.input_ids in
+         let update () =
+           let tuple = edges.(rnd (Array.length edges)) in
+           let v =
+             [| []; [ [ "x" ] ]; [ [ edge_name tuple ] ]; [ [ "p" ]; [ "q"; "r" ] ] |].(rnd 4)
+           in
+           Hashtbl.replace current tuple v;
+           Provenance.Prov_circuit.update prov "w" tuple v
+         in
+         let monomials p =
+           List.sort compare (Enum.Iter.to_list (Provenance.Prov_circuit.enumerate p))
+         in
+         ignore (monomials prov);
+         Array.length edges = 0
+         || List.for_all
+              (fun _ ->
+                for _ = 1 to (if rnd 4 = 0 then inputs + 1 else 1 + rnd 5) do
+                  update ()
+                done;
+                let fresh =
+                  Provenance.Prov_circuit.prepare inst triangle_prov_expr ~weight:(fun _w tuple ->
+                      value tuple)
+                in
+                monomials prov = monomials fresh)
+              (List.init 6 Fun.id)))
+
 let bidirectional_enumeration () =
   let g = Graphs.Gen.grid 3 3 in
   let inst = Db.Instance.of_graph g in
@@ -261,4 +467,8 @@ let suite =
     Alcotest.test_case "dynamic enumeration" `Quick dynamic_enum;
     Alcotest.test_case "set_tuple re-adds a one-way arc" `Quick set_tuple_readds_one_way_arc;
     Alcotest.test_case "lazy build: cursors bounded per answer" `Quick lazy_build_counts;
+    Alcotest.test_case "emptiness index: recomputed gates, words, size" `Quick index_counts;
+    Alcotest.test_case "stale enumerator raises after a drain" `Quick stale_enumerator;
+    dynamic_differential;
+    provenance_update_differential;
   ]
