@@ -98,14 +98,14 @@ let budget_term =
 let opt_arg =
   Arg.(
     value
-    & opt (enum [ ("default", Opt.default_passes); ("none", Opt.none) ]) Opt.default_passes
-    & info [ "opt" ] ~docv:"PIPELINE"
+    & opt (enum [ ("default", Opt.default); ("none", Opt.none) ]) Opt.default
+    & info [ "opt" ] ~docv:"OPT"
         ~doc:
-          "Circuit optimization pipeline: $(b,default) runs the \
-           fold/cse/dce/balance passes on the compiled circuit, $(b,none) hands \
-           the raw compiler output downstream.")
+          "Circuit optimizer: $(b,default) merges the compiled circuit (identity \
+           folding and hash-consing), then drops its dead gates and caps its fan-in; \
+           $(b,none) hands the raw compiler output downstream.")
 
-(* Budget and optimizer pipeline travel together so every run function
+(* Budget and optimizer setting travel together so every run function
    keeps the fixed arity [guarded] expects. *)
 let budget_opt = Term.(const (fun b o -> (b, o)) $ budget_term $ opt_arg)
 
@@ -688,8 +688,7 @@ let explain_cmd =
       print_string (Obs.Trace.render_forest (Obs.Trace.forest_of records));
       Format.printf "pipeline: %a@." Engine.Compile.pp_meta ev.Engine.Eval.meta;
       Format.printf "circuit:  %a@." Circuits.Circuit.pp_stats (Engine.Eval.stats ev);
-      Format.printf "optimizer (per-pass shrink):@.%a@." Opt.pp_report
-        ev.Engine.Eval.meta.Engine.Compile.opt;
+      Format.printf "optimizer: %a@." Opt.pp_report ev.Engine.Eval.meta.Engine.Compile.opt;
       strategy ops;
       (* Cost of one cold evaluation of the same query: every gate is computed
          once, so gates_visited is the circuit size and there are no waves. *)

@@ -35,13 +35,13 @@ type meta = {
   max_forest_depth : int;
   num_shapes : int;  (** shapes compiled across all subsets *)
   num_summands : int;
-  opt : Opt.report;  (** per-pass gate/edge/depth deltas of the optimizer run *)
+  opt : Opt.report;  (** the circuit's stats before and after the optimizer *)
 }
 
 let pp_meta fmt m =
   Format.fprintf fmt "p=%d colors=%d subsets=%d depth<=%d shapes=%d summands=%d gates=%d->%d"
     m.p m.num_colors m.num_subsets m.max_forest_depth m.num_shapes m.num_summands
-    m.opt.Opt.r_gates_before m.opt.Opt.r_gates_after
+    m.opt.Opt.raw.Circuits.Circuit.gates m.opt.Opt.optimized.Circuits.Circuit.gates
 
 (* Compilation metrics (scope "compile"): per-phase wall time through the
    Figure 2 pipeline, plus the circuit parameters Theorem 6 bounds. The
@@ -125,7 +125,7 @@ type 'a spec = {
   sp_zero : 'a;
   sp_one : 'a;
   sp_equal : 'a -> 'a -> bool;
-  sp_opt : Opt.pass list;
+  sp_opt : Opt.setting;
   sp_tfa_rounds : int;
   sp_max_depth : int;
   sp_budget : Robust.budget;
@@ -171,18 +171,15 @@ let shapes_of spec ?decomp i s d =
    relevant summand × surjective color map is compiled by the summand's
    shapes, each color map checked per shape node. Returns the subset's
    top-level gates (emission order), forest depth and shape count. *)
-let compile_subset (type a) b (spec : a spec) ~color ~(live : Graphs.Live.t)
-    ~(verts : int list) ~check_budget ?decomp ?emit subset : int list * int * int =
+let compile_subset (type a) b (spec : a spec) ~color ~(live : Graphs.Live.t) ~check_budget
+    ?decomp ?emit subset : int list * int * int =
   Obs.Trace.span ~scope:"compile" "subset"
-    ~attrs:
-      [
-        ("colors", Obs.Trace.S (String.concat "," (List.map string_of_int subset)));
-        ("verts", Obs.Trace.I (List.length verts));
-      ]
+    ~attrs:[ ("colors", Obs.Trace.S (String.concat "," (List.map string_of_int subset))) ]
   @@ fun () ->
   let gates0 = Circuits.Circuit.builder_len b in
   check_budget ();
-  let forest, orig = time decomp (fun () -> Graphs.Live.forest live subset ~verts) in
+  let forest, orig = time decomp (fun () -> Graphs.Live.forest live subset) in
+  Obs.Trace.add_attr "verts" (Obs.Trace.I (Array.length orig));
   let d = Graphs.Forest.max_depth forest in
   if d > spec.sp_max_depth then
     Robust.unsupported "Compile: induced forest depth %d exceeds %d; increase tfa_rounds" d
@@ -224,14 +221,6 @@ let compile_subset (type a) b (spec : a spec) ~color ~(live : Graphs.Live.t)
   Obs.Trace.add_attr "gates_emitted" (Obs.Trace.I (Circuits.Circuit.builder_len b - gates0));
   (List.rev !tops, d, !num_shapes)
 
-(* the vertices whose pinned color lies in [subset], ascending *)
-let subset_verts (color : int array) n subset =
-  let verts = ref [] in
-  for v = n - 1 downto 0 do
-    if List.mem color.(v) subset then verts := v :: !verts
-  done;
-  !verts
-
 (* exact structural copy of one raw gate into the builder, children
    remapped through [raw_map]; Add/Mul go through [push] (not the
    singleton-collapsing smart constructors) so copies are gate-for-gate.
@@ -267,7 +256,6 @@ let assemble (type a) (spec : a spec) ~live ~(coloring : Graphs.Tfa.coloring) ~m
     ?decomp ?emit ~(old_nodes : a Circuits.Circuit.node array) ~rebuild segments :
     a Circuits.Circuit.t * meta * a plan =
   let color = coloring.Graphs.Tfa.color in
-  let n = Db.Instance.n spec.sp_inst in
   let b = Circuits.Circuit.builder () in
   let check_budget () =
     match monitor with
@@ -309,8 +297,7 @@ let assemble (type a) (spec : a spec) ~live ~(coloring : Graphs.Tfa.coloring) ~m
             { seg with seg_tops = tops }
         | Some subset ->
             let tops, d, shapes =
-              compile_subset b spec ~color ~live ~verts:(subset_verts color n subset)
-                ~check_budget ?decomp ?emit subset
+              compile_subset b spec ~color ~live ~check_budget ?decomp ?emit subset
             in
             { seg with seg_tops = tops; seg_depth = d; seg_shapes = shapes }
     in
@@ -337,7 +324,8 @@ let assemble (type a) (spec : a spec) ~live ~(coloring : Graphs.Tfa.coloring) ~m
         Circuits.Circuit.finish b ~output)
   in
   let optimized =
-    Opt.run ~passes:spec.sp_opt ~zero:spec.sp_zero ~one:spec.sp_one ~equal:spec.sp_equal raw
+    if spec.sp_opt then Opt.run ~zero:spec.sp_zero ~one:spec.sp_one ~equal:spec.sp_equal raw
+    else Opt.unoptimized raw
   in
   let meta =
     {
@@ -409,7 +397,7 @@ let full_compile (type a) (spec : a spec) ~monitor ~t_start =
     Obs.Histogram.observe h_decompose_ns !t_decomp;
     Obs.Histogram.observe h_emit_ns !t_emit;
     Obs.Histogram.observe h_total_ns (Obs.elapsed_ns t_start);
-    let s = Circuits.Circuit.stats circuit in
+    let s = meta.opt.Opt.optimized in
     Obs.Gauge.set_int g_gates s.Circuits.Circuit.gates;
     Obs.Gauge.set_int g_depth s.Circuits.Circuit.depth;
     Obs.Gauge.set_int g_fan_out s.Circuits.Circuit.max_fan_out;
@@ -435,14 +423,14 @@ let full_compile (type a) (spec : a spec) ~monitor ~t_start =
     raises [Robust.Error (Budget_exceeded _)] instead of exhausting memory
     on a hostile query.
 
-    The raw circuit is then rewritten by the {!Opt} pipeline ([opt],
-    default {!Opt.default_passes}; pass [Opt.none] for the raw output).
+    The raw circuit is then rewritten by the {!Opt} sweeps ([opt],
+    default {!Opt.default}; pass {!Opt.none} for the raw output).
     [equal] decides constant equality for identity folding / hash-consing
     and defaults to structural equality — pass the semiring's own
     equality when constants have non-canonical representations. The
-    per-pass shrink report lands in [meta.opt]. *)
+    circuit's stats before and after land in [meta.opt]. *)
 let compile_plan (type a) ~(zero : a) ~(one : a) ?(equal : a -> a -> bool = ( = ))
-    ?(opt = Opt.default_passes) ?(tfa_rounds = -1) ?(max_depth = 10)
+    ?(opt = Opt.default) ?(tfa_rounds = -1) ?(max_depth = 10)
     ?(budget = Robust.unlimited) ?(dynamic_rels = []) (inst : Db.Instance.t)
     (expr : a Logic.Expr.t) : a Circuits.Circuit.t * meta * a plan =
   Obs.Trace.span ~scope:"compile" "compile" @@ fun () ->
@@ -543,14 +531,12 @@ let recompile_local (type a) (plan : a plan) ~(touched : int list) :
   in
   (* pre-flight: rebuild the affected subsets' forests against the updated
      graph and check the treedepth witness still fits the compiled bound *)
-  let n = Db.Instance.n spec.sp_inst in
   let too_deep =
     List.exists
       (fun seg ->
         match seg.seg_subset with
         | Some subset when affected seg ->
-            let verts = subset_verts coloring.Graphs.Tfa.color n subset in
-            let forest, _ = Graphs.Live.forest live subset ~verts in
+            let forest, _ = Graphs.Live.forest live subset in
             Graphs.Forest.max_depth forest > spec.sp_max_depth
         | _ -> false)
       plan.pl_segments

@@ -31,6 +31,8 @@ type t = {
   adj : (int, int) Hashtbl.t array;  (** neighbor → pair-incidence count *)
   mutable m : int;  (** distinct edges *)
   mutable coloring : Tfa.coloring option;  (** pinned by the full compile *)
+  mutable classes : int array array;
+      (** color → its vertices, ascending; set with the coloring *)
   forests : (int list, Forest.t * int array) Hashtbl.t;
       (** color subset → (forest over local indices, local → vertex) *)
 }
@@ -42,6 +44,7 @@ let create ~n =
     adj = Array.init n (fun _ -> Hashtbl.create 4);
     m = 0;
     coloring = None;
+    classes = [||];
     forests = Hashtbl.create 16;
   }
 
@@ -115,11 +118,18 @@ let snapshot t : Graph.t =
     t.adj;
   Graph.of_edges ~n:t.n !edges
 
-(** Pin a coloring (from a full compile); drops every cached forest. *)
+(** Pin a coloring (from a full compile) and its color classes; drops
+    every cached forest. *)
 let set_coloring t (c : Tfa.coloring) =
   if Array.length c.Tfa.color <> t.n then
     invalid_arg "Live.set_coloring: coloring size does not match the graph";
+  let classes = Array.make (Array.fold_left max (-1) c.Tfa.color + 1) [] in
+  for v = t.n - 1 downto 0 do
+    let k = c.Tfa.color.(v) in
+    classes.(k) <- v :: classes.(k)
+  done;
   t.coloring <- Some c;
+  t.classes <- Array.map Array.of_list classes;
   Hashtbl.reset t.forests
 
 let coloring t = t.coloring
@@ -149,18 +159,19 @@ let invalidate t ~touched_colors =
     (fun s f -> if subset_affected ~touched_colors s then None else Some f)
     t.forests
 
-(** The elimination forest of the subgraph induced by [verts] (the color
-    classes of [subset]), cached under [subset] until invalidated. Returns
-    the forest over local indices plus the local → vertex mapping. The
-    induced subgraph is rebuilt canonically ([Graph.of_edges] sorts), so
-    the forest is deterministic regardless of update history. *)
-let forest t subset ~verts : Forest.t * int array =
+(** The elimination forest of the subgraph induced by the color classes
+    of [subset] under the pinned coloring, cached under [subset] until
+    invalidated. Returns the forest over local indices plus the local →
+    vertex mapping, ascending. The induced subgraph is rebuilt
+    canonically ([Graph.of_edges] sorts), so the forest is deterministic
+    regardless of update history. *)
+let forest t subset : Forest.t * int array =
   match Hashtbl.find_opt t.forests subset with
   | Some cached -> cached
   | None ->
-      let verts = List.sort_uniq compare verts in
-      List.iter (check_vertex t) verts;
-      let orig = Array.of_list verts in
+      if t.coloring = None then invalid_arg "Live.forest: no coloring pinned";
+      let orig = Array.concat (List.map (fun k -> t.classes.(k)) subset) in
+      Array.sort Int.compare orig;
       let k = Array.length orig in
       let local = Hashtbl.create (2 * k) in
       Array.iteri (fun i v -> Hashtbl.replace local v i) orig;

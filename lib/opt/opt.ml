@@ -1,137 +1,81 @@
-(** Optimization pass pipeline over circuits (the "optimize once, consume
-    everywhere" layer between {!Engine.Compile} and its consumers).
+(** The circuit optimizer (the "optimize once, consume everywhere" layer
+    between {!Engine.Compile} and its consumers).
 
     Theorem 6 compiles one circuit that serves every semiring; this module
     shrinks that circuit {e before} it is evaluated, maintained
     ({!Circuits.Dyn}), enumerated ({!Fo_enum}) or interpreted in the free
     semiring ({!Provenance}). Every rewrite is safe in {e every} semiring
     containing the circuit's constants, because only the 0/1 identity and
-    annihilation axioms plus associativity/commutativity are used:
+    annihilation axioms plus associativity/commutativity are used. Two
+    forward sweeps do it, each with two jobs:
 
-    - {b fold} — identity folding: drop [zero] summands and [one] factors,
-      collapse [Add [||]] to [zero] and [Mul [||]] to [one] (the explicit
-      fold-seed convention of {!Circuits.Circuit.eval}), annihilate any
-      [Mul] containing a [zero] factor, and alias single-child [Add]/[Mul]
-      gates to their child.
-    - {b cse} — hash-consing / common-subexpression elimination: merge
-      structurally equal [Input], [Const], [Add], [Mul] and [Perm] gates.
-      [Add]/[Mul] children are compared as multisets (all semirings here
-      are commutative); children are {e never} deduplicated, since
-      [a + a ≠ a] outside idempotent semirings.
-    - {b dce} — dead-gate elimination: drop every gate outside the output
-      cone and compact ids.
-    - {b balance} — fan-in rebalancing: split gates wider than
-      {!balance_cap} into trees of fan-in at most [balance_cap]. This is
-      the only fan-in bound {!Circuits.Dyn} relies on: in General mode an
-      input update recomputes O(log n) gates of at most [balance_cap]
-      children each.
+    - {b merge} — identity folding and hash-consing in one pass. Folding
+      drops [zero] summands and [one] factors, collapses [Add [||]] to
+      [zero] and [Mul [||]] to [one] (the explicit fold-seed convention of
+      {!Circuits.Circuit.eval}), annihilates any [Mul] containing a [zero]
+      factor, and aliases a gate left with a single child to that child.
+      Every gate that survives is then merged with a structurally equal
+      earlier one: [Add]/[Mul] children are compared as multisets (all
+      semirings here are commutative) and are {e never} deduplicated,
+      since [a + a ≠ a] outside idempotent semirings.
+    - {b balance} — dead-gate removal and fan-in capping. It marks the
+      output cone of the merged circuit, so the gates merging orphaned
+      (the other factors of an annihilated product, say) are dropped,
+      then emits the live gates with every gate wider than {!balance_cap}
+      split into a tree of fan-in at most [balance_cap]. This is the only
+      fan-in bound {!Circuits.Dyn} relies on: in General mode an input
+      update recomputes O(log n) gates of at most [balance_cap] children
+      each.
 
-    Each pass rebuilds the circuit; consumers address it through weight
+    Each sweep rebuilds the circuit; consumers address it through weight
     keys, and [input_ids] is rebuilt by the builder's own hash-consing,
     so no gate id of the pre-optimization circuit survives or is needed.
-    Gate creation order stays a topological order — each pass emits
+    Gate creation order stays a topological order — each sweep emits
     children before parents — which {!Circuits.Dyn} relies on (and
     {!Circuits.Circuit.finish} validates). *)
 
 module Circuit = Circuits.Circuit
 
-type pass = Fold | Cse | Dce | Balance
+(** Whether {!Engine.Compile} optimizes: {!default} runs both sweeps,
+    {!none} ([--opt=none]) hands the raw compiler output downstream. *)
+type setting = bool
 
-let pass_name = function
-  | Fold -> "fold"
-  | Cse -> "cse"
-  | Dce -> "dce"
-  | Balance -> "balance"
-
-(** The default pipeline run by {!Engine.Compile}: identity folding first
-    (it creates the duplicate constants cse merges), hash-consing, then a
-    sweep of everything the first two passes orphaned, then fan-in caps. *)
-let default_passes = [ Fold; Cse; Dce; Balance ]
-
-(** The identity pipeline ([--opt=none]): hand the raw compiler output
-    downstream. *)
-let none : pass list = []
+let default : setting = true
+let none : setting = false
 
 (** Maximum fan-in [balance] leaves behind. Wide gates become
     [balance_cap]-ary trees of depth ⌈log_cap fan-in⌉, so a General-mode
     update reads at most [balance_cap] children per recomputed gate. *)
 let balance_cap = 8
 
-(* Per-pass shrink observables (scope "opt"): the gauges hold the most
-   recent run's totals, the per-pass counters accumulate gates removed
-   across runs (negative contributions are possible for balance, which
-   spends gates to cap fan-in). *)
+(* Shrink observables (scope "opt"): the gauges hold the most recent
+   run's gate counts. *)
 let m_runs = Obs.counter ~scope:"opt" "runs"
 let g_gates_before = Obs.gauge ~scope:"opt" "gates_before"
 let g_gates_after = Obs.gauge ~scope:"opt" "gates_after"
 
-let pass_counters =
-  List.map
-    (fun p ->
-      ( pass_name p,
-        ( Obs.counter ~scope:"opt" ("pass_" ^ pass_name p ^ "_runs"),
-          Obs.counter ~scope:"opt" ("pass_" ^ pass_name p ^ "_gates_removed") ) ))
-    [ Fold; Cse; Dce; Balance ]
-
-(** Gate/edge/depth shrink of one pass application, in pipeline order. *)
-type delta = {
-  dpass : string;
-  gates_before : int;
-  gates_after : int;
-  edges_before : int;
-  edges_after : int;
-  depth_before : int;
-  depth_after : int;
-}
-
-(** The per-pass shrink table of one {!run} (recorded in
+(** The circuit before and after one {!run} (recorded in
     {!Engine.Compile.meta} and printed by [sparseq explain]). *)
-type report = {
-  deltas : delta list;
-  r_gates_before : int;
-  r_gates_after : int;
-  r_edges_before : int;
-  r_edges_after : int;
-  r_depth_before : int;
-  r_depth_after : int;
-}
+type report = { raw : Circuit.stats; optimized : Circuit.stats }
 
-let empty_report (s : Circuit.stats) =
-  {
-    deltas = [];
-    r_gates_before = s.Circuit.gates;
-    r_gates_after = s.Circuit.gates;
-    r_edges_before = s.Circuit.edges;
-    r_edges_after = s.Circuit.edges;
-    r_depth_before = s.Circuit.depth;
-    r_depth_after = s.Circuit.depth;
-  }
+let pp_report fmt { raw; optimized } =
+  let arrow f = Printf.sprintf "%d->%d" (f raw) (f optimized) in
+  Format.fprintf fmt "gates %s edges %s depth %s (%.1f%% fewer gates)"
+    (arrow (fun s -> s.Circuit.gates))
+    (arrow (fun s -> s.Circuit.edges))
+    (arrow (fun s -> s.Circuit.depth))
+    (100. *. float_of_int (raw.Circuit.gates - optimized.Circuit.gates)
+    /. float_of_int raw.Circuit.gates)
 
-let shrink_pct ~before ~after =
-  if before = 0 then 0. else 100. *. float_of_int (before - after) /. float_of_int before
-
-let pp_report fmt (r : report) =
-  let arrow before after = Printf.sprintf "%d->%d" before after in
-  Format.fprintf fmt "@[<v>%-8s %17s %17s %11s %7s@," "pass" "gates" "edges" "depth"
-    "shrink";
-  List.iter
-    (fun d ->
-      Format.fprintf fmt "%-8s %17s %17s %11s %6.1f%%@," d.dpass
-        (arrow d.gates_before d.gates_after)
-        (arrow d.edges_before d.edges_after)
-        (arrow d.depth_before d.depth_after)
-        (shrink_pct ~before:d.gates_before ~after:d.gates_after))
-    r.deltas;
-  Format.fprintf fmt "%-8s %17s %17s %11s %6.1f%%@]" "total"
-    (arrow r.r_gates_before r.r_gates_after)
-    (arrow r.r_edges_before r.r_edges_after)
-    (arrow r.r_depth_before r.r_depth_after)
-    (shrink_pct ~before:r.r_gates_before ~after:r.r_gates_after)
-
-(** An optimized circuit and the per-pass shrink report. *)
+(** An optimized circuit and its shrink report. *)
 type 'a optimized = { circuit : 'a Circuit.t; report : report }
 
-(* --- fold: identity folding --- *)
+(** The raw circuit, handed downstream as it is ({!none}). *)
+let unoptimized c =
+  let s = Circuit.stats c in
+  { circuit = c; report = { raw = s; optimized = s } }
+
+(* --- merge: identity folding and hash-consing --- *)
 
 (* Value class of a gate, tracked bottom-up so parents can fold without
    re-inspecting children: statically [zero], statically [one], or
@@ -140,117 +84,86 @@ type 'a optimized = { circuit : 'a Circuit.t; report : report }
    (their value depends on inputs). *)
 type cls = CZero | COne | COther
 
-let fold (type a) ~(zero : a) ~(one : a) ~(equal : a -> a -> bool) (c : a Circuit.t) :
+(* Canonical key of a gate over already-merged children: a tag (0 Add,
+   1 Mul, 2 Perm), then the children — for Add/Mul sorted, in the key
+   only (commutativity makes the multiset canonical; the emitted gate
+   keeps its original child order), for Perm the row count and the rows
+   in order. The hash reads every child, so wide gates sharing a prefix
+   do not collide. [Const] gates are matched with the caller's [equal]
+   through a linear table — the polymorphic hash cannot be trusted to
+   agree with a custom equality, and compiled circuits carry a handful of
+   distinct constants at most. *)
+module Key = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) (b : t) = a = b
+  let hash (a : t) = Array.fold_left (fun h g -> (h * 31) + g) 0 a land max_int
+end)
+
+let merge (type a) ~(zero : a) ~(one : a) ~(equal : a -> a -> bool) (c : a Circuit.t) :
     a Circuit.t =
   let n = Array.length c.Circuit.nodes in
   let b = Circuit.builder () in
   let remap = Array.make n (-1) in
   let cls = Array.make n COther in
-  let zero_g = ref (-1) and one_g = ref (-1) in
-  let emit_zero () =
-    if !zero_g < 0 then zero_g := Circuit.const b zero;
-    !zero_g
+  let tbl = Key.create (max 256 (n / 2)) in
+  let consts : (a * int) list ref = ref [] in
+  let const s =
+    match List.find_opt (fun (v, _) -> equal v s) !consts with
+    | Some (_, g) -> g
+    | None ->
+        let g = Circuit.const b s in
+        consts := (s, g) :: !consts;
+        g
   in
-  let emit_one () =
-    if !one_g < 0 then one_g := Circuit.const b one;
-    !one_g
+  let consed k emit =
+    match Key.find_opt tbl k with
+    | Some g -> g
+    | None ->
+        let g = emit () in
+        Key.replace tbl k g;
+        g
   in
+  (* the gate over the children [kept] that fold left, as [ident] when
+     none is left and as the child itself when one is *)
+  let gate ident mk tag kept =
+    match kept with
+    | [] -> (const (if ident = CZero then zero else one), ident)
+    | [ g ] -> (remap.(g), cls.(g))
+    | kept ->
+        let mapped = Array.of_list (List.map (fun g -> remap.(g)) kept) in
+        let sorted = Array.copy mapped in
+        Array.sort Int.compare sorted;
+        (consed (Array.append [| tag |] sorted) (fun () -> Circuit.push b (mk mapped)), COther)
+  in
+  let without k gs = List.filter (fun g -> cls.(g) <> k) (Array.to_list gs) in
   Array.iteri
     (fun id node ->
-      let nid, k =
+      let g, k =
         match node with
-        | Circuit.Input key -> (Circuit.input b key, COther)
+        | Circuit.Input key -> (Circuit.input b key, COther) (* builder hash-conses inputs *)
         | Circuit.Const s ->
-            if equal s zero then (emit_zero (), CZero)
-            else if equal s one then (emit_one (), COne)
-            else (Circuit.const b s, COther)
-        | Circuit.Add gs -> (
-            (* drop zero summands; Add [||] is the fold-seed zero *)
-            match List.filter (fun g -> cls.(g) <> CZero) (Array.to_list gs) with
-            | [] -> (emit_zero (), CZero)
-            | [ g ] -> (remap.(g), cls.(g))
-            | kept ->
-                ( Circuit.push b
-                    (Circuit.Add (Array.of_list (List.map (fun g -> remap.(g)) kept))),
-                  COther ))
+            if equal s zero then (const zero, CZero)
+            else if equal s one then (const one, COne)
+            else (const s, COther)
+        | Circuit.Add gs ->
+            gate CZero (fun l -> Circuit.Add l) 0 (without CZero gs)
         | Circuit.Mul gs ->
-            if Array.exists (fun g -> cls.(g) = CZero) gs then (emit_zero (), CZero)
-            else (
-              (* drop one factors; Mul [||] is the fold-seed one *)
-              match List.filter (fun g -> cls.(g) <> COne) (Array.to_list gs) with
-              | [] -> (emit_one (), COne)
-              | [ g ] -> (remap.(g), cls.(g))
-              | kept ->
-                  ( Circuit.push b
-                      (Circuit.Mul (Array.of_list (List.map (fun g -> remap.(g)) kept))),
-                    COther ))
+            if Array.exists (fun g -> cls.(g) = CZero) gs then (const zero, CZero)
+            else gate COne (fun l -> Circuit.Mul l) 1 (without COne gs)
         | Circuit.Perm rows ->
-            (Circuit.perm b (Array.map (Array.map (fun g -> remap.(g))) rows), COther)
+            let mapped = Array.map (Array.map (fun g -> remap.(g))) rows in
+            let key = Array.concat ([| 2; Array.length rows |] :: Array.to_list mapped) in
+            (consed key (fun () -> Circuit.perm b mapped), COther)
       in
-      remap.(id) <- nid;
+      remap.(id) <- g;
       cls.(id) <- k)
     c.Circuit.nodes;
   Circuit.finish b ~output:remap.(c.Circuit.output)
 
-(* --- cse: hash-consing of structurally equal gates --- *)
+(* --- balance: dead-gate removal and fan-in capping --- *)
 
-(* Canonical key of a gate over already-remapped children. Add/Mul
-   children are sorted in the key only (commutativity makes the multiset
-   canonical); the emitted gate keeps its original child order. [Const]
-   gates are matched with the caller's [equal] through a linear table —
-   the polymorphic hash cannot be trusted to agree with a custom
-   equality, and compiled circuits carry a handful of distinct constants
-   at most. *)
-type key =
-  | KAdd of int list
-  | KMul of int list
-  | KPerm of int array array
-
-let cse (type a) ~(equal : a -> a -> bool) (c : a Circuit.t) : a Circuit.t =
-  let n = Array.length c.Circuit.nodes in
-  let b = Circuit.builder () in
-  let remap = Array.make n (-1) in
-  let tbl : (key, int) Hashtbl.t = Hashtbl.create (max 256 (n / 2)) in
-  let consts : (a * int) list ref = ref [] in
-  let consed k emit =
-    match Hashtbl.find_opt tbl k with
-    | Some g -> g
-    | None ->
-        let g = emit () in
-        Hashtbl.replace tbl k g;
-        g
-  in
-  Array.iteri
-    (fun id node ->
-      remap.(id) <-
-        (match node with
-        | Circuit.Input key -> Circuit.input b key (* builder hash-conses inputs *)
-        | Circuit.Const s -> (
-            match List.find_opt (fun (v, _) -> equal v s) !consts with
-            | Some (_, g) -> g
-            | None ->
-                let g = Circuit.const b s in
-                consts := (s, g) :: !consts;
-                g)
-        | Circuit.Add gs ->
-            let mapped = Array.map (fun g -> remap.(g)) gs in
-            consed
-              (KAdd (List.sort compare (Array.to_list mapped)))
-              (fun () -> Circuit.push b (Circuit.Add mapped))
-        | Circuit.Mul gs ->
-            let mapped = Array.map (fun g -> remap.(g)) gs in
-            consed
-              (KMul (List.sort compare (Array.to_list mapped)))
-              (fun () -> Circuit.push b (Circuit.Mul mapped))
-        | Circuit.Perm rows ->
-            let mapped = Array.map (Array.map (fun g -> remap.(g))) rows in
-            consed (KPerm mapped) (fun () -> Circuit.perm b mapped)))
-    c.Circuit.nodes;
-  Circuit.finish b ~output:remap.(c.Circuit.output)
-
-(* --- dce: dead-gate elimination from the output cone --- *)
-
-let dce (c : 'a Circuit.t) : 'a Circuit.t =
+let balance (c : 'a Circuit.t) : 'a Circuit.t =
   let n = Array.length c.Circuit.nodes in
   let live = Array.make n false in
   live.(c.Circuit.output) <- true;
@@ -262,26 +175,6 @@ let dce (c : 'a Circuit.t) : 'a Circuit.t =
       | Circuit.Add gs | Circuit.Mul gs -> Array.iter (fun g -> live.(g) <- true) gs
       | Circuit.Perm rows -> Array.iter (Array.iter (fun g -> live.(g) <- true)) rows
   done;
-  let b = Circuit.builder () in
-  let remap = Array.make n (-1) in
-  Array.iteri
-    (fun id node ->
-      if live.(id) then
-        remap.(id) <-
-          (match node with
-          | Circuit.Input key -> Circuit.input b key
-          | Circuit.Const s -> Circuit.const b s
-          | Circuit.Add gs -> Circuit.push b (Circuit.Add (Array.map (fun g -> remap.(g)) gs))
-          | Circuit.Mul gs -> Circuit.push b (Circuit.Mul (Array.map (fun g -> remap.(g)) gs))
-          | Circuit.Perm rows ->
-              Circuit.perm b (Array.map (Array.map (fun g -> remap.(g))) rows)))
-    c.Circuit.nodes;
-  Circuit.finish b ~output:remap.(c.Circuit.output)
-
-(* --- balance: cap fan-in by splitting wide gates into trees --- *)
-
-let balance (c : 'a Circuit.t) : 'a Circuit.t =
-  let n = Array.length c.Circuit.nodes in
   let b = Circuit.builder () in
   let remap = Array.make n (-1) in
   (* Chunk [gs] into groups of at most [balance_cap], emit a gate per
@@ -301,90 +194,45 @@ let balance (c : 'a Circuit.t) : 'a Circuit.t =
       tree mk chunks
     end
   in
+  let mapped gs = Array.map (fun g -> remap.(g)) gs in
   Array.iteri
     (fun id node ->
-      remap.(id) <-
-        (match node with
-        | Circuit.Input key -> Circuit.input b key
-        | Circuit.Const s -> Circuit.const b s
-        | Circuit.Add gs ->
-            tree
-              (fun l -> Circuit.push b (Circuit.Add l))
-              (Array.map (fun g -> remap.(g)) gs)
-        | Circuit.Mul gs ->
-            tree
-              (fun l -> Circuit.push b (Circuit.Mul l))
-              (Array.map (fun g -> remap.(g)) gs)
-        | Circuit.Perm rows ->
-            Circuit.perm b (Array.map (Array.map (fun g -> remap.(g))) rows)))
+      if live.(id) then
+        remap.(id) <-
+          (match node with
+          | Circuit.Input key -> Circuit.input b key
+          | Circuit.Const s -> Circuit.const b s
+          | Circuit.Add gs -> tree (fun l -> Circuit.push b (Circuit.Add l)) (mapped gs)
+          | Circuit.Mul gs -> tree (fun l -> Circuit.push b (Circuit.Mul l)) (mapped gs)
+          | Circuit.Perm rows -> Circuit.perm b (Array.map mapped rows)))
     c.Circuit.nodes;
   Circuit.finish b ~output:remap.(c.Circuit.output)
 
-(* --- the pipeline --- *)
+(* --- the optimizer --- *)
 
-(** Run the pipeline. [equal] decides constant equality for identity
-    folding and hash-consing; it defaults to structural equality, which
-    is correct for every first-order constant type — pass the semiring's
-    own [equal] (as {!Engine.Eval.prepare} does) when constants have
-    non-canonical representations. The result's value agrees with the
-    input circuit's in every commutative semiring where [zero]/[one] are
-    the additive/multiplicative identities and [zero] annihilates. *)
-let run (type a) ?(passes = default_passes) ~(zero : a) ~(one : a)
-    ?(equal : a -> a -> bool = ( = )) (c : a Circuit.t) : a optimized =
-  let s0 = Circuit.stats c in
-  if passes = [] then { circuit = c; report = empty_report s0 }
-  else
-    Obs.Trace.span ~scope:"opt" "optimize"
-      ~attrs:[ ("gates", Obs.Trace.I s0.Circuit.gates) ]
-    @@ fun () ->
-    Obs.Counter.incr m_runs;
-    Obs.Gauge.set_int g_gates_before s0.Circuit.gates;
-    let c, s_final, deltas_rev =
-      List.fold_left
-        (fun (c, before, acc) pass ->
-          let name = pass_name pass in
-          Obs.Trace.span ~scope:"opt" name
-            ~attrs:[ ("gates_before", Obs.Trace.I before.Circuit.gates) ]
-          @@ fun () ->
-          let c' =
-            match pass with
-            | Fold -> fold ~zero ~one ~equal c
-            | Cse -> cse ~equal c
-            | Dce -> dce c
-            | Balance -> balance c
-          in
-          let after = Circuit.stats c' in
-          Obs.Trace.add_attr "gates_after" (Obs.Trace.I after.Circuit.gates);
-          let runs, removed = List.assoc name pass_counters in
-          Obs.Counter.incr runs;
-          Obs.Counter.add removed (before.Circuit.gates - after.Circuit.gates);
-          let d =
-            {
-              dpass = name;
-              gates_before = before.Circuit.gates;
-              gates_after = after.Circuit.gates;
-              edges_before = before.Circuit.edges;
-              edges_after = after.Circuit.edges;
-              depth_before = before.Circuit.depth;
-              depth_after = after.Circuit.depth;
-            }
-          in
-          (c', after, d :: acc))
-        (c, s0, [])
-        passes
-    in
-    Obs.Gauge.set_int g_gates_after s_final.Circuit.gates;
-    Obs.Trace.add_attr "gates_after" (Obs.Trace.I s_final.Circuit.gates);
-    {
-      circuit = c;
-      report =
-        {
-          deltas = List.rev deltas_rev;
-          r_gates_before = s0.Circuit.gates;
-          r_gates_after = s_final.Circuit.gates;
-          r_edges_before = s0.Circuit.edges;
-          r_edges_after = s_final.Circuit.edges;
-          r_depth_before = s0.Circuit.depth;
-          r_depth_after = s_final.Circuit.depth;
-        };
-    }
+(** Optimize: {!merge}, then {!balance}. [equal] decides constant
+    equality for identity folding and hash-consing; it defaults to
+    structural equality, which is correct for every first-order constant
+    type — pass the semiring's own [equal] (as {!Engine.Eval.prepare}
+    does) when constants have non-canonical representations. The result's
+    value agrees with the input circuit's in every commutative semiring
+    where [zero]/[one] are the additive/multiplicative identities and
+    [zero] annihilates. *)
+let run (type a) ~(zero : a) ~(one : a) ?(equal : a -> a -> bool = ( = )) (c : a Circuit.t) :
+    a optimized =
+  let raw = Circuit.stats c in
+  Obs.Trace.span ~scope:"opt" "optimize" ~attrs:[ ("gates", Obs.Trace.I raw.Circuit.gates) ]
+  @@ fun () ->
+  Obs.Counter.incr m_runs;
+  Obs.Gauge.set_int g_gates_before raw.Circuit.gates;
+  let merged =
+    Obs.Trace.span ~scope:"opt" "merge" (fun () ->
+        let m = merge ~zero ~one ~equal c in
+        Obs.Trace.add_attr "gates_after" (Obs.Trace.I (Array.length m.Circuit.nodes));
+        m)
+  in
+  let circuit = Obs.Trace.span ~scope:"opt" "balance" (fun () -> balance merged) in
+  let optimized = Circuit.stats circuit in
+  Obs.Gauge.set_int g_gates_after optimized.Circuit.gates;
+  Obs.Trace.add_attr "gates_after" (Obs.Trace.I optimized.Circuit.gates);
+  { circuit; report = { raw; optimized } }

@@ -2,7 +2,7 @@
    share: inputs ("w", [0..n_inputs-1]), the constants 0 and 1, then 14
    random gates — 2- and 3-ary adds and muls, 2x2 permanents, constants
    [mk (0..99)] — over everything built so far, summed into the output.
-   With 0/1 mixed into the pool every optimizer pass has work to do. The
+   With 0/1 mixed into the pool both optimizer sweeps have work to do. The
    same seed always gives the same circuit. *)
 
 module Circuit = Circuits.Circuit

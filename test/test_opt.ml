@@ -1,7 +1,6 @@
-(* Optimizer pass-pipeline tests (the "optimize once, consume everywhere"
-   layer):
+(* Optimizer tests (the "optimize once, consume everywhere" layer):
 
-   1. unit tests for the individual passes' contracts: identity folding,
+   1. unit tests for the optimizer's contracts: identity folding,
       annihilation, hash-consing of structurally equal gates, dead-gate
       elimination, fan-in capping;
    2. the compact builder's guard against a dropped (negative) child;
@@ -9,7 +8,7 @@
       random hand-built circuits with 0/1 constants in all four semirings
       (nat / int-ring / bool / zmod6), and end-to-end through
       [Engine.Eval.evaluate] on random sparse databases — and the default
-      pipeline's gate shrink on weighted triangles and 2-path enumeration;
+      optimizer's gate shrink on weighted triangles and 2-path enumeration;
    4. batched-update equivalence: [Dyn.set_inputs] waves on the optimized
       circuit track a from-scratch re-evaluation of the *unoptimized*
       circuit, in every update mode;
@@ -29,7 +28,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let t p = QCheck_alcotest.to_alcotest p
 
-(* ------------------------------------------------- 1. pass contracts --- *)
+(* ---------------------------------------------- 1. optimizer contracts --- *)
 
 let fold_annihilates_and_drops () =
   let b = Circuit.builder () in
@@ -40,7 +39,7 @@ let fold_annihilates_and_drops () =
   let a = Circuit.add b [ w0; c0 ] in
   let out = Circuit.mul b [ a; c1 ] in
   let c = Circuit.finish b ~output:out in
-  let o = Opt.run ~passes:[ Opt.Fold; Opt.Dce ] ~zero:0 ~one:1 c in
+  let o = Opt.run ~zero:0 ~one:1 c in
   (match o.Opt.circuit.Circuit.nodes.(o.Opt.circuit.Circuit.output) with
   | Circuit.Input ("w", [ 0 ]) -> ()
   | _ -> Alcotest.fail "identity folding should reduce (w0 + 0) * 1 to w0");
@@ -50,7 +49,7 @@ let fold_annihilates_and_drops () =
   let c0 = Circuit.const b 0 in
   let out = Circuit.mul b [ w0; c0 ] in
   let c = Circuit.finish b ~output:out in
-  let o = Opt.run ~passes:[ Opt.Fold; Opt.Dce ] ~zero:0 ~one:1 c in
+  let o = Opt.run ~zero:0 ~one:1 c in
   match o.Opt.circuit.Circuit.nodes.(o.Opt.circuit.Circuit.output) with
   | Circuit.Const 0 -> ()
   | _ -> Alcotest.fail "a zero factor should annihilate the product"
@@ -65,7 +64,7 @@ let cse_merges_commutative () =
   let out = Circuit.mul b [ a1; a2 ] in
   let c = Circuit.finish b ~output:out in
   check_int "before cse" 5 (Circuit.stats c).Circuit.gates;
-  let o = Opt.run ~passes:[ Opt.Cse ] ~zero:0 ~one:1 c in
+  let o = Opt.run ~zero:0 ~one:1 c in
   check_int "after cse" 4 (Circuit.stats o.Opt.circuit).Circuit.gates;
   (* the merged gate feeds the product twice: (w0+w1)^2, not dropped *)
   let v = function "w", [ 0 ] -> 2 | _ -> 3 in
@@ -89,7 +88,7 @@ let dce_drops_dead_cone () =
   let out = Circuit.add b [ w0; w0 ] in
   let c = Circuit.finish b ~output:out in
   check_int "dead gates visible in stats" 2 (Circuit.stats c).Circuit.dead_gates;
-  let o = Opt.run ~passes:[ Opt.Dce ] ~zero:0 ~one:1 c in
+  let o = Opt.run ~zero:0 ~one:1 c in
   let s = Circuit.stats o.Opt.circuit in
   check_int "live gates only" 2 s.Circuit.gates;
   check_int "no dead gates left" 0 s.Circuit.dead_gates;
@@ -101,7 +100,7 @@ let balance_caps_fan_in () =
   let ws = List.init 30 (fun i -> Circuit.input b ("w", [ i ])) in
   let out = Circuit.add b ws in
   let c = Circuit.finish b ~output:out in
-  let o = Opt.run ~passes:[ Opt.Balance ] ~zero:0 ~one:1 c in
+  let o = Opt.run ~zero:0 ~one:1 c in
   let s = Circuit.stats o.Opt.circuit in
   check_bool "fan-in capped" true (s.Circuit.max_fan_in <= Opt.balance_cap);
   check_int "value preserved" (30 * 31 / 2)
@@ -213,7 +212,16 @@ let opt_preserves_value (type a) name (ops : a Intf.ops) ~(zero : a) ~(one : a)
                   | _ -> false)
              o.Opt.circuit.Circuit.input_ids true
          in
-         addressable
+         (* the gates merging orphaned are dropped and every Add/Mul is capped *)
+         let capped =
+           Array.for_all
+             (function
+               | Circuit.Add gs | Circuit.Mul gs -> Array.length gs <= Opt.balance_cap
+               | _ -> true)
+             o.Opt.circuit.Circuit.nodes
+         in
+         addressable && capped
+         && (Circuit.stats o.Opt.circuit).Circuit.dead_gates = 0
          && ops.Intf.equal (Circuit.eval ops c v) (Circuit.eval ops o.Opt.circuit v)))
 
 (* end-to-end through the engine on random sparse databases: the default
@@ -457,7 +465,7 @@ let compiler_emits_non_zero () =
       (Engine.Compile.compile ~zero:false ~one:true ~opt ~dynamic_rels:[ "E" ] inst
          (closed Fo_enum.weight_sym))
   in
-  let raw = compile Opt.none and opt = compile Opt.default_passes in
+  let raw = compile Opt.none and opt = compile Opt.default in
   check_no_zero_gates "2-paths, E dynamic, --opt=none" ~zero:false ~equal:Bool.equal raw;
   check_no_zero_gates "2-paths, E dynamic, default" ~zero:false ~equal:Bool.equal opt;
   check_no_unread_inputs "2-paths, E dynamic, --opt=none" raw;

@@ -6,8 +6,9 @@
    batches must reconstruct the served state; and a fault while the new
    runtime is built — after a localized or a full recompile — must leave
    the pre-update state untouched, as must a rebuild over the compile
-   budget. The emitted raw circuit is pinned by digests, and an insert
-   undone by a delete must restore it gate for gate. *)
+   budget. The emitted raw and optimized circuits are pinned by digests,
+   and an insert undone by a delete must restore the raw one gate for
+   gate. *)
 
 open Semiring
 
@@ -470,16 +471,17 @@ let grid_with_diagonals () =
   done;
   inst
 
-(* The raw circuits of four prepared queries match digests recorded
-   from an earlier build of the compiler, so a change to what it emits,
-   or in which order, shows here. Re-record them only for an intended
-   change to the emitted circuit. Normalization names bound variables
-   from a process-wide counter and shapes are ordered by variable name,
-   so each query is prepared from the counter's initial state. *)
+(* The raw and optimized circuits of four prepared queries match
+   digests recorded from an earlier build of the compiler and the
+   optimizer, so a change to what either emits, or in which order, shows
+   here. Re-record them only for an intended change to the emitted
+   circuit. Normalization names bound variables from a process-wide
+   counter and shapes are ordered by variable name, so each query is
+   prepared from the counter's initial state. *)
 let raw_digests_pinned () =
   let pinned prepare inst =
     Logic.Normal.fresh_counter := 0;
-    raw (prepare inst)
+    prepare inst
   in
   let wdeg inst =
     let expr =
@@ -491,21 +493,27 @@ let raw_digests_pinned () =
     Engine.Eval.prepare nat_ops inst (Db.Weights.bundle [ w ]) expr
   in
   List.iter
-    (fun (what, raw_circuit, want) -> Alcotest.(check string) what want (digest raw_circuit))
+    (fun (what, t, want_raw, want_opt) ->
+      Alcotest.(check string) (what ^ ": raw") want_raw (digest (raw t));
+      Alcotest.(check string) (what ^ ": optimized") want_opt (digest (Engine.Eval.circuit t)))
     [
       ( "weighted triangles, 7x7 grid + diagonals",
         pinned weighted_triangles (grid_with_diagonals ()),
-        "15a68a5b3429b2c1196bfcf91f4c5180" );
+        "15a68a5b3429b2c1196bfcf91f4c5180",
+        "67e0423348e6914162181fe06fea0cb0" );
       ( "weighted triangles, triangulated 8x8 grid",
         pinned weighted_triangles (Db.Instance.of_graph (Graphs.Gen.triangulated_grid 8 8)),
-        "676fd97766d403fade081c2915f72f0b" );
+        "676fd97766d403fade081c2915f72f0b",
+        "6fcd8f05c405e24e55ce5ec5998f7355" );
       ( "weighted 2-paths, 8x8 grid",
         pinned weighted_path2 (Db.Instance.of_graph (Graphs.Gen.grid 8 8)),
-        "9d749e4fde4a135bc2e1d2162cd1ca8d" );
+        "9d749e4fde4a135bc2e1d2162cd1ca8d",
+        "604e50660c2a3fc7f555a81c26a65503" );
       ( "weighted degree, deg3 n=1024",
         pinned wdeg
           (Db.Instance.of_graph (Graphs.Gen.random_bounded_degree ~seed:1 ~n:1024 ~max_deg:3)),
-        "d0d5101dc0887f96d4cdfd9f3968d0c7" );
+        "d0d5101dc0887f96d4cdfd9f3968d0c7",
+        "b4e55318a55273f459edbd5dbf03d460" );
     ]
 
 (* inserting an absent arc and deleting it again, both localized,
