@@ -96,14 +96,24 @@ type 'a t = {
       (** binary min-heap of queued gate ids; reused across waves so the
           hot loop allocates nothing *)
   mutable wave_len : int;  (** live prefix of [wave_heap] *)
-  wave_in : bool array;
-      (** per gate: queued in the current wave (snapshot saved)? doubles as
-          the stamped-flag for inputs during {!set_inputs}' stamp phase *)
-  wave_saved : 'a array;  (** per gate the wave wrote: value before the wave *)
+  wave_in : Bytes.t;
+      (** per gate, one byte ({!flagged}): queued in the current wave
+          (snapshot saved)? doubles as the stamped-flag for inputs during
+          {!set_inputs}' stamp phase, and as the overlay flag of a
+          what-if *)
+  wave_saved : 'a array;
+      (** per gate the wave wrote: value before the wave — or, in a
+          what-if, the gate's what-if value (the overlay) *)
   pending : (int * int * 'a) list array;
       (** per permanent gate: (row, col, v) entry writes accumulated since
           its last recomputation, flushed in one {!Perm.Segtree.set_many}
           (resp. Ring/Finite) when the wave reaches the gate *)
+  scratch : 'a Perm.Scratch.t;
+      (** the buffers a what-if lends to the permanent and counting gates
+          it reads *)
+  mutable what_if : bool;
+      (** a what-if is open: the gates in the undo log read from the
+          overlay in [wave_saved], and every write is refused *)
   mutable update_ops : int;  (** gate recomputations since creation (for benches) *)
   obs_sample : Obs.sampler;
       (** single-wave update counter driving the 1-in-64 systematic
@@ -114,17 +124,19 @@ type 'a t = {
           ≤5% budget on sub-µs updates *)
   mutable cost_log : int list ref option;
       (** when attached ({!set_cost_log}), the touched-gate count of every
-          {e committed} wave is pushed onto the list — the raw material of
-          per-query cost attribution (rolled-back waves never commit, so
-          the log agrees with the "dyn" touched counters by construction) *)
+          committed wave and every what-if is pushed onto the list — the
+          raw material of per-query cost attribution (rolled-back waves
+          never commit, so the log agrees with the "dyn" touched counters
+          by construction) *)
   mutable undo_log : int array;
       (** the running wave's undo log: every gate it has written, each
           logged once at first contact with its prior value already in
-          [wave_saved]; reused across waves, reset on commit *)
+          [wave_saved] (in a what-if: every gate in the overlay); reused
+          across waves, reset on commit *)
   mutable undo_len : int;  (** live prefix of [undo_log] *)
   mutable journal : 'a Journal.t option;
-      (** when attached, every committed update batch is appended (queries'
-          temporary flips and {!replay} itself are excluded) *)
+      (** when attached, every committed update batch is appended
+          ({!replay} itself is excluded; a what-if writes nothing) *)
   mutable poisoned : string option;
       (** set when a mid-propagation exception escaped {e and} the rollback
           failed: gate values may be stale, so every subsequent read raises
@@ -250,9 +262,11 @@ let build ~on_build (ops : 'a Semiring.Intf.ops) mode fin_ctx (c : 'a Circuit.t)
     fin_ctx;
     wave_heap = Array.make 16 0;
     wave_len = 0;
-    wave_in = Array.make n false;
+    wave_in = Bytes.make n '\000';
     wave_saved = Array.make n ops.Semiring.Intf.zero;
     pending = Array.make n [];
+    scratch = Perm.Scratch.create ops.Semiring.Intf.zero;
+    what_if = false;
     update_ops = 0;
     obs_sample = Obs.sampler ();
     cost_log = None;
@@ -301,16 +315,32 @@ let num_gates t = t.n
 let vget t id = t.values.(id)
 let vset t id v = t.values.(id) <- v
 
+let flagged t id = Bytes.get t.wave_in id <> '\000'
+let set_flag t id b = Bytes.set t.wave_in id (if b then '\001' else '\000')
+
+(* A gate's value as the running computation sees it: its overlay value
+   while a what-if holds it, else its committed value. Outside a what-if
+   no read needs the overlay — a committed wave clears a gate's flag
+   before it recomputes, so the children it reads are never flagged —
+   and the flag is not read. *)
+let ov t id = if t.what_if && flagged t id then t.wave_saved.(id) else t.values.(id)
+
 let check_live t =
   match t.poisoned with Some msg -> raise (Poisoned msg) | None -> ()
 
+(* Every write — an update, a splice, a repair, a what-if — starts here:
+   the structure must be healthy and no what-if open. *)
+let check_write t =
+  check_live t;
+  if t.what_if then invalid_arg "Dyn: write while a what-if is open (inside with_temp)"
+
 let value t =
   check_live t;
-  vget t t.cc.Compact.output
+  ov t t.cc.Compact.output
 
 let gate_value t id =
   check_live t;
-  vget t id
+  ov t id
 
 (* Reusable binary min-heap over gate ids (creation order = topological
    order), stored in the structure so propagation waves allocate nothing.
@@ -382,7 +412,7 @@ let rollback t =
   for i = 0 to t.undo_len - 1 do
     let id = t.undo_log.(i) in
     vset t id t.wave_saved.(id);
-    t.wave_in.(id) <- false;
+    set_flag t id false;
     t.pending.(id) <- []
   done;
   for i = 0 to t.undo_len - 1 do
@@ -434,10 +464,14 @@ let gate_is_add t id = t.cc.Compact.opcode.(id) = 2
 (* Apply the effect of a child's value change on a parent's auxiliary
    state; cheap bookkeeping only, no recomputation. Permanent gates only
    accumulate the entry write — the wave flushes all of a gate's pending
-   writes through one [set_many] when it recomputes the gate, so a batch
-   touching many columns pays each leaf-to-root path segment once. The
-   parent was logged at first contact; a rollback rebuilds whatever this
-   changes. *)
+   writes through one [set_many] (a what-if: reads them through
+   [perm_with]) when it recomputes the gate, so a batch touching many
+   columns pays each leaf-to-root path segment once. A Ring-mode
+   addition takes the delta into its committed value (a what-if: into
+   its overlay value, which first contact set to the committed one). A
+   what-if leaves counting gates alone: they read their children's
+   deltas when popped. The parent was logged at first contact; a
+   rollback rebuilds whatever this changes. *)
 let notify t parent slot ~old_v ~new_v =
   let open Semiring.Intf in
   match t.aux.(parent) with
@@ -445,14 +479,17 @@ let notify t parent slot ~old_v ~new_v =
       let row = slot / ncols and col = slot mod ncols in
       t.pending.(parent) <- (row, col, new_v) :: t.pending.(parent)
   | ACount counts ->
-      let ctx = Option.get t.fin_ctx in
-      let oi = Perm.Finite.index_of ctx old_v and ni = Perm.Finite.index_of ctx new_v in
-      counts.(oi) <- counts.(oi) - 1;
-      counts.(ni) <- counts.(ni) + 1
+      if not t.what_if then begin
+        let ctx = Option.get t.fin_ctx in
+        let oi = Perm.Finite.index_of ctx old_v and ni = Perm.Finite.index_of ctx new_v in
+        counts.(oi) <- counts.(oi) - 1;
+        counts.(ni) <- counts.(ni) + 1
+      end
   | ANone ->
       if t.mode = Ring && gate_is_add t parent then begin
         let neg = Option.get t.ops.neg in
-        vset t parent (t.ops.add (t.ops.add (vget t parent) (neg old_v)) new_v)
+        let dst = if t.what_if then t.wave_saved else t.values in
+        dst.(parent) <- t.ops.add (t.ops.add dst.(parent) (neg old_v)) new_v
       end
 
 (* Counting gate readout: Σ_e count_e · e via the lasso (Lemma 18). *)
@@ -460,7 +497,7 @@ let count_value t counts =
   let open Semiring.Intf in
   let ctx = Option.get t.fin_ctx in
   let acc = ref t.ops.zero in
-  for i = 0 to Array.length counts - 1 do
+  for i = 0 to Array.length ctx.Perm.Finite.elems - 1 do
     if counts.(i) > 0 then
       acc := t.ops.add !acc (Perm.Finite.scale ctx counts.(i) ctx.Perm.Finite.elems.(i))
   done;
@@ -486,7 +523,40 @@ let perm_value t id st =
   | PRing s -> Perm.Ring.perm s
   | PFin s -> Perm.Finite.perm s
 
-(* Recompute a gate's value from its children/auxiliary state. *)
+(* A what-if reads a permanent gate through its pending entry writes
+   without flushing them: the strategy's [perm_with] leaves its state
+   untouched. *)
+let perm_what_if t id st =
+  let writes = t.pending.(id) in
+  t.pending.(id) <- [];
+  match st with
+  | PSeg s -> Perm.Segtree.perm_with s t.scratch writes
+  | PRing s -> Perm.Ring.perm_with s writes
+  | PFin s -> Perm.Finite.perm_with s t.scratch writes
+
+(* A what-if reads a counting gate through a copy of its counters in the
+   scratch buffer, moved by every child whose overlay value differs from
+   its committed one. That scans the gate's children, at most
+   [Opt.balance_cap] of them unless the optimizer was bypassed. *)
+let counts_what_if t id counts =
+  let ctx = Option.get t.fin_ctx in
+  let ne = Array.length counts in
+  let buf = Perm.Scratch.ints t.scratch ne in
+  Array.blit counts 0 buf 0 ne;
+  let off = t.cc.Compact.child_off and ch = t.cc.Compact.children in
+  for i = off.(id) to off.(id + 1) - 1 do
+    let c = ch.(i) in
+    if flagged t c && not (t.ops.Semiring.Intf.equal (vget t c) t.wave_saved.(c)) then begin
+      let oi = Perm.Finite.index_of ctx (vget t c)
+      and ni = Perm.Finite.index_of ctx t.wave_saved.(c) in
+      buf.(oi) <- buf.(oi) - 1;
+      buf.(ni) <- buf.(ni) + 1
+    end
+  done;
+  buf
+
+(* Recompute a gate's value from its children/auxiliary state — in a
+   what-if, from the overlay, writing no auxiliary state. *)
 let recompute t id =
   let open Semiring.Intf in
   (match t.fault_hook with Some h -> h id | None -> ());
@@ -496,25 +566,26 @@ let recompute t id =
   | 0 | 1 -> vget t id
   | 4 -> (
       match t.aux.(id) with
-      | APerm (st, _) -> perm_value t id st
+      | APerm (st, _) -> if t.what_if then perm_what_if t id st else perm_value t id st
       | _ -> invalid_arg "Dyn: permanent gate without state")
   | opc -> (
       match t.aux.(id) with
-      | ACount counts -> count_value t counts
-      | _ when opc = 2 && t.mode = Ring -> vget t id (* maintained by deltas *)
+      | ACount counts ->
+          count_value t (if t.what_if then counts_what_if t id counts else counts)
+      | _ when opc = 2 && t.mode = Ring -> ov t id (* maintained by deltas *)
       | _ ->
           let off = cc.Compact.child_off and ch = cc.Compact.children in
           if opc = 2 then begin
             let acc = ref t.ops.zero in
             for i = off.(id) to off.(id + 1) - 1 do
-              acc := t.ops.add !acc (vget t ch.(i))
+              acc := t.ops.add !acc (ov t ch.(i))
             done;
             !acc
           end
           else begin
             let acc = ref t.ops.one in
             for i = off.(id) to off.(id + 1) - 1 do
-              acc := t.ops.mul !acc (vget t ch.(i))
+              acc := t.ops.mul !acc (ov t ch.(i))
             done;
             !acc
           end)
@@ -522,10 +593,10 @@ let recompute t id =
 (* Queue one parent for recomputation (saving its pre-wave value on first
    contact) and push the child's delta into its auxiliary state. *)
 let enqueue_one t p slot ~old_v ~new_v =
-  if not t.wave_in.(p) then begin
+  if not (flagged t p) then begin
     t.wave_saved.(p) <- vget t p;
     log_touch t p;
-    t.wave_in.(p) <- true;
+    set_flag t p true;
     heap_push t p
   end;
   notify t p slot ~old_v ~new_v
@@ -540,16 +611,28 @@ let enqueue_parents t g ~old_v ~new_v =
 (* Drain the heap in topological (gate-id) order. Children always have
    smaller ids than parents, so when a gate is popped every queued child
    has already settled — each touched gate is recomputed exactly once per
-   wave no matter how many dirty inputs reach it. *)
+   wave no matter how many dirty inputs reach it. A committed wave writes
+   the new value and keeps the old one in [wave_saved]; a what-if keeps
+   the new value in [wave_saved] and the gate flagged, so its parents
+   read it from the overlay. *)
 let run_wave t =
   while t.wave_len > 0 do
     let g = heap_pop t in
-    t.wave_in.(g) <- false;
-    let old_g = t.wave_saved.(g) in
-    let new_g = recompute t g in
-    vset t g new_g;
-    if not (t.ops.Semiring.Intf.equal old_g new_g) then
-      enqueue_parents t g ~old_v:old_g ~new_v:new_g
+    if t.what_if then begin
+      let new_g = recompute t g in
+      t.wave_saved.(g) <- new_g;
+      let old_g = vget t g in
+      if not (t.ops.Semiring.Intf.equal old_g new_g) then
+        enqueue_parents t g ~old_v:old_g ~new_v:new_g
+    end
+    else begin
+      set_flag t g false;
+      let old_g = t.wave_saved.(g) in
+      let new_g = recompute t g in
+      vset t g new_g;
+      if not (t.ops.Semiring.Intf.equal old_g new_g) then
+        enqueue_parents t g ~old_v:old_g ~new_v:new_g
+    end
   done
 
 (** Update one input weight; propagates along all ancestor paths in
@@ -561,7 +644,7 @@ let run_wave t =
     be stale, so rather than silently returning corrupt answers every
     later read or update raises {!Poisoned} until {!repair}. *)
 let set_input t (key : Circuit.input_key) v =
-  check_live t;
+  check_write t;
   match Hashtbl.find_opt t.cc.Compact.input_ids key with
   | None -> invalid_arg "Dyn.set_input: unknown input (weight symbol, tuple)"
   | Some id ->
@@ -617,7 +700,7 @@ let set_input t (key : Circuit.input_key) v =
     the rollback itself faults, poisons the structure) exactly like
     {!set_input}. *)
 let set_inputs t (assignments : (Circuit.input_key * 'a) list) =
-  check_live t;
+  check_write t;
   match assignments with
   | [] -> ()
   | [ (key, v) ] -> set_input t key v
@@ -645,7 +728,7 @@ let set_inputs t (assignments : (Circuit.input_key * 'a) list) =
             let stamped =
               List.filter_map
                 (fun (id, v) ->
-                  if t.wave_in.(id) then begin
+                  if flagged t id then begin
                     (* re-stamped input: [wave_saved] already holds its
                        pre-batch value *)
                     vset t id v;
@@ -655,7 +738,7 @@ let set_inputs t (assignments : (Circuit.input_key * 'a) list) =
                   else begin
                     t.wave_saved.(id) <- vget t id;
                     log_touch t id;
-                    t.wave_in.(id) <- true;
+                    set_flag t id true;
                     vset t id v;
                     Some id
                   end)
@@ -664,7 +747,7 @@ let set_inputs t (assignments : (Circuit.input_key * 'a) list) =
             (* Propagation phase: one shared wave over every net change. *)
             List.iter
               (fun id ->
-                t.wave_in.(id) <- false;
+                set_flag t id false;
                 let old_v = t.wave_saved.(id) and new_v = vget t id in
                 if not (t.ops.Semiring.Intf.equal old_v new_v) then begin
                   incr dirty;
@@ -689,63 +772,104 @@ let set_inputs t (assignments : (Circuit.input_key * 'a) list) =
         Obs.Histogram.observe h_batch_ns (Obs.elapsed_ns t0)
       end
 
-(** Current value of an input gate. *)
+(** Current value of an input gate (its what-if value inside
+    {!with_temp}). *)
 let input_value t key =
   match Hashtbl.find_opt t.cc.Compact.input_ids key with
-  | Some id -> Some (vget t id)
+  | Some id -> Some (ov t id)
   | None -> None
 
 let has_input t key = Hashtbl.mem t.cc.Compact.input_ids key
 
-(** Temporarily set some inputs, run [f], restore — the free-variable query
-    mechanism in the proof of Theorem 8. Both directions go through
-    {!set_inputs}, so the 2·|x̄| weight flips of a tuple query cost two
-    propagation waves instead of 2·|x̄|. The restore runs on every exit
-    of [f] (in reverse order, so duplicate keys land back on their
-    first-saved value): a raising [f] no longer leaves the temporary
-    weights stuck and silently corrupting every later read. When the
-    restore wave itself faults, the prior values are written straight
-    into the input gates and the structure is poisoned, so {!repair}
-    rebuilds from the pre-call inputs. The journal is suspended for the
-    duration — a query's temporary flips are not committed state and must
-    not bloat (or corrupt) a later replay. *)
+(* --- the what-if wave --- *)
+
+(* Close the open what-if: unflag every overlay gate. A finished wave
+   has popped every gate it queued, so only a faulted one leaves a queue
+   and pending writes behind, and [faulted] drops them. Writes no
+   committed state. *)
+let close_what_if ?(faulted = false) t =
+  for i = 0 to t.undo_len - 1 do
+    let id = t.undo_log.(i) in
+    set_flag t id false;
+    if faulted then t.pending.(id) <- []
+  done;
+  t.undo_len <- 0;
+  t.wave_len <- 0;
+  t.what_if <- false
+
+(* Stamp the what-if values of the known inputs among [assignments] into
+   the overlay; a later write to the same input wins. *)
+let rec stamp t = function
+  | [] -> ()
+  | (key, v) :: rest ->
+      (match Hashtbl.find t.cc.Compact.input_ids key with
+      | id ->
+          if flagged t id then t.wave_saved.(id) <- v
+          else if not (t.ops.Semiring.Intf.equal (vget t id) v) then begin
+            set_flag t id true;
+            t.wave_saved.(id) <- v;
+            log_touch t id
+          end
+      | exception Not_found -> ());
+      stamp t rest
+
+(* Open a what-if: propagate [assignments] (keys the circuit does not
+   read are ignored) through their cone into the overlay — the wave
+   scratch, since a what-if never runs inside a committed wave — reading
+   every untouched child from the committed values. The journal, the
+   undo log's committed use, [values] and every permanent's state are
+   never written. A fault closes the overlay and raises {!Rolled_back}
+   with the structure untouched. The wave's gates go to [update_ops],
+   the cost sink and "dyn" [touched_gates] like a committed wave's, but
+   not to "dyn" [updates]. *)
+let open_what_if t (assignments : (Circuit.input_key * 'a) list) =
+  check_write t;
+  t.what_if <- true;
+  let ops0 = t.update_ops and dirty = ref false in
+  (try
+     stamp t assignments;
+     for i = 0 to t.undo_len - 1 do
+       let id = t.undo_log.(i) in
+       let old_v = vget t id and new_v = t.wave_saved.(id) in
+       if not (t.ops.Semiring.Intf.equal old_v new_v) then begin
+         dirty := true;
+         enqueue_parents t id ~old_v ~new_v
+       end
+     done;
+     run_wave t
+   with e -> fault t ~what:"what-if" ~undo:(fun () -> close_what_if ~faulted:true t) e);
+  if !dirty then begin
+    let touched = t.update_ops - ops0 in
+    (match t.cost_log with Some sink -> sink := touched :: !sink | None -> ());
+    if Obs.is_enabled () then Obs.Counter.add m_touched touched
+  end
+
+(** The output's value were [assignments] applied — the free-variable
+    query of Theorem 8 — computed by one read-only what-if wave: nothing
+    is written, so nothing needs restoring. Keys the circuit does not
+    read are ignored, and a later write to the same key wins. A fault
+    mid-wave raises {!Rolled_back} with the structure untouched. *)
+let value_with t (assignments : (Circuit.input_key * 'a) list) : 'a =
+  open_what_if t assignments;
+  let v = ov t t.cc.Compact.output in
+  close_what_if t;
+  v
+
+(** Run [f] with [assignments] applied as a what-if: {!value},
+    {!gate_value} and {!input_value} read the what-if values inside [f],
+    the committed state is never written, and the overlay closes on every
+    exit of [f]. A write attempted inside [f] raises [Invalid_argument].
+    See {!value_with}. *)
 let with_temp t (assignments : (Circuit.input_key * 'a) list) (f : unit -> 'b) : 'b =
-  check_live t;
-  let known = List.filter (fun (key, _) -> has_input t key) assignments in
-  (* prior values newest first, the restore order *)
-  let saved =
-    List.rev_map (fun (key, _) -> (key, vget t (Hashtbl.find t.cc.Compact.input_ids key))) known
-  in
-  let journal = t.journal in
-  t.journal <- None;
-  (* Put the inputs back, unless [f] poisoned the structure (restoring
-     would then raise [Poisoned] over [f]'s own exception), and resume the
-     journal. A faulted restore wave leaves the temporary values applied,
-     so they are overwritten in the input gates and the structure is
-     poisoned for {!repair}; the fault surfaces as [Fun.Finally_raised]. *)
-  let restore () =
-    match if t.poisoned = None then set_inputs t saved with
-    | () -> t.journal <- journal
-    | exception e ->
-        t.journal <- journal;
-        List.iter (fun (key, v) -> vset t (Hashtbl.find t.cc.Compact.input_ids key) v) saved;
-        if t.poisoned = None then
-          t.poisoned <- Some ("restore of temporary inputs failed: " ^ Printexc.to_string e);
-        raise (Fun.Finally_raised e)
-  in
-  match set_inputs t known with
+  open_what_if t assignments;
+  match f () with
+  | r ->
+      close_what_if t;
+      r
   | exception e ->
-      t.journal <- journal;
-      raise e
-  | () -> (
-      match f () with
-      | r ->
-          restore ();
-          r
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          restore ();
-          Printexc.raise_with_backtrace e bt)
+      let bt = Printexc.get_raw_backtrace () in
+      close_what_if t;
+      Printexc.raise_with_backtrace e bt
 
 (* --- recovery and durability --- *)
 
@@ -759,8 +883,9 @@ let repair t =
   Obs.Trace.span ~scope:"dyn" "repair"
     ~attrs:[ ("gates", Obs.Trace.I t.n) ]
   @@ fun () ->
+  if t.what_if then invalid_arg "Dyn.repair: a what-if is open (inside with_temp)";
   for i = 0 to t.n - 1 do
-    t.wave_in.(i) <- false;
+    set_flag t i false;
     t.pending.(i) <- []
   done;
   t.wave_len <- 0;
@@ -789,7 +914,7 @@ let repair t =
     Σ cost_log = Δ update_ops = Δ touched_gates holds across structural
     updates too. [t] is poisoned: reads raise {!Poisoned}. *)
 let splice (t : 'a t) (c : 'a Circuit.t) (valuation : Circuit.input_key -> 'a) : 'a t =
-  check_live t;
+  check_write t;
   Obs.Trace.span ~scope:"dyn" "splice"
     ~attrs:
       [

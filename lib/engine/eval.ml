@@ -2,9 +2,10 @@
     compiles the expression once (linear time); the result supports
 
     - [value] — the current value of a closed expression, O(1);
-    - [query] — the value at a tuple, for expressions with free variables,
-      implemented by 2·|x̄| temporary weight updates exactly as in the
-      proof of Theorem 8;
+    - [query] — the value at a tuple, for expressions with free variables:
+      the |x̄| query-weight changes of the proof of Theorem 8, propagated
+      as one read-only what-if wave ({!Circuits.Dyn.value_with}) that
+      writes nothing;
     - [update] — change one weight, in O(log n) for general semirings and
       O(1) for rings and finite semirings (the Dyn strategies).
 
@@ -54,7 +55,7 @@ let query_weight =
   fun i -> if i < Array.length names then names.(i) else name i
 
 (* Theorem 8 observables (scope "engine"): preparation is linear-time,
-   per-tuple queries cost 2|x̄| temporary updates, and degradations to the
+   per-tuple queries cost one what-if wave, and degradations to the
    reference evaluator are counted — not just raised. *)
 let h_prepare_ns = Obs.histogram ~scope:"engine" "prepare_ns"
 let h_query_ns = Obs.histogram ~scope:"engine" "query_ns"
@@ -124,11 +125,20 @@ let prepare (type a) (ops : a Semiring.Intf.ops) ?mode ?opt ?tfa_rounds
     queried, for expressions with free variables). *)
 let value t = Circuits.Dyn.value t.dyn
 
+(* The query weights v_i(a_i) = one of the arguments from position [i]
+   on. *)
+let rec query_weights one i = function
+  | [] -> []
+  | a :: rest -> ((query_weight i, [ a ]), one) :: query_weights one (i + 1) rest
+
 (** Value at a tuple (one element per free variable, in the order of
-    [free_vars]). Like {!Circuits.Dyn.set_input}, it times and traces a
-    1-in-64 systematic sample of the calls ({!Obs.sampler}); the
-    [queries] counter is exact. A closed expression's query is a plain
-    read of the maintained value. *)
+    [free_vars]): the query weights v_i(a_i) set to one in a single
+    read-only what-if wave ({!Circuits.Dyn.value_with}) — the committed
+    state is never written, so there is nothing to restore and a fault
+    cannot leave the weights applied. Like {!Circuits.Dyn.set_input}, it
+    times and traces a 1-in-64 systematic sample of the calls
+    ({!Obs.sampler}); the [queries] counter is exact. A closed
+    expression's query is a plain read of the maintained value. *)
 let query (type a) (t : a t) (args : int list) : a =
   if List.length args <> List.length t.free_vars then
     invalid_arg "Eval.query: wrong number of arguments";
@@ -137,10 +147,7 @@ let query (type a) (t : a t) (args : int list) : a =
   match args with
   | [] -> Circuits.Dyn.value t.dyn
   | _ ->
-      let assignments =
-        List.mapi (fun i a -> ((query_weight i, [ a ]), t.ops.Semiring.Intf.one)) args
-      in
-      Circuits.Dyn.with_temp t.dyn assignments (fun () -> Circuits.Dyn.value t.dyn)
+      Circuits.Dyn.value_with t.dyn (query_weights t.ops.Semiring.Intf.one 0 args)
 
 (* Writes to weights the circuit does not read: the last value of each
    lands in [unread] (a structural update that brings the key into the
@@ -355,7 +362,9 @@ module Cost = struct
   type t = {
     wall_ns : float;  (** wall-clock duration of the operation *)
     gates_visited : int;  (** gate recomputations (one-shot eval: gates evaluated) *)
-    waves : int;  (** committed propagation waves (one-shot eval: 0) *)
+    waves : int;
+        (** propagation waves: committed ones and a query's what-if (one-shot
+            eval: 0) *)
     wave_touched : int list;  (** [gates_visited] split per wave, in wave order *)
     minor_words : float;  (** minor-heap words allocated *)
     gc_minor : int;  (** minor collections observed *)
@@ -437,8 +446,8 @@ let with_cost (t : 'a t) (f : unit -> 'b) : 'b * Cost.t =
       finish ();
       raise e
 
-(** {!query} with its cost report (2 waves: flip the query weights, value,
-    restore). *)
+(** {!query} with its cost report: one what-if wave, which writes
+    nothing but is charged like a committed one. *)
 let query_cost (t : 'a t) (args : int list) : 'a * Cost.t = with_cost t (fun () -> query t args)
 
 (** {!update_many} with its cost report (1 committed wave when anything

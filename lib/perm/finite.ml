@@ -103,9 +103,15 @@ let ntypes ctx k =
   if t > 1 lsl 22 then invalid_arg "Finite_perm: |S|^k too large";
   t
 
+(* The type of a column of element indices: row 0 is the least
+   significant base-|S| digit. *)
 let type_index ctx (col : int array) =
   let ne = Array.length ctx.elems in
-  Array.fold_right (fun ei acc -> (acc * ne) + ei) col 0
+  let acc = ref 0 in
+  for r = Array.length col - 1 downto 0 do
+    acc := (!acc * ne) + col.(r)
+  done;
+  !acc
 
 let type_entry ctx tidx r =
   let ne = Array.length ctx.elems in
@@ -191,52 +197,109 @@ let set_many t (updates : (int * int * 'a) list) =
 
 let get t ~row ~col = t.ctx.elems.(t.entries.(col).(row))
 
-(** Permanent from the counts: independent of n. Sums over the maps g
-    from rows to present types; the rows of type t pick distinct columns
-    of that type in P(n_t, |g⁻¹(t)|) ways, the product over rows of n_t
-    minus the earlier rows of the same type. Allocates nothing beyond the
-    semiring's own values. *)
-let perm t =
+(* The count of type [tidx] after the adjustments [adj]: [nadj]
+   (type, delta) pairs, flat. *)
+let adjusted_count t adj nadj tidx =
+  let c = ref t.counts.(tidx) in
+  for i = 0 to nadj - 1 do
+    if adj.(2 * i) = tidx then c := !c + adj.((2 * i) + 1)
+  done;
+  !c
+
+(* The permanent from the counts as adjusted by [adj] (see
+   {!adjusted_count}): the sum over the maps g from rows to present
+   types, enumerated as an odometer over [t.assignment] (row → index
+   into [t.present], the last row turning fastest). The rows of type t
+   pick distinct columns of that type in P(n_t, |g⁻¹(t)|) ways, the
+   product over rows of n_t minus the earlier rows of the same type.
+   Allocates nothing beyond the semiring's own values. *)
+let perm_adjusted t adj nadj =
   let open Semiring.Intf in
-  let ops = t.ctx.ops in
-  let modulus = t.ctx.modulus in
-  let g = t.assignment in
+  let ops = t.ctx.ops and modulus = t.ctx.modulus in
+  let present = t.present and pos = t.assignment in
   let np = ref 0 in
   for tidx = 0 to Array.length t.counts - 1 do
-    if t.counts.(tidx) > 0 then begin
-      t.present.(!np) <- tidx;
+    if adjusted_count t adj nadj tidx > 0 then begin
+      present.(!np) <- tidx;
       incr np
     end
   done;
   let np = !np in
-  (* the term of the map in [g] *)
-  let term () =
-    let low = ref 1 and modm = ref (1 mod modulus) and entry_prod = ref ops.one in
-    for r = 0 to t.k - 1 do
-      let tidx = g.(r) in
-      let ways = ref t.counts.(tidx) in
-      for r' = 0 to r - 1 do
-        if g.(r') = tidx then decr ways
+  let acc = ref ops.zero in
+  if t.k = 0 || np > 0 then begin
+    Array.fill pos 0 t.k 0;
+    let more = ref true in
+    while !more do
+      (* the term of the map in [pos] *)
+      let low = ref 1 and modm = ref (1 mod modulus) and entry_prod = ref ops.one in
+      for r = 0 to t.k - 1 do
+        let tidx = present.(pos.(r)) in
+        let ways = ref (adjusted_count t adj nadj tidx) in
+        for r' = 0 to r - 1 do
+          if present.(pos.(r')) = tidx then decr ways
+        done;
+        let ways = max 0 !ways in
+        low := low_mul !low ways;
+        modm := !modm * (ways mod modulus) mod modulus;
+        entry_prod := ops.mul !entry_prod (type_entry t.ctx tidx r)
       done;
-      let ways = max 0 !ways in
-      low := low_mul !low ways;
-      modm := !modm * (ways mod modulus) mod modulus;
-      entry_prod := ops.mul !entry_prod (type_entry t.ctx tidx r)
-    done;
-    scale_parts t.ctx ~low:!low ~modm:!modm !entry_prod
-  in
-  let rec go r acc =
-    if r = t.k then ops.add acc (term ())
-    else begin
-      let acc = ref acc in
-      for i = 0 to np - 1 do
-        g.(r) <- t.present.(i);
-        acc := go (r + 1) !acc
+      acc := ops.add !acc (scale_parts t.ctx ~low:!low ~modm:!modm !entry_prod);
+      (* the next map: bump the last row that has not wrapped *)
+      let r = ref (t.k - 1) in
+      while !r >= 0 && pos.(!r) = np - 1 do
+        pos.(!r) <- 0;
+        decr r
       done;
-      !acc
-    end
-  in
-  go 0 ops.zero
+      if !r < 0 then more := false else pos.(!r) <- pos.(!r) + 1
+    done
+  end;
+  !acc
+
+(** Permanent from the counts: independent of n. *)
+let perm t = perm_adjusted t [||] 0
+
+(* The element index of row [r] of column [col] after [writes], whose
+   last write to that entry wins; [ei] when none writes it. *)
+let rec entry_after ctx writes col r ei =
+  match writes with
+  | [] -> ei
+  | (r', c', v) :: rest ->
+      entry_after ctx rest col r (if c' = col && r' = r then index_of ctx v else ei)
+
+let rec writes_column col = function
+  | [] -> false
+  | (_, c, _) :: rest -> c = col || writes_column col rest
+
+(* Fill [adj] from [nadj] on with the count moves of the columns that
+   [rest] (a suffix of [writes]) touches, each column once, at its last
+   write; returns the new pair count. *)
+let rec adjust t adj writes nadj rest =
+  match rest with
+  | [] -> nadj
+  | (row, col, _) :: rest ->
+      if row < 0 || row >= t.k then invalid_arg "Finite_perm.perm_with: bad row";
+      if col < 0 || col >= t.n then invalid_arg "Finite_perm.perm_with: bad col";
+      if writes_column col rest then adjust t adj writes nadj rest
+      else begin
+        let ne = Array.length t.ctx.elems and e = t.entries.(col) in
+        let ty = ref 0 in
+        for r = t.k - 1 downto 0 do
+          ty := (!ty * ne) + entry_after t.ctx writes col r e.(r)
+        done;
+        adj.(2 * nadj) <- t.col_type.(col);
+        adj.((2 * nadj) + 1) <- -1;
+        adj.((2 * nadj) + 2) <- !ty;
+        adj.((2 * nadj) + 3) <- 1;
+        adjust t adj writes (nadj + 2) rest
+      end
+
+(** The permanent after the entry writes [writes] (row, col, v) without
+    writing the structure: each touched column moves one count from its
+    type to its new type, and the permanent is read through those
+    ≤ 2·writes adjusted counts kept in a scratch buffer. *)
+let perm_with t (s : 'a Scratch.t) (writes : (int * int * 'a) list) =
+  let adj = Scratch.ints s (4 * List.length writes) in
+  perm_adjusted t adj (adjust t adj writes 0 writes)
 
 (** Functor sugar over a statically-known finite semiring. *)
 module Make (S : Semiring.Intf.FINITE) = struct
@@ -248,4 +311,5 @@ module Make (S : Semiring.Intf.FINITE) = struct
   let set = set
   let set_many = set_many
   let get = get
+  let perm_with = perm_with
 end

@@ -27,10 +27,12 @@ type 'a t = {
 }
 
 (* c · x for an integer c (|c| small, bounded by (k−1)!). *)
+let rec add_times t acc c x =
+  if c = 0 then acc else add_times t (t.ops.Semiring.Intf.add acc x) (c - 1) x
+
 let int_mul t c x =
-  let open Semiring.Intf in
-  let rec go acc c = if c = 0 then acc else go (t.ops.add acc x) (c - 1) in
-  if c >= 0 then go t.ops.zero c else t.neg (go t.ops.zero (-c))
+  if c >= 0 then add_times t t.ops.Semiring.Intf.zero c x
+  else t.neg (add_times t t.ops.Semiring.Intf.zero (-c) x)
 
 let block_coeff mask =
   let b = Subsets.popcount mask in
@@ -69,43 +71,85 @@ let create (ops : 'a Semiring.Intf.ops) (m : 'a array array) : 'a t =
   Obs.Counter.incr m_creates;
   { ops; neg; k; n; sums; columns; parts }
 
-(** Permanent from the power sums: O(Bell(k) · k), independent of n. *)
-let perm t =
+(* Π over the blocks of one partition, and Σ over the partitions, of
+   the power sums [sums]. *)
+let rec part_term t sums acc = function
+  | [] -> acc
+  | (mask, coeff) :: rest ->
+      part_term t sums (t.ops.Semiring.Intf.mul acc (int_mul t coeff sums.(mask))) rest
+
+let rec parts_sum t sums acc = function
+  | [] -> acc
+  | part :: rest ->
+      parts_sum t sums
+        (t.ops.Semiring.Intf.add acc (part_term t sums t.ops.Semiring.Intf.one part))
+        rest
+
+(* The permanent from power sums [sums]: O(Bell(k) · k), independent
+   of n. *)
+let perm_of t sums =
+  if t.k = 0 then t.ops.Semiring.Intf.one else parts_sum t sums t.ops.Semiring.Intf.zero t.parts
+
+(** Permanent from the maintained power sums. *)
+let perm t = perm_of t t.sums
+
+(* Move the power sums [sums] from column [old_col] to [new_col], which
+   differ at most in the rows of [changed]: only the sums over masks
+   meeting [changed] move. *)
+let adjust_sums t sums old_col new_col changed =
   let open Semiring.Intf in
-  if t.k = 0 then t.ops.one
-  else
-    List.fold_left
-      (fun acc part ->
-        let term =
-          List.fold_left
-            (fun p (mask, coeff) -> t.ops.mul p (int_mul t coeff t.sums.(mask)))
-            t.ops.one part
-        in
-        t.ops.add acc term)
-      t.ops.zero t.parts
+  for mask = 1 to (1 lsl t.k) - 1 do
+    if mask land changed <> 0 then begin
+      let old_term = column_contrib t.ops t.k old_col mask in
+      let new_term = column_contrib t.ops t.k new_col mask in
+      sums.(mask) <- t.ops.add (t.ops.add sums.(mask) (t.neg old_term)) new_term
+    end
+  done
 
 (** Constant-time single-entry update (Corollary 17). *)
 let set t ~row ~col v =
-  let open Semiring.Intf in
   if row < 0 || row >= t.k then invalid_arg "Ring_perm.set: bad row";
   if col < 0 || col >= t.n then invalid_arg "Ring_perm.set: bad col";
   Obs.Counter.incr m_sets;
   let old_col = Array.copy t.columns.(col) in
   t.columns.(col).(row) <- v;
-  for mask = 1 to (1 lsl t.k) - 1 do
-    if mask land (1 lsl row) <> 0 then begin
-      let old_term = column_contrib t.ops t.k old_col mask in
-      let new_term = column_contrib t.ops t.k t.columns.(col) mask in
-      t.sums.(mask) <- t.ops.add (t.ops.add t.sums.(mask) (t.neg old_term)) new_term
-    end
-  done
+  adjust_sums t t.sums old_col t.columns.(col) (1 lsl row)
 
-(** Batched entry update: group writes by column, then adjust each power
-    sum once per touched column — masks are visited once with the combined
-    changed-rows delta instead of once per entry. Later entries win on
-    duplicate (row, col) targets, matching sequential application order.
-    Every update is validated before any column is written, so an
-    [invalid_arg] leaves the structure untouched. *)
+let validate name t updates =
+  List.iter
+    (fun (row, col, _) ->
+      if row < 0 || row >= t.k then invalid_arg (name ^ ": bad row");
+      if col < 0 || col >= t.n then invalid_arg (name ^ ": bad col"))
+    updates
+
+(* Group [updates] by column (later writes to an entry win) and move
+   [sums] by each touched column's delta — masks are visited once per
+   column with the combined changed-rows delta — handing the column's
+   new entries to [commit]. *)
+let move_sums t sums updates ~commit =
+  let rec run = function
+    | [] -> ()
+    | (_, col, _) :: _ as group ->
+        let new_col = Array.copy t.columns.(col) and changed = ref 0 in
+        let rec eat = function
+          | (r, c, v) :: more when c = col ->
+              new_col.(r) <- v;
+              changed := !changed lor (1 lsl r);
+              eat more
+          | more -> more
+        in
+        let rest = eat group in
+        adjust_sums t sums t.columns.(col) new_col !changed;
+        commit col new_col;
+        run rest
+  in
+  run (List.stable_sort (fun (_, c1, _) (_, c2, _) -> Int.compare c1 c2) updates)
+
+(** Batched entry update: each power sum moves once per touched column
+    instead of once per entry. Later entries win on duplicate (row, col)
+    targets, matching sequential application order. Every update is
+    validated before any column is written, so an [invalid_arg] leaves
+    the structure untouched. *)
 let set_many t (updates : (int * int * 'a) list) =
   match updates with
   | [] -> ()
@@ -117,46 +161,22 @@ let set_many t (updates : (int * int * 'a) list) =
       Obs.Trace.span_hot ~scope:"perm" "ring.flush"
         ~attrs:[ ("writes", Obs.Trace.I writes); ("k", Obs.Trace.I t.k) ]
       @@ fun () ->
-      List.iter
-        (fun (row, col, _) ->
-          if row < 0 || row >= t.k then invalid_arg "Ring_perm.set_many: bad row";
-          if col < 0 || col >= t.n then invalid_arg "Ring_perm.set_many: bad col")
-        updates;
-      let by_col =
-        List.stable_sort (fun (_, c1, _) (_, c2, _) -> Int.compare c1 c2) updates
-      in
-      let flush col old_col changed =
-        for mask = 1 to (1 lsl t.k) - 1 do
-          if mask land changed <> 0 then begin
-            let old_term = column_contrib t.ops t.k old_col mask in
-            let new_term = column_contrib t.ops t.k t.columns.(col) mask in
-            t.sums.(mask) <-
-              t.ops.Semiring.Intf.add
-                (t.ops.Semiring.Intf.add t.sums.(mask) (t.neg old_term))
-                new_term
-          end
-        done
-      in
-      let rec run = function
-        | [] -> ()
-        | (row, col, v) :: rest ->
-            let old_col = Array.copy t.columns.(col) in
-            t.columns.(col).(row) <- v;
-            let changed = ref (1 lsl row) in
-            let rec eat = function
-              | (r2, c2, v2) :: more when c2 = col ->
-                  t.columns.(col).(r2) <- v2;
-                  changed := !changed lor (1 lsl r2);
-                  eat more
-              | more -> more
-            in
-            let rest = eat rest in
-            flush col old_col !changed;
-            run rest
-      in
-      run by_col
+      validate "Ring_perm.set_many" t updates;
+      move_sums t t.sums updates ~commit:(fun col new_col -> t.columns.(col) <- new_col)
 
 let get t ~row ~col = t.columns.(col).(row)
+
+(** The permanent after the entry writes [writes] without writing the
+    structure: the column deltas move a copy of the power sums, and the
+    permanent is evaluated from that copy. *)
+let perm_with t (writes : (int * int * 'a) list) =
+  match writes with
+  | [] -> perm t
+  | _ ->
+      validate "Ring_perm.perm_with" t writes;
+      let sums = Array.copy t.sums in
+      move_sums t sums writes ~commit:(fun _ _ -> ());
+      perm_of t sums
 
 (** Functor sugar over a statically-known ring. *)
 module Make (R : Semiring.Intf.RING) = struct
@@ -168,4 +188,5 @@ module Make (R : Semiring.Intf.RING) = struct
   let set = set
   let set_many = set_many
   let get = get
+  let perm_with = perm_with
 end

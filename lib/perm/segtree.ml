@@ -47,32 +47,39 @@ let pairs_for k =
       Hashtbl.add pair_tables k p;
       p
 
-(* Write leaf [c]'s slots from its column: 1 at the empty subset, the
-   entry of row r at {r}, zero at every larger subset. *)
-let leaf_into t c =
+(* Write leaf [c]'s slots from its column into the block of [dst] at
+   [off]: 1 at the empty subset, the entry of row r at {r}, zero at every
+   larger subset. *)
+let leaf_block t dst off c =
   let open Semiring.Intf in
-  let base = (t.size + c) lsl t.k in
-  Array.fill t.nodes base (1 lsl t.k) t.ops.zero;
-  t.nodes.(base) <- t.ops.one;
+  Array.fill dst off (1 lsl t.k) t.ops.zero;
+  dst.(off) <- t.ops.one;
   for r = 0 to t.k - 1 do
-    t.nodes.(base + (1 lsl r)) <- t.columns.((c * t.k) + r)
+    dst.(off + (1 lsl r)) <- t.columns.((c * t.k) + r)
+  done
+
+let leaf_into t c = leaf_block t t.nodes ((t.size + c) lsl t.k) c
+
+(* Merge a left and a right child block (each 2ᵏ slots, in [l] at [lo]
+   and [r] at [ro]) into the block of [dst] at [doff]. *)
+let merge_blocks t l lo r ro dst doff =
+  let open Semiring.Intf in
+  let k = t.k and add = t.ops.add and mul = t.ops.mul in
+  let off = t.pairs.off and sub = t.pairs.sub in
+  for mask = 0 to (1 lsl k) - 1 do
+    (* the first subset is 0: start from its term instead of from zero *)
+    let acc = ref (mul l.(lo) r.(ro + mask)) in
+    for j = off.(mask) + 1 to off.(mask + 1) - 1 do
+      let s = sub.(j) in
+      acc := add !acc (mul l.(lo + s) r.(ro + (mask lxor s)))
+    done;
+    dst.(doff + mask) <- !acc
   done
 
 (* Recompute internal node [i] in place from its two children. *)
 let merge_into t i =
-  let open Semiring.Intf in
-  let k = t.k and nodes = t.nodes and add = t.ops.add and mul = t.ops.mul in
-  let off = t.pairs.off and sub = t.pairs.sub in
-  let dst = i lsl k and l = (2 * i) lsl k and r = ((2 * i) + 1) lsl k in
-  for mask = 0 to (1 lsl k) - 1 do
-    (* the first subset is 0: start from its term instead of from zero *)
-    let acc = ref (mul nodes.(l) nodes.(r + mask)) in
-    for j = off.(mask) + 1 to off.(mask + 1) - 1 do
-      let s = sub.(j) in
-      acc := add !acc (mul nodes.(l + s) nodes.(r + (mask lxor s)))
-    done;
-    nodes.(dst + mask) <- !acc
-  done
+  let k = t.k in
+  merge_blocks t t.nodes ((2 * i) lsl k) t.nodes (((2 * i) + 1) lsl k) t.nodes (i lsl k)
 
 (** Build from a k × n matrix given as rows. *)
 let create (ops : 'a Semiring.Intf.ops) (m : 'a array array) : 'a t =
@@ -170,6 +177,81 @@ let set_many t (updates : (int * int * 'a) list) =
 
 let get t ~row ~col = t.columns.((col * t.k) + row)
 
+(* Merge the touched nodes [idx.(0 .. len-1)] (ascending, all on one
+   level, node j's block at slot j of the current half of [buf]) level by
+   level up to the root, against the committed sibling nodes; [m] blocks
+   per half, the halves used in turn. Returns the root block's
+   full-mask slot. *)
+let climb t buf idx m len =
+  let k = t.k in
+  let len = ref len and half = ref 0 in
+  while idx.(0) > 1 do
+    let src = !half * m and dst = (1 - !half) * m in
+    let j = ref 0 and out = ref 0 in
+    while !j < !len do
+      let i = idx.(!j) in
+      let doff = (dst + !out) lsl k in
+      if i land 1 = 1 then begin
+        merge_blocks t t.nodes ((i - 1) lsl k) buf ((src + !j) lsl k) buf doff;
+        incr j
+      end
+      else if !j + 1 < !len && idx.(!j + 1) = i + 1 then begin
+        merge_blocks t buf ((src + !j) lsl k) buf ((src + !j + 1) lsl k) buf doff;
+        j := !j + 2
+      end
+      else begin
+        merge_blocks t buf ((src + !j) lsl k) t.nodes ((i + 1) lsl k) buf doff;
+        incr j
+      end;
+      idx.(!out) <- i / 2;
+      incr out
+    done;
+    len := !out;
+    half := 1 - !half
+  done;
+  buf.(((!half * m) lsl k) + (1 lsl k) - 1)
+
+let check_target t row col =
+  if row < 0 || row >= t.k then invalid_arg "Segtree.perm_with: bad row";
+  if col < 0 || col >= t.n then invalid_arg "Segtree.perm_with: bad col"
+
+(** The permanent the tree would hold after the entry writes [writes]
+    (row, col, v) — at most one per target — without writing the tree:
+    each touched leaf is built into a scratch block from its column with
+    the writes applied, and the touched nodes are merged level by level
+    into reused scratch blocks against the committed sibling nodes. One
+    write merges leaf → root into two 2ᵏ blocks, O(3ᵏ log n). *)
+let perm_with t (s : 'a Scratch.t) (writes : (int * int * 'a) list) =
+  let bk = 1 lsl t.k in
+  match writes with
+  | [] -> perm t
+  | [ (row, col, v) ] ->
+      check_target t row col;
+      let buf = Scratch.vals s (2 * bk) and idx = Scratch.ints s 1 in
+      leaf_block t buf 0 col;
+      buf.(1 lsl row) <- v;
+      idx.(0) <- t.size + col;
+      climb t buf idx 1 1
+  | _ ->
+      let ws = Array.of_list writes in
+      Array.iter (fun (row, col, _) -> check_target t row col) ws;
+      Array.sort (fun (_, c1, _) (_, c2, _) -> Int.compare c1 c2) ws;
+      let m = Array.length ws in
+      let buf = Scratch.vals s (2 * m * bk) and idx = Scratch.ints s m in
+      (* one block per distinct column, holding every write to it *)
+      let len = ref 0 in
+      Array.iteri
+        (fun j (row, col, v) ->
+          let _, prev, _ = ws.(max 0 (j - 1)) in
+          if j = 0 || col <> prev then begin
+            leaf_block t buf (!len * bk) col;
+            idx.(!len) <- t.size + col;
+            incr len
+          end;
+          buf.(((!len - 1) * bk) + (1 lsl row)) <- v)
+        ws;
+      climb t buf idx m !len
+
 (** Functor sugar over a statically-known semiring. *)
 module Make (S : Semiring.Intf.BASIC) = struct
   type nonrec t = S.t t
@@ -180,4 +262,5 @@ module Make (S : Semiring.Intf.BASIC) = struct
   let set = set
   let set_many = set_many
   let get = get
+  let perm_with = perm_with
 end

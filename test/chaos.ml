@@ -19,6 +19,12 @@
                  structure; the policy repairs it in place, retries, and
                  the update still reports success with post-wave agreement.
 
+   A fourth shape, the point query [query_checked], is one read-only
+   what-if wave: a fault at each of its positions must report
+   [Internal_divergence] without running a rollback, and leave the
+   committed value (zero: every query weight is zero) and every point's
+   query agreeing with the reference.
+
    Exits nonzero on any violation. *)
 
 open Semiring
@@ -171,6 +177,83 @@ let sweep (type a) name (ops : a Intf.ops) mode ~(of_int : int -> a) =
       end)
     [ Single; Batched; Structural ]
 
+(* The point-query shape: f(x) = Σ_y [E(x,y)] · w(x) · w(y), free x. A
+   query is one read-only what-if wave over the cone of x's query
+   weight, so a fault at any of its positions must surface as
+   [Internal_divergence] with nothing to roll back: the rollback hook is
+   sabotaged and must never fire, and afterwards the committed value is
+   still zero and the query at every point agrees with the reference. *)
+let query_expr =
+  Logic.Expr.Sum
+    ( [ "y" ],
+      Logic.Expr.Mul
+        [
+          Logic.Expr.Guard (e "x" "y");
+          Logic.Expr.Weight ("w", [ v "x" ]);
+          Logic.Expr.Weight ("w", [ v "y" ]);
+        ] )
+
+let query_sweep (type a) name (ops : a Intf.ops) mode ~(of_int : int -> a) =
+  let x = 2 in
+  let setup () =
+    let inst = Db.Instance.of_graph (Graphs.Gen.path 6) in
+    let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:(of_int 0) in
+    Db.Weights.fill_unary w ~n:(Db.Instance.n inst) (fun i -> of_int (((i * 5) + 2) mod 11));
+    let weights = Db.Weights.bundle [ w ] in
+    match
+      Engine.Eval.prepare_checked ops ~mode ~tfa_rounds:1 ~recover:`Repair ~retries:3
+        ~backoff_ms:0.0 inst weights query_expr
+    with
+    | Ok ck -> (inst, weights, ck)
+    | Error err -> failwith ("chaos query setup: " ^ Robust.to_string err)
+  in
+  let _, _, ck = setup () in
+  let ticks = ref 0 in
+  Engine.Eval.set_fault_hook ck (Some (fun _ -> incr ticks));
+  (match Engine.Eval.query_checked ck [ x ] with
+  | Ok _ -> ()
+  | Error err -> failwith ("chaos query probe: " ^ Robust.to_string err));
+  let positions = !ticks in
+  if positions = 0 then fail "%s/query: what-if performed no recomputations" name;
+  for pos = 1 to positions do
+    let ctx = Printf.sprintf "%s/query pos=%d" name pos in
+    let inst, weights, ck = setup () in
+    let ticks = ref 0 and sabotaged = ref false in
+    Engine.Eval.set_fault_hook ck
+      (Some
+         (fun _ ->
+           incr ticks;
+           if !ticks = pos then failwith "chaos fault"));
+    Engine.Eval.set_rollback_fault_hook ck
+      (Some
+         (fun () ->
+           sabotaged := true;
+           failwith "chaos rollback fault"));
+    (match Engine.Eval.query_checked ck [ x ] with
+    | Error (Robust.Internal_divergence _) -> ()
+    | Error err -> fail "%s: wrong classification: %s" ctx (Robust.to_string err)
+    | Ok _ -> fail "%s: faulted query answered" ctx);
+    Engine.Eval.set_fault_hook ck None;
+    Engine.Eval.set_rollback_fault_hook ck None;
+    if !sabotaged then fail "%s: a query ran a rollback" ctx;
+    (* the committed query weights are all zero, and so is the value *)
+    (match Engine.Eval.value_checked ck with
+    | Ok got ->
+        if not (ops.Intf.equal got ops.Intf.zero) then fail "%s: query weights left applied" ctx
+    | Error err -> fail "%s: value_checked: %s" ctx (Robust.to_string err));
+    for a = 0 to Db.Instance.n inst - 1 do
+      match Engine.Eval.query_checked ck [ a ] with
+      | Ok got ->
+          if
+            not
+              (ops.Intf.equal got
+                 (Engine.Reference.eval ops inst weights ~env:[ ("x", a) ] query_expr))
+          then fail "%s: query at %d diverged from reference" ctx a
+      | Error err -> fail "%s: query at %d: %s" ctx a (Robust.to_string err)
+    done
+  done;
+  Printf.printf "chaos: %s/query — %d fault position(s)\n%!" name positions
+
 let contains needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -187,6 +270,9 @@ let () =
   sweep "general-nat" nat_ops Circuits.Dyn.General ~of_int:(fun i -> i);
   sweep "ring-int" int_ops Circuits.Dyn.Ring ~of_int:(fun i -> i);
   sweep "finite-z4" z4_ops Circuits.Dyn.Finite ~of_int:Z4.of_int;
+  query_sweep "general-nat" nat_ops Circuits.Dyn.General ~of_int:(fun i -> i);
+  query_sweep "ring-int" int_ops Circuits.Dyn.Ring ~of_int:(fun i -> i);
+  query_sweep "finite-z4" z4_ops Circuits.Dyn.Finite ~of_int:Z4.of_int;
   Engine.Eval.set_retry_sleep None;
   if Obs.Counter.get rollbacks <= r0 then fail "dyn/rollbacks counter never moved";
   if Obs.Counter.get repairs <= p0 then fail "dyn/repairs counter never moved";

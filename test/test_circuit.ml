@@ -125,37 +125,56 @@ let dyn_tropical () =
   Circuits.Dyn.set_input d ("w", [ 1 ]) (Fin 100);
   check_bool "now 13" true (equal_extended (Fin 13) (Circuits.Dyn.value d))
 
-let with_temp_restores () =
+(* with_temp is a what-if: the temporary value is read inside [f], but
+   the committed gate values are never written, and a write inside [f]
+   is refused *)
+let with_temp_writes_nothing () =
   let c = small_circuit () in
   let d = Circuits.Dyn.create ~mode:Circuits.Dyn.Ring int_ops c (function "w", [ i ] -> i | _ -> 0) in
   let before = Circuits.Dyn.value d in
+  let committed = Array.copy d.Circuits.Dyn.values in
   let inside =
-    Circuits.Dyn.with_temp d [ (("w", [ 1 ]), 100) ] (fun () -> Circuits.Dyn.value d)
+    Circuits.Dyn.with_temp d [ (("w", [ 1 ]), 100) ] (fun () ->
+        check_bool "committed values unwritten inside f" true (committed = d.Circuits.Dyn.values);
+        check_int "input reads its what-if value" 100
+          (Option.get (Circuits.Dyn.input_value d ("w", [ 1 ])));
+        (match Circuits.Dyn.set_input d ("w", [ 2 ]) 7 with
+        | () -> Alcotest.fail "a write inside with_temp must be refused"
+        | exception Invalid_argument _ -> ());
+        Circuits.Dyn.value d)
   in
   check_int "temp changes value" ((100 + 2) * (3 + 5)) inside;
-  check_int "restored" before (Circuits.Dyn.value d)
+  check_int "value after" before (Circuits.Dyn.value d);
+  check_bool "committed values unwritten after" true (committed = d.Circuits.Dyn.values)
 
 exception Boom
 
-(* regression: with_temp used to skip the restore when [f] raised, leaving
-   the temporary weights permanently applied to the circuit *)
-let with_temp_exception_restores () =
+(* a raising [f] leaves nothing behind either: the overlay closes on
+   every exit *)
+let with_temp_exception_writes_nothing () =
   let c = small_circuit () in
   let d =
     Circuits.Dyn.create ~mode:Circuits.Dyn.Ring int_ops c (function "w", [ i ] -> i | _ -> 0)
   in
   let before = Circuits.Dyn.value d in
+  let committed = Array.copy d.Circuits.Dyn.values in
   (match
      Circuits.Dyn.with_temp d
        [ (("w", [ 1 ]), 100); (("w", [ 3 ]), 50) ]
-       (fun () -> raise Boom)
+       (fun () ->
+         check_bool "committed values unwritten inside f" true
+           (committed = d.Circuits.Dyn.values);
+         raise Boom)
    with
   | _ -> Alcotest.fail "with_temp swallowed the exception"
   | exception Boom -> ());
   check_bool "not poisoned" true (Circuits.Dyn.poisoned d = None);
-  check_int "w1 restored" 1 (Option.get (Circuits.Dyn.input_value d ("w", [ 1 ])));
-  check_int "w3 restored" 3 (Option.get (Circuits.Dyn.input_value d ("w", [ 3 ])));
-  check_int "value restored after raise" before (Circuits.Dyn.value d)
+  check_int "w1 unchanged" 1 (Option.get (Circuits.Dyn.input_value d ("w", [ 1 ])));
+  check_int "w3 unchanged" 3 (Option.get (Circuits.Dyn.input_value d ("w", [ 3 ])));
+  check_int "value unchanged after raise" before (Circuits.Dyn.value d);
+  check_bool "committed values unwritten after" true (committed = d.Circuits.Dyn.values);
+  Circuits.Dyn.set_input d ("w", [ 2 ]) 7;
+  check_int "writes land after the what-if" ((1 + 7) * (3 + 5)) (Circuits.Dyn.value d)
 
 (* one set_inputs wave per batch must equal both sequential set_input
    application and a from-scratch re-evaluation, in every mode *)
@@ -349,8 +368,9 @@ let suite =
       "dyn finite (Z4) tracks re-eval";
     Alcotest.test_case "dyn boolean perm" `Quick dyn_bool;
     Alcotest.test_case "dyn tropical perm" `Quick dyn_tropical;
-    Alcotest.test_case "with_temp restores" `Quick with_temp_restores;
-    Alcotest.test_case "with_temp restores on exception" `Quick with_temp_exception_restores;
+    Alcotest.test_case "with_temp writes nothing" `Quick with_temp_writes_nothing;
+    Alcotest.test_case "with_temp writes nothing when f raises" `Quick
+      with_temp_exception_writes_nothing;
     batch_matches_sequential Circuits.Dyn.General nat_ops "set_inputs = sequential (general)";
     batch_matches_sequential Circuits.Dyn.Ring int_ops "set_inputs = sequential (ring)";
     batch_matches_sequential Circuits.Dyn.Finite

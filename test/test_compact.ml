@@ -18,6 +18,10 @@
    3. qcheck rollback: a fault injected at a random position of an update
       wave on the *compact* runtime rolls back to the exact pre-wave state
       (rollback ∘ partial-wave = identity), and the structure stays usable;
+   3b. qcheck what-if: a point query's read-only what-if wave equals the
+      two-wave oracle (set the temporary inputs, read, set them back) in
+      all three strategies and writes no committed state, and [Eval.query]
+      agrees with [Engine.Reference] at every point;
    4. loader fuzz, mirroring the PR 6 journal corruption tests: random bit
       flips, truncations, and version-byte mutations of a serialized
       circuit are rejected as [Robust.Bad_input] — never a crash, hang, or
@@ -303,6 +307,132 @@ let rollback_identity_compact (type a) mode name (ops : a Intf.ops) ~(zero : a)
                  "rollback did not restore every compact gate value";
              Dyn.set_inputs d dyn_writes;
              commit ()))
+
+(* ------------------------------ 3b. what-if queries -------------------- *)
+
+(* A circuit around one wide permanent — k rows, up to 9 columns, every
+   entry one of the six inputs — so a what-if write lands in several
+   slots of it and the touched leaves meet at inner segment-tree nodes. *)
+let wide_perm_circuit ~zero ~one seed =
+  let b = Circuit.builder () in
+  let w = Array.init 6 (fun i -> Circuit.input b ("w", [ i ])) in
+  let k = 1 + (seed mod 3) and ncols = 1 + (seed / 3 mod 9) in
+  let p =
+    Circuit.perm b
+      (Array.init k (fun r -> Array.init ncols (fun c -> w.(((r * 7) + (c * 3) + seed) mod 6))))
+  in
+  let c0 = Circuit.const b zero and c1 = Circuit.const b one in
+  Circuit.finish b ~output:(Circuit.add b [ p; Circuit.mul b [ p; w.(0); c1 ]; c0 ])
+
+(* Everything a what-if must leave as it was: the committed gate values
+   (as a list, beside them every permanent's permanent and entries and
+   every counter), the journal's length and bytes, and the poison flag. *)
+let committed_state (type a) (d : a Dyn.t) =
+  let vals = ref (Array.to_list d.Dyn.values) and ints = ref [] in
+  Array.iteri
+    (fun id aux ->
+      let nslots = d.Dyn.cc.Compact.child_off.(id + 1) - d.Dyn.cc.Compact.child_off.(id) in
+      let entries ncols get = List.init nslots (fun i -> get ~row:(i / ncols) ~col:(i mod ncols)) in
+      match aux with
+      | Dyn.APerm (Dyn.PSeg s, ncols) ->
+          vals := (Perm.Segtree.perm s :: entries ncols (Perm.Segtree.get s)) @ !vals
+      | Dyn.APerm (Dyn.PRing s, ncols) ->
+          vals := (Perm.Ring.perm s :: entries ncols (Perm.Ring.get s)) @ !vals
+      | Dyn.APerm (Dyn.PFin s, ncols) ->
+          vals := (Perm.Finite.perm s :: entries ncols (Perm.Finite.get s)) @ !vals;
+          ints := Array.to_list s.Perm.Finite.counts @ !ints
+      | Dyn.ACount counts -> ints := Array.to_list counts @ !ints
+      | Dyn.ANone -> ())
+    d.Dyn.aux;
+  let j = Option.get (Dyn.journal d) in
+  (!vals, (Journal.length j :: Journal.bytes j :: !ints), Dyn.poisoned d)
+
+let same_state (type a) (ops : a Intf.ops) (v1, i1, p1) (v2, i2, p2) =
+  List.length v1 = List.length v2 && List.for_all2 ops.Intf.equal v1 v2 && i1 = i2 && p1 = p2
+
+(* A what-if query ([value_with], and [value] inside [with_temp]) equals
+   the two-wave oracle — [set_inputs] the temporary writes on a twin
+   structure, read, [set_inputs] the prior values back — and writes
+   nothing: every committed value, permanent, counter and the journal
+   are the same after it. One to three writes, duplicate keys included. *)
+let what_if_eq_two_waves (type a) mode name (ops : a Intf.ops) ~(zero : a) ~(one : a)
+    ~(mk : int -> a) =
+  t
+    (QCheck.Test.make ~count:150
+       ~name:(Printf.sprintf "what-if = set, read, set back; writes nothing: %s" name)
+       QCheck.(
+         triple (int_range 0 100000) bool
+           (list_of_size (Gen.int_range 1 3) (pair (int_range 0 5) (int_range 0 50))))
+       (fun (seed, wide, temp) ->
+         let c =
+           if wide then wide_perm_circuit ~zero ~one seed
+           else Circuit_gen.random_circuit ~zero ~one ~mk seed 6
+         in
+         let valuation = function "w", [ i ] -> mk ((i * 3) + seed) | _ -> zero in
+         let d = Dyn.create ~mode ops c valuation in
+         let twin = Dyn.create ~mode ops c valuation in
+         ignore (Dyn.enable_journal d);
+         let committed = [ (("w", [ seed mod 6 ]), mk (seed + 1)) ] in
+         Dyn.set_inputs d committed;
+         Dyn.set_inputs twin committed;
+         let writes = List.map (fun (i, x) -> (("w", [ i ]), mk x)) temp in
+         let pre = committed_state d in
+         let got = Dyn.value_with d writes in
+         let inside = Dyn.with_temp d writes (fun () -> Dyn.value d) in
+         let known = List.filter (fun (key, _) -> Dyn.has_input twin key) writes in
+         let back = List.map (fun (key, _) -> (key, Option.get (Dyn.input_value twin key))) known in
+         Dyn.set_inputs twin known;
+         let want = Dyn.value twin in
+         Dyn.set_inputs twin back;
+         if not (ops.Intf.equal got want && ops.Intf.equal inside want) then
+           QCheck.Test.fail_report "what-if disagrees with the two-wave oracle";
+         if not (same_state ops pre (committed_state d)) then
+           QCheck.Test.fail_report "a what-if wrote committed state";
+         ops.Intf.equal (Dyn.value d) (Dyn.value twin)))
+
+(* End to end: [Eval.query] at every point of a random sparse database
+   agrees with [Engine.Reference], for one and two free variables, after
+   a batch of committed updates. *)
+let query_eq_reference (type a) name (ops : a Intf.ops) (mk : int -> a) =
+  let one_free =
+    Logic.Expr.Sum
+      ( [ "y" ],
+        Logic.Expr.Mul [ Logic.Expr.Guard (e "x" "y"); Logic.Expr.Weight ("w", [ vx "y" ]) ] )
+  and two_free =
+    Logic.Expr.Mul
+      [
+        Logic.Expr.Guard (e "x" "y");
+        Logic.Expr.Weight ("w", [ vx "x" ]);
+        Logic.Expr.Weight ("w", [ vx "y" ]);
+      ]
+  in
+  t
+    (QCheck.Test.make ~count:15
+       ~name:(Printf.sprintf "Eval.query = reference: %s" name)
+       QCheck.(pair (int_range 4 16) (int_range 0 10000))
+       (fun (n, seed) ->
+         let g = Graphs.Gen.random_bounded_degree ~seed ~n ~max_deg:3 in
+         let inst = Db.Instance.of_graph g in
+         let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:ops.Intf.zero in
+         Db.Weights.fill_unary w ~n (fun i -> mk ((i * 7) + seed));
+         let weights = Db.Weights.bundle [ w ] in
+         List.for_all
+           (fun (expr, vars) ->
+             let ev = Engine.Eval.prepare ops ~tfa_rounds:1 inst weights expr in
+             let batch = List.init 3 (fun j -> ("w", [ (seed + (5 * j)) mod n ], mk (seed + j))) in
+             List.iter (fun (_, tup, v) -> Db.Weights.set w tup v) batch;
+             Engine.Eval.update_many ev batch;
+             let points =
+               if vars = 1 then List.init n (fun x -> [ x ])
+               else List.concat (List.init n (fun x -> List.init n (fun y -> [ x; y ])))
+             in
+             List.for_all
+               (fun args ->
+                 let env = List.combine (Engine.Eval.(ev.free_vars)) args in
+                 ops.Intf.equal (Engine.Eval.query ev args)
+                   (Engine.Reference.eval ops inst weights ~env expr))
+               points)
+           [ (one_free, 1); (two_free, 2) ]))
 
 (* ------------------------------ 4. loader fuzz ------------------------- *)
 
@@ -661,6 +791,15 @@ let suite =
       ~mk:(fun i -> (i mod 9) - 4);
     rollback_identity_compact Dyn.Finite "finite/zmod6" z6_ops ~zero:Zmod.Z6.zero
       ~one:Zmod.Z6.one ~mk:Zmod.Z6.of_int;
+    what_if_eq_two_waves Dyn.General "general/nat" nat_ops ~zero:0 ~one:1
+      ~mk:(fun i -> i mod 7);
+    what_if_eq_two_waves Dyn.Ring "ring/int" int_ops ~zero:0 ~one:1
+      ~mk:(fun i -> (i mod 9) - 4);
+    what_if_eq_two_waves Dyn.Finite "finite/zmod6" z6_ops ~zero:Zmod.Z6.zero
+      ~one:Zmod.Z6.one ~mk:Zmod.Z6.of_int;
+    query_eq_reference "nat" nat_ops (fun i -> i mod 5);
+    query_eq_reference "int-ring" int_ops (fun i -> (i mod 9) - 4);
+    query_eq_reference "zmod6" z6_ops Zmod.Z6.of_int;
     fuzz_bit_flips;
     fuzz_truncations;
     fuzz_version_byte;

@@ -2,8 +2,9 @@
    exactness contract — Σ gates_visited over any bracket of operations
    equals the delta of the cumulative dyn/touched_gates counter — plus
    the wave-count semantics of each instrumented entry point (one
-   committed wave per batch, two per free-variable query, one per
-   structural op, zero for a no-op update and for one-shot evaluation). *)
+   committed wave per batch, one what-if wave per free-variable query,
+   one per structural op, zero for a no-op update and for one-shot
+   evaluation). *)
 
 open Semiring
 
@@ -22,8 +23,8 @@ let wdeg_expr =
     ( [ "x"; "y" ],
       Logic.Expr.Mul [ Logic.Expr.Guard (e "x" "y"); Logic.Expr.Weight ("w", [ v "y" ]) ] )
 
-(* f(x) = Σ_y [E(x,y)] · w(y) — one free variable, so a query costs two
-   hidden indicator-weight flips *)
+(* f(x) = Σ_y [E(x,y)] · w(y) — one free variable, so a query sets one
+   hidden indicator weight in a what-if wave *)
 let wdeg_query_expr =
   Logic.Expr.Sum
     ( [ "y" ],
@@ -94,7 +95,7 @@ let wave_semantics () =
   in
   check_int "irrelevant weight commits no wave" 0 cx.Engine.Eval.Cost.waves
 
-let query_costs_two_waves () =
+let query_costs_one_wave () =
   Obs.set_enabled true;
   let g = Graphs.Gen.grid 4 3 in
   let inst = Db.Instance.of_graph g in
@@ -106,12 +107,18 @@ let query_costs_two_waves () =
     Logic.Expr.eval (module Instances.Nat) inst (Db.Weights.bundle [ w ]) wdeg_query_expr
       ~env:[ ("x", 1) ] ()
   in
+  let updates = Obs.counter ~scope:"dyn" "updates" in
+  let touched = Obs.counter ~scope:"dyn" "touched_gates" in
+  let u0 = Obs.Counter.get updates and t0 = Obs.Counter.get touched in
   let r, c = Engine.Eval.query_cost t [ 1 ] in
   check_int "query_cost returns the query answer" expected r;
-  (* flip the indicator weights in, read, flip them back: two waves *)
-  check_int "query = flip + restore waves" 2 c.Engine.Eval.Cost.waves;
-  check_bool "both waves did work" true
-    (List.for_all (fun g -> g > 0) c.Engine.Eval.Cost.wave_touched)
+  (* the query weights go in as one what-if wave that writes nothing *)
+  check_int "query = one what-if wave" 1 c.Engine.Eval.Cost.waves;
+  check_bool "the wave did work" true
+    (List.for_all (fun g -> g > 0) c.Engine.Eval.Cost.wave_touched);
+  check_int "its gates count as touched" c.Engine.Eval.Cost.gates_visited
+    (Obs.Counter.get touched - t0);
+  check_int "but not as an update" u0 (Obs.Counter.get updates)
 
 let one_shot_cost () =
   Obs.set_enabled true;
@@ -279,7 +286,7 @@ let suite =
   [
     Alcotest.test_case "sum of costs = touched counter delta" `Quick cost_matches_counters;
     Alcotest.test_case "wave-count semantics per entry point" `Quick wave_semantics;
-    Alcotest.test_case "free-variable query costs two waves" `Quick query_costs_two_waves;
+    Alcotest.test_case "free-variable query costs one what-if wave" `Quick query_costs_one_wave;
     Alcotest.test_case "one-shot evaluate cost" `Quick one_shot_cost;
     Alcotest.test_case "update counters exact, frozen while disabled" `Quick
       update_counters_exact;

@@ -152,6 +152,47 @@ let set_many_agreement =
          && Int_ring_perm.perm ring = Int_naive.perm cur
          && Z4_fin.perm z4 = Z4_naive.perm cur))
 
+(* what-if reads: [perm_with] must return the permanent the writes
+   would give (judged against the naive baseline) and leave the
+   structure untouched — same permanent, same entries. Targets are
+   distinct, as a dynamic circuit's wave gives them; n runs over 1..12
+   so several writes meet at inner segment-tree nodes. *)
+let perm_with_agreement k =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:(Printf.sprintf "perm_with = set_many on a copy, k=%d" k) ~count:80
+       QCheck.(
+         pair (matrix_gen ~k ~maxn:12 ~maxv:3)
+           (list_of_size (Gen.int_range 1 6)
+              (triple (int_range 0 (k - 1)) (int_range 0 11) (int_range 0 3))))
+       (fun (m, writes) ->
+         QCheck.assume (Array.length m.(0) > 0);
+         let n = Array.length m.(0) in
+         let writes =
+           List.fold_left
+             (fun acc (r, c, v) ->
+               let c = c mod n in
+               (r, c, v) :: List.filter (fun (r', c', _) -> (r', c') <> (r, c)) acc)
+             [] writes
+         in
+         let cur = Array.map Array.copy m in
+         List.iter (fun (r, c, v) -> cur.(r).(c) <- v) writes;
+         let entries get = Array.init k (fun r -> Array.init n (fun c -> get ~row:r ~col:c)) in
+         let scratch = Perm.Scratch.create 0 in
+         let seg = Nat_seg.create m in
+         let ring = Int_ring_perm.create m in
+         let z4 = Z4_fin.create m in
+         let seg_p = Nat_seg.perm seg and ring_p = Int_ring_perm.perm ring
+         and z4_p = Z4_fin.perm z4 in
+         Nat_seg.perm_with seg scratch writes = Nat_naive.perm cur
+         && Int_ring_perm.perm_with ring writes = Int_naive.perm cur
+         && Z4_fin.perm_with z4 scratch writes = Z4_naive.perm cur
+         && Nat_seg.perm seg = seg_p
+         && Int_ring_perm.perm ring = ring_p
+         && Z4_fin.perm z4 = z4_p
+         && entries (Nat_seg.get seg) = m
+         && entries (Int_ring_perm.get ring) = m
+         && entries (Z4_fin.get z4) = m))
+
 (* Random sequences of single sets and batches against the naive
    permanent after every step. n runs over 1..7, so trees of one leaf and
    trees with padding leaves (n not a power of two) are both exercised. *)
@@ -493,6 +534,9 @@ let suite =
     finite_bool_vs_naive 3;
     finite_z4_vs_naive 2;
     Alcotest.test_case "tropical permanents" `Quick tropical_matches;
+    perm_with_agreement 1;
+    perm_with_agreement 2;
+    perm_with_agreement 3;
     update_agreement;
     set_many_agreement;
     segtree_sequence "nat" (module Instances.Nat) Fun.id 0;

@@ -342,11 +342,12 @@ let rollback_fault_poisons_and_repairs () =
     (Engine.Reference.eval nat_ops inst weights edge_weight_expr)
     (unwrap "value" (Engine.Eval.value_checked ck2))
 
-(* A point query whose restore wave faults must not leave the query's
-   temporary weights applied under a healthy-looking structure: the
-   restore puts the prior inputs back by hand and poisons, so reads fail
-   loudly and [repair] rebuilds the pre-query state. *)
-let with_temp_restore_fault_poisons () =
+(* A point query is one read-only what-if wave: a fault anywhere inside
+   it raises [Rolled_back] and leaves every gate value as it was and the
+   structure healthy — even with the rollback hook sabotaged, since
+   there is nothing to roll back. The checked query classifies the fault
+   like a rolled-back update, and the next query answers as before. *)
+let query_fault_leaves_structure () =
   let expr =
     Logic.Expr.Sum
       ( [ "y" ],
@@ -361,21 +362,34 @@ let with_temp_restore_fault_poisons () =
   let before = Circuits.Dyn.value d in
   let x = List.find (fun x -> Engine.Eval.query ev [ x ] <> before) (List.init 64 Fun.id) in
   let answer = Engine.Eval.query ev [ x ] in
-  let key = (Engine.Eval.query_weight 0, [ x ]) in
-  (match
-     Circuits.Dyn.with_temp d [ (key, 1) ] (fun () ->
-         let r = Circuits.Dyn.value d in
-         Circuits.Dyn.set_fault_hook d (Some (fun _ -> failwith "injected fault"));
-         r)
-   with
-  | _ -> Alcotest.fail "a faulted restore must raise"
-  | exception Fun.Finally_raised (Circuits.Dyn.Rolled_back _) -> ());
+  let gates () = Array.init (Circuits.Dyn.num_gates d) (Circuits.Dyn.gate_value d) in
+  let pre = gates () in
+  let ticks = ref 0 in
+  Circuits.Dyn.set_fault_hook d
+    (Some
+       (fun _ ->
+         incr ticks;
+         if !ticks = 2 then failwith "injected fault"));
+  Circuits.Dyn.set_rollback_fault_hook d (Some (fun () -> failwith "rollback fault"));
+  (match Engine.Eval.query ev [ x ] with
+  | _ -> Alcotest.fail "a faulted query must raise"
+  | exception Circuits.Dyn.Rolled_back _ -> ());
+  check_bool "not poisoned" true (Circuits.Dyn.poisoned d = None);
+  check_bool "every gate value unchanged" true (pre = gates ());
+  check_int "value unchanged" before (Circuits.Dyn.value d);
+  let ck =
+    unwrap "prepare" (Engine.Eval.prepare_checked nat_ops ~recover:`Fail inst weights expr)
+  in
+  Engine.Eval.set_fault_hook ck (Some (fun _ -> failwith "injected fault"));
+  (match Engine.Eval.query_checked ck [ x ] with
+  | Error (Robust.Internal_divergence _) -> ()
+  | Error err -> Alcotest.failf "wrong classification: %s" (Robust.to_string err)
+  | Ok _ -> Alcotest.fail "a faulted checked query must not answer");
+  Engine.Eval.set_fault_hook ck None;
+  check_int "the checked query answers after the fault" answer
+    (unwrap "query" (Engine.Eval.query_checked ck [ x ]));
   Circuits.Dyn.set_fault_hook d None;
-  (match Circuits.Dyn.value d with
-  | v -> Alcotest.failf "read %d from a structure whose restore failed" v
-  | exception Circuits.Dyn.Poisoned _ -> ());
-  Circuits.Dyn.repair d;
-  check_int "repair restores the pre-query value" before (Circuits.Dyn.value d);
+  Circuits.Dyn.set_rollback_fault_hook d None;
   check_int "the query answers again" answer (Engine.Eval.query ev [ x ])
 
 (* Fuzzed fault schedules: inject a fault after a random number of gate
@@ -631,8 +645,8 @@ let suite =
     Alcotest.test_case "fault rolls the wave back" `Quick fault_rolls_back;
     Alcotest.test_case "rollback fault poisons, repair heals" `Quick
       rollback_fault_poisons_and_repairs;
-    Alcotest.test_case "faulted query restore poisons, repair heals" `Quick
-      with_temp_restore_fault_poisons;
+    Alcotest.test_case "faulted query raises Rolled_back, values unchanged, healthy" `Quick
+      query_fault_leaves_structure;
     fault_schedule_fuzz;
     Alcotest.test_case "batched checked updates" `Quick batched_checked_updates;
     Alcotest.test_case "rejected single update changes nothing" `Quick
