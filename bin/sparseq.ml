@@ -101,8 +101,8 @@ let opt_arg =
     & opt (enum [ ("default", Opt.default); ("none", Opt.none) ]) Opt.default
     & info [ "opt" ] ~docv:"OPT"
         ~doc:
-          "Circuit optimizer: $(b,default) merges the compiled circuit (identity \
-           folding and hash-consing), then drops its dead gates and caps its fan-in; \
+          "Circuit optimizer: $(b,default) rebuilds the compiled circuit in one sweep \
+           over its live gates, merging structurally equal gates and capping fan-in; \
            $(b,none) hands the raw compiler output downstream.")
 
 (* Budget and optimizer setting travel together so every run function
@@ -687,8 +687,16 @@ let explain_cmd =
       in
       print_string (Obs.Trace.render_forest (Obs.Trace.forest_of records));
       Format.printf "pipeline: %a@." Engine.Compile.pp_meta ev.Engine.Eval.meta;
-      Format.printf "circuit:  %a@." Circuits.Circuit.pp_stats (Engine.Eval.stats ev);
-      Format.printf "optimizer: %a@." Opt.pp_report ev.Engine.Eval.meta.Engine.Compile.opt;
+      let raw = Circuits.Circuit.stats ev.Engine.Eval.plan.Engine.Compile.pl_raw
+      and optimized = Engine.Eval.stats ev in
+      Format.printf "circuit:  %a@." Circuits.Circuit.pp_stats optimized;
+      let arrow f = Printf.sprintf "%d->%d" (f raw) (f optimized) in
+      Format.printf "optimizer: gates %s edges %s depth %s (%.1f%% fewer gates)@."
+        (arrow (fun s -> s.Circuits.Circuit.gates))
+        (arrow (fun s -> s.Circuits.Circuit.edges))
+        (arrow (fun s -> s.Circuits.Circuit.depth))
+        (100. *. float_of_int (raw.Circuits.Circuit.gates - optimized.Circuits.Circuit.gates)
+        /. float_of_int raw.Circuits.Circuit.gates);
       strategy ops;
       (* Cost of one cold evaluation of the same query: every gate is computed
          once, so gates_visited is the circuit size and there are no waves. *)

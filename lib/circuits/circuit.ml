@@ -134,11 +134,10 @@ let builder_len b = b.len
 (** Evaluate under a valuation of the input gates. Linear in circuit size
     (permanent gates via the O(2ᵏ·k·n) DP).
 
-    Empty-gate convention (relied on by the optimizer, {!Opt}):
-    [Add [||]] evaluates to [ops.zero] and [Mul [||]] evaluates to
-    [ops.one] — the fold seeds below are the neutral elements, so a gate
-    whose children were all folded away denotes the corresponding
-    identity, in every semiring. *)
+    Empty-gate convention: [Add [||]] evaluates to [ops.zero] and
+    [Mul [||]] evaluates to [ops.one] — the fold seeds below are the
+    neutral elements, the empty sum and the empty product in every
+    semiring. *)
 let eval (ops : 'a Semiring.Intf.ops) (c : 'a t) (valuation : input_key -> 'a) : 'a =
   let open Semiring.Intf in
   let values = Array.make (Array.length c.nodes) ops.zero in
@@ -153,6 +152,22 @@ let eval (ops : 'a Semiring.Intf.ops) (c : 'a t) (valuation : input_key -> 'a) :
         | Perm rows -> Perm.Static.perm ops (Array.map (Array.map (fun g -> values.(g))) rows)))
     c.nodes;
   values.(c.output)
+
+(** Output-cone liveness: [(live c).(id)] holds iff gate [id] feeds the
+    output. One reverse sweep suffices since children have smaller ids
+    than their parents (topological order). *)
+let live (c : 'a t) : bool array =
+  let n = Array.length c.nodes in
+  let live = Array.make n false in
+  if n > 0 then live.(c.output) <- true;
+  for id = n - 1 downto 0 do
+    if live.(id) then
+      match c.nodes.(id) with
+      | Input _ | Const _ -> ()
+      | Add gs | Mul gs -> Array.iter (fun g -> live.(g) <- true) gs
+      | Perm rows -> Array.iter (Array.iter (fun g -> live.(g) <- true)) rows
+  done;
+  live
 
 (* --- statistics (the bounded-ness claims of Theorem 6) --- *)
 
@@ -172,7 +187,6 @@ let stats (c : 'a t) : stats =
   let n = Array.length c.nodes in
   let depth = Array.make n 0 in
   let fan_out = Array.make n 0 in
-  let live = Array.make n false in
   let edges = ref 0 in
   let max_fan_in = ref 0 in
   let max_perm_rows = ref 0 in
@@ -197,18 +211,8 @@ let stats (c : 'a t) : stats =
       edges := !edges + !fan_in;
       max_fan_in := max !max_fan_in !fan_in)
     c.nodes;
-  (* Output-cone liveness: one reverse sweep suffices since children have
-     smaller ids than their parents (topological order). *)
-  if n > 0 then live.(c.output) <- true;
-  for id = n - 1 downto 0 do
-    if live.(id) then
-      match c.nodes.(id) with
-      | Input _ | Const _ -> ()
-      | Add gs | Mul gs -> Array.iter (fun g -> live.(g) <- true) gs
-      | Perm rows -> Array.iter (Array.iter (fun g -> live.(g) <- true)) rows
-  done;
   let dead = ref 0 in
-  Array.iter (fun l -> if not l then incr dead) live;
+  Array.iter (fun l -> if not l then incr dead) (live c);
   {
     gates = n;
     edges = !edges;

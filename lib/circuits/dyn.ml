@@ -3,7 +3,7 @@
     Three strategies, chosen from the semiring's capabilities:
 
     - {b General} (Corollary 13): additions and multiplications keep the
-      bounded fan-in the optimizer's balance sweep gives them (at most
+      bounded fan-in the optimizer's fan-in cap gives them (at most
       [Opt.balance_cap] children, so a sum over n terms is an O(log n)
       deep tree) and every permanent gate carries a segment-tree
       permanent, so an input update costs O(3ᵏ log n · reach-out) —

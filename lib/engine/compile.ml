@@ -35,13 +35,13 @@ type meta = {
   max_forest_depth : int;
   num_shapes : int;  (** shapes compiled across all subsets *)
   num_summands : int;
-  opt : Opt.report;  (** the circuit's stats before and after the optimizer *)
+  opt : Opt.report;  (** the circuit's gate counts before and after the optimizer *)
 }
 
 let pp_meta fmt m =
   Format.fprintf fmt "p=%d colors=%d subsets=%d depth<=%d shapes=%d summands=%d gates=%d->%d"
     m.p m.num_colors m.num_subsets m.max_forest_depth m.num_shapes m.num_summands
-    m.opt.Opt.raw.Circuits.Circuit.gates m.opt.Opt.optimized.Circuits.Circuit.gates
+    m.opt.Opt.raw m.opt.Opt.optimized
 
 (* Compilation metrics (scope "compile"): per-phase wall time through the
    Figure 2 pipeline, plus the circuit parameters Theorem 6 bounds. The
@@ -397,7 +397,7 @@ let full_compile (type a) (spec : a spec) ~monitor ~t_start =
     Obs.Histogram.observe h_decompose_ns !t_decomp;
     Obs.Histogram.observe h_emit_ns !t_emit;
     Obs.Histogram.observe h_total_ns (Obs.elapsed_ns t_start);
-    let s = meta.opt.Opt.optimized in
+    let s = Circuits.Circuit.stats circuit in
     Obs.Gauge.set_int g_gates s.Circuits.Circuit.gates;
     Obs.Gauge.set_int g_depth s.Circuits.Circuit.depth;
     Obs.Gauge.set_int g_fan_out s.Circuits.Circuit.max_fan_out;
@@ -423,12 +423,12 @@ let full_compile (type a) (spec : a spec) ~monitor ~t_start =
     raises [Robust.Error (Budget_exceeded _)] instead of exhausting memory
     on a hostile query.
 
-    The raw circuit is then rewritten by the {!Opt} sweeps ([opt],
+    The raw circuit is then rewritten by the {!Opt} sweep ([opt],
     default {!Opt.default}; pass {!Opt.none} for the raw output).
-    [equal] decides constant equality for identity folding / hash-consing
-    and defaults to structural equality — pass the semiring's own
-    equality when constants have non-canonical representations. The
-    circuit's stats before and after land in [meta.opt]. *)
+    [equal] decides constant equality for hash-consing and defaults to
+    structural equality — pass the semiring's own equality when
+    constants have non-canonical representations. The circuit's gate
+    counts before and after land in [meta.opt]. *)
 let compile_plan (type a) ~(zero : a) ~(one : a) ?(equal : a -> a -> bool = ( = ))
     ?(opt = Opt.default) ?(tfa_rounds = -1) ?(max_depth = 10)
     ?(budget = Robust.unlimited) ?(dynamic_rels = []) (inst : Db.Instance.t)

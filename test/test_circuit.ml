@@ -279,7 +279,7 @@ let ragged_perm_rejected () =
 let balance_preserves_value () =
   let c = random_circuit 42 8 in
   let v = function "w", [ i ] -> i + 1 | _ -> 0 in
-  let balanced = Opt.balance c in
+  let balanced = (Opt.run ~zero:0 ~one:1 c).Opt.circuit in
   check_int "balanced value" (Circuits.Circuit.eval nat_ops c v) (Circuits.Circuit.eval nat_ops balanced v);
   let s = Circuits.Circuit.stats balanced in
   check_bool "fan-in capped after balancing" true

@@ -1,8 +1,8 @@
 (* Optimizer tests (the "optimize once, consume everywhere" layer):
 
-   1. unit tests for the optimizer's contracts: identity folding,
-      annihilation, hash-consing of structurally equal gates, dead-gate
-      elimination, fan-in capping;
+   1. unit tests for the optimizer's contracts: constants kept (no 0/1
+      rule), hash-consing of structurally equal gates, dead-gate
+      elimination (a dead twin of a live gate included), fan-in capping;
    2. the compact builder's guard against a dropped (negative) child;
    3. qcheck equivalence: optimized and unoptimized circuits agree — on
       random hand-built circuits with 0/1 constants in all four semirings
@@ -30,29 +30,42 @@ let t p = QCheck_alcotest.to_alcotest p
 
 (* ---------------------------------------------- 1. optimizer contracts --- *)
 
-let fold_annihilates_and_drops () =
-  let b = Circuit.builder () in
-  let w0 = Circuit.input b ("w", [ 0 ]) in
-  let c0 = Circuit.const b 0 in
-  let c1 = Circuit.const b 1 in
-  (* (w0 + 0) * 1 — fold must strip both identities down to w0 *)
-  let a = Circuit.add b [ w0; c0 ] in
-  let out = Circuit.mul b [ a; c1 ] in
-  let c = Circuit.finish b ~output:out in
-  let o = Opt.run ~zero:0 ~one:1 c in
-  (match o.Opt.circuit.Circuit.nodes.(o.Opt.circuit.Circuit.output) with
-  | Circuit.Input ("w", [ 0 ]) -> ()
-  | _ -> Alcotest.fail "identity folding should reduce (w0 + 0) * 1 to w0");
-  (* w0 * 0 — annihilation must reduce the whole circuit to the constant 0 *)
-  let b = Circuit.builder () in
-  let w0 = Circuit.input b ("w", [ 0 ]) in
-  let c0 = Circuit.const b 0 in
-  let out = Circuit.mul b [ w0; c0 ] in
-  let c = Circuit.finish b ~output:out in
-  let o = Opt.run ~zero:0 ~one:1 c in
-  match o.Opt.circuit.Circuit.nodes.(o.Opt.circuit.Circuit.output) with
-  | Circuit.Const 0 -> ()
-  | _ -> Alcotest.fail "a zero factor should annihilate the product"
+(* (w0 + 0) * 1 and w0 * 0 over a semiring's [zero] and [one], with
+   their gate counts *)
+let identity_circuits (type a) ~(zero : a) ~(one : a) =
+  let build mk =
+    let b = Circuit.builder () in
+    Circuit.finish b ~output:(mk b (Circuit.input b ("w", [ 0 ])))
+  in
+  [
+    ( "(w0 + 0) * 1",
+      5,
+      build (fun b w0 ->
+          let a = Circuit.add b [ w0; Circuit.const b zero ] in
+          Circuit.mul b [ a; Circuit.const b one ]) );
+    ("w0 * 0", 3, build (fun b w0 -> Circuit.mul b [ w0; Circuit.const b zero ]));
+  ]
+
+let constants_kept () =
+  (* the optimizer uses no 0/1 axiom: both circuits keep every gate and
+     evaluate as the raw circuit does *)
+  let check (type a) sname (ops : a Intf.ops) (xs : a list) =
+    List.iter
+      (fun (what, gates, c) ->
+        let what = Printf.sprintf "%s, %s" what sname in
+        let o = Opt.run ~zero:ops.Intf.zero ~one:ops.Intf.one ~equal:ops.Intf.equal c in
+        check_int (what ^ ": gates kept") gates (Array.length o.Opt.circuit.Circuit.nodes);
+        List.iter
+          (fun x ->
+            check_bool (what ^ ": value preserved") true
+              (ops.Intf.equal
+                 (Circuit.eval ops c (fun _ -> x))
+                 (Circuit.eval ops o.Opt.circuit (fun _ -> x))))
+          xs)
+      (identity_circuits ~zero:ops.Intf.zero ~one:ops.Intf.one)
+  in
+  check "nat" nat_ops [ 0; 1; 5 ];
+  check "bool" bool_ops [ false; true ]
 
 let cse_merges_commutative () =
   let b = Circuit.builder () in
@@ -79,6 +92,29 @@ let cse_never_dedups_children () =
   let o = Opt.run ~zero:0 ~one:1 c in
   check_int "a + a = 2a survives the full pipeline" 14
     (Circuit.eval nat_ops o.Opt.circuit (fun _ -> 7))
+
+let dead_twin_not_emitted () =
+  (* a dead Add [|a; b|] before a live Add [|b; a|]: only the live gate
+     is emitted, with its own child order *)
+  let b = Circuit.builder () in
+  let wa = Circuit.input b ("w", [ 0 ]) in
+  let wb = Circuit.input b ("w", [ 1 ]) in
+  let _dead = Circuit.push b (Circuit.Add [| wa; wb |]) in
+  let live = Circuit.push b (Circuit.Add [| wb; wa |]) in
+  let c = Circuit.finish b ~output:(Circuit.mul b [ live; wa ]) in
+  let o = Opt.run ~zero:0 ~one:1 c in
+  let adds =
+    List.filter_map
+      (function Circuit.Add gs -> Some gs | _ -> None)
+      (Array.to_list o.Opt.circuit.Circuit.nodes)
+  in
+  check_int "one Add" 1 (List.length adds);
+  check_bool "the live gate's child order" true
+    (List.map (Array.map (fun g -> o.Opt.circuit.Circuit.nodes.(g))) adds
+    = [ [| Circuit.Input ("w", [ 1 ]); Circuit.Input ("w", [ 0 ]) |] ]);
+  check_int "no dead gates" 0 (Circuit.stats o.Opt.circuit).Circuit.dead_gates;
+  let v = function "w", [ i ] -> i + 2 | _ -> 0 in
+  check_int "value kept" (Circuit.eval nat_ops c v) (Circuit.eval nat_ops o.Opt.circuit v)
 
 let dce_drops_dead_cone () =
   let b = Circuit.builder () in
@@ -367,22 +403,14 @@ let check_no_zero_gates what ~zero ~equal (c : _ Circuit.t) =
     c.Circuit.nodes;
   check_int (what ^ ": statically zero Add/Mul/Perm gates") 0 !bad
 
-(* every Input gate is read by some gate (or is the output): the
-   compiler, and a structural op's rebuild, leave no input behind that
-   nothing reads *)
+(* every Input gate lies in the output cone: the compiler, and a
+   structural op's rebuild, leave no input behind that nothing reads *)
 let check_no_unread_inputs what (c : _ Circuit.t) =
-  let read = Array.make (Array.length c.Circuit.nodes) false in
-  read.(c.Circuit.output) <- true;
-  Array.iter
-    (function
-      | Circuit.Input _ | Circuit.Const _ -> ()
-      | Circuit.Add gs | Circuit.Mul gs -> Array.iter (fun g -> read.(g) <- true) gs
-      | Circuit.Perm rows -> Array.iter (Array.iter (fun g -> read.(g) <- true)) rows)
-    c.Circuit.nodes;
+  let live = Circuit.live c in
   let unread = ref 0 in
   Array.iteri
     (fun id node ->
-      match node with Circuit.Input _ when not read.(id) -> incr unread | _ -> ())
+      match node with Circuit.Input _ when not live.(id) -> incr unread | _ -> ())
     c.Circuit.nodes;
   check_int (what ^ ": Input gates nothing reads") 0 !unread
 
@@ -498,10 +526,12 @@ let compiler_emits_non_zero () =
 
 let suite =
   [
-    Alcotest.test_case "fold: identities and annihilation" `Quick fold_annihilates_and_drops;
+    Alcotest.test_case "constants are kept, value preserved" `Quick constants_kept;
     Alcotest.test_case "cse: commutative merge" `Quick cse_merges_commutative;
     Alcotest.test_case "cse: children never deduplicated" `Quick cse_never_dedups_children;
     Alcotest.test_case "dce: dead cone dropped" `Quick dce_drops_dead_cone;
+    Alcotest.test_case "dead twin of a live gate is not emitted" `Quick
+      dead_twin_not_emitted;
     Alcotest.test_case "balance: fan-in capped" `Quick balance_caps_fan_in;
     Alcotest.test_case "default pipeline shrinks triangles and 2-paths" `Quick
       default_pipeline_shrinks;
