@@ -82,35 +82,47 @@ let of_dll (d : 'a Dll.t) =
     is_empty = (fun () -> Dll.is_empty d);
   }
 
-(** Concatenation of a constant number of iterators. Empty components are
-    skipped, so the delay is bounded by the number of components. *)
-let concat (parts : 'a t list) =
-  let parts = Array.of_list parts in
+(* The concatenation of parts [0 .. k - 1] with [k = Array.length parts]:
+   part [j] is skipped while [skip j] holds, and is [parts.(j)] once it is
+   not [empty], else [make j], stored at the first entry. *)
+let concat_parts (parts : 'a t array) ~skip make =
   let k = Array.length parts in
+  let part j =
+    let p = parts.(j) in
+    if p != empty then p
+    else begin
+      let p = make j in
+      parts.(j) <- p;
+      p
+    end
+  in
   (* active = -1 at ⊥, else index of the component whose element is current *)
   let active = ref (-1) in
   let rec advance_from j =
     if j >= k then begin
       active := -1 (* wrapped: every later component exhausted *)
     end
-    else if parts.(j).is_empty () then advance_from (j + 1)
+    else if skip j then advance_from (j + 1)
     else begin
-      parts.(j).next ();
-      match parts.(j).current () with
+      let p = part j in
+      p.next ();
+      match p.current () with
       | Some _ -> active := j
       | None -> advance_from (j + 1)
     end
   in
   let rec retreat_from j =
     if j < 0 then active := -1
-    else if parts.(j).is_empty () then retreat_from (j - 1)
+    else if skip j then retreat_from (j - 1)
     else begin
-      parts.(j).prev ();
-      match parts.(j).current () with
+      let p = part j in
+      p.prev ();
+      match p.current () with
       | Some _ -> active := j
       | None -> retreat_from (j - 1)
     end
   in
+  let rec all_skipped j = j >= k || (skip j && all_skipped (j + 1)) in
   {
     current =
       (fun () -> if !active < 0 then None else parts.(!active).current ());
@@ -140,8 +152,22 @@ let concat (parts : 'a t list) =
       (fun () ->
         Array.iter (fun p -> p.reset ()) parts;
         active := -1);
-    is_empty = (fun () -> Array.for_all (fun p -> p.is_empty ()) parts);
+    is_empty = (fun () -> all_skipped 0);
   }
+
+(** Concatenation of a constant number of iterators. Empty components are
+    skipped, so the delay is bounded by the number of components. *)
+let concat (parts : 'a t list) =
+  let parts = Array.of_list parts in
+  concat_parts parts ~skip:(fun j -> parts.(j).is_empty ()) (Array.get parts)
+
+(** Concatenation of [k] parts, a constant number, each built only when
+    the concatenation first enters it: part [j] is skipped when [skip j]
+    holds, and is otherwise non-empty and built by [make j] at its first
+    movement, then kept (a [reset] resets the parts built so far). So a
+    concatenation costs its own closures until it moves, and no more than
+    the parts it reaches. *)
+let concat_init k ~skip make = concat_parts (Array.make k empty) ~skip make
 
 (** Lexicographic product: pairs (a, b) with [a] from the first iterator
     varying slowest. Both components must be resettable; delay is constant

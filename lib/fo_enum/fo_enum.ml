@@ -20,9 +20,10 @@
     With [~dynamic:true], relation literals are compiled as the v⁺/v⁻
     weights of Lemma 40, so Gaifman-preserving updates ({!set_tuple}) need
     no recompilation: the update is O(1) on the instance and records the
-    changed v± inputs, and the next enumerator re-reads only those inputs
-    and brings the shared emptiness index up to date from them (see
-    {!Provenance.Prov_circuit}) before it yields its first answer. *)
+    changed v± inputs with their new values, and the next enumerator
+    gives only those inputs their last values and brings the shared
+    emptiness index up to date from them (see {!Provenance.Prov_circuit})
+    before it yields its first answer. *)
 
 type gen = int * int  (** (variable position, element) *)
 
@@ -33,9 +34,10 @@ type t = {
   gaifman : Graphs.Graph.t option;
       (** dynamic mode only: the Gaifman graph the circuit was compiled
           for, which {!set_tuple} must preserve *)
-  rel_keys : (string * string list) list;
+  rel_keys : (string * (string * bool) list) list;
       (** dynamic mode only: for each relation, the names of its v⁺/v⁻
-          weights that occur as circuit inputs *)
+          weights that occur as circuit inputs, each with its polarity
+          ([true] for v⁺) *)
 }
 
 let weight_sym i = Printf.sprintf "__enum%d" i
@@ -168,8 +170,12 @@ let prepare ?order ?(dynamic = false) ?opt ?budget (inst : Db.Instance.t)
     List.map
       (fun r ->
         ( r,
-          List.filter (Hashtbl.mem symbols)
-            [ Shapes.Forest_compile.pos_weight r; Shapes.Forest_compile.neg_weight r ] ))
+          List.filter
+            (fun (w, _) -> Hashtbl.mem symbols w)
+            [
+              (Shapes.Forest_compile.pos_weight r, true);
+              (Shapes.Forest_compile.neg_weight r, false);
+            ] ))
       dynamic_rels
   in
   let gaifman = if dynamic then Some (Db.Instance.gaifman inst) else None in
@@ -254,11 +260,20 @@ let enumerate t : int array Enum.Iter.t =
     outputs). *)
 let answers t = Enum.Iter.to_list (enumerate t)
 
-let rec touch_all prov tuple = function
+(* The value of a v± input that holds: the empty monomial. One that does
+   not holds no monomial, [[||]]. v⁺_R(ā) holds iff R(ā) is present,
+   v⁻_R(ā) iff it is absent. *)
+let holds : gen Provenance.Free.mono array = [| Provenance.Free.mono_one |]
+
+let rec touch_all prov tuple (present : bool) = function
   | [] -> ()
-  | w :: ws ->
-      Provenance.Prov_circuit.touch prov w tuple;
-      touch_all prov tuple ws
+  | (w, pos) :: ws ->
+      Provenance.Prov_circuit.touch prov w tuple (if pos = present then holds else [||]);
+      touch_all prov tuple present ws
+
+let rec keys_of rel = function
+  | [] -> invalid_arg ("Fo_enum.set_tuple: unknown relation " ^ rel)
+  | (r, keys) :: rest -> if String.equal r rel then keys else keys_of rel rest
 
 (** Gaifman-preserving update (dynamic mode only): add or remove a tuple
     of an existing relation whose elements already form a clique of the
@@ -281,4 +296,4 @@ let set_tuple t ?gaifman rel tuple present =
   (* set semantics: setting an already-present tuple is a no-op, unlike
      the strict [Instance.add] used by structural deltas *)
   if Db.Instance.set t.inst rel tuple present then
-    touch_all t.prov tuple (List.assoc rel t.rel_keys)
+    touch_all t.prov tuple present (keys_of rel t.rel_keys)

@@ -11,15 +11,17 @@
     projection (Lemma 23's h: is its value non-empty?), each input gate's
     current monomials resolved into an array, and the circuit's parent
     lists. The first [enumerate] builds the index in one bottom-up pass;
-    after that an update only records its input key, and the next
-    [enumerate] re-reads just the recorded inputs and walks upward from
-    each input whose emptiness flipped, stopping at the first parent whose
-    h is unchanged. An enumerator then builds only the output's iterator;
+    after that an update only records its input key and the new value,
+    and the next [enumerate] drains the records newest first: it finds
+    each key's input gate through a flat table of packed integer keys,
+    gives the gate its last recorded value, and walks upward from each
+    input whose emptiness flipped, stopping at the first parent whose h
+    is unchanged. An enumerator then builds only the output's iterator;
     every child reference becomes a cursor that is built at its first
-    movement ({!Enum.Iter.deferred}), and an empty child becomes
-    {!Enum.Iter.empty} without descending. So the work per [enumerate] is
-    the changed inputs and the gates whose emptiness they flip, plus the
-    cursors the enumeration actually moves.
+    movement ({!Enum.Iter.deferred}, or {!Enum.Iter.concat_init} for the
+    children of a sum), and an empty child is skipped without descending.
+    So the work per [enumerate] is the changed inputs and the gates whose
+    emptiness they flip, plus the cursors the enumeration actually moves.
 
     Gates may be shared between parents (the optimizer's hash-consing
     makes sharing common even for non-leaf gates), but every reference
@@ -39,9 +41,110 @@ let m_cursors_built = Obs.counter ~scope:"provenance" "cursors_built"
    the next enumerator. *)
 let m_index_recomputed = Obs.counter ~scope:"provenance" "index_gates_recomputed"
 
+(** Input gates by packed key, for the drain: a flat open-addressing
+    table of ints, built by the first drain that has records.
+
+    A key (w, a₁ … a_k) packs to [sym + nsyms * d], where [sym] is [w]'s
+    position among the [nsyms] distinct weight symbols of the inputs and
+    [d] reads the digits a₁ + 1, …, a_k + 1 in base [radix], 2 + the
+    largest tuple element of any input. No digit is 0, so tuples of
+    different arities never collide, and the packing is injective.
+
+    The packing assumes non-negative elements and a packed value that
+    fits in an OCaml int. A key outside those bounds (a negative element,
+    or a long tuple over a large domain) is kept out of the table and
+    looked up in the circuit's [input_ids] instead: it stays correct at
+    the cost of one hash. A key with an unknown symbol or an element
+    above the largest one of any input is no input gate's, so draining
+    it is a no-op. *)
+type keys = {
+  symbols : string array;
+  radix : int;
+  digit_limit : int;  (** the largest [d] that one more digit cannot overflow *)
+  symbol_limit : int;  (** the largest [d] that [sym + nsyms * d] cannot overflow *)
+  slots : int array;
+      (** [slots.(2 i)] is a packed key, or [-1] for a free slot, and
+          [slots.(2 i + 1)] its input gate; at most 2/3 of the slots are
+          taken *)
+}
+
+let not_input = -1
+let unpacked = -2
+
+(* [w]'s position in [symbols], or [not_input]. The symbols are few (one
+   per weight of the query), so a scan beats a hash. *)
+let symbol keys w =
+  let rec find i =
+    if i < 0 then not_input else if String.equal keys.symbols.(i) w then i else find (i - 1)
+  in
+  find (Array.length keys.symbols - 1)
+
+(* The packed key of symbol [sym] at [tuple], [not_input] or [unpacked]. *)
+let pack keys sym tuple =
+  let rec go d = function
+    | [] -> if d > keys.symbol_limit then unpacked else (d * Array.length keys.symbols) + sym
+    | a :: rest ->
+        if a < 0 || d > keys.digit_limit then unpacked
+        else if a > keys.radix - 2 then not_input
+        else go ((d * keys.radix) + a + 1) rest
+  in
+  if sym < 0 then not_input else go 0 tuple
+
+(* A key's home slot: 31 bits of a multiplicative hash, scaled to the
+   slot count; a collision moves on to the next slot. *)
+let home slots k = ((k * 0x1E3779B97F4A7C15) lsr 32 * (Array.length slots / 2)) lsr 31
+let next_slot slots i = if 2 * (i + 1) = Array.length slots then 0 else i + 1
+
+(* The slot that holds key [k], or the free slot where it would go *)
+let rec slot_from slots k i =
+  if slots.(2 * i) = k || slots.(2 * i) < 0 then i else slot_from slots k (next_slot slots i)
+
+let slot slots k = slot_from slots k (home slots k)
+
+let build_keys (input_ids : (Circuits.Circuit.input_key, int) Hashtbl.t) =
+  let symbols = ref [] and top = ref 0 in
+  Hashtbl.iter
+    (fun (w, tuple) _ ->
+      if not (List.exists (String.equal w) !symbols) then symbols := w :: !symbols;
+      List.iter (fun a -> top := max !top a) tuple)
+    input_ids;
+  let inputs = Hashtbl.length input_ids in
+  let radix = !top + 2 and nsyms = max 1 (List.length !symbols) in
+  let keys =
+    {
+      symbols = Array.of_list !symbols;
+      radix;
+      digit_limit = (max_int - radix) / radix;
+      symbol_limit = (max_int - nsyms) / nsyms;
+      slots = Array.make (2 * (inputs + (inputs / 2) + 1)) (-1);
+    }
+  in
+  Hashtbl.iter
+    (fun (w, tuple) g ->
+      let k = pack keys (symbol keys w) tuple in
+      if k >= 0 then begin
+        let i = slot keys.slots k in
+        keys.slots.(2 * i) <- k;
+        keys.slots.((2 * i) + 1) <- g
+      end)
+    input_ids;
+  keys
+
+(* The input gate of key [(w, tuple)], or [not_input]. *)
+let gate_of keys input_ids w tuple =
+  let k = pack keys (symbol keys w) tuple in
+  if k >= 0 then
+    let i = slot keys.slots k in
+    if keys.slots.(2 * i) = k then keys.slots.((2 * i) + 1) else not_input
+  else if k = not_input then not_input
+  else Option.value (Hashtbl.find_opt input_ids (w, tuple)) ~default:not_input
+
 (** The emptiness index of Lemma 23, kept across updates. *)
 type 'g index = {
-  nonempty : Bytes.t;  (** h of each gate: ['\001'] iff its value is non-empty *)
+  nonempty : Bytes.t;
+      (** per gate, bit 0 is h (set iff its value is non-empty); bit 1
+          marks an input gate the running drain has already given its
+          last value *)
   mutable parent_start : int array;
       (** gate [g]'s distinct parents are [parents.(parent_start.(g))]
           up to [parents.(parent_start.(g + 1) - 1)]; both arrays stay
@@ -50,13 +153,16 @@ type 'g index = {
   mutable parents : int array;
   leaves : 'g Free.mono array array;
       (** each input gate's current monomials; [[||]] at other gates *)
+  mutable keys : keys option;  (** built by the first drain with records *)
   pending_w : string array;
   pending_tuple : int list array;
-      (** input keys updated since the last refresh, one slot per input
-          gate *)
+  pending_leaf : 'g Free.mono array array;
+      (** input keys updated since the last refresh and the value each
+          was given, one slot per input gate *)
   mutable pending : int;
       (** keys recorded since the last refresh; past the slot count the
           slots are dropped and the next refresh rebuilds every gate *)
+  drained : int array;  (** the input gates the running drain has marked *)
 }
 
 (** Prepared provenance query: compile once (linear time), then build
@@ -78,8 +184,10 @@ type 'g t = {
 (** [prepare inst expr ~weight] compiles Σ-expression [expr] (over boolean
     constants) and installs [weight] as the initial valuation: the list of
     monomials of each weight's value (often a singleton identifier).
-    [weight] is read once per input key at the first [enumerate], and then
-    only for the keys passed to {!update} or {!touch}. *)
+    [weight] is read once per input key at the first [enumerate], and
+    again only when more keys were recorded between two enumerations than
+    the circuit has inputs: then the next [enumerate] rebuilds the whole
+    index through it. *)
 let prepare ?opt ?(dynamic_rels = []) ?(budget = Robust.unlimited) (inst : Db.Instance.t)
     (expr : bool Logic.Expr.t) ~(weight : string -> int list -> 'g Free.mono list) :
     'g t =
@@ -95,34 +203,46 @@ let prepare ?opt ?(dynamic_rels = []) ?(budget = Robust.unlimited) (inst : Db.In
     generation = 0;
   }
 
-(** Record that the value of weight [w] at [tuple], as read through the
-    [~weight] function of {!prepare}, may have changed: the next
-    [enumerate] reads it again. O(1), with no hashing. A key touched again
-    right after itself (the same [w] and [tuple] values, as when a toggle
-    is undone) is recorded once. *)
-let touch t (w : string) (tuple : int list) =
+(** [touch t w tuple leaf] records that weight [w] at [tuple] now has
+    the monomials [leaf]: the next [enumerate] gives that value to the
+    key's input gate, the last one recorded when a key is touched more
+    than once. The caller keeps [~weight] of {!prepare} in step with it,
+    since a full rebuild of the index still reads through [~weight]; so a
+    key once passed to {!update}, whose value then lives in an overlay
+    that [~weight] cannot change, is updated through {!update} only. A
+    key that is no input of the circuit is ignored. O(1), with no lookup
+    and no hashing. A key touched again right after itself (the same [w]
+    and [tuple] values, as when a toggle is undone) keeps one slot, with
+    the newer value. *)
+let touch t (w : string) (tuple : int list) (leaf : 'g Free.mono array) =
   match t.index with
   | None -> ()
   | Some ix ->
       let i = ix.pending in
-      if i >= Array.length ix.pending_w then ix.pending <- i + 1
-      else if i = 0 || ix.pending_w.(i - 1) != w || ix.pending_tuple.(i - 1) != tuple then begin
-        ix.pending_w.(i) <- w;
-        ix.pending_tuple.(i) <- tuple;
+      let slots = Array.length ix.pending_w in
+      if i > 0 && i <= slots && ix.pending_w.(i - 1) == w && ix.pending_tuple.(i - 1) == tuple
+      then ix.pending_leaf.(i - 1) <- leaf
+      else begin
+        if i < slots then begin
+          ix.pending_w.(i) <- w;
+          ix.pending_tuple.(i) <- tuple;
+          ix.pending_leaf.(i) <- leaf
+        end;
         ix.pending <- i + 1
       end
 
 (** Update one weight to a new free-semiring value (list of monomials).
-    O(1): recorded in an overlay consulted at the next enumeration. *)
+    O(1): recorded in an overlay, and the value carried to the next
+    enumeration. *)
 let update t (w : string) (tuple : int list) (value : 'g Free.mono list) =
   Hashtbl.replace t.weights (w, tuple) value;
-  touch t w tuple
+  touch t w tuple (Array.of_list value)
 
 let current t key =
   if Hashtbl.length t.weights = 0 then t.default key
   else match Hashtbl.find_opt t.weights key with Some v -> v | None -> t.default key
 
-let ne ix g = Bytes.get ix.nonempty g <> '\000'
+let ne ix g = Char.code (Bytes.get ix.nonempty g) land 1 <> 0
 
 let rec exists_ne ix gs j = j < Array.length gs && (ne ix gs.(j) || exists_ne ix gs (j + 1))
 let rec for_all_ne ix gs j = j >= Array.length gs || (ne ix gs.(j) && for_all_ne ix gs (j + 1))
@@ -213,9 +333,12 @@ let build_index t =
       parent_start = [||];
       parents = [||];
       leaves = Array.make n [||];
+      keys = None;
       pending_w = Array.make inputs "";
       pending_tuple = Array.make inputs [];
+      pending_leaf = Array.make inputs [||];
       pending = 0;
+      drained = Array.make inputs 0;
     }
   in
   recompute_all t ix;
@@ -234,23 +357,44 @@ let rec flip nodes ix g h =
     if hp <> ne ix p then flip nodes ix p hp
   done
 
-(* Bring the index up to date with the recorded updates. *)
+(* Bring the index up to date with the recorded updates. The records
+   are walked newest first and each input gate takes the first value it
+   meets, its last one, marked in [nonempty]'s bit 1 until the end of the
+   walk; so a key toggled off and back on flips nothing. *)
 let refresh t ix =
   let pending = ix.pending in
   if pending > 0 then begin
     if pending > Array.length ix.pending_w then recompute_all t ix
-    else
-      for i = 0 to pending - 1 do
-        let key = (ix.pending_w.(i), ix.pending_tuple.(i)) in
-        match Hashtbl.find_opt t.circuit.input_ids key with
-        | None -> ()
-        | Some g ->
-            let h = read_input t ix g key in
-            if h <> ne ix g then begin
-              if Array.length ix.parent_start = 0 then build_parents t ix;
-              flip t.circuit.nodes ix g h
-            end
+    else begin
+      let keys =
+        match ix.keys with
+        | Some keys -> keys
+        | None ->
+            let keys = build_keys t.circuit.input_ids in
+            ix.keys <- Some keys;
+            keys
+      in
+      let marked = ref 0 in
+      for i = pending - 1 downto 0 do
+        let g = gate_of keys t.circuit.input_ids ix.pending_w.(i) ix.pending_tuple.(i) in
+        if g >= 0 && Char.code (Bytes.get ix.nonempty g) land 2 = 0 then begin
+          let ms = ix.pending_leaf.(i) in
+          ix.leaves.(g) <- ms;
+          let h = Array.length ms > 0 in
+          if h <> ne ix g then begin
+            if Array.length ix.parent_start = 0 then build_parents t ix;
+            flip t.circuit.nodes ix g h
+          end;
+          Bytes.set ix.nonempty g (if h then '\003' else '\002');
+          ix.drained.(!marked) <- g;
+          incr marked
+        end
       done;
+      for j = 0 to !marked - 1 do
+        let g = ix.drained.(j) in
+        set_h ix g (ne ix g)
+      done
+    end;
     ix.pending <- 0;
     t.generation <- t.generation + 1
   end
@@ -274,7 +418,8 @@ let enumerate (type g) (t : g t) : g Free.mono Enum.Iter.t =
   in
   let ne = ne ix in
   (* [build id] for a non-empty gate; [child] is one reference to a gate,
-     [sum] the concatenation of the non-empty ones among [gs] *)
+     [sum] the concatenation of the non-empty ones among [gs], each built
+     when the concatenation first enters it *)
   let rec build id : g Free.mono Enum.Iter.t =
     match nodes.(id) with
     | Input _ -> Enum.Iter.of_array ix.leaves.(id)
@@ -292,16 +437,19 @@ let enumerate (type g) (t : g t) : g Free.mono Enum.Iter.t =
         Perm.Enum_perm.enumerate
           (Perm.Enum_perm.create ~mul:Free.mono_mul ~one:Free.mono_one entries)
   and sum gs =
-    Enum.Iter.concat (Array.fold_right (fun g acc -> if ne g then child g :: acc else acc) gs [])
+    Enum.Iter.concat_init (Array.length gs)
+      ~skip:(fun j -> not (ne gs.(j)))
+      (fun j -> cursor gs.(j))
   and child id =
     if not (ne id) then Enum.Iter.empty
     else
       match nodes.(id) with
       | Input _ | Const _ -> build id
-      | Add _ | Mul _ | Perm _ ->
-          Enum.Iter.deferred (fun () ->
-              Obs.Counter.incr m_cursors_built;
-              build id)
+      | Add _ | Mul _ | Perm _ -> Enum.Iter.deferred (fun () -> cursor id)
+  (* [build id] at the first movement of a reference to gate [id] *)
+  and cursor id =
+    (match nodes.(id) with Input _ | Const _ -> () | _ -> Obs.Counter.incr m_cursors_built);
+    build id
   in
   let it = if ne t.circuit.output then build t.circuit.output else Enum.Iter.empty in
   let generation = t.generation in

@@ -34,6 +34,33 @@ let concat_skips_empty () =
   check_ilist "concat backward" [ 3; 2; 1 ] (Iter.to_list_rev it);
   check_bool "emptiness" true (Iter.is_empty (Iter.concat [ Iter.empty; Iter.of_list [] ]))
 
+(* concat_init builds a part only when the concatenation first enters it,
+   once, and never a skipped one; both directions and a reset keep the
+   parts built so far. *)
+let concat_init_builds_on_entry () =
+  let parts = [| [ 1 ]; []; [ 2; 3 ]; [ 4 ] |] in
+  let built = Array.make (Array.length parts) 0 in
+  let it =
+    Iter.concat_init (Array.length parts)
+      ~skip:(fun j -> parts.(j) = [])
+      (fun j ->
+        built.(j) <- built.(j) + 1;
+        Iter.of_list parts.(j))
+  in
+  check_bool "not empty" false (Iter.is_empty it);
+  check_ilist "nothing built before moving" [ 0; 0; 0; 0 ] (Array.to_list built);
+  Iter.next it;
+  check_ilist "the first part only" [ 1; 0; 0; 0 ] (Array.to_list built);
+  check_ilist "concat_init" [ 1; 2; 3; 4 ] (Iter.to_list it);
+  check_ilist "backward" [ 4; 3; 2; 1 ] (Iter.to_list_rev it);
+  check_ilist "each entered part built once, the skipped one never" [ 1; 0; 1; 1 ]
+    (Array.to_list built);
+  let last = Iter.concat_init 3 ~skip:(fun j -> j < 2) (fun _ -> Iter.of_list [ 7 ]) in
+  Iter.prev last;
+  Alcotest.(check (option int)) "prev enters the last part" (Some 7) (Iter.current last);
+  check_bool "all skipped: empty" true
+    (Iter.is_empty (Iter.concat_init 2 ~skip:(fun _ -> true) (fun _ -> assert false)))
+
 let product_lexicographic () =
   let p = Iter.product (Iter.of_list [ 1; 2 ]) (Iter.of_list [ 10; 20; 30 ]) in
   Alcotest.(check (list (pair int int)))
@@ -168,6 +195,7 @@ let suite =
     Alcotest.test_case "of_list roundtrip" `Quick of_list_roundtrip;
     Alcotest.test_case "cyclic wraparound" `Quick cyclic_wraparound;
     Alcotest.test_case "concat skips empty" `Quick concat_skips_empty;
+    Alcotest.test_case "concat_init builds a part on entry" `Quick concat_init_builds_on_entry;
     Alcotest.test_case "product lexicographic" `Quick product_lexicographic;
     Alcotest.test_case "map" `Quick map_works;
     Alcotest.test_case "dep_product" `Quick dep_product_works;

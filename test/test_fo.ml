@@ -236,10 +236,12 @@ let lazy_build_counts () =
    flip, the next enumerator recomputes only the parents along the flipped
    input's path upward, a count that does not grow with the grid (14-16
    on sides 8-32 when written); from the flip to the first answer it
-   allocates a few thousand words (3,406 at side 20 when written, against
-   at least 258k while every enumerator re-ran the bottom-up pass); and
-   the index, parent lists included, is about half the prepared query it
-   serves (51% when written). *)
+   allocates a couple of thousand words that barely grow with the grid
+   (2,221-2,372 on sides 8-32 when written, against at least 258k at side
+   20 while every enumerator re-ran the bottom-up pass, and 3,178-3,764
+   while a sum built a cursor for each of its non-empty children); and
+   the index, parent lists and packed-key table included, is about half
+   the prepared query it serves (57% when written). *)
 let index_counts () =
   Obs.set_enabled true;
   let recomputed = Obs.counter ~scope:"provenance" "index_gates_recomputed" in
@@ -250,29 +252,32 @@ let index_counts () =
     ignore (Fo_enum.enumerate t);
     (t, words)
   in
-  List.iter
-    (fun side ->
-      let t, _ = prepared side in
-      let c0 = Obs.Counter.get recomputed in
-      Fo_enum.set_tuple t "E" [ 0; 1 ] false;
-      ignore (Fo_enum.enumerate t);
-      let d = Obs.Counter.get recomputed - c0 in
-      Alcotest.(check bool)
-        (Printf.sprintf "side %d: 0 < %d gates recomputed after one flip <= 32" side d)
-        true
-        (d > 0 && d <= 32))
-    [ 8; 16; 32 ];
-  let t, prepared_words = prepared 20 in
-  Fo_enum.set_tuple t "E" [ 0; 1 ] false;
-  ignore (Fo_enum.enumerate t);
-  let w0 = Gc.minor_words () in
-  Fo_enum.set_tuple t "E" [ 0; 1 ] true;
-  let it = Fo_enum.enumerate t in
-  Enum.Iter.next it;
-  let words = Gc.minor_words () -. w0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "side 20: %.0f minor words from a flip to the first answer <= 3,600" words)
-    true (words <= 3600.);
+  let first_answer_words t =
+    let w0 = Gc.minor_words () in
+    Fo_enum.set_tuple t "E" [ 0; 1 ] true;
+    let it = Fo_enum.enumerate t in
+    Enum.Iter.next it;
+    Gc.minor_words () -. w0
+  in
+  let sized side =
+    let t, words = prepared side in
+    let c0 = Obs.Counter.get recomputed in
+    Fo_enum.set_tuple t "E" [ 0; 1 ] false;
+    ignore (Fo_enum.enumerate t);
+    let d = Obs.Counter.get recomputed - c0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "side %d: 0 < %d gates recomputed after one flip <= 32" side d)
+      true
+      (d > 0 && d <= 32);
+    let w = first_answer_words t in
+    Alcotest.(check bool)
+      (Printf.sprintf "side %d: %.0f minor words from a flip to the first answer <= 2,800" side
+         w)
+      true (w <= 2800.);
+    (t, words)
+  in
+  List.iter (fun side -> ignore (sized side)) [ 8; 16; 32 ];
+  let t, prepared_words = sized 20 in
   let index_words =
     Obj.reachable_words (Obj.repr t.Fo_enum.prov.Provenance.Prov_circuit.index)
   in
@@ -281,6 +286,113 @@ let index_counts () =
        prepared_words)
     true
     (10 * index_words <= 6 * prepared_words)
+
+(* The drain takes the values the updates carried: after the first
+   [enumerate], interleaved updates of two keys (a, b, a, …), one
+   recorded through [touch] and one through [update], cost the next
+   [enumerate] no read of [~weight], and it yields the last value of
+   each key. *)
+let drain_carried_values () =
+  let inst = example21 () in
+  let value = Hashtbl.create 8 in
+  let initial tuple = if Db.Instance.mem inst "E" tuple then [ [ edge_name tuple ] ] else [] in
+  let current tuple = Option.value (Hashtbl.find_opt value tuple) ~default:(initial tuple) in
+  let reads = ref 0 in
+  let prov =
+    Provenance.Prov_circuit.prepare inst triangle_prov_expr ~weight:(fun _w tuple ->
+        incr reads;
+        current tuple)
+  in
+  let monomials p =
+    List.sort compare (Enum.Iter.to_list (Provenance.Prov_circuit.enumerate p))
+  in
+  ignore (monomials prov);
+  let a = [ 1; 2 ] and b = [ 3; 0 ] in
+  (* a is kept in step with [~weight] and touched; b goes through [update] *)
+  let set tuple v =
+    Hashtbl.replace value tuple v;
+    if tuple == a then Provenance.Prov_circuit.touch prov "w" tuple (Array.of_list v)
+    else Provenance.Prov_circuit.update prov "w" tuple v
+  in
+  List.iter
+    (fun (tuple, v) -> set tuple v)
+    [ (a, []); (b, []); (a, [ [ "A1" ] ]); (b, [ [ "B1" ]; [ "B2" ] ]); (a, [ [ "A2" ] ]) ];
+  reads := 0;
+  let got = monomials prov in
+  check_int "no ~weight read in the drain" 0 !reads;
+  let fresh = Provenance.Prov_circuit.prepare inst triangle_prov_expr ~weight:(fun _w -> current) in
+  Alcotest.(check (list (list string))) "the last value of each key" (monomials fresh) got;
+  check_bool "a's last value is in use" true
+    (List.exists (List.mem "A2") got && not (List.exists (List.mem "A1") got))
+
+(* The drain walks the records newest first and gives each input gate
+   only its last value: a burst that turns many arcs off and then back
+   on, interleaved (a off, b off, …, a on, b on, …), flips no input and
+   recomputes no gate; a burst that does not net to zero still matches
+   Engine.Reference. *)
+let drain_last_value () =
+  Obs.set_enabled true;
+  let recomputed = Obs.counter ~scope:"provenance" "index_gates_recomputed" in
+  let inst = Db.Instance.of_graph (Graphs.Gen.grid 6 6) in
+  let t = Fo_enum.prepare ~dynamic:true inst phi_path2 in
+  let live = Fo_enum.instance t in
+  let arcs =
+    List.filteri (fun i _ -> i mod 3 = 0) (List.sort compare (Db.Instance.tuples live "E"))
+  in
+  ignore (Fo_enum.answers t);
+  let set present l = List.iter (fun a -> Fo_enum.set_tuple t "E" a present) l in
+  let not_overflowed () =
+    match t.Fo_enum.prov.Provenance.Prov_circuit.index with
+    | Some ix ->
+        ix.Provenance.Prov_circuit.pending > 0
+        && ix.Provenance.Prov_circuit.pending <= Array.length ix.Provenance.Prov_circuit.pending_w
+    | None -> false
+  in
+  set false arcs;
+  set true arcs;
+  check_bool "the burst is drained record by record" true (not_overflowed ());
+  let c0 = Obs.Counter.get recomputed in
+  let before = List.length (Fo_enum.answers t) in
+  check_int "a burst that nets to zero recomputes no gate" 0 (Obs.Counter.get recomputed - c0);
+  check_int "and leaves the answers as they were"
+    (List.length (snd (Engine.Reference.answers live phi_path2)))
+    before;
+  let kept = List.filteri (fun i _ -> i mod 2 = 0) arcs in
+  set false arcs;
+  set true kept;
+  check_bool "the second burst is drained record by record" true (not_overflowed ());
+  let got = List.sort compare (List.map Array.to_list (Fo_enum.answers t)) in
+  Alcotest.(check (list (list int)))
+    "a burst that does not net to zero = Engine.Reference"
+    (snd (Engine.Reference.answers live phi_path2))
+    got
+
+(* The drain's packed-key table against the keys it is built from: every
+   input key finds its gate, whether it packs or, with a negative element
+   or a packed value too wide for an int, goes through [input_ids]; a key
+   of no input finds none. Lookups use fresh copies of the symbols. *)
+let packed_keys () =
+  let module P = Provenance.Prov_circuit in
+  let check inputs others =
+    let ids = Hashtbl.create 8 in
+    List.iteri (fun g k -> Hashtbl.replace ids k g) inputs;
+    let keys = P.build_keys ids in
+    let gate (w, tuple) = P.gate_of keys ids (String.concat "" [ w ]) tuple in
+    let show (w, tuple) = w ^ "(" ^ String.concat "," (List.map string_of_int tuple) ^ ")" in
+    List.iteri (fun g k -> check_int ("input " ^ show k) g (gate k)) inputs;
+    List.iter (fun k -> check_int ("no input " ^ show k) (-1) (gate k)) others
+  in
+  let narrow =
+    [ ("w", [ 0; 1 ]); ("w", [ 1; 0 ]); ("w", [ 1 ]); ("w", []); ("v", [ 0; 1 ]); ("w", [ -1; 2 ]) ]
+  in
+  let others =
+    [
+      ("w", [ 0; 0 ]); ("u", [ 0; 1 ]); ("w", [ 0; 1; 0 ]); ("w", [ 0 ]); ("w", [ -1; 1 ]);
+      ("v", [ 2; 1 ]);
+    ]
+  in
+  check narrow others;
+  check (("v", [ max_int / 2; 1 ]) :: narrow) (("v", [ max_int / 2; 0 ]) :: others)
 
 (* Enumerators share the index: one taken before an update keeps yielding
    the answers it was created on until the next [enumerate] drains the
@@ -310,12 +422,20 @@ let stale_enumerator () =
 (* one-way arcs: the v⁻ weights of Lemma 40 next to the v⁺ ones *)
 let phi_one_way = Logic.Formula.And [ e "x" "y"; Logic.Formula.Not (e "y" "x") ]
 
+(* arcs out of a marked vertex into an unmarked one: keys of arity 1 (the
+   unary S, both v⁺ and v⁻) beside those of arity 2 *)
+let phi_marked_out =
+  let s x = Logic.Formula.Rel ("S", [ v x ]) in
+  Logic.Formula.And [ e "x" "y"; s "x"; Logic.Formula.Not (s "y") ]
+
 (* Random Gaifman-preserving [set_tuple] sequences against
    Engine.Reference after every batch. A batch is a few steps among a
-   flip, a toggle pair that cancels out, a re-add of a present arc and a
-   remove of an absent one, or a burst of more changing updates than the
-   circuit has inputs, which overflows the pending list and forces the
-   index's full rebuild. *)
+   flip, a toggle pair that cancels out, a re-add of a present tuple, a
+   remove of an absent one and interleaved repeats (flip a; flip b;
+   flip a), or a burst of more changing updates than the circuit has
+   inputs, which overflows the pending list and forces the index's full
+   rebuild. One query in four also reads a unary relation S, whose
+   tuples are updated beside the arcs. *)
 let dynamic_differential =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:30 ~name:"dynamic enumeration = Engine.Reference under set_tuple"
@@ -327,37 +447,56 @@ let dynamic_differential =
            if rnd 2 = 0 then Graphs.Gen.grid (3 + rnd 3) (3 + rnd 3)
            else Graphs.Gen.random_bounded_degree ~seed ~n:(8 + rnd 7) ~max_deg:3
          in
-         let phi = [| phi_path2; phi_triangle; phi_one_way |].(rnd 3) in
+         let phi = [| phi_path2; phi_triangle; phi_one_way; phi_marked_out |].(rnd 4) in
          let inst = Db.Instance.of_graph g in
-         let arcs = Array.of_list (List.sort compare (Db.Instance.tuples inst "E")) in
+         let edges = List.sort compare (Db.Instance.tuples inst "E") in
          (* start with some arcs one-way; the Gaifman graph keeps every edge *)
-         Array.iter
+         List.iter
            (function
              | [ u; v ] when u < v && rnd 3 = 0 ->
                  Db.Instance.remove inst "E" (if rnd 2 = 0 then [ u; v ] else [ v; u ])
              | _ -> ())
-           arcs;
+           edges;
+         let n = Db.Instance.n inst in
+         let inst, marks =
+           if phi != phi_marked_out then (inst, [])
+           else
+             let marks = List.init n (fun a -> [ a ]) in
+             ( Db.Instance.with_relation inst "S" ~arity:1
+                 (List.filter (fun _ -> rnd 2 = 0) marks),
+               marks )
+         in
+         (* the updatable tuples: every arc, and every S tuple when S is read *)
+         let arcs =
+           Array.of_list (List.map (fun a -> ("E", a)) edges @ List.map (fun a -> ("S", a)) marks)
+         in
          let t = Fo_enum.prepare ~dynamic:true inst phi in
          let live = Fo_enum.instance t in
          let inputs = Hashtbl.length t.Fo_enum.prov.Provenance.Prov_circuit.circuit.input_ids in
          let arc () = arcs.(rnd (Array.length arcs)) in
-         let set a present = Fo_enum.set_tuple t "E" a present in
-         let flip a = set a (not (Db.Instance.mem live "E" a)) in
+         let mem (r, a) = Db.Instance.mem live r a in
+         let set (r, a) present = Fo_enum.set_tuple t r a present in
+         let flip a = set a (not (mem a)) in
          let with_state present =
            let l = Array.to_list arcs in
-           match List.filter (fun a -> Db.Instance.mem live "E" a = present) l with
+           match List.filter (fun a -> mem a = present) l with
            | [] -> None
            | l -> Some (List.nth l (rnd (List.length l)))
          in
          let step () =
-           match rnd 4 with
+           match rnd 5 with
            | 0 -> flip (arc ())
            | 1 ->
                let a = arc () in
                flip a;
                flip a
            | 2 -> Option.iter (fun a -> set a true) (with_state true)
-           | _ -> Option.iter (fun a -> set a false) (with_state false)
+           | 3 -> Option.iter (fun a -> set a false) (with_state false)
+           | _ ->
+               let a = arc () and b = arc () in
+               flip a;
+               flip b;
+               flip a
          in
          let matches () =
            let got = List.map Array.to_list (Fo_enum.answers t) in
@@ -469,6 +608,9 @@ let suite =
     Alcotest.test_case "lazy build: cursors bounded per answer" `Quick lazy_build_counts;
     Alcotest.test_case "emptiness index: recomputed gates, words, size" `Quick index_counts;
     Alcotest.test_case "stale enumerator raises after a drain" `Quick stale_enumerator;
+    Alcotest.test_case "drain: carried values, no ~weight read" `Quick drain_carried_values;
+    Alcotest.test_case "drain: last value per input gate" `Quick drain_last_value;
+    Alcotest.test_case "drain: packed keys and keys outside their bounds" `Quick packed_keys;
     dynamic_differential;
     provenance_update_differential;
   ]
