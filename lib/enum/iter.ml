@@ -8,7 +8,12 @@
 
     All combinators below preserve constant access time: each [next]/[prev]
     performs a number of primitive steps bounded by the (constant) size of
-    the combinator expression, never by the length of the sequences. *)
+    the combinator expression, never by the length of the sequences.
+
+    A running iterator holds only its live path: a concatenation keeps
+    the part it is in, not the parts it has passed, and a product stores
+    the value of its current pair. So what a pass allocates dies young,
+    and the price is that a part entered again is built again. *)
 
 type 'a t = {
   current : unit -> 'a option;
@@ -63,263 +68,113 @@ let singleton v = of_array [| v |]
 (** Map a function over an iterator's outputs. *)
 let map f t = { t with current = (fun () -> Option.map f (t.current ())) }
 
-(** Live view over a doubly-linked list. The iterator walks the list's
-    current nodes; it must not be used across structural updates to the
-    list (standard enumeration-phase semantics). *)
-let of_dll (d : 'a Dll.t) =
-  let pos : 'a Dll.node option ref = ref None in
-  {
-    current = (fun () -> Option.map (fun (n : 'a Dll.node) -> n.Dll.value) !pos);
-    next =
-      (fun () ->
-        tick ();
-        pos := (match !pos with None -> Dll.first d | Some n -> n.Dll.next));
-    prev =
-      (fun () ->
-        tick ();
-        pos := (match !pos with None -> Dll.last d | Some n -> n.Dll.prev));
-    reset = (fun () -> pos := None);
-    is_empty = (fun () -> Dll.is_empty d);
-  }
+(* one movement of [it]: forward for a positive [dir], else backward *)
+let step dir it = if dir > 0 then it.next () else it.prev ()
 
-(* The concatenation of parts [0 .. k - 1] with [k = Array.length parts]:
-   part [j] is skipped while [skip j] holds, and is [parts.(j)] once it is
-   not [empty], else [make j], stored at the first entry. *)
-let concat_parts (parts : 'a t array) ~skip make =
-  let k = Array.length parts in
-  let part j =
-    let p = parts.(j) in
-    if p != empty then p
+(** Concatenation of [k] parts, a constant number, that holds only the
+    part it is in: part [j] is skipped when [skip j] holds, and is
+    otherwise non-empty and built by [make j] each time the concatenation
+    enters it (then reset and moved), in either direction. The part is
+    dropped when the concatenation leaves it, forward, backward or at a
+    [reset]; so the state is the active index and the active part, and a
+    running concatenation keeps no part it has passed. A part entered
+    again is built again: the cost of that build is the price of not
+    keeping it. *)
+let concat_init k ~skip make =
+  (* active = -1 at ⊥, else the index of [part], whose element is current *)
+  let active = ref (-1) and part = ref empty in
+  (* enter the first part from [j] on, stepping by [dir], that yields *)
+  let rec enter j dir =
+    if j < 0 || j >= k then begin
+      active := -1;
+      part := empty
+    end
+    else if skip j then enter (j + dir) dir
     else begin
       let p = make j in
-      parts.(j) <- p;
-      p
+      p.reset ();
+      step dir p;
+      match p.current () with
+      | Some _ ->
+          active := j;
+          part := p
+      | None -> enter (j + dir) dir
     end
   in
-  (* active = -1 at ⊥, else index of the component whose element is current *)
-  let active = ref (-1) in
-  let rec advance_from j =
-    if j >= k then begin
-      active := -1 (* wrapped: every later component exhausted *)
-    end
-    else if skip j then advance_from (j + 1)
+  let move dir () =
+    tick ();
+    let j = !active in
+    if j < 0 then enter (if dir > 0 then 0 else k - 1) dir
     else begin
-      let p = part j in
-      p.next ();
-      match p.current () with
-      | Some _ -> active := j
-      | None -> advance_from (j + 1)
-    end
-  in
-  let rec retreat_from j =
-    if j < 0 then active := -1
-    else if skip j then retreat_from (j - 1)
-    else begin
-      let p = part j in
-      p.prev ();
-      match p.current () with
-      | Some _ -> active := j
-      | None -> retreat_from (j - 1)
+      let p = !part in
+      step dir p;
+      match p.current () with Some _ -> () | None -> enter (j + dir) dir
     end
   in
   let rec all_skipped j = j >= k || (skip j && all_skipped (j + 1)) in
   {
-    current =
-      (fun () -> if !active < 0 then None else parts.(!active).current ());
-    next =
-      (fun () ->
-        tick ();
-        if !active < 0 then advance_from 0
-        else begin
-          let j = !active in
-          parts.(j).next ();
-          match parts.(j).current () with
-          | Some _ -> ()
-          | None -> advance_from (j + 1)
-        end);
-    prev =
-      (fun () ->
-        tick ();
-        if !active < 0 then retreat_from (k - 1)
-        else begin
-          let j = !active in
-          parts.(j).prev ();
-          match parts.(j).current () with
-          | Some _ -> ()
-          | None -> retreat_from (j - 1)
-        end);
+    current = (fun () -> !part.current ());
+    next = move 1;
+    prev = move (-1);
     reset =
       (fun () ->
-        Array.iter (fun p -> p.reset ()) parts;
-        active := -1);
+        active := -1;
+        part := empty);
     is_empty = (fun () -> all_skipped 0);
   }
 
 (** Concatenation of a constant number of iterators. Empty components are
-    skipped, so the delay is bounded by the number of components. *)
+    skipped, so the delay is bounded by the number of components; a
+    component is reset when the concatenation enters it. *)
 let concat (parts : 'a t list) =
   let parts = Array.of_list parts in
-  concat_parts parts ~skip:(fun j -> parts.(j).is_empty ()) (Array.get parts)
+  concat_init (Array.length parts) ~skip:(fun j -> parts.(j).is_empty ()) (Array.get parts)
 
-(** Concatenation of [k] parts, a constant number, each built only when
-    the concatenation first enters it: part [j] is skipped when [skip j]
-    holds, and is otherwise non-empty and built by [make j] at its first
-    movement, then kept (a [reset] resets the parts built so far). So a
-    concatenation costs its own closures until it moves, and no more than
-    the parts it reaches. *)
-let concat_init k ~skip make = concat_parts (Array.make k empty) ~skip make
-
-(** Lexicographic product: pairs (a, b) with [a] from the first iterator
-    varying slowest. Both components must be resettable; delay is constant
-    because advancing past the end of [b] costs O(1) sub-steps. *)
-let product (a : 'a t) (b : 'b t) : ('a * 'b) t =
-  let at_bot = ref true in
-  let cur () =
-    if !at_bot then None
-    else
-      match (a.current (), b.current ()) with
-      | Some x, Some y -> Some (x, y)
-      | _ -> None
+(** Lexicographic product through [f]: the values [f x y] for the pairs
+    (x, y) with [x] from [a] varying slowest. The value is computed once
+    per movement and stored, so [current] reads a field. Entering the
+    product resets and moves both operands; when [b] runs out, [a] moves
+    and [b] wraps to its first (or last) element, so the delay stays
+    constant, but a [b] that builds its parts on entry ({!concat_init})
+    builds them again for each element of [a]. *)
+let product f (a : 'a t) (b : 'b t) : 'c t =
+  let value = ref None in
+  let set () =
+    value := match (a.current (), b.current ()) with Some x, Some y -> Some (f x y) | _ -> None
   in
-  let enter_first () =
-    if a.is_empty () || b.is_empty () then at_bot := true
-    else begin
-      a.reset ();
-      b.reset ();
-      a.next ();
-      b.next ();
-      at_bot := false
-    end
-  in
-  let enter_last () =
-    if a.is_empty () || b.is_empty () then at_bot := true
-    else begin
-      a.reset ();
-      b.reset ();
-      a.prev ();
-      b.prev ();
-      at_bot := false
-    end
+  let move dir () =
+    tick ();
+    match !value with
+    | None ->
+        if not (a.is_empty () || b.is_empty ()) then begin
+          a.reset ();
+          b.reset ();
+          step dir a;
+          step dir b;
+          set ()
+        end
+    | Some _ -> (
+        step dir b;
+        match b.current () with
+        | Some _ -> set ()
+        | None -> (
+            step dir a;
+            match a.current () with
+            | Some _ ->
+                step dir b;
+                set ()
+            | None -> value := None))
   in
   {
-    current = cur;
-    next =
-      (fun () ->
-        tick ();
-        if !at_bot then enter_first ()
-        else begin
-          b.next ();
-          match b.current () with
-          | Some _ -> ()
-          | None ->
-              a.next ();
-              (match a.current () with
-              | Some _ -> b.next () (* b to its first element *)
-              | None -> at_bot := true)
-        end);
-    prev =
-      (fun () ->
-        tick ();
-        if !at_bot then enter_last ()
-        else begin
-          b.prev ();
-          match b.current () with
-          | Some _ -> ()
-          | None ->
-              a.prev ();
-              (match a.current () with
-              | Some _ -> b.prev () (* b to its last element *)
-              | None -> at_bot := true)
-        end);
+    current = (fun () -> !value);
+    next = move 1;
+    prev = move (-1);
     reset =
       (fun () ->
         a.reset ();
         b.reset ();
-        at_bot := true);
+        value := None);
     is_empty = (fun () -> a.is_empty () || b.is_empty ());
-  }
-
-(** Dependent lexicographic product: pairs (a, b) where the iterator for
-    [b] is built from [a] by [mk]. REQUIRES: [mk a] is nonempty for every
-    [a] the outer iterator yields — this is exactly the guarantee that the
-    column-choice structure of Lemma 39 provides, and it is what makes the
-    delay constant. [mk] must run in constant time. *)
-let dep_product (outer : 'a t) (mk : 'a -> 'b t) : ('a * 'b) t =
-  let inner : 'b t ref = ref empty in
-  let at_bot = ref true in
-  let enter dir =
-    (match dir with `Fwd -> outer.next () | `Bwd -> outer.prev ());
-    match outer.current () with
-    | None ->
-        at_bot := true;
-        inner := empty
-    | Some a ->
-        let it = mk a in
-        it.reset ();
-        (match dir with `Fwd -> it.next () | `Bwd -> it.prev ());
-        inner := it;
-        at_bot := false
-  in
-  {
-    current =
-      (fun () ->
-        if !at_bot then None
-        else
-          match (outer.current (), !inner.current ()) with
-          | Some a, Some b -> Some (a, b)
-          | _ -> None);
-    next =
-      (fun () ->
-        tick ();
-        if !at_bot then begin
-          outer.reset ();
-          enter `Fwd
-        end
-        else begin
-          !inner.next ();
-          match !inner.current () with Some _ -> () | None -> enter `Fwd
-        end);
-    prev =
-      (fun () ->
-        tick ();
-        if !at_bot then begin
-          outer.reset ();
-          enter `Bwd
-        end
-        else begin
-          !inner.prev ();
-          match !inner.current () with Some _ -> () | None -> enter `Bwd
-        end);
-    reset =
-      (fun () ->
-        outer.reset ();
-        inner := empty;
-        at_bot := true);
-    is_empty = (fun () -> outer.is_empty ());
-  }
-
-(** A cursor over a sequence the caller knows to be non-empty, built by
-    [make] at its first movement and kept from then on: a [reset] resets
-    the built iterator rather than dropping it, and [is_empty] answers
-    [false] without building anything. Until the first movement it sits
-    at ⊥ and costs only its own closures. The cursor only forwards, so it
-    adds no ticks of its own. *)
-let deferred (make : unit -> 'a t) =
-  let state = ref None in
-  let force () =
-    match !state with
-    | Some it -> it
-    | None ->
-        let it = make () in
-        state := Some it;
-        it
-  in
-  {
-    current = (fun () -> match !state with None -> None | Some it -> it.current ());
-    next = (fun () -> (force ()).next ());
-    prev = (fun () -> (force ()).prev ());
-    reset = (fun () -> match !state with None -> () | Some it -> it.reset ());
-    is_empty = (fun () -> false);
   }
 
 (** Drain an iterator into a list, starting from ⊥ (for tests: this is a

@@ -1,183 +1,216 @@
 (** Constant-delay enumerators for permanents of iterator-valued matrices
-    (Lemma 23), backed by the column-class lists of Lemma 39.
+    (Lemma 23), over the column classes of Lemma 39.
 
-    Each entry M[r,c] of an R × C matrix is an iterator over the summands
+    Each entry M[r,c] of a k × n matrix is an iterator over the summands
     (monomials) of a free-semiring element. The permanent
 
-        perm(M) = Σ_{f : R → C injective} Π_r M[r, f(r)]
+        perm(M) = Σ_{f : rows → columns injective} Π_r M[r, f(r)]
 
-    is enumerated by recursively picking, for the first remaining row r, a
-    column c such that (i) M[r,c] is nonzero and (ii) the rest of the rows
-    can still be matched to distinct remaining columns. Condition (ii)
-    depends on c only through its boolean *column type* (the set of rows
-    with a nonzero entry in c), so valid columns come from doubly-linked
-    per-type lists with at most k excluded columns skipped on the fly —
-    everything a [next] does is O_k(1) in the matrix width.
+    is enumerated by picking, row by row, a column c such that (i) M[r,c]
+    is nonzero and (ii) the later rows can still be matched to distinct
+    free columns. Condition (ii) depends on c only through its *column
+    type* (the set of rows with a nonzero entry in c), so the non-zero
+    columns are kept in one array grouped by type (a counting sort, with
+    2^k + 1 offsets), and a row walks the types that pass Hall's check,
+    skipping within a type the at most k - 1 columns the earlier rows
+    hold. All-zero columns (type 0) can never be picked and are left out.
 
-    All-zero columns (type 0) can never be picked, so they are kept out of
-    the lists: building the lists costs the non-zero columns only.
+    The enumerator is one odometer: per row, its position in the classes
+    and its entry cursor, plus the products of the rows' current
+    monomials. Rows go in order, types ascending, columns ascending within
+    a type, and a row's entry varies slower than the rows below it. A
+    row's entry cursor is built by [~entry r c] when the row takes column
+    c and dropped when it leaves it, so a movement costs O_k(1) in the
+    matrix width and a running enumerator holds k cursors.
 
-    Updates to the nonzero pattern move a column between type lists in
-    O(1); iterators must be created after the last update (enumeration
-    phases and update phases alternate, as in Theorem 22). *)
+    The classes are built once per [create], from [~nonzero r c]: O(k·n)
+    for a k × n matrix. A permanent whose enumerator sits inside a part
+    that is entered again is created again, at that cost each time. *)
 
 type 'm t = {
   k : int;
-  n : int;
   mul : 'm -> 'm -> 'm;
   one : 'm;
-  entries : 'm Enum.Iter.t array array;  (** k × n *)
-  type_of : int array;  (** column → row-set bitmask of nonzero entries *)
-  lists : int Enum.Dll.t array;  (** per type, the columns of that type *)
-  nodes : int Enum.Dll.node array;  (** column → its node *)
+  entry : int -> int -> 'm Enum.Iter.t;
+  cols : int array;  (** the non-zero columns, grouped by type *)
+  start : int array;
+      (** type [ty]'s columns are [cols.(start.(ty))] up to
+          [cols.(start.(ty + 1) - 1)], ascending *)
 }
 
-(* The node of a column of type 0: all-zero columns are never in a list,
-   since no row can pick them. *)
-let unlinked : int Enum.Dll.node = { Enum.Dll.value = -1; prev = None; next = None; owner = -1 }
-
-let create ~mul ~one (entries : 'm Enum.Iter.t array array) : 'm t =
-  let k = Array.length entries in
+(** [create ~mul ~one ~rows ~cols ~nonzero ~entry] is the permanent of the
+    [rows] × [cols] matrix whose entry (r, c) is non-zero when [nonzero r c]
+    holds, and is then enumerated by the cursor [entry r c], which must be
+    non-empty. [entry] is called only at non-zero entries, and only when a
+    row takes that column. *)
+let create ~mul ~one ~rows:k ~cols:n ~nonzero ~entry : 'm t =
   if k > 16 then invalid_arg "Enum_perm: too many rows";
-  let n = if k = 0 then 0 else Array.length entries.(0) in
   let ntypes = 1 lsl k in
-  let lists = Array.init ntypes (fun _ -> Enum.Dll.create ()) in
-  let type_of =
-    Array.init n (fun c ->
-        let mask = ref 0 in
-        for r = 0 to k - 1 do
-          if not (Enum.Iter.is_empty entries.(r).(c)) then mask := !mask lor (1 lsl r)
-        done;
-        !mask)
-  in
-  let nodes =
-    Array.init n (fun c ->
-        if type_of.(c) = 0 then unlinked else Enum.Dll.push_back lists.(type_of.(c)) c)
-  in
-  { k; n; mul; one; entries; type_of; lists; nodes }
-
-(** Replace an entry's iterator (a weight update). O(1) beyond recomputing
-    the column's type bit; a column enters or leaves the lists when it
-    turns non-zero or all-zero. *)
-let set_entry t ~row ~col it =
-  t.entries.(row).(col) <- it;
-  let old_type = t.type_of.(col) in
-  let bit = 1 lsl row in
-  let new_type =
-    if Enum.Iter.is_empty it then old_type land lnot bit else old_type lor bit
-  in
-  if new_type <> old_type then begin
-    if old_type <> 0 then Enum.Dll.remove t.lists.(old_type) t.nodes.(col);
-    t.type_of.(col) <- new_type;
-    t.nodes.(col) <-
-      (if new_type = 0 then unlinked else Enum.Dll.push_back t.lists.(new_type) col)
-  end
-
-(** Hall's condition: the rows of [rows_mask] can be matched to distinct
-    columns when [avail ty] columns of each type [ty] (row-set bitmask of
-    its non-zero entries) are free. Counts need only reach k, so this is
-    O(4^k) worst case — constant. *)
-let hall ~k ~avail rows_mask =
-  (* every non-empty subset of rows_mask, from rows_mask down *)
-  let rec ok sub =
-    sub = 0
-    ||
-    let cnt = ref 0 in
-    for ty = 1 to (1 lsl k) - 1 do
-      if ty land sub <> 0 then cnt := !cnt + max 0 (avail ty)
+  let type_of = Array.make n 0 and start = Array.make (ntypes + 1) 0 in
+  for c = 0 to n - 1 do
+    let ty = ref 0 in
+    for r = 0 to k - 1 do
+      if nonzero r c then ty := !ty lor (1 lsl r)
     done;
-    !cnt >= Subsets.popcount sub && ok ((sub - 1) land rows_mask)
-  in
-  ok rows_mask
-
-(* Can the rows of [rows_mask] be matched to distinct columns outside the
-   ≤ k excluded ones? *)
-let feasible t rows_mask (excluded : int list) =
-  rows_mask = 0
-  ||
-  (* available columns per type, discounted by exclusions *)
-  let avail ty =
-    let base = min (Enum.Dll.length t.lists.(ty)) (t.k + List.length excluded) in
-    base - List.length (List.filter (fun c -> t.type_of.(c) = ty) excluded)
-  in
-  hall ~k:t.k ~avail rows_mask
-
-(* Iterator over valid columns for row [r] given remaining rows and
-   exclusions: concatenation over types ty ∋ r such that choosing a column
-   of that type leaves the rest feasible; within a type, walk the list
-   skipping excluded columns. *)
-let valid_columns t ~row ~rest_mask ~excluded =
-  let parts = ref [] in
-  for ty = (1 lsl t.k) - 1 downto 0 do
-    if ty land (1 lsl row) <> 0 && not (Enum.Dll.is_empty t.lists.(ty)) then begin
-      (* simulate excluding one column of this type *)
-      let has_free =
-        Enum.Dll.length t.lists.(ty) > List.length (List.filter (fun c -> t.type_of.(c) = ty) excluded)
-      in
-      if has_free then begin
-        (* pick any free column of this type as representative *)
-        let rec rep node =
-          match node with
-          | None -> None
-          | Some (n : int Enum.Dll.node) ->
-              if List.mem n.Enum.Dll.value excluded then rep n.Enum.Dll.next
-              else Some n.Enum.Dll.value
-        in
-        match rep (Enum.Dll.first t.lists.(ty)) with
-        | None -> ()
-        | Some c0 ->
-            if feasible t rest_mask (c0 :: excluded) then begin
-              let base = Enum.Iter.of_dll t.lists.(ty) in
-              (* skip excluded columns: at most k of them, constant work *)
-              let skipping dir () =
-                (match dir with `F -> base.Enum.Iter.next () | `B -> base.Enum.Iter.prev ());
-                let guard = ref (List.length excluded + 1) in
-                let rec skip () =
-                  match base.Enum.Iter.current () with
-                  | Some c when List.mem c excluded && !guard > 0 ->
-                      decr guard;
-                      (match dir with `F -> base.Enum.Iter.next () | `B -> base.Enum.Iter.prev ());
-                      skip ()
-                  | _ -> ()
-                in
-                skip ()
-              in
-              let filtered =
-                {
-                  base with
-                  Enum.Iter.next = skipping `F;
-                  prev = skipping `B;
-                  is_empty = (fun () -> false);
-                }
-              in
-              parts := filtered :: !parts
-            end
-      end
+    type_of.(c) <- !ty;
+    if !ty > 0 then start.(!ty) <- start.(!ty) + 1
+  done;
+  (* counting sort: [start.(ty)] ends type ty, then the columns, taken in
+     reverse, move it back to where ty begins *)
+  for ty = 1 to ntypes - 1 do
+    start.(ty) <- start.(ty) + start.(ty - 1)
+  done;
+  start.(ntypes) <- start.(ntypes - 1);
+  let cols = Array.make start.(ntypes) 0 in
+  for c = n - 1 downto 0 do
+    let ty = type_of.(c) in
+    if ty > 0 then begin
+      start.(ty) <- start.(ty) - 1;
+      cols.(start.(ty)) <- c
     end
   done;
-  Enum.Iter.concat !parts
+  { k; mul; one; entry; cols; start }
+
+(* Hall's condition for the rows of every subset of [sub] down to the
+   empty one, within [rows_mask]: each subset's rows have at least as
+   many columns as rows among the types that meet it. *)
+let rec hall_from ~k counts rows_mask sub =
+  sub = 0
+  ||
+  let cnt = ref 0 in
+  for ty = 1 to (1 lsl k) - 1 do
+    if ty land sub <> 0 then cnt := !cnt + counts.(ty)
+  done;
+  !cnt >= Subsets.popcount sub && hall_from ~k counts rows_mask ((sub - 1) land rows_mask)
+
+(** Hall's condition: the rows of [rows_mask] can be matched to distinct
+    columns when [counts.(ty)] columns of each type [ty] (row-set bitmask
+    of its non-zero entries) are free. O(4^k) worst case, constant; it
+    allocates nothing. *)
+let hall ~k counts rows_mask = hall_from ~k counts rows_mask rows_mask
+
+(* the number of columns of each type *)
+let class_sizes t = Array.init (1 lsl t.k) (fun ty -> t.start.(ty + 1) - t.start.(ty))
+
+(** Is the permanent nonzero (the boolean projection h of Lemma 23)? *)
+let nonzero t = hall ~k:t.k (class_sizes t) ((1 lsl t.k) - 1)
 
 (** The permanent enumerator. Yields each monomial of perm(M), repetitions
     included, with delay O_k(input access time). *)
 let enumerate (t : 'm t) : 'm Enum.Iter.t =
-  let rec level rows_mask excluded : 'm Enum.Iter.t =
-    if rows_mask = 0 then Enum.Iter.singleton t.one
-    else begin
-      let row =
-        let rec low r = if rows_mask land (1 lsl r) <> 0 then r else low (r + 1) in
-        low 0
+  let k = t.k and cols = t.cols and start = t.start in
+  let ntypes = 1 lsl k in
+  let free = class_sizes t in
+  (* free.(ty): the columns of type ty no row holds, the Hall scratch *)
+  if k = 0 then Enum.Iter.singleton t.one
+  else if not (hall ~k free (ntypes - 1)) then Enum.Iter.empty
+  else begin
+    let pos = Array.make k (-1) (* row r's position in [cols], -1 when it holds none *)
+    and ty_of = Array.make k 0 (* the type of that column *)
+    and cur = Array.make k Enum.Iter.empty (* its entry cursor *)
+    and prod = Array.make k t.one (* the product of rows 0..r's monomials *)
+    and value = ref None in
+    (* is position [p] held by a row before [r]? *)
+    let rec held r p = r > 0 && (pos.(r - 1) = p || held (r - 1) p) in
+    (* from position [p] of type [ty] on, stepping by [dir], the first
+       position no row before [r] holds, or -1 *)
+    let rec free_at r ty p dir =
+      if p < start.(ty) || p >= start.(ty + 1) then -1
+      else if held r p then free_at r ty (p + dir) dir
+      else p
+    in
+    (* row [r] takes position [p] of type [ty], its entry moved by [dir] *)
+    let take r ty p dir =
+      pos.(r) <- p;
+      ty_of.(r) <- ty;
+      free.(ty) <- free.(ty) - 1;
+      let e = t.entry r cols.(p) in
+      e.Enum.Iter.reset ();
+      Enum.Iter.step dir e;
+      cur.(r) <- e
+    in
+    let release r =
+      free.(ty_of.(r)) <- free.(ty_of.(r)) + 1;
+      pos.(r) <- -1;
+      cur.(r) <- Enum.Iter.empty
+    in
+    (* can row [r] take a column of type [ty] and leave the rows after it
+       matchable? *)
+    let fits r ty =
+      ty land (1 lsl r) <> 0
+      && free.(ty) > 0
+      &&
+      (free.(ty) <- free.(ty) - 1;
+       let ok = hall ~k free ((ntypes - 1) lxor ((2 lsl r) - 1)) in
+       free.(ty) <- free.(ty) + 1;
+       ok)
+    in
+    (* row [r] takes the first column, stepping by [dir], from type [ty]
+       on among the types that fit; false when none is left *)
+    let rec seek_type r ty dir =
+      if ty <= 0 || ty >= ntypes then false
+      else if fits r ty then begin
+        let p = free_at r ty (if dir > 0 then start.(ty) else start.(ty + 1) - 1) dir in
+        take r ty p dir;
+        true
+      end
+      else seek_type r (ty + dir) dir
+    in
+    (* move the odometer at row [r], the rows after it released; the row
+       that moved, or -1 when every row has run out *)
+    let rec carry r dir =
+      if r < 0 then -1
+      else begin
+        Enum.Iter.tick ();
+        let e = cur.(r) in
+        Enum.Iter.step dir e;
+        match e.Enum.Iter.current () with
+        | Some _ -> r
+        | None ->
+            let ty = ty_of.(r) and p = pos.(r) in
+            release r;
+            let q = free_at r ty (p + dir) dir in
+            if q >= 0 then begin
+              take r ty q dir;
+              r
+            end
+            else if seek_type r (ty + dir) dir then r
+            else carry (r - 1) dir
+      end
+    in
+    let monomial r =
+      match cur.(r).Enum.Iter.current () with
+      | Some m -> m
+      | None -> invalid_arg "Enum_perm: an empty entry at a non-zero position"
+    in
+    let move dir () =
+      Enum.Iter.tick ();
+      let first = if dir > 0 then 1 else ntypes - 1 in
+      let r =
+        if pos.(0) < 0 then if seek_type 0 first dir then 0 else -1 else carry (k - 1) dir
       in
-      let rest = rows_mask lxor (1 lsl row) in
-      let cols = valid_columns t ~row ~rest_mask:rest ~excluded in
-      Enum.Iter.map
-        (fun (_c, (m_entry, m_rest)) -> t.mul m_entry m_rest)
-        (Enum.Iter.dep_product cols (fun c ->
-             Enum.Iter.product t.entries.(row).(c) (level rest (c :: excluded))))
-    end
-  in
-  if t.k = 0 then Enum.Iter.singleton t.one
-  else if not (feasible t ((1 lsl t.k) - 1) []) then Enum.Iter.empty
-  else level ((1 lsl t.k) - 1) []
-
-(** Is the permanent nonzero (the boolean projection h of Lemma 23)? *)
-let nonzero t = feasible t ((1 lsl t.k) - 1) []
+      if r < 0 then value := None
+      else begin
+        (* Hall's check on the way down guarantees every later row a column *)
+        for r' = r + 1 to k - 1 do
+          ignore (seek_type r' first dir)
+        done;
+        for r' = r to k - 1 do
+          prod.(r') <- (if r' = 0 then monomial 0 else t.mul prod.(r' - 1) (monomial r'))
+        done;
+        value := Some prod.(k - 1)
+      end
+    in
+    {
+      Enum.Iter.current = (fun () -> !value);
+      next = move 1;
+      prev = move (-1);
+      reset =
+        (fun () ->
+          for r = 0 to k - 1 do
+            if pos.(r) >= 0 then release r
+          done;
+          value := None);
+      is_empty = (fun () -> false);
+    }
+  end

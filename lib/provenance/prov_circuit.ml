@@ -2,10 +2,10 @@
     elements (Theorem 22).
 
     A circuit is evaluated into a DAG of iterators: additions become
-    concatenations, multiplications become products mapped through
-    monomial multiplication, and permanent gates become the constant-delay
+    concatenations, multiplications become products through monomial
+    multiplication, and permanent gates become the constant-delay
     permanent enumerators of Lemma 23 (a one-row permanent is the sum of
-    its row, and is built as one).
+    its row, and is built as one; a one-child sum is its child's cursor).
 
     Enumeration reads a maintained emptiness index: every gate's boolean
     projection (Lemma 23's h: is its value non-empty?), each input gate's
@@ -16,12 +16,18 @@
     each key's input gate through a flat table of packed integer keys,
     gives the gate its last recorded value, and walks upward from each
     input whose emptiness flipped, stopping at the first parent whose h
-    is unchanged. An enumerator then builds only the output's iterator;
-    every child reference becomes a cursor that is built at its first
-    movement ({!Enum.Iter.deferred}, or {!Enum.Iter.concat_init} for the
-    children of a sum), and an empty child is skipped without descending.
-    So the work per [enumerate] is the changed inputs and the gates whose
-    emptiness they flip, plus the cursors the enumeration actually moves.
+    is unchanged. An enumerator then builds only the output's iterator,
+    and a running one holds only its live path: a sum builds a child's
+    cursor each time its concatenation enters the child
+    ({!Enum.Iter.concat_init}) and drops it on leaving; a product builds
+    its operands with itself and moves both as soon as it is entered; a
+    permanent builds a row's entry cursor when the row takes its column
+    and drops it when the row leaves it. An empty child is skipped
+    without descending. So the work per [enumerate] is the changed
+    inputs and the gates whose emptiness they flip, plus the cursors the
+    enumeration actually moves. The price is that a cursor entered again
+    (under a product's right operand, or under a permanent's later rows)
+    is built again, a permanent's column classes included.
 
     Gates may be shared between parents (the optimizer's hash-consing
     makes sharing common even for non-leaf gates), but every reference
@@ -163,6 +169,9 @@ type 'g index = {
       (** keys recorded since the last refresh; past the slot count the
           slots are dropped and the next refresh rebuilds every gate *)
   drained : int array;  (** the input gates the running drain has marked *)
+  mutable hall_counts : int array;
+      (** the column counts per type of the permanent whose h is being
+          recomputed, grown to the widest type set met so far *)
 }
 
 (** Prepared provenance query: compile once (linear time), then build
@@ -256,15 +265,17 @@ let gate_h ix (node : bool Circuits.Circuit.node) =
   | Mul gs -> for_all_ne ix gs 0
   | Perm rows ->
       let k = Array.length rows in
-      let counts = Array.make (1 lsl k) 0 in
+      if Array.length ix.hall_counts < 1 lsl k then ix.hall_counts <- Array.make (1 lsl k) 0
+      else Array.fill ix.hall_counts 0 (1 lsl k) 0;
+      let counts = ix.hall_counts in
       for c = 0 to (if k = 0 then 0 else Array.length rows.(0)) - 1 do
         let ty = ref 0 in
         for r = 0 to k - 1 do
           if ne ix rows.(r).(c) then ty := !ty lor (1 lsl r)
         done;
-        counts.(!ty) <- min k (counts.(!ty) + 1)
+        counts.(!ty) <- counts.(!ty) + 1
       done;
-      Perm.Enum_perm.hall ~k ~avail:(Array.get counts) ((1 lsl k) - 1)
+      Perm.Enum_perm.hall ~k counts ((1 lsl k) - 1)
 
 let set_h ix g h = Bytes.set ix.nonempty g (if h then '\001' else '\000')
 
@@ -339,6 +350,7 @@ let build_index t =
       pending_leaf = Array.make inputs [||];
       pending = 0;
       drained = Array.make inputs 0;
+      hall_counts = [||];
     }
   in
   recompute_all t ix;
@@ -417,36 +429,30 @@ let enumerate (type g) (t : g t) : g Free.mono Enum.Iter.t =
         ix
   in
   let ne = ne ix in
-  (* [build id] for a non-empty gate; [child] is one reference to a gate,
-     [sum] the concatenation of the non-empty ones among [gs], each built
-     when the concatenation first enters it *)
+  (* [build id] for a non-empty gate; [cursor id] is one reference to it *)
   let rec build id : g Free.mono Enum.Iter.t =
     match nodes.(id) with
     | Input _ -> Enum.Iter.of_array ix.leaves.(id)
     | Const _ | Mul [||] -> Enum.Iter.singleton Free.mono_one
-    | Add gs -> sum gs
+    (* a one-row permanent is the sum of its row, a one-child sum the
+       child *)
+    | Add [| g |] | Perm [| [| g |] |] -> cursor g
+    | Add gs | Perm [| gs |] ->
+        Enum.Iter.concat_init (Array.length gs)
+          ~skip:(fun j -> not (ne gs.(j)))
+          (fun j -> cursor gs.(j))
     | Mul gs ->
-        let mul acc g =
-          Enum.Iter.map (fun (a, b) -> Free.mono_mul a b) (Enum.Iter.product acc (child g))
-        in
-        Array.fold_left mul (child gs.(0)) (Array.sub gs 1 (Array.length gs - 1))
-    (* a one-row permanent is the sum of its row *)
-    | Perm [| row |] -> sum row
+        let acc = ref (cursor gs.(0)) in
+        for j = 1 to Array.length gs - 1 do
+          acc := Enum.Iter.product Free.mono_mul !acc (cursor gs.(j))
+        done;
+        !acc
     | Perm rows ->
-        let entries = Array.map (Array.map child) rows in
         Perm.Enum_perm.enumerate
-          (Perm.Enum_perm.create ~mul:Free.mono_mul ~one:Free.mono_one entries)
-  and sum gs =
-    Enum.Iter.concat_init (Array.length gs)
-      ~skip:(fun j -> not (ne gs.(j)))
-      (fun j -> cursor gs.(j))
-  and child id =
-    if not (ne id) then Enum.Iter.empty
-    else
-      match nodes.(id) with
-      | Input _ | Const _ -> build id
-      | Add _ | Mul _ | Perm _ -> Enum.Iter.deferred (fun () -> cursor id)
-  (* [build id] at the first movement of a reference to gate [id] *)
+          (Perm.Enum_perm.create ~mul:Free.mono_mul ~one:Free.mono_one ~rows:(Array.length rows)
+             ~cols:(Array.length rows.(0))
+             ~nonzero:(fun r c -> ne rows.(r).(c))
+             ~entry:(fun r c -> cursor rows.(r).(c)))
   and cursor id =
     (match nodes.(id) with Input _ | Const _ -> () | _ -> Obs.Counter.incr m_cursors_built);
     build id

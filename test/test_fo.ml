@@ -287,6 +287,52 @@ let index_counts () =
     true
     (10 * index_words <= 6 * prepared_words)
 
+(* What a running enumerator holds, counted independently of the host:
+   after its 1,000th answer it reaches within 1,000 words of what it
+   reached after its first, since a concatenation keeps only the part it
+   is in and a permanent only its rows' entry cursors (when every
+   concatenation kept each part it had entered, these sides grew by
+   732k-761k words). *)
+let retention side () =
+  Obs.set_enabled true;
+  let t = Fo_enum.prepare ~dynamic:true (Db.Instance.of_graph (Graphs.Gen.grid side side)) phi_path2 in
+  let it = Fo_enum.enumerate t in
+  Enum.Iter.next it;
+  let first = Obj.reachable_words (Obj.repr it) in
+  for _ = 2 to 1000 do
+    Enum.Iter.next it
+  done;
+  check_bool "a 1,000th answer" true (Enum.Iter.current it <> None);
+  let later = Obj.reachable_words (Obj.repr it) in
+  Alcotest.(check bool)
+    (Printf.sprintf "side %d: %d words reachable after the 1,000th answer, %d after the first"
+       side later first)
+    true
+    (abs (later - first) <= 1000)
+
+(* The allocation of a steady-state pass at side 20, counted
+   independently of the host: at most 800 minor words per answer (550
+   when written, 1,830 while each answer's permanent was a stack of
+   closures and every product rebuilt its pair at each read). *)
+let words_per_answer () =
+  Obs.set_enabled true;
+  let t = Fo_enum.prepare ~dynamic:true (Db.Instance.of_graph (Graphs.Gen.grid 20 20)) phi_path2 in
+  let pass () =
+    let it = Fo_enum.enumerate t in
+    let answers = ref 0 in
+    Enum.Iter.next it;
+    while Enum.Iter.current it <> None do
+      incr answers;
+      Enum.Iter.next it
+    done;
+    !answers
+  in
+  ignore (pass ());
+  let w0 = Gc.minor_words () in
+  let answers = pass () in
+  let per = (Gc.minor_words () -. w0) /. float_of_int answers in
+  Alcotest.(check bool) (Printf.sprintf "%.1f minor words per answer <= 800" per) true (per <= 800.)
+
 (* The drain takes the values the updates carried: after the first
    [enumerate], interleaved updates of two keys (a, b, a, …), one
    recorded through [touch] and one through [update], cost the next
@@ -607,6 +653,10 @@ let suite =
     Alcotest.test_case "set_tuple re-adds a one-way arc" `Quick set_tuple_readds_one_way_arc;
     Alcotest.test_case "lazy build: cursors bounded per answer" `Quick lazy_build_counts;
     Alcotest.test_case "emptiness index: recomputed gates, words, size" `Quick index_counts;
+    Alcotest.test_case "retention: side 16" `Quick (retention 16);
+    Alcotest.test_case "retention: side 20" `Quick (retention 20);
+    Alcotest.test_case "retention: side 32" `Quick (retention 32);
+    Alcotest.test_case "steady-state pass: words per answer" `Quick words_per_answer;
     Alcotest.test_case "stale enumerator raises after a drain" `Quick stale_enumerator;
     Alcotest.test_case "drain: carried values, no ~weight read" `Quick drain_carried_values;
     Alcotest.test_case "drain: last value per input gate" `Quick drain_last_value;

@@ -297,51 +297,54 @@ let lasso_large_counts () =
   let t1 = Z4_fin.create m1 in
   check_int "Z4 1xn all ones = n mod 4" (n mod 4) (Z4_fin.perm t1)
 
-(* the enumerator permanent of Lemma 23 *)
+(* the enumerator permanent of Lemma 23, over a matrix whose cells list
+   their monomials: an empty cell is a zero entry *)
 let monomial_mul a b = List.sort compare (a @ b)
+
+let enum_perm (cells : string list list array array) =
+  let k = Array.length cells in
+  Perm.Enum_perm.create ~mul:monomial_mul ~one:[] ~rows:k
+    ~cols:(if k = 0 then 0 else Array.length cells.(0))
+    ~nonzero:(fun r c -> cells.(r).(c) <> [])
+    ~entry:(fun r c -> Enum.Iter.of_list cells.(r).(c))
+
+let monomials cells = Enum.Iter.to_list (Perm.Enum_perm.enumerate (enum_perm cells))
+let sorted_monomials cells = List.sort compare (monomials cells)
+let e name = [ [ name ] ]
+let z : string list list = []
+let check_monomials = Alcotest.(check (list (list string)))
 
 let enum_perm_simple () =
   (* 2x2 matrix of singleton monomials: perm enumerates both assignments *)
-  let e name = Enum.Iter.singleton [ name ] in
-  let m = [| [| e "a1"; e "a2" |]; [| e "b1"; e "b2" |] |] in
-  let t = Perm.Enum_perm.create ~mul:monomial_mul ~one:[] m in
-  let results = Enum.Iter.to_list (Perm.Enum_perm.enumerate t) in
-  let sorted = List.sort compare results in
-  Alcotest.(check (list (list string)))
-    "perm monomials"
+  check_monomials "perm monomials"
     [ [ "a1"; "b2" ]; [ "a2"; "b1" ] ]
-    sorted
+    (sorted_monomials [| [| e "a1"; e "a2" |]; [| e "b1"; e "b2" |] |])
 
 let enum_perm_respects_zeroes () =
-  let e name = Enum.Iter.singleton [ name ] in
-  let z : string list Enum.Iter.t = Enum.Iter.empty in
   (* row 0 can only use column 0; row 1 can use both *)
   let m = [| [| e "a1"; z |]; [| e "b1"; e "b2" |] |] in
-  let t = Perm.Enum_perm.create ~mul:monomial_mul ~one:[] m in
-  let results = List.sort compare (Enum.Iter.to_list (Perm.Enum_perm.enumerate t)) in
-  Alcotest.(check (list (list string))) "only valid assignment" [ [ "a1"; "b2" ] ] results;
-  Alcotest.(check bool) "nonzero" true (Perm.Enum_perm.nonzero t)
+  check_monomials "only valid assignment" [ [ "a1"; "b2" ] ] (sorted_monomials m);
+  Alcotest.(check bool) "nonzero" true (Perm.Enum_perm.nonzero (enum_perm m))
 
 let enum_perm_infeasible () =
-  let z : string list Enum.Iter.t = Enum.Iter.empty in
-  let e name = Enum.Iter.singleton [ name ] in
   (* both rows restricted to the same single column: no injective choice *)
   let m = [| [| e "a1"; z |]; [| e "b1"; z |] |] in
-  let t = Perm.Enum_perm.create ~mul:monomial_mul ~one:[] m in
-  Alcotest.(check bool) "infeasible" false (Perm.Enum_perm.nonzero t);
-  Alcotest.(check int) "no monomials" 0 (Enum.Iter.length (Perm.Enum_perm.enumerate t))
+  Alcotest.(check bool) "infeasible" false (Perm.Enum_perm.nonzero (enum_perm m));
+  Alcotest.(check int) "no monomials" 0 (List.length (monomials m))
 
 let enum_perm_multi_monomial () =
   (* entries that are themselves sums: (x + y) in one cell *)
-  let e names = Enum.Iter.of_list (List.map (fun n -> [ n ]) names) in
-  let m = [| [| e [ "x"; "y" ]; e [ "z" ] |]; [| e [ "u" ]; e [ "v" ] |] |] in
-  let t = Perm.Enum_perm.create ~mul:monomial_mul ~one:[] m in
-  let results = List.sort compare (Enum.Iter.to_list (Perm.Enum_perm.enumerate t)) in
+  let m = [| [| [ [ "x" ]; [ "y" ] ]; e "z" |]; [| e "u"; e "v" |] |] in
   (* perm = (x+y)·v + z·u, so monomials: xv, yv, zu *)
-  Alcotest.(check (list (list string)))
-    "expanded monomials"
+  check_monomials "expanded monomials"
     [ [ "u"; "z" ]; [ "v"; "x" ]; [ "v"; "y" ] ]
-    results
+    (sorted_monomials m)
+
+(* the cells of a 0/1 pattern: entry (r, c) is the monomial e<r>_<c> *)
+let pattern_cells pattern =
+  Array.mapi
+    (fun r row -> Array.mapi (fun c v -> if v = 1 then e (Printf.sprintf "e%d_%d" r c) else z) row)
+    pattern
 
 let enum_perm_matches_counting k =
   QCheck_alcotest.to_alcotest
@@ -350,50 +353,87 @@ let enum_perm_matches_counting k =
        ~count:30 (matrix_gen ~k ~maxn:6 ~maxv:1)
        (fun m ->
          (* monomial count of enum perm equals permanent over ℕ *)
-         let entries =
+         List.length (monomials (pattern_cells m)) = Nat_naive.perm m))
+
+(* Σ over injective f of Π_r M[r, f(r)], expanded naively *)
+let naive_expansion cells =
+  let k = Array.length cells in
+  let n = if k = 0 then 0 else Array.length cells.(0) in
+  let rec go r used acc =
+    if r = k then [ acc ]
+    else
+      List.concat
+        (List.init n (fun c ->
+             if List.mem c used then []
+             else List.concat_map (fun m -> go (r + 1) (c :: used) (monomial_mul acc m)) cells.(r).(c)))
+  in
+  go 0 [] []
+
+(* every movement of a full pass from ⊥, without [to_list]'s reset *)
+let drain it =
+  let rec go acc =
+    Enum.Iter.next it;
+    match Enum.Iter.current it with None -> List.rev acc | Some m -> go (m :: acc)
+  in
+  go []
+
+(* The odometer against the naive expansion, on matrices whose cells hold
+   0-3 monomials over four generators (so monomials repeat): the same
+   multiset forward, the reverse order backward, and the same list after
+   a reset in the middle of a pass. *)
+let enum_perm_matches_expansion k =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:(Printf.sprintf "enum perm = naive expansion, both directions, reset (k=%d)" k)
+       ~count:60
+       QCheck.(pair (matrix_gen ~k ~maxn:6 ~maxv:3) small_nat)
+       (fun (counts, stop) ->
+         let cells =
            Array.mapi
              (fun r row ->
                Array.mapi
                  (fun c v ->
-                   if v = 1 then Enum.Iter.singleton [ Printf.sprintf "e%d_%d" r c ]
-                   else Enum.Iter.empty)
+                   List.init v (fun i -> [ Printf.sprintf "v%d" (((7 * r) + (3 * c) + i) mod 4) ]))
                  row)
-             m
+             counts
          in
-         let t = Perm.Enum_perm.create ~mul:monomial_mul ~one:[] entries in
-         Enum.Iter.length (Perm.Enum_perm.enumerate t) = Nat_naive.perm m))
+         let it = Perm.Enum_perm.enumerate (enum_perm cells) in
+         let fwd = Enum.Iter.to_list it in
+         let bwd = Enum.Iter.to_list_rev it in
+         Enum.Iter.reset it;
+         for _ = 0 to stop mod (List.length fwd + 1) do
+           Enum.Iter.next it
+         done;
+         Enum.Iter.reset it;
+         let again = drain it in
+         List.sort compare fwd = List.sort compare (naive_expansion cells)
+         && bwd = List.rev fwd
+         && again = fwd))
 
+(* An edited pattern is a new matrix: the enumerator of each one is
+   created from it. *)
 let enum_perm_update () =
-  let e name = Enum.Iter.singleton [ name ] in
   let m = [| [| e "a1"; e "a2" |]; [| e "b1"; e "b2" |] |] in
-  let t = Perm.Enum_perm.create ~mul:monomial_mul ~one:[] m in
-  Perm.Enum_perm.set_entry t ~row:0 ~col:1 Enum.Iter.empty;
-  let results = List.sort compare (Enum.Iter.to_list (Perm.Enum_perm.enumerate t)) in
-  Alcotest.(check (list (list string))) "after zeroing a2" [ [ "a1"; "b2" ] ] results;
-  Perm.Enum_perm.set_entry t ~row:0 ~col:1 (e "a2'");
-  let results = List.sort compare (Enum.Iter.to_list (Perm.Enum_perm.enumerate t)) in
-  Alcotest.(check (list (list string)))
-    "after restoring" [ [ "a1"; "b2" ]; [ "a2'"; "b1" ] ] results
+  m.(0).(1) <- z;
+  check_monomials "after zeroing a2" [ [ "a1"; "b2" ] ] (sorted_monomials m);
+  m.(0).(1) <- e "a2'";
+  check_monomials "after restoring" [ [ "a1"; "b2" ]; [ "a2'"; "b1" ] ] (sorted_monomials m)
 
-(* A column driven all-zero → non-zero → all-zero through set_entry: it
-   leaves and re-enters the type lists, and the monomial count follows
-   the ℕ permanent of the 0/1 pattern at every step. *)
+(* A column driven all-zero → non-zero → all-zero: it leaves and enters
+   the column classes, and the monomial count follows the ℕ permanent of
+   the 0/1 pattern at every step. *)
 let enum_perm_type0_column () =
   let pattern = [| [| 1; 0; 1 |]; [| 1; 0; 0 |] |] in
-  let cell r c = Enum.Iter.singleton [ Printf.sprintf "e%d_%d" r c ] in
-  let m = Array.mapi (fun r row -> Array.mapi (fun c v -> if v = 1 then cell r c else Enum.Iter.empty) row) pattern in
-  let t = Perm.Enum_perm.create ~mul:monomial_mul ~one:[] m in
   let check step =
-    let got = Enum.Iter.to_list (Perm.Enum_perm.enumerate t) in
+    let cells = pattern_cells pattern in
+    let got = monomials cells in
     check_int (step ^ ": count = nat perm") (Nat_naive.perm pattern) (List.length got);
     check_int (step ^ ": duplicate-free") (List.length got)
       (List.length (List.sort_uniq compare got));
-    check_bool (step ^ ": nonzero") (Nat_naive.perm pattern > 0) (Perm.Enum_perm.nonzero t)
+    check_bool (step ^ ": nonzero") (Nat_naive.perm pattern > 0)
+      (Perm.Enum_perm.nonzero (enum_perm cells))
   in
-  let set r c v =
-    pattern.(r).(c) <- v;
-    Perm.Enum_perm.set_entry t ~row:r ~col:c (if v = 1 then cell r c else Enum.Iter.empty)
-  in
+  let set r c v = pattern.(r).(c) <- v in
   check "column 1 all-zero";
   set 1 1 1;
   check "row 1 entry on";
@@ -558,6 +598,9 @@ let suite =
     enum_perm_matches_counting 1;
     enum_perm_matches_counting 2;
     enum_perm_matches_counting 3;
+    enum_perm_matches_expansion 1;
+    enum_perm_matches_expansion 2;
+    enum_perm_matches_expansion 3;
     Alcotest.test_case "enum perm: updates" `Quick enum_perm_update;
     Alcotest.test_case "enum perm: type-0 column" `Quick enum_perm_type0_column;
   ]
