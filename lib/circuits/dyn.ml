@@ -531,7 +531,7 @@ let perm_what_if t id st =
   t.pending.(id) <- [];
   match st with
   | PSeg s -> Perm.Segtree.perm_with s t.scratch writes
-  | PRing s -> Perm.Ring.perm_with s writes
+  | PRing s -> Perm.Ring.perm_with s t.scratch writes
   | PFin s -> Perm.Finite.perm_with s t.scratch writes
 
 (* A what-if reads a counting gate through a copy of its counters in the

@@ -48,7 +48,7 @@ type weight_kind = Enum_var of int | Pos of string | Neg of string
 (* Theorem 24 observables (scope "fo_enum"): linear-time preprocessing and
    constant per-answer delay. [answer_work] is the per-answer iterator
    tick delta — the machine-independent form of the constant-delay claim;
-   [answer_ns] its wall-clock shadow. *)
+   [answer_ns] its wall-clock shadow, sampled. *)
 let m_prepares = Obs.counter ~scope:"fo_enum" "prepares"
 let m_answers = Obs.counter ~scope:"fo_enum" "answers"
 let m_updates = Obs.counter ~scope:"fo_enum" "updates"
@@ -208,53 +208,63 @@ let meta t = Provenance.Prov_circuit.meta t.prov
 let stats t = Provenance.Prov_circuit.circuit_stats t.prov
 
 (* decode a monomial into an answer tuple *)
-let decode k (m : gen Provenance.Free.mono) : int array =
-  let ans = Array.make k (-1) in
-  List.iter (fun (i, a) -> ans.(i) <- a) m;
-  ans
+let rec fill ans = function
+  | [] -> ans
+  | (i, a) :: rest ->
+      ans.(i) <- a;
+      fill ans rest
 
-(* Wrap an answer iterator so each movement that lands on an answer
-   records its delay and its iterator-tick work into the "fo_enum"
-   histograms, and every [answer_sample_every]-th answer also as a trace
-   span (sampled: a full enumeration can yield millions of answers, and
-   the constant-delay claim needs only a sample to show up in Perfetto).
-   Only built when metrics are enabled; the unobserved path is the raw
-   iterator. *)
-let answer_sample_every = 64
+let decode k (m : gen Provenance.Free.mono) : int array = fill (Array.make k (-1)) m
 
-let observe_iter (it : 'a Enum.Iter.t) : 'a Enum.Iter.t =
-  let observed move () =
-    let t0 = Obs.now_ns () in
-    let ticks0 = !Enum.Iter.ticks in
-    move ();
-    match it.Enum.Iter.current () with
-    | Some _ ->
-        Obs.Counter.incr m_answers;
-        let work = !Enum.Iter.ticks - ticks0 in
-        Obs.Histogram.observe h_answer_ns (Obs.elapsed_ns t0);
-        Obs.Histogram.observe h_answer_work (float_of_int work);
-        if Obs.Counter.get m_answers mod answer_sample_every = 0 then
-          Obs.Trace.complete ~scope:"fo_enum" "answer" ~start_ns:t0
-            ~attrs:[ ("work", Obs.Trace.I work) ]
-    | None -> ()
-  in
-  {
-    it with
-    Enum.Iter.next = observed it.Enum.Iter.next;
-    prev = observed it.Enum.Iter.prev;
-  }
+(* One movement of an enumeration run [r], observed: each movement that
+   lands on an answer counts it and records its iterator-tick work, and
+   one movement in 64, counted across all enumerators ({!Obs.sampler}),
+   also records its delay and, if it lands on an answer, a trace span (a
+   full enumeration can yield millions of answers, and the constant-delay
+   claim needs only a sample). It reads no answer. *)
+let answer_sample = Obs.sampler ()
+
+let observed_step r dir =
+  let hit = Obs.sampled answer_sample in
+  let t0 = if hit then Obs.now_ns () else 0. in
+  let ticks0 = !Enum.Iter.ticks in
+  Provenance.Prov_circuit.step r dir;
+  if Provenance.Prov_circuit.live r then begin
+    Obs.Counter.incr m_answers;
+    let work = !Enum.Iter.ticks - ticks0 in
+    Obs.Histogram.observe h_answer_work (float_of_int work);
+    if hit then begin
+      Obs.Histogram.observe h_answer_ns (Obs.elapsed_ns t0);
+      Obs.Trace.complete ~scope:"fo_enum" "answer" ~start_ns:t0
+        ~attrs:[ ("work", Obs.Trace.I work) ]
+    end
+  end
 
 (** A fresh constant-delay enumerator over the answers (each exactly
-    once). Enumerators share one emptiness index: an enumerator stays
-    valid across later {!set_tuple} calls (it keeps yielding the answers
-    of the data it was created on) until the next [enumerate] drains
-    those updates; after that its [next]/[prev] raise
-    [Robust.Error (Bad_input _)] (a stale enumerator). *)
+    once): one {!Enum.Iter.t} handle over a {!Provenance.Prov_circuit.run},
+    observed when metrics are enabled at its creation. Enumerators share
+    one emptiness index: an enumerator stays valid across later
+    {!set_tuple} calls (it keeps yielding the answers of the data it was
+    created on) until the next [enumerate] drains those updates; after
+    that its [next]/[prev] raise [Robust.Error (Bad_input _)] (a stale
+    enumerator). *)
 let enumerate t : int array Enum.Iter.t =
-  let it =
-    Enum.Iter.map (decode (List.length t.free_vars)) (Provenance.Prov_circuit.enumerate t.prov)
+  let k = List.length t.free_vars in
+  let r = Provenance.Prov_circuit.start t.prov in
+  let step =
+    if Obs.is_enabled () then observed_step r
+    else Provenance.Prov_circuit.step r
   in
-  if Obs.is_enabled () then observe_iter it else it
+  {
+    Enum.Iter.current =
+      (fun () ->
+        if Provenance.Prov_circuit.live r then Some (decode k (Provenance.Prov_circuit.value r))
+        else None);
+    next = (fun () -> step 1);
+    prev = (fun () -> step (-1));
+    reset = (fun () -> Provenance.Prov_circuit.reset r);
+    is_empty = (fun () -> Provenance.Prov_circuit.is_empty r);
+  }
 
 (** All answers as a list (a full enumeration pass, for tests and small
     outputs). *)

@@ -277,11 +277,12 @@ module Histogram = struct
     }
 
   (** Bucket index of a value: 0 for v < 1, else the exponent e with
-      v ∈ [2^(e−1), 2^e), clamped to the last bucket. *)
+      v ∈ [2^(e−1), 2^e), clamped to the last bucket. Read from the
+      biased exponent bits, since [Float.frexp] allocates its pair. *)
   let bucket_of v =
     if Float.is_nan v || v < 1.0 then 0
     else
-      let _, e = Float.frexp v in
+      let e = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 52) - 1022 in
       if e >= nbuckets then nbuckets - 1 else e
 
   (** Inclusive lower / exclusive upper bound of bucket [i]. *)

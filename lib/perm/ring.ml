@@ -166,15 +166,42 @@ let set_many t (updates : (int * int * 'a) list) =
 
 let get t ~row ~col = t.columns.(col).(row)
 
+(* the contribution of column [col] with row [row] reading [v] to the
+   power sum over [mask] *)
+let contrib_with ops k col mask row v =
+  let open Semiring.Intf in
+  let acc = ref ops.one in
+  for r = 0 to k - 1 do
+    if mask land (1 lsl r) <> 0 then acc := ops.mul !acc (if r = row then v else col.(r))
+  done;
+  !acc
+
 (** The permanent after the entry writes [writes] without writing the
-    structure: the column deltas move a copy of the power sums, and the
-    permanent is evaluated from that copy. *)
-let perm_with t (writes : (int * int * 'a) list) =
+    structure: the column deltas move a copy of the power sums in the
+    scratch buffer [s], and the permanent is evaluated from that copy. A
+    single write, a point query's usual case, adjusts the sums over the
+    masks that meet its row in place, with no copy of its column. *)
+let perm_with t (s : 'a Scratch.t) (writes : (int * int * 'a) list) =
+  let size = 1 lsl t.k in
   match writes with
   | [] -> perm t
+  | [ (row, col, v) ] ->
+      if row < 0 || row >= t.k then invalid_arg "Ring_perm.perm_with: bad row";
+      if col < 0 || col >= t.n then invalid_arg "Ring_perm.perm_with: bad col";
+      let sums = Scratch.vals s size and old_col = t.columns.(col) and ops = t.ops in
+      Array.blit t.sums 0 sums 0 size;
+      for mask = 1 to size - 1 do
+        if mask land (1 lsl row) <> 0 then
+          sums.(mask) <-
+            ops.Semiring.Intf.add
+              (ops.Semiring.Intf.add sums.(mask) (t.neg (column_contrib ops t.k old_col mask)))
+              (contrib_with ops t.k old_col mask row v)
+      done;
+      perm_of t sums
   | _ ->
       validate "Ring_perm.perm_with" t writes;
-      let sums = Array.copy t.sums in
+      let sums = Scratch.vals s size in
+      Array.blit t.sums 0 sums 0 size;
       move_sums t sums writes ~commit:(fun _ _ -> ());
       perm_of t sums
 

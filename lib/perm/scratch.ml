@@ -1,8 +1,8 @@
 (** Reusable scratch buffers for the what-if permanent reads
-    ([Segtree.perm_with], [Finite.perm_with]): one owner (a dynamic
-    circuit) lends them to whichever permanent it is reading, so a read
-    allocates nothing once the buffers have grown to the largest request
-    and no permanent carries buffers of its own. *)
+    ([Segtree.perm_with], [Ring.perm_with], [Finite.perm_with]): one
+    owner (a dynamic circuit) lends them to whichever permanent it is
+    reading, so a read allocates nothing once the buffers have grown to
+    the largest request and no permanent carries buffers of its own. *)
 
 type 'a t = { fill : 'a; mutable vals : 'a array; mutable ints : int array }
 

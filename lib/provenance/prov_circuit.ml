@@ -1,46 +1,50 @@
 (** Evaluation of circuits in the free semiring with iterator-represented
     elements (Theorem 22).
 
-    A circuit is evaluated into a DAG of iterators: additions become
-    concatenations, multiplications become products through monomial
-    multiplication, and permanent gates become the constant-delay
-    permanent enumerators of Lemma 23 (a one-row permanent is the sum of
-    its row, and is built as one; a one-child sum is its child's cursor).
+    A circuit is enumerated through frames, one mutable record per live
+    cursor: an addition is a sum over its parts, a multiplication an
+    odometer over its factors (the first slowest) through monomial
+    multiplication, and a permanent gate the constant-delay odometer of
+    Lemma 23 ({!Perm.Enum_perm}), whose row entries are frames (a
+    one-row permanent is the sum of its row; a one-child sum is its
+    child).
 
     Enumeration reads a maintained emptiness index: every gate's boolean
     projection (Lemma 23's h: is its value non-empty?), each input gate's
     current monomials resolved into an array, and the circuit's parent
-    lists. The first [enumerate] builds the index in one bottom-up pass;
+    lists. The first [start] builds the index in one bottom-up pass;
     after that an update only records its input key and the new value,
-    and the next [enumerate] drains the records newest first: it finds
-    each key's input gate through a flat table of packed integer keys,
-    gives the gate its last recorded value, and walks upward from each
-    input whose emptiness flipped, stopping at the first parent whose h
-    is unchanged. An enumerator then builds only the output's iterator,
-    and a running one holds only its live path: a sum builds a child's
-    cursor each time its concatenation enters the child
-    ({!Enum.Iter.concat_init}) and drops it on leaving; a product builds
-    its operands with itself and moves both as soon as it is entered; a
-    permanent builds a row's entry cursor when the row takes its column
-    and drops it when the row leaves it. An empty child is skipped
-    without descending. So the work per [enumerate] is the changed
-    inputs and the gates whose emptiness they flip, plus the cursors the
-    enumeration actually moves. The price is that a cursor entered again
-    (under a product's right operand, or under a permanent's later rows)
-    is built again, a permanent's column classes included.
+    and the next [start] drains the records newest first: it finds each
+    key's input gate through a flat table of packed integer keys, gives
+    the gate its last recorded value, and walks upward from each input
+    whose emptiness flipped, stopping at the first parent whose h is
+    unchanged. An enumeration then aims one root frame at the output.
+
+    A frame is re-aimed in place at each gate it is to walk ({!aim}),
+    never rebuilt: a sum keeps one part frame and re-aims it at each
+    part it enters, skipping empty parts without descending; a product
+    aims its factor frames when it is aimed; a permanent re-aims a row's
+    frame at each column the row takes. Child slots and a permanent's
+    arrays grow to the widest gate met so far and are then reused, so a
+    running enumeration holds only its live path, and a pass after the
+    first allocates no frame: an answer costs its movements and the
+    monomial products it computes. So the work per [start] is the changed
+    inputs and the gates whose emptiness they flip, plus the frames the
+    enumeration actually moves; a frame entered again (under a product's
+    later factors, or under a permanent's later rows) is re-aimed again,
+    a permanent's column classes included.
 
     Gates may be shared between parents (the optimizer's hash-consing
     makes sharing common even for non-leaf gates), but every reference
-    gets its own fresh cursor — sharing in the circuit never aliases
-    stateful iterators, so no iterator ever appears in two
-    simultaneously-active positions.
+    is walked by its own frame, so sharing in the circuit never puts one
+    frame in two simultaneously-active positions.
 
     Constants must be the booleans 0 and 1 of the compilation (false ↦
-    empty iterator, true ↦ the single empty monomial) — exactly what
+    empty, true ↦ the single empty monomial) — exactly what
     [Engine.Compile] emits when compiling with [~zero:false ~one:true]. *)
 
-(* Cursors built during enumeration: one per visited non-leaf gate
-   reference, so its growth per answer measures the lazy build. *)
+(* Cursors entered during enumeration: one per non-leaf gate reference a
+   frame is aimed at, so its growth per answer measures the lazy build. *)
 let m_cursors_built = Obs.counter ~scope:"provenance" "cursors_built"
 
 (* Parents whose h the index refresh recomputes: the work an update costs
@@ -411,13 +415,238 @@ let refresh t ix =
     t.generation <- t.generation + 1
   end
 
-(** A fresh constant-delay enumerator for the monomials of the query value
-    under the current weights. It reads the shared index: once a later
-    [enumerate] has drained an update, using it raises
-    [Robust.Error (Bad_input _)] (a stale enumerator). *)
-let enumerate (type g) (t : g t) : g Free.mono Enum.Iter.t =
+(* --- enumeration through frames --- *)
+
+type kind = Leaf | One | Sum | Product | Permanent
+
+(** One live cursor of an enumeration: a mutable record re-aimed in place
+    at each gate it is to enumerate (see {!aim}), never rebuilt. It walks
+    the cyclic sequence ⊥, m₁, …, m_l of its gate's monomials; [live] is
+    false at ⊥. *)
+type 'g frame = {
+  ctx : 'g ctx;
+  mutable kind : kind;
+  mutable pos : int;
+      (** a leaf's position in [leaf] (0 at ⊥, i at its i-th monomial), a
+          sum's part (-1 at ⊥) *)
+  mutable live : bool;
+  mutable value : 'g Free.mono;  (** the current monomial when [live] *)
+  mutable leaf : 'g Free.mono array;  (** an input gate's monomials *)
+  mutable gs : int array;  (** a sum's parts, a product's factors *)
+  mutable rows : int array array;  (** a permanent's matrix *)
+  mutable kids : 'g frame array;
+      (** child slots: a sum's part in slot 0, a product's factors in
+          order; each allocated the first time it is used *)
+  mutable prods : 'g Free.mono array;
+      (** a product's prefix products: [prods.(i)] is factors 0..i's *)
+  mutable perm : ('g frame, 'g frame, 'g Free.mono) Perm.Enum_perm.t option;
+      (** a permanent's odometer, over row frames *)
+}
+
+(* What every frame of one enumeration reads: the gates and the index. *)
+and 'g ctx = { nodes : bool Circuits.Circuit.node array; ix : 'g index }
+
+(* Frames allocated: a steady-state pass re-aims the ones it has. *)
+let m_frames = Obs.counter ~scope:"provenance" "frames_made"
+
+let blank ctx =
+  Obs.Counter.incr m_frames;
+  {
+    ctx;
+    kind = One;
+    pos = 0;
+    live = false;
+    value = Free.mono_one;
+    leaf = [||];
+    gs = [||];
+    rows = [||];
+    kids = [||];
+    prods = [||];
+    perm = None;
+  }
+
+(* [f]'s child slots, with at least [n] of them: a slot is allocated at
+   its first use, and the slots grow to the widest gate [f] has met. *)
+let slots f n =
+  if n > Array.length f.kids then begin
+    let old = f.kids in
+    f.kids <- Array.init n (fun j -> if j < Array.length old then old.(j) else blank f.ctx)
+  end;
+  f.kids
+
+let counted ctx id =
+  match ctx.nodes.(id) with
+  | Input _ | Const _ -> ()
+  | _ -> Obs.Counter.incr m_cursors_built
+
+(** [aim f id] points [f] at gate [id], which must be non-empty, at ⊥. A
+    one-child sum or one-row one-column permanent resolves to its child,
+    each link counted in [provenance/cursors_built] like the other
+    non-leaf references a frame is aimed at (the caller counts [id]); a
+    product aims its factors at once, a sum its part when it enters it,
+    a permanent a row's entry when the row takes its column. *)
+let rec aim f id =
   let open Circuits.Circuit in
-  let nodes = t.circuit.nodes in
+  let ix = f.ctx.ix in
+  f.live <- false;
+  match f.ctx.nodes.(id) with
+  | Add [| g |] | Perm [| [| g |] |] | Mul [| g |] ->
+      counted f.ctx g;
+      aim f g
+  | Input _ ->
+      f.kind <- Leaf;
+      f.leaf <- ix.leaves.(id);
+      f.pos <- 0
+  | Const _ | Mul [||] | Perm [||] ->
+      f.kind <- One;
+      f.value <- Free.mono_one
+  | Add gs | Perm [| gs |] ->
+      f.kind <- Sum;
+      f.gs <- gs;
+      f.pos <- -1
+  | Mul gs ->
+      let n = Array.length gs in
+      f.kind <- Product;
+      f.gs <- gs;
+      if Array.length f.prods < n then f.prods <- Array.make n Free.mono_one;
+      let factors = slots f n in
+      for i = 0 to n - 1 do
+        counted f.ctx gs.(i);
+        aim factors.(i) gs.(i)
+      done
+  | Perm rows -> (
+      f.kind <- Permanent;
+      f.rows <- rows;
+      let k = Array.length rows and n = Array.length rows.(0) in
+      match f.perm with
+      | Some st -> Perm.Enum_perm.aim st f ~rows:k ~cols:n
+      | None -> f.perm <- Some (Perm.Enum_perm.create entries f ~rows:k ~cols:n))
+
+(** One movement of [f], forward for a positive [dir], else backward:
+    one tick, a permanent's counted by its odometer. *)
+and move f dir =
+  if f.kind <> Permanent then Enum.Iter.tick ();
+  match f.kind with
+  | Leaf ->
+      let l = Array.length f.leaf in
+      f.pos <- (f.pos + if dir > 0 then 1 else l) mod (l + 1);
+      f.live <- f.pos > 0;
+      if f.live then f.value <- f.leaf.(f.pos - 1)
+  | One -> f.live <- not f.live
+  | Sum ->
+      if f.pos < 0 then enter f (if dir > 0 then 0 else Array.length f.gs - 1) dir
+      else begin
+        let part = f.kids.(0) in
+        move part dir;
+        if part.live then f.value <- part.value else enter f (f.pos + dir) dir
+      end
+  | Product ->
+      (* an odometer, the first factor slowest, with the factors' prefix
+         products recomputed from the first one that moved *)
+      let n = Array.length f.gs in
+      let r =
+        if f.live then carry f (n - 1) dir
+        else begin
+          (* at ⊥ every factor is at ⊥: each moves onto its first (or
+             last) monomial *)
+          for i = 0 to n - 1 do
+            move f.kids.(i) dir
+          done;
+          0
+        end
+      in
+      if r < 0 then f.live <- false
+      else begin
+        for i = r to n - 1 do
+          f.prods.(i) <-
+            (if i = 0 then f.kids.(0).value else Free.mono_mul f.prods.(i - 1) f.kids.(i).value)
+        done;
+        f.value <- f.prods.(n - 1);
+        f.live <- true
+      end
+  | Permanent -> (
+      match f.perm with
+      | Some st ->
+          Perm.Enum_perm.move st dir;
+          f.live <- Perm.Enum_perm.live st;
+          if f.live then f.value <- Perm.Enum_perm.value st
+      | None -> ())
+
+(* The sum [f] enters its first non-empty part from [j] on, stepping by
+   [dir], or goes to ⊥ past the last one. *)
+and enter f j dir =
+  if j < 0 || j >= Array.length f.gs then begin
+    f.pos <- -1;
+    f.live <- false
+  end
+  else if not (ne f.ctx.ix f.gs.(j)) then enter f (j + dir) dir
+  else begin
+    let part = (slots f 1).(0) in
+    counted f.ctx f.gs.(j);
+    aim part f.gs.(j);
+    move part dir;
+    f.pos <- j;
+    f.live <- true;
+    f.value <- part.value
+  end
+
+(* Factor [i] of the product [f] moves; if it runs out, the factor
+   before it carries and factor [i] moves again, onto its first (or last)
+   monomial. The first factor that moved, or -1 when every factor ran
+   out. *)
+and carry f i dir =
+  if i < 0 then -1
+  else begin
+    let factor = f.kids.(i) in
+    move factor dir;
+    if factor.live then i
+    else begin
+      let r = carry f (i - 1) dir in
+      if r >= 0 then move factor dir;
+      r
+    end
+  end
+
+(* A permanent's rows are frames aimed at its non-empty entries. *)
+and entries : ('g frame, 'g frame, 'g Free.mono) Perm.Enum_perm.entries =
+  {
+    nonzero = (fun f r c -> ne f.ctx.ix f.rows.(r).(c));
+    make = (fun f -> blank f.ctx);
+    aim =
+      (fun e f r c ->
+        counted f.ctx f.rows.(r).(c);
+        aim e f.rows.(r).(c));
+    step =
+      (fun e dir ->
+        move e dir;
+        e.live);
+    value = (fun e -> e.value);
+    mul = Free.mono_mul;
+    one = Free.mono_one;
+  }
+
+(* Back to ⊥; a product's factors too, since it enters with all of them
+   at ⊥ (a sum re-aims its part, and a permanent its rows, on entry). *)
+let rec rewind f =
+  f.live <- false;
+  match f.kind with
+  | Leaf | One -> f.pos <- 0
+  | Sum -> f.pos <- -1
+  | Product ->
+      for i = 0 to Array.length f.gs - 1 do
+        rewind f.kids.(i)
+      done
+  | Permanent -> Option.iter Perm.Enum_perm.reset f.perm
+
+(** A running enumeration: its root frame, or none when the query value
+    is empty, and the index generation it was started at. *)
+type 'g run = { owner : 'g t; root : 'g frame option; generation : int }
+
+(** Start a constant-delay enumeration of the monomials of the query
+    value under the current weights, at ⊥. It reads the shared index:
+    once a later [start] has drained an update, moving it raises
+    [Robust.Error (Bad_input _)] (a stale enumerator). *)
+let start (t : 'g t) : 'g run =
   let ix =
     match t.index with
     | Some ix ->
@@ -428,43 +657,42 @@ let enumerate (type g) (t : g t) : g Free.mono Enum.Iter.t =
         t.index <- Some ix;
         ix
   in
-  let ne = ne ix in
-  (* [build id] for a non-empty gate; [cursor id] is one reference to it *)
-  let rec build id : g Free.mono Enum.Iter.t =
-    match nodes.(id) with
-    | Input _ -> Enum.Iter.of_array ix.leaves.(id)
-    | Const _ | Mul [||] -> Enum.Iter.singleton Free.mono_one
-    (* a one-row permanent is the sum of its row, a one-child sum the
-       child *)
-    | Add [| g |] | Perm [| [| g |] |] -> cursor g
-    | Add gs | Perm [| gs |] ->
-        Enum.Iter.concat_init (Array.length gs)
-          ~skip:(fun j -> not (ne gs.(j)))
-          (fun j -> cursor gs.(j))
-    | Mul gs ->
-        let acc = ref (cursor gs.(0)) in
-        for j = 1 to Array.length gs - 1 do
-          acc := Enum.Iter.product Free.mono_mul !acc (cursor gs.(j))
-        done;
-        !acc
-    | Perm rows ->
-        Perm.Enum_perm.enumerate
-          (Perm.Enum_perm.create ~mul:Free.mono_mul ~one:Free.mono_one ~rows:(Array.length rows)
-             ~cols:(Array.length rows.(0))
-             ~nonzero:(fun r c -> ne rows.(r).(c))
-             ~entry:(fun r c -> cursor rows.(r).(c)))
-  and cursor id =
-    (match nodes.(id) with Input _ | Const _ -> () | _ -> Obs.Counter.incr m_cursors_built);
-    build id
+  let output = t.circuit.output in
+  let root =
+    if ne ix output then begin
+      let f = blank { nodes = t.circuit.nodes; ix } in
+      aim f output;
+      Some f
+    end
+    else None
   in
-  let it = if ne t.circuit.output then build t.circuit.output else Enum.Iter.empty in
-  let generation = t.generation in
-  let checked move () =
-    if t.generation <> generation then
-      Robust.bad_input "Prov_circuit: stale enumerator (an update was drained after it was built)";
-    move ()
-  in
-  { it with Enum.Iter.next = checked it.Enum.Iter.next; prev = checked it.Enum.Iter.prev }
+  { owner = t; root; generation = t.generation }
+
+(** One movement, forward for a positive [dir], else backward. *)
+let step r dir =
+  if r.owner.generation <> r.generation then
+    Robust.bad_input "Prov_circuit: stale enumerator (an update was drained after it was built)";
+  match r.root with Some f -> move f dir | None -> ()
+
+(** Whether the run is at a monomial, and that monomial. *)
+let live r = match r.root with Some f -> f.live | None -> false
+
+let value r = match r.root with Some f -> f.value | None -> Free.mono_one
+
+let reset r = Option.iter rewind r.root
+let is_empty r = Option.is_none r.root
+
+(** A fresh constant-delay enumerator for the monomials of the query value
+    under the current weights: the {!Enum.Iter.t} handle over a {!start}. *)
+let enumerate (t : 'g t) : 'g Free.mono Enum.Iter.t =
+  let r = start t in
+  {
+    Enum.Iter.current = (fun () -> if live r then Some (value r) else None);
+    next = (fun () -> step r 1);
+    prev = (fun () -> step r (-1));
+    reset = (fun () -> reset r);
+    is_empty = (fun () -> is_empty r);
+  }
 
 let meta t = t.meta
 

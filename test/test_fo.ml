@@ -236,10 +236,11 @@ let lazy_build_counts () =
    flip, the next enumerator recomputes only the parents along the flipped
    input's path upward, a count that does not grow with the grid (14-16
    on sides 8-32 when written); from the flip to the first answer it
-   allocates a couple of thousand words that barely grow with the grid
-   (2,221-2,372 on sides 8-32 when written, against at least 258k at side
-   20 while every enumerator re-ran the bottom-up pass, and 3,178-3,764
-   while a sum built a cursor for each of its non-empty children); and
+   allocates a few hundred words that barely grow with the grid (377-396
+   on sides 8-32 when written, against at least 258k at side 20 while
+   every enumerator re-ran the bottom-up pass, 3,178-3,764 while a sum
+   built a cursor for each of its non-empty children, and 2,221-2,372
+   while every cursor was a record of closures); and
    the index, parent lists and packed-key table included, is about half
    the prepared query it serves (57% when written). *)
 let index_counts () =
@@ -271,9 +272,8 @@ let index_counts () =
       (d > 0 && d <= 32);
     let w = first_answer_words t in
     Alcotest.(check bool)
-      (Printf.sprintf "side %d: %.0f minor words from a flip to the first answer <= 2,800" side
-         w)
-      true (w <= 2800.);
+      (Printf.sprintf "side %d: %.0f minor words from a flip to the first answer <= 495" side w)
+      true (w <= 495.);
     (t, words)
   in
   List.iter (fun side -> ignore (sized side)) [ 8; 16; 32 ];
@@ -289,8 +289,8 @@ let index_counts () =
 
 (* What a running enumerator holds, counted independently of the host:
    after its 1,000th answer it reaches within 1,000 words of what it
-   reached after its first, since a concatenation keeps only the part it
-   is in and a permanent only its rows' entry cursors (when every
+   reached after its first, since its frames are re-aimed, one per live
+   cursor, and a sum holds one part frame (when every
    concatenation kept each part it had entered, these sides grew by
    732k-761k words). *)
 let retention side () =
@@ -311,14 +311,18 @@ let retention side () =
     (abs (later - first) <= 1000)
 
 (* The allocation of a steady-state pass at side 20, counted
-   independently of the host: at most 800 minor words per answer (550
-   when written, 1,830 while each answer's permanent was a stack of
-   closures and every product rebuilt its pair at each read). *)
+   independently of the host: at most 160 minor words per answer with
+   telemetry on (19.6 when written; 546 while a pass built its cursors
+   again as records of closures, 1,830 while each answer's permanent was
+   a stack of closures and every product rebuilt its pair at each read),
+   telemetry adding at most 8 words per answer (4.5 when written; 33.4
+   while its observer decoded every answer a second time and a histogram
+   observe allocated a [Float.frexp] pair). A second pass of one
+   enumerator makes no frame: it re-aims those the first one made. *)
 let words_per_answer () =
-  Obs.set_enabled true;
   let t = Fo_enum.prepare ~dynamic:true (Db.Instance.of_graph (Graphs.Gen.grid 20 20)) phi_path2 in
-  let pass () =
-    let it = Fo_enum.enumerate t in
+  let pass it =
+    Enum.Iter.reset it;
     let answers = ref 0 in
     Enum.Iter.next it;
     while Enum.Iter.current it <> None do
@@ -327,11 +331,26 @@ let words_per_answer () =
     done;
     !answers
   in
-  ignore (pass ());
-  let w0 = Gc.minor_words () in
-  let answers = pass () in
-  let per = (Gc.minor_words () -. w0) /. float_of_int answers in
-  Alcotest.(check bool) (Printf.sprintf "%.1f minor words per answer <= 800" per) true (per <= 800.)
+  let per_answer obs =
+    Obs.set_enabled obs;
+    ignore (pass (Fo_enum.enumerate t));
+    let w0 = Gc.minor_words () in
+    let answers = pass (Fo_enum.enumerate t) in
+    (Gc.minor_words () -. w0) /. float_of_int answers
+  in
+  let off = per_answer false in
+  let on = per_answer true in
+  Alcotest.(check bool) (Printf.sprintf "%.1f minor words per answer <= 160" on) true (on <= 160.);
+  Alcotest.(check bool)
+    (Printf.sprintf "telemetry: %.1f - %.1f minor words per answer <= 8" on off)
+    true
+    (on -. off <= 8.);
+  let made = Obs.counter ~scope:"provenance" "frames_made" in
+  let it = Fo_enum.enumerate t in
+  ignore (pass it);
+  let f0 = Obs.Counter.get made in
+  ignore (pass it);
+  check_int "a second pass makes no frame" 0 (Obs.Counter.get made - f0)
 
 (* The drain takes the values the updates carried: after the first
    [enumerate], interleaved updates of two keys (a, b, a, …), one
@@ -623,6 +642,48 @@ let provenance_update_differential =
                 monomials prov = monomials fresh)
               (List.init 6 Fun.id)))
 
+(* Frames re-aimed mid-pass: on random sparse instances, after a few
+   arc removals, a partial forward pass, a few steps back and a reset
+   leave an enumerator whose next full pass yields the reference
+   answers, each once, in the order of a fresh enumerator's pass. *)
+let rewind_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:40 ~name:"partial pass, prev, reset, full pass = Engine.Reference"
+       QCheck.(int_range 0 100000)
+       (fun seed ->
+         let rng = Random.State.make [| seed |] in
+         let rnd = Random.State.int rng in
+         let g =
+           if rnd 2 = 0 then Graphs.Gen.random_sparse ~seed ~n:(6 + rnd 10) ~avg_deg:3
+           else Graphs.Gen.random_bounded_degree ~seed ~n:(8 + rnd 7) ~max_deg:3
+         in
+         let phi = [| phi_path2; phi_triangle; phi_nonedge; phi_one_way |].(rnd 4) in
+         let t = Fo_enum.prepare ~dynamic:true (Db.Instance.of_graph g) phi in
+         let live = Fo_enum.instance t in
+         List.iter
+           (fun a -> if rnd 4 = 0 then Fo_enum.set_tuple t "E" a false)
+           (Db.Instance.tuples live "E");
+         let it = Fo_enum.enumerate t in
+         let fresh = List.map Array.to_list (Enum.Iter.to_list (Fo_enum.enumerate t)) in
+         for _ = 1 to rnd (List.length fresh + 2) do
+           Enum.Iter.next it
+         done;
+         for _ = 1 to rnd 4 do
+           Enum.Iter.prev it
+         done;
+         Enum.Iter.reset it;
+         let full = ref [] in
+         Enum.Iter.next it;
+         while Enum.Iter.current it <> None do
+           full := Array.to_list (Option.get (Enum.Iter.current it)) :: !full;
+           Enum.Iter.next it
+         done;
+         let full = List.rev !full in
+         let _, want = Engine.Reference.answers live phi in
+         full = fresh
+         && List.sort compare full = want
+         && List.length (List.sort_uniq compare full) = List.length full))
+
 let bidirectional_enumeration () =
   let g = Graphs.Gen.grid 3 3 in
   let inst = Db.Instance.of_graph g in
@@ -663,4 +724,5 @@ let suite =
     Alcotest.test_case "drain: packed keys and keys outside their bounds" `Quick packed_keys;
     dynamic_differential;
     provenance_update_differential;
+    rewind_differential;
   ]

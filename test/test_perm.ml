@@ -184,7 +184,7 @@ let perm_with_agreement k =
          let seg_p = Nat_seg.perm seg and ring_p = Int_ring_perm.perm ring
          and z4_p = Z4_fin.perm z4 in
          Nat_seg.perm_with seg scratch writes = Nat_naive.perm cur
-         && Int_ring_perm.perm_with ring writes = Int_naive.perm cur
+         && Int_ring_perm.perm_with ring scratch writes = Int_naive.perm cur
          && Z4_fin.perm_with z4 scratch writes = Z4_naive.perm cur
          && Nat_seg.perm seg = seg_p
          && Int_ring_perm.perm ring = ring_p
@@ -298,17 +298,50 @@ let lasso_large_counts () =
   check_int "Z4 1xn all ones = n mod 4" (n mod 4) (Z4_fin.perm t1)
 
 (* the enumerator permanent of Lemma 23, over a matrix whose cells list
-   their monomials: an empty cell is a zero entry *)
+   their monomials: an empty cell is a zero entry, and a row's entry
+   cursor walks its cell's list *)
 let monomial_mul a b = List.sort compare (a @ b)
 
-let enum_perm (cells : string list list array array) =
-  let k = Array.length cells in
-  Perm.Enum_perm.create ~mul:monomial_mul ~one:[] ~rows:k
-    ~cols:(if k = 0 then 0 else Array.length cells.(0))
-    ~nonzero:(fun r c -> cells.(r).(c) <> [])
-    ~entry:(fun r c -> Enum.Iter.of_list cells.(r).(c))
+type cell_cursor = { mutable ms : string list array; mutable at : int }
 
-let monomials cells = Enum.Iter.to_list (Perm.Enum_perm.enumerate (enum_perm cells))
+let cell_entries : (string list list array array, cell_cursor, string list) Perm.Enum_perm.entries =
+  {
+    nonzero = (fun cells r c -> cells.(r).(c) <> []);
+    make = (fun _ -> { ms = [||]; at = 0 });
+    aim =
+      (fun e cells r c ->
+        e.ms <- Array.of_list cells.(r).(c);
+        e.at <- 0);
+    step =
+      (fun e dir ->
+        let l = Array.length e.ms in
+        e.at <- (e.at + if dir > 0 then 1 else l) mod (l + 1);
+        e.at > 0);
+    value = (fun e -> e.ms.(e.at - 1));
+    mul = monomial_mul;
+    one = [];
+  }
+
+let dims (cells : string list list array array) =
+  let k = Array.length cells in
+  (k, if k = 0 then 0 else Array.length cells.(0))
+
+let enum_perm cells =
+  let k, n = dims cells in
+  Perm.Enum_perm.create cell_entries cells ~rows:k ~cols:n
+
+(* an iterator handle over an odometer *)
+let iter st =
+  {
+    Enum.Iter.current =
+      (fun () -> if Perm.Enum_perm.live st then Some (Perm.Enum_perm.value st) else None);
+    next = (fun () -> Perm.Enum_perm.move st 1);
+    prev = (fun () -> Perm.Enum_perm.move st (-1));
+    reset = (fun () -> Perm.Enum_perm.reset st);
+    is_empty = (fun () -> not (Perm.Enum_perm.nonzero st));
+  }
+
+let monomials cells = Enum.Iter.to_list (iter (enum_perm cells))
 let sorted_monomials cells = List.sort compare (monomials cells)
 let e name = [ [ name ] ]
 let z : string list list = []
@@ -377,10 +410,35 @@ let drain it =
   in
   go []
 
-(* The odometer against the naive expansion, on matrices whose cells hold
-   0-3 monomials over four generators (so monomials repeat): the same
-   multiset forward, the reverse order backward, and the same list after
-   a reset in the middle of a pass. *)
+(* the cells of a count matrix: cell (r, c) holds [counts.(r).(c)]
+   monomials over four generators, so monomials repeat *)
+let counted_cells counts =
+  Array.mapi
+    (fun r row ->
+      Array.mapi
+        (fun c v -> List.init v (fun i -> [ Printf.sprintf "v%d" (((7 * r) + (3 * c) + i) mod 4) ]))
+        row)
+    counts
+
+(* One pass of [st] checked against the naive expansion of [cells]: the
+   same multiset forward, the reverse order backward, and the same list
+   after a reset that follows [stop] movements. *)
+let expands st cells stop =
+  let it = iter st in
+  let fwd = Enum.Iter.to_list it in
+  let bwd = Enum.Iter.to_list_rev it in
+  Enum.Iter.reset it;
+  for _ = 0 to stop mod (List.length fwd + 1) do
+    Enum.Iter.next it
+  done;
+  Enum.Iter.reset it;
+  let again = drain it in
+  let naive = naive_expansion cells in
+  List.sort compare fwd = List.sort compare naive
+  && bwd = List.rev fwd
+  && again = fwd
+  && Perm.Enum_perm.nonzero st = (naive <> [])
+
 let enum_perm_matches_expansion k =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
@@ -388,27 +446,36 @@ let enum_perm_matches_expansion k =
        ~count:60
        QCheck.(pair (matrix_gen ~k ~maxn:6 ~maxv:3) small_nat)
        (fun (counts, stop) ->
-         let cells =
-           Array.mapi
-             (fun r row ->
-               Array.mapi
-                 (fun c v ->
-                   List.init v (fun i -> [ Printf.sprintf "v%d" (((7 * r) + (3 * c) + i) mod 4) ]))
-                 row)
-             counts
-         in
-         let it = Perm.Enum_perm.enumerate (enum_perm cells) in
-         let fwd = Enum.Iter.to_list it in
-         let bwd = Enum.Iter.to_list_rev it in
-         Enum.Iter.reset it;
-         for _ = 0 to stop mod (List.length fwd + 1) do
-           Enum.Iter.next it
-         done;
-         Enum.Iter.reset it;
-         let again = drain it in
-         List.sort compare fwd = List.sort compare (naive_expansion cells)
-         && bwd = List.rev fwd
-         && again = fwd))
+         let cells = counted_cells counts in
+         expands (enum_perm cells) cells stop))
+
+(* One odometer re-aimed across a sequence of matrices of 1-3 rows and
+   0-6 columns, each aim made in the middle of a pass over the matrix
+   before: every matrix still expands as it does alone, so no class,
+   [free] count or row survives an aim. *)
+let enum_perm_reaim =
+  let matrix =
+    QCheck.Gen.(
+      int_range 1 3 >>= fun k ->
+      int_range 0 6 >>= fun n ->
+      pair (array_size (return k) (array_size (return n) (int_range 0 3))) small_nat)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"enum perm: one odometer re-aimed = naive expansion" ~count:60
+       (QCheck.make QCheck.Gen.(list_size (int_range 2 6) matrix))
+       (fun matrices ->
+         let st = enum_perm (counted_cells (fst (List.hd matrices))) in
+         List.for_all
+           (fun (counts, stop) ->
+             let cells = counted_cells counts in
+             let k, n = dims cells in
+             Perm.Enum_perm.aim st cells ~rows:k ~cols:n;
+             let ok = expands st cells stop in
+             for _ = 0 to stop do
+               Perm.Enum_perm.move st 1
+             done;
+             ok)
+           matrices))
 
 (* An edited pattern is a new matrix: the enumerator of each one is
    created from it. *)
@@ -601,6 +668,7 @@ let suite =
     enum_perm_matches_expansion 1;
     enum_perm_matches_expansion 2;
     enum_perm_matches_expansion 3;
+    enum_perm_reaim;
     Alcotest.test_case "enum perm: updates" `Quick enum_perm_update;
     Alcotest.test_case "enum perm: type-0 column" `Quick enum_perm_type0_column;
   ]
