@@ -26,7 +26,9 @@
 
     Gate values live in one ['a array] indexed by gate id, for every
     semiring. These arrays plus that value array are the only runtime
-    form of a served query.
+    form of a served query. Beside them, [keys] indexes the input pool by
+    key ({!gate_of}): it is derived from the arrays, built by
+    {!of_circuit} and {!load}, and never saved.
 
     A compact circuit can be persisted: {!save}/{!load} use a versioned
     length-prefixed binary format ([SPQC1], FNV-1a section checksums like
@@ -42,6 +44,123 @@ let op_add = 2
 let op_mul = 3
 let op_perm = 4
 
+(* --- the key index --- *)
+
+(** Input gates by key, in a flat open-addressing table of packed integer
+    keys: the runtime's one key→gate index, through which [Dyn]'s writes
+    and reads and [Provenance]'s enumeration drain all resolve a key.
+
+    A key (w, a₁ … a_k) packs to [sym + nsyms * d], where [sym] is [w]'s
+    position among the [nsyms] distinct weight symbols of the inputs and
+    [d] reads the digits a₁ + 1, …, a_k + 1 in base [radix], 2 + the
+    largest tuple element of any input. No digit is 0, so tuples of
+    different arities never collide, and the packing is injective.
+
+    The packing assumes non-negative elements and a packed value that
+    fits in an OCaml int. A key outside those bounds (a negative element,
+    or a long tuple over a large domain) spills into a balanced map. A
+    key with an unknown symbol or an element above the largest one of any
+    input is no input gate's. *)
+module Spill = Map.Make (struct
+  type t = Circuit.input_key
+
+  let compare = compare
+end)
+
+type keys = {
+  symbols : string array;
+  radix : int;
+  digit_limit : int;  (** the largest [d] that one more digit cannot overflow *)
+  symbol_limit : int;  (** the largest [d] that [sym + nsyms * d] cannot overflow *)
+  slots : int array;
+      (** [slots.(2 i)] is a packed key, or [-1] for a free slot, and
+          [slots.(2 i + 1)] its input gate; at most 2/3 of the slots are
+          taken *)
+  mutable spill : int Spill.t;  (** the keys that do not pack *)
+}
+
+let not_input = -1
+let unpacked = -2
+
+(* [w]'s position in [symbols] up to [i], or [not_input]. The symbols are
+   few (one per weight of the query), so a scan beats a hash. The lookups
+   are top-level functions, so that a probe allocates no closure. *)
+let rec symbol_from symbols w i =
+  if i < 0 then not_input
+  else if String.equal symbols.(i) w then i
+  else symbol_from symbols w (i - 1)
+
+(* The packed key of symbol [sym] at [tuple], read on from [d]: the key,
+   [not_input] or [unpacked] *)
+let rec pack_from keys sym d = function
+  | [] -> if d > keys.symbol_limit then unpacked else (d * Array.length keys.symbols) + sym
+  | a :: rest ->
+      if a < 0 || d > keys.digit_limit then unpacked
+      else if a > keys.radix - 2 then not_input
+      else pack_from keys sym ((d * keys.radix) + a + 1) rest
+
+let pack keys w tuple =
+  let sym = symbol_from keys.symbols w (Array.length keys.symbols - 1) in
+  if sym < 0 then not_input else pack_from keys sym 0 tuple
+
+(* A key's home slot: 31 bits of a multiplicative hash, scaled to the
+   slot count; a collision moves on to the next slot. *)
+let home slots k = ((k * 0x1E3779B97F4A7C15) lsr 32 * (Array.length slots / 2)) lsr 31
+let next_slot slots i = if 2 * (i + 1) = Array.length slots then 0 else i + 1
+
+(* The slot that holds key [k], or the free slot where it would go *)
+let rec slot_from slots k i =
+  if slots.(2 * i) = k || slots.(2 * i) < 0 then i else slot_from slots k (next_slot slots i)
+
+let slot slots k = slot_from slots k (home slots k)
+
+(** The index of the keys [iter] lists, each with its input gate; [iter]
+    is walked twice. Raises [Robust.Bad_input] on a key listed twice:
+    this is the one place the runtime rejects duplicate input keys. *)
+let build_keys (iter : (Circuit.input_key -> int -> unit) -> unit) : keys =
+  let symbols = ref [] and top = ref 0 and inputs = ref 0 in
+  iter (fun (w, tuple) _ ->
+      if not (List.exists (String.equal w) !symbols) then symbols := w :: !symbols;
+      List.iter (fun a -> top := max !top a) tuple;
+      incr inputs);
+  let radix = !top + 2 and nsyms = max 1 (List.length !symbols) in
+  let keys =
+    {
+      symbols = Array.of_list !symbols;
+      radix;
+      digit_limit = (max_int - radix) / radix;
+      symbol_limit = (max_int - nsyms) / nsyms;
+      slots = Array.make (2 * (!inputs + (!inputs / 2) + 1)) (-1);
+      spill = Spill.empty;
+    }
+  in
+  let duplicate (w, tuple) =
+    Robust.bad_input "Compact: duplicate input key (%s, [%s])" w
+      (String.concat ";" (List.map string_of_int tuple))
+  in
+  iter (fun ((w, tuple) as key) g ->
+      let k = pack keys w tuple in
+      if k < 0 then begin
+        if Spill.mem key keys.spill then duplicate key;
+        keys.spill <- Spill.add key g keys.spill
+      end
+      else begin
+        let i = slot keys.slots k in
+        if keys.slots.(2 * i) = k then duplicate key;
+        keys.slots.(2 * i) <- k;
+        keys.slots.((2 * i) + 1) <- g
+      end);
+  keys
+
+(** The input gate of key [(w, tuple)], or [-1]. *)
+let gate_of keys w tuple =
+  let k = pack keys w tuple in
+  if k >= 0 then
+    let i = slot keys.slots k in
+    if keys.slots.(2 * i) = k then keys.slots.((2 * i) + 1) else not_input
+  else if k = not_input then not_input
+  else Option.value (Spill.find_opt (w, tuple) keys.spill) ~default:not_input
+
 type 'a t = {
   n : int;  (** gate count *)
   opcode : int array;  (** n entries, each in 0..4 *)
@@ -52,9 +171,16 @@ type 'a t = {
   perm_cols : int array;  (** per Perm descriptor *)
   consts : 'a array;
   input_keys : Circuit.input_key array;
-  input_ids : (Circuit.input_key, int) Hashtbl.t;  (** key → gate id (derived) *)
+  keys : keys;  (** key → input gate id (derived, not saved) *)
   output : int;
 }
+
+(** The input gate of [key], or [-1]. *)
+let input_gate t (w, tuple) = gate_of t.keys w tuple
+
+(* Each input gate's key and id, in gate order *)
+let iter_inputs opcode arg input_keys f =
+  Array.iteri (fun id op -> if op = op_input then f input_keys.(arg.(id)) id) opcode
 
 (* --- conversion --- *)
 
@@ -143,18 +269,6 @@ let of_circuit (c : 'a Circuit.t) : 'a t =
       | Circuit.Perm rows -> Array.iter (Array.iter put) rows)
     nodes;
   let input_keys = Array.of_list (List.rev !rev_keys) in
-  let input_ids = Hashtbl.create (max 16 (2 * !nkeys)) in
-  Array.iteri
-    (fun id node ->
-      match node with
-      | Circuit.Input key ->
-          if Hashtbl.mem input_ids key then
-            Robust.bad_input
-              "Compact.of_circuit: duplicate input gate for (%s, [%s])" (fst key)
-              (String.concat ";" (List.map string_of_int (snd key)));
-          Hashtbl.replace input_ids key id
-      | _ -> ())
-    nodes;
   {
     n;
     opcode;
@@ -165,7 +279,7 @@ let of_circuit (c : 'a Circuit.t) : 'a t =
     perm_cols = Array.of_list (List.rev !rev_cols);
     consts = Array.of_list (List.rev !rev_consts);
     input_keys;
-    input_ids;
+    keys = build_keys (iter_inputs opcode arg input_keys);
     output = c.Circuit.output;
   }
 
@@ -188,7 +302,9 @@ let to_circuit (t : 'a t) : 'a Circuit.t =
               (Array.init rows (fun r ->
                    Array.init cols (fun c -> t.children.(base + (r * cols) + c)))))
   in
-  { Circuit.nodes; output = t.output; input_ids = Hashtbl.copy t.input_ids }
+  let input_ids = Hashtbl.create (max 16 (2 * Array.length t.input_keys)) in
+  iter_inputs t.opcode t.arg t.input_keys (Hashtbl.replace input_ids);
+  { Circuit.nodes; output = t.output; input_ids }
 
 (* --- evaluation --- *)
 
@@ -250,11 +366,9 @@ let eval (ops : 'a Semiring.Intf.ops) (t : 'a t) (valuation : Circuit.input_key 
 
 (* --- structural validation --- *)
 
-(** Check every invariant the runtime relies on; raises [Robust.Bad_input]
-    on the first violation. {!load} runs this on everything it reads, so a
-    file that passes the checksums but encodes a malformed DAG still
-    cannot crash the evaluator or the wave engine. *)
-let validate (t : 'a t) : unit =
+(* {!validate}, returning the index of [t]'s own input pool (its [keys]
+   are not trusted): building it rejects a duplicate key. *)
+let checked_keys (t : 'a t) : keys =
   let fail fmt = Robust.bad_input fmt in
   let n = t.n in
   if n <= 0 then fail "Compact.validate: empty circuit";
@@ -310,14 +424,13 @@ let validate (t : 'a t) : unit =
     fail "Compact.validate: constant pool size disagrees with const gate count";
   if !seen_perms <> Array.length t.perm_rows then
     fail "Compact.validate: perm descriptor count disagrees with perm gate count";
-  let keys = Hashtbl.create (max 16 (2 * Array.length t.input_keys)) in
-  Array.iter
-    (fun key ->
-      if Hashtbl.mem keys key then
-        fail "Compact.validate: duplicate input key (%s, [%s])" (fst key)
-          (String.concat ";" (List.map string_of_int (snd key)));
-      Hashtbl.replace keys key ())
-    t.input_keys
+  build_keys (iter_inputs t.opcode t.arg t.input_keys)
+
+(** Check every invariant the runtime relies on; raises [Robust.Bad_input]
+    on the first violation. {!load} runs this on everything it reads, so a
+    file that passes the checksums but encodes a malformed DAG still
+    cannot crash the evaluator or the wave engine. *)
+let validate (t : 'a t) : unit = ignore (checked_keys t)
 
 (* --- serialization (SPQC1) --- *)
 
@@ -451,7 +564,6 @@ let load (path : string) : 'a t * string =
     || header.(4) <> Array.length consts
     || header.(5) <> Array.length input_keys
   then Robust.bad_input "Compact.load: %s header disagrees with its sections" path;
-  let input_ids = Hashtbl.create (max 16 (2 * Array.length input_keys)) in
   let t =
     {
       n;
@@ -463,12 +575,8 @@ let load (path : string) : 'a t * string =
       perm_cols;
       consts;
       input_keys;
-      input_ids;
+      keys = build_keys ignore (* the empty index, until the checks pass *);
       output = header.(1);
     }
   in
-  validate t;
-  Array.iteri
-    (fun id op -> if op = op_input then Hashtbl.replace input_ids input_keys.(arg.(id)) id)
-    opcode;
-  (t, tag)
+  ({ t with keys = checked_keys t }, tag)

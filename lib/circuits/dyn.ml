@@ -243,10 +243,8 @@ let build ~on_build (ops : 'a Semiring.Intf.ops) mode fin_ctx (c : 'a Circuit.t)
     done
   done;
   let values = Array.make n ops.Semiring.Intf.zero in
-  Array.iteri
-    (fun id op ->
-      if op = 0 then values.(id) <- valuation cc.Compact.input_keys.(cc.Compact.arg.(id)))
-    cc.Compact.opcode;
+  Compact.iter_inputs cc.Compact.opcode cc.Compact.arg cc.Compact.input_keys (fun key id ->
+      values.(id) <- valuation key);
   let aux = Array.make n ANone in
   init_derived ~on_build ops mode fin_ctx cc values aux;
   {
@@ -645,49 +643,48 @@ let run_wave t =
     later read or update raises {!Poisoned} until {!repair}. *)
 let set_input t (key : Circuit.input_key) v =
   check_write t;
-  match Hashtbl.find_opt t.cc.Compact.input_ids key with
-  | None -> invalid_arg "Dyn.set_input: unknown input (weight symbol, tuple)"
-  | Some id ->
-      let old_v = vget t id in
-      if not (t.ops.Semiring.Intf.equal old_v v) then begin
-        let instrumented = Obs.is_enabled () in
-        (* {!Obs.sampler}: the exact counters carry the totals, while the
-           latency/size histograms and the flight context see every 64th
-           wave (and every wave while a trace is being recorded) *)
-        let sampled = Obs.sampled t.obs_sample in
-        let t0 = if sampled then Obs.now_ns () else 0. in
-        let ops0 = t.update_ops in
-        (try
-          (* The wave span lands in the flight recorder during unwinding,
-             before the recovery handler below fires — span_hot
-             materializes the span on a fault even when this wave was not
-             sampled, so a post-mortem dump always contains the fatal
-             wave. *)
-          Obs.Trace.span_hot ~force:sampled ~scope:"dyn" "update" (fun () ->
-              t.wave_saved.(id) <- old_v;
-              log_touch t id;
-              vset t id v;
-              enqueue_parents t id ~old_v ~new_v:v;
-              run_wave t;
-              (* only a live span can carry the attribute; skipping the
-                 call on the bare path saves a boxed attr per wave *)
-              if sampled || Obs.Trace.is_recording () then
-                Obs.Trace.add_attr "touched" (Obs.Trace.I (t.update_ops - ops0)))
-        with e -> fault_wave t e);
-        commit_wave t [ (key, v) ];
-        (match t.cost_log with
-        | Some sink -> sink := (t.update_ops - ops0) :: !sink
-        | None -> ());
-        if instrumented then begin
-          let touched = t.update_ops - ops0 in
-          Obs.Counter.incr m_updates;
-          Obs.Counter.add m_touched touched;
-          if sampled then begin
-            Obs.Histogram.observe h_touched (float_of_int touched);
-            Obs.Histogram.observe h_update_ns (Obs.elapsed_ns t0)
-          end
-        end
+  let id = Compact.input_gate t.cc key in
+  if id < 0 then invalid_arg "Dyn.set_input: unknown input (weight symbol, tuple)";
+  let old_v = vget t id in
+  if not (t.ops.Semiring.Intf.equal old_v v) then begin
+    let instrumented = Obs.is_enabled () in
+    (* {!Obs.sampler}: the exact counters carry the totals, while the
+       latency/size histograms and the flight context see every 64th
+       wave (and every wave while a trace is being recorded) *)
+    let sampled = Obs.sampled t.obs_sample in
+    let t0 = if sampled then Obs.now_ns () else 0. in
+    let ops0 = t.update_ops in
+    (try
+      (* The wave span lands in the flight recorder during unwinding,
+         before the recovery handler below fires — span_hot
+         materializes the span on a fault even when this wave was not
+         sampled, so a post-mortem dump always contains the fatal
+         wave. *)
+      Obs.Trace.span_hot ~force:sampled ~scope:"dyn" "update" (fun () ->
+          t.wave_saved.(id) <- old_v;
+          log_touch t id;
+          vset t id v;
+          enqueue_parents t id ~old_v ~new_v:v;
+          run_wave t;
+          (* only a live span can carry the attribute; skipping the
+             call on the bare path saves a boxed attr per wave *)
+          if sampled || Obs.Trace.is_recording () then
+            Obs.Trace.add_attr "touched" (Obs.Trace.I (t.update_ops - ops0)))
+    with e -> fault_wave t e);
+    commit_wave t [ (key, v) ];
+    (match t.cost_log with
+    | Some sink -> sink := (t.update_ops - ops0) :: !sink
+    | None -> ());
+    if instrumented then begin
+      let touched = t.update_ops - ops0 in
+      Obs.Counter.incr m_updates;
+      Obs.Counter.add m_touched touched;
+      if sampled then begin
+        Obs.Histogram.observe h_touched (float_of_int touched);
+        Obs.Histogram.observe h_update_ns (Obs.elapsed_ns t0)
       end
+    end
+  end
 
 (** Batched update: stamp every dirty input first, then run a {e single}
     topological propagation wave. A gate reachable from several dirty
@@ -708,9 +705,9 @@ let set_inputs t (assignments : (Circuit.input_key * 'a) list) =
       let resolved =
         List.map
           (fun (key, v) ->
-            match Hashtbl.find_opt t.cc.Compact.input_ids key with
-            | Some id -> (id, v)
-            | None -> invalid_arg "Dyn.set_inputs: unknown input (weight symbol, tuple)")
+            let id = Compact.input_gate t.cc key in
+            if id < 0 then invalid_arg "Dyn.set_inputs: unknown input (weight symbol, tuple)";
+            (id, v))
           assignments
       in
       let instrumented = Obs.is_enabled () in
@@ -775,11 +772,10 @@ let set_inputs t (assignments : (Circuit.input_key * 'a) list) =
 (** Current value of an input gate (its what-if value inside
     {!with_temp}). *)
 let input_value t key =
-  match Hashtbl.find_opt t.cc.Compact.input_ids key with
-  | Some id -> Some (ov t id)
-  | None -> None
+  let id = Compact.input_gate t.cc key in
+  if id < 0 then None else Some (ov t id)
 
-let has_input t key = Hashtbl.mem t.cc.Compact.input_ids key
+let has_input t key = Compact.input_gate t.cc key >= 0
 
 (* --- the what-if wave --- *)
 
@@ -802,15 +798,14 @@ let close_what_if ?(faulted = false) t =
 let rec stamp t = function
   | [] -> ()
   | (key, v) :: rest ->
-      (match Hashtbl.find t.cc.Compact.input_ids key with
-      | id ->
-          if flagged t id then t.wave_saved.(id) <- v
-          else if not (t.ops.Semiring.Intf.equal (vget t id) v) then begin
-            set_flag t id true;
-            t.wave_saved.(id) <- v;
-            log_touch t id
-          end
-      | exception Not_found -> ());
+      let id = Compact.input_gate t.cc key in
+      if id < 0 then ()
+      else if flagged t id then t.wave_saved.(id) <- v
+      else if not (t.ops.Semiring.Intf.equal (vget t id) v) then begin
+        set_flag t id true;
+        t.wave_saved.(id) <- v;
+        log_touch t id
+      end;
       stamp t rest
 
 (* Open a what-if: propagate [assignments] (keys the circuit does not

@@ -272,19 +272,16 @@ let structural (t : 'a t) ~insert rel tuple : unit =
         | Some v -> v
         | None -> t.base_valuation key)
   in
-  (* keys the new circuit stops reading keep their last value *)
-  let leaving =
-    Hashtbl.fold
-      (fun key _ acc ->
-        if Hashtbl.mem circuit.Circuits.Circuit.input_ids key then acc
-        else (key, Option.get (Circuits.Dyn.input_value old_dyn key)) :: acc)
-      old_dyn.Circuits.Dyn.cc.Circuits.Compact.input_ids []
-  in
   let dyn = protect (fun () -> Circuits.Dyn.splice old_dyn circuit valuation) in
-  Hashtbl.filter_map_inplace
-    (fun key v -> if Hashtbl.mem circuit.Circuits.Circuit.input_ids key then None else Some v)
-    t.unread;
-  List.iter (fun (key, v) -> Hashtbl.replace t.unread key v) leaving;
+  let reads = Circuits.Dyn.has_input dyn in
+  Hashtbl.filter_map_inplace (fun key v -> if reads key then None else Some v) t.unread;
+  (* keys the new circuit stops reading keep their last value; a splice
+     leaves the old structure's values as they were *)
+  Array.iter
+    (fun key ->
+      if not (reads key) then
+        Hashtbl.replace t.unread key (Option.get (Circuits.Dyn.input_value old_dyn key)))
+    old_dyn.Circuits.Dyn.cc.Circuits.Compact.input_keys;
   t.dyn <- dyn;
   t.meta <- meta;
   t.plan <- plan;

@@ -15,10 +15,12 @@
     lists. The first [start] builds the index in one bottom-up pass;
     after that an update only records its input key and the new value,
     and the next [start] drains the records newest first: it finds each
-    key's input gate through a flat table of packed integer keys, gives
-    the gate its last recorded value, and walks upward from each input
-    whose emptiness flipped, stopping at the first parent whose h is
-    unchanged. An enumeration then aims one root frame at the output.
+    key's input gate through the packed key index of {!Circuits.Compact}
+    (the one [Dyn] resolves keys through), built from the circuit's input
+    gates at the first drain, gives the gate its last recorded value, and
+    walks upward from each input whose emptiness flipped, stopping at the
+    first parent whose h is unchanged. An enumeration then aims one root
+    frame at the output.
 
     A frame is re-aimed in place at each gate it is to walk ({!aim}),
     never rebuilt: a sum keeps one part frame and re-aims it at each
@@ -51,104 +53,6 @@ let m_cursors_built = Obs.counter ~scope:"provenance" "cursors_built"
    the next enumerator. *)
 let m_index_recomputed = Obs.counter ~scope:"provenance" "index_gates_recomputed"
 
-(** Input gates by packed key, for the drain: a flat open-addressing
-    table of ints, built by the first drain that has records.
-
-    A key (w, a₁ … a_k) packs to [sym + nsyms * d], where [sym] is [w]'s
-    position among the [nsyms] distinct weight symbols of the inputs and
-    [d] reads the digits a₁ + 1, …, a_k + 1 in base [radix], 2 + the
-    largest tuple element of any input. No digit is 0, so tuples of
-    different arities never collide, and the packing is injective.
-
-    The packing assumes non-negative elements and a packed value that
-    fits in an OCaml int. A key outside those bounds (a negative element,
-    or a long tuple over a large domain) is kept out of the table and
-    looked up in the circuit's [input_ids] instead: it stays correct at
-    the cost of one hash. A key with an unknown symbol or an element
-    above the largest one of any input is no input gate's, so draining
-    it is a no-op. *)
-type keys = {
-  symbols : string array;
-  radix : int;
-  digit_limit : int;  (** the largest [d] that one more digit cannot overflow *)
-  symbol_limit : int;  (** the largest [d] that [sym + nsyms * d] cannot overflow *)
-  slots : int array;
-      (** [slots.(2 i)] is a packed key, or [-1] for a free slot, and
-          [slots.(2 i + 1)] its input gate; at most 2/3 of the slots are
-          taken *)
-}
-
-let not_input = -1
-let unpacked = -2
-
-(* [w]'s position in [symbols], or [not_input]. The symbols are few (one
-   per weight of the query), so a scan beats a hash. *)
-let symbol keys w =
-  let rec find i =
-    if i < 0 then not_input else if String.equal keys.symbols.(i) w then i else find (i - 1)
-  in
-  find (Array.length keys.symbols - 1)
-
-(* The packed key of symbol [sym] at [tuple], [not_input] or [unpacked]. *)
-let pack keys sym tuple =
-  let rec go d = function
-    | [] -> if d > keys.symbol_limit then unpacked else (d * Array.length keys.symbols) + sym
-    | a :: rest ->
-        if a < 0 || d > keys.digit_limit then unpacked
-        else if a > keys.radix - 2 then not_input
-        else go ((d * keys.radix) + a + 1) rest
-  in
-  if sym < 0 then not_input else go 0 tuple
-
-(* A key's home slot: 31 bits of a multiplicative hash, scaled to the
-   slot count; a collision moves on to the next slot. *)
-let home slots k = ((k * 0x1E3779B97F4A7C15) lsr 32 * (Array.length slots / 2)) lsr 31
-let next_slot slots i = if 2 * (i + 1) = Array.length slots then 0 else i + 1
-
-(* The slot that holds key [k], or the free slot where it would go *)
-let rec slot_from slots k i =
-  if slots.(2 * i) = k || slots.(2 * i) < 0 then i else slot_from slots k (next_slot slots i)
-
-let slot slots k = slot_from slots k (home slots k)
-
-let build_keys (input_ids : (Circuits.Circuit.input_key, int) Hashtbl.t) =
-  let symbols = ref [] and top = ref 0 in
-  Hashtbl.iter
-    (fun (w, tuple) _ ->
-      if not (List.exists (String.equal w) !symbols) then symbols := w :: !symbols;
-      List.iter (fun a -> top := max !top a) tuple)
-    input_ids;
-  let inputs = Hashtbl.length input_ids in
-  let radix = !top + 2 and nsyms = max 1 (List.length !symbols) in
-  let keys =
-    {
-      symbols = Array.of_list !symbols;
-      radix;
-      digit_limit = (max_int - radix) / radix;
-      symbol_limit = (max_int - nsyms) / nsyms;
-      slots = Array.make (2 * (inputs + (inputs / 2) + 1)) (-1);
-    }
-  in
-  Hashtbl.iter
-    (fun (w, tuple) g ->
-      let k = pack keys (symbol keys w) tuple in
-      if k >= 0 then begin
-        let i = slot keys.slots k in
-        keys.slots.(2 * i) <- k;
-        keys.slots.((2 * i) + 1) <- g
-      end)
-    input_ids;
-  keys
-
-(* The input gate of key [(w, tuple)], or [not_input]. *)
-let gate_of keys input_ids w tuple =
-  let k = pack keys (symbol keys w) tuple in
-  if k >= 0 then
-    let i = slot keys.slots k in
-    if keys.slots.(2 * i) = k then keys.slots.((2 * i) + 1) else not_input
-  else if k = not_input then not_input
-  else Option.value (Hashtbl.find_opt input_ids (w, tuple)) ~default:not_input
-
 (** The emptiness index of Lemma 23, kept across updates. *)
 type 'g index = {
   nonempty : Bytes.t;
@@ -163,7 +67,7 @@ type 'g index = {
   mutable parents : int array;
   leaves : 'g Free.mono array array;
       (** each input gate's current monomials; [[||]] at other gates *)
-  mutable keys : keys option;  (** built by the first drain with records *)
+  keys : Circuits.Compact.keys Lazy.t;  (** input gates by key, forced by the first drain *)
   pending_w : string array;
   pending_tuple : int list array;
   pending_leaf : 'g Free.mono array array;
@@ -341,14 +245,15 @@ let build_parents t ix =
 
 let build_index t =
   let n = Array.length t.circuit.nodes in
-  let inputs = Hashtbl.length t.circuit.input_ids in
+  let ids = t.circuit.input_ids in
+  let inputs = Hashtbl.length ids in
   let ix =
     {
       nonempty = Bytes.make n '\000';
       parent_start = [||];
       parents = [||];
       leaves = Array.make n [||];
-      keys = None;
+      keys = lazy (Circuits.Compact.build_keys (fun f -> Hashtbl.iter f ids));
       pending_w = Array.make inputs "";
       pending_tuple = Array.make inputs [];
       pending_leaf = Array.make inputs [||];
@@ -382,17 +287,10 @@ let refresh t ix =
   if pending > 0 then begin
     if pending > Array.length ix.pending_w then recompute_all t ix
     else begin
-      let keys =
-        match ix.keys with
-        | Some keys -> keys
-        | None ->
-            let keys = build_keys t.circuit.input_ids in
-            ix.keys <- Some keys;
-            keys
-      in
+      let keys = Lazy.force ix.keys in
       let marked = ref 0 in
       for i = pending - 1 downto 0 do
-        let g = gate_of keys t.circuit.input_ids ix.pending_w.(i) ix.pending_tuple.(i) in
+        let g = Circuits.Compact.gate_of keys ix.pending_w.(i) ix.pending_tuple.(i) in
         if g >= 0 && Char.code (Bytes.get ix.nonempty g) land 2 = 0 then begin
           let ms = ix.pending_leaf.(i) in
           ix.leaves.(g) <- ms;

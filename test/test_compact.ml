@@ -29,6 +29,10 @@
       that fails part-way leaves the previous file intact;
    4b. 1-gate circuits run through every layer, and [validate] rejects
       each kind of malformed layout as [Robust.Bad_input];
+   4c. the key index: every input key resolves to its gate whether it
+      packs or spills, a Dyn over spilled keys answers like
+      [Compact.eval], [load] rebuilds the index to the same gates, and
+      [of_circuit] and [load] reject a duplicate key;
    5. format stability: the two golden .spqc files committed under
       test/golden/ (written by test/gen_golden.ml) load under the current
       reader and evaluate to their recorded values. *)
@@ -236,7 +240,20 @@ let layout_is_topological =
          done;
          !ok
          && cc.Compact.child_off.(cc.Compact.n) = Array.length cc.Compact.children
-         && Hashtbl.length cc.Compact.input_ids = Array.length cc.Compact.input_keys))
+         (* every input key resolves to its own gate, and a key with an
+            unknown symbol or an element above every input's to none *)
+         && Seq.for_all
+              (fun id ->
+                cc.Compact.opcode.(id) <> Compact.op_input
+                || Compact.input_gate cc cc.Compact.input_keys.(cc.Compact.arg.(id)) = id)
+              (Seq.init cc.Compact.n Fun.id)
+         && Compact.input_gate cc ("u", [ 0 ]) = -1
+         &&
+         let top =
+           Array.fold_left (fun m (_, tuple) -> List.fold_left max m tuple) 0
+             cc.Compact.input_keys
+         in
+         Compact.input_gate cc ("w", [ top + 1 ]) = -1))
 
 let to_circuit_round_trip =
   t
@@ -667,6 +684,121 @@ let validate_rejects_malformed () =
   rejects "constant pool too large"
     { cc with Compact.consts = Array.append cc.Compact.consts [| 7 |] }
 
+(* ------------------------------ 4c. the key index ---------------------- *)
+
+let show_key (w, tuple) = w ^ "(" ^ String.concat "," (List.map string_of_int tuple) ^ ")"
+
+(* Keys that pack, and keys that spill: a negative element, and a packed
+   value too wide for an int beside it *)
+let narrow_keys =
+  [ ("w", [ 0; 1 ]); ("w", [ 1; 0 ]); ("w", [ 1 ]); ("w", []); ("v", [ 0; 1 ]); ("w", [ -1; 2 ]) ]
+
+let wide_keys = ("v", [ max_int / 2; 1 ]) :: narrow_keys
+
+let absent_keys =
+  [
+    ("w", [ 0; 0 ]); ("u", [ 0; 1 ]); ("w", [ 0; 1; 0 ]); ("w", [ 0 ]); ("w", [ -1; 1 ]);
+    ("v", [ 2; 1 ]);
+  ]
+
+(* The key index against the keys it is built from: every input key finds
+   its gate, whether it packs or spills, and a key of no input finds none.
+   Lookups use fresh copies of the symbols. *)
+let packed_keys () =
+  let check inputs others =
+    let keys = Compact.build_keys (fun f -> List.iteri (fun g k -> f k g) inputs) in
+    let gate (w, tuple) = Compact.gate_of keys (String.concat "" [ w ]) tuple in
+    List.iteri (fun g k -> check_int ("input " ^ show_key k) g (gate k)) inputs;
+    List.iter (fun k -> check_int ("no input " ^ show_key k) (-1) (gate k)) others
+  in
+  check narrow_keys absent_keys;
+  check wide_keys (("v", [ max_int / 2; 0 ]) :: absent_keys)
+
+(* Σᵢ (i + 1)·xᵢ over the inputs [keys], so each input reaches the
+   output with its own coefficient *)
+let key_circuit keys =
+  let b = Circuit.builder () in
+  let gs = List.map (Circuit.input b) keys in
+  let terms = List.mapi (fun i g -> Circuit.mul b [ g; Circuit.const b (i + 1) ]) gs in
+  Circuit.finish b ~output:(Circuit.add b terms)
+
+(* A Dyn over inputs that pack and inputs that spill answers every write
+   and read the way [Compact.eval] does under the same valuation. *)
+let dyn_spilled_keys () =
+  let c = key_circuit wide_keys in
+  let cc = Compact.of_circuit c in
+  let vals = Hashtbl.create 8 in
+  List.iteri (fun i k -> Hashtbl.replace vals k (i + 3)) wide_keys;
+  let valuation k = Hashtbl.find vals k in
+  let d = Dyn.create nat_ops c valuation in
+  let agrees what = check_int what (Compact.eval nat_ops cc valuation) (Dyn.value d) in
+  agrees "create";
+  List.iteri
+    (fun i k ->
+      Hashtbl.replace vals k ((10 * i) + 1);
+      Dyn.set_input d k ((10 * i) + 1);
+      agrees ("set_input " ^ show_key k);
+      Alcotest.(check (option int)) ("input_value " ^ show_key k) (Some ((10 * i) + 1))
+        (Dyn.input_value d k))
+    wide_keys;
+  let batch = List.mapi (fun i k -> (k, (i * i) + 2)) (List.rev wide_keys) in
+  List.iter (fun (k, v) -> Hashtbl.replace vals k v) batch;
+  Dyn.set_inputs d batch;
+  agrees "set_inputs";
+  let committed = Dyn.value d in
+  let what_if = [ (("w", [ -1; 2 ]), 100); (("v", [ max_int / 2; 1 ]), 50); (("u", [ 0 ]), 9) ] in
+  let temp k = match List.assoc_opt k what_if with Some v -> v | None -> valuation k in
+  check_int "value_with" (Compact.eval nat_ops cc temp) (Dyn.value_with d what_if);
+  check_int "value_with writes nothing" committed (Dyn.value d);
+  List.iter
+    (fun k ->
+      check_bool ("has_input " ^ show_key k) false (Dyn.has_input d k);
+      Alcotest.(check (option int)) ("input_value " ^ show_key k) None (Dyn.input_value d k);
+      Alcotest.check_raises ("set_input " ^ show_key k)
+        (Invalid_argument "Dyn.set_input: unknown input (weight symbol, tuple)") (fun () ->
+          Dyn.set_input d k 1))
+    (("v", [ max_int / 2; 0 ]) :: absent_keys)
+
+(* The index is not saved: [load] rebuilds it, and every key resolves to
+   the same gate after a save → load round trip. *)
+let keys_survive_reload () =
+  let random = Circuit_gen.random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) 44 6 in
+  List.iter
+    (fun c ->
+      let cc = Compact.of_circuit c in
+      with_tmp @@ fun path ->
+      Compact.save ~tag:"nat" cc path;
+      let back, _ = Compact.load path in
+      Hashtbl.iter
+        (fun k g ->
+          check_int ("before " ^ show_key k) g (Compact.input_gate cc k);
+          check_int ("after " ^ show_key k) g (Compact.input_gate (back : int Compact.t) k))
+        c.Circuit.input_ids)
+    [ key_circuit wide_keys; (Opt.run ~zero:0 ~one:1 random).Opt.circuit ]
+
+(* [of_circuit] and [load] both reject a key that two input gates share,
+   one that packs and one that spills. *)
+let duplicate_keys_rejected () =
+  let c = key_circuit narrow_keys in
+  let cc = Compact.of_circuit c in
+  let rejected what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted a duplicate key" what
+    | exception Robust.Error (Robust.Bad_input _) -> ()
+  in
+  List.iter
+    (fun (over, key) ->
+      let g = Compact.input_gate cc over in
+      let nodes = Array.copy c.Circuit.nodes in
+      nodes.(g) <- Circuit.Input key;
+      rejected "of_circuit" (fun () -> Compact.of_circuit { c with Circuit.nodes });
+      let input_keys = Array.copy cc.Compact.input_keys in
+      input_keys.(cc.Compact.arg.(g)) <- key;
+      with_tmp @@ fun path ->
+      Compact.save { cc with Compact.input_keys } path;
+      rejected "load" (fun () -> (Compact.load path : int Compact.t * string)))
+    [ (("w", [ 1; 0 ]), ("w", [ 0; 1 ])); (("w", [ 1 ]), ("w", [ -1; 2 ])) ]
+
 (* ------------------------------ 5. golden format stability ------------- *)
 
 (* The two .spqc files under test/golden/ were written by test/gen_golden.ml
@@ -810,6 +942,13 @@ let suite =
     Alcotest.test_case "1-gate circuits through every layer" `Quick one_gate_circuits;
     Alcotest.test_case "validate rejects malformed layouts" `Quick
       validate_rejects_malformed;
+    Alcotest.test_case "key index: packed keys and keys outside their bounds" `Quick packed_keys;
+    Alcotest.test_case "key index: Dyn over spilled keys = Compact.eval" `Quick
+      dyn_spilled_keys;
+    Alcotest.test_case "key index: every key resolves after a reload" `Quick
+      keys_survive_reload;
+    Alcotest.test_case "key index: of_circuit and load reject a duplicate key" `Quick
+      duplicate_keys_rejected;
     Alcotest.test_case "golden format stability" `Quick golden_stability;
     Alcotest.test_case "golden journal stability" `Quick golden_journal_stability;
     Alcotest.test_case "journal structural round trip" `Quick

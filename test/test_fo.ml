@@ -432,33 +432,6 @@ let drain_last_value () =
     (snd (Engine.Reference.answers live phi_path2))
     got
 
-(* The drain's packed-key table against the keys it is built from: every
-   input key finds its gate, whether it packs or, with a negative element
-   or a packed value too wide for an int, goes through [input_ids]; a key
-   of no input finds none. Lookups use fresh copies of the symbols. *)
-let packed_keys () =
-  let module P = Provenance.Prov_circuit in
-  let check inputs others =
-    let ids = Hashtbl.create 8 in
-    List.iteri (fun g k -> Hashtbl.replace ids k g) inputs;
-    let keys = P.build_keys ids in
-    let gate (w, tuple) = P.gate_of keys ids (String.concat "" [ w ]) tuple in
-    let show (w, tuple) = w ^ "(" ^ String.concat "," (List.map string_of_int tuple) ^ ")" in
-    List.iteri (fun g k -> check_int ("input " ^ show k) g (gate k)) inputs;
-    List.iter (fun k -> check_int ("no input " ^ show k) (-1) (gate k)) others
-  in
-  let narrow =
-    [ ("w", [ 0; 1 ]); ("w", [ 1; 0 ]); ("w", [ 1 ]); ("w", []); ("v", [ 0; 1 ]); ("w", [ -1; 2 ]) ]
-  in
-  let others =
-    [
-      ("w", [ 0; 0 ]); ("u", [ 0; 1 ]); ("w", [ 0; 1; 0 ]); ("w", [ 0 ]); ("w", [ -1; 1 ]);
-      ("v", [ 2; 1 ]);
-    ]
-  in
-  check narrow others;
-  check (("v", [ max_int / 2; 1 ]) :: narrow) (("v", [ max_int / 2; 0 ]) :: others)
-
 (* Enumerators share the index: one taken before an update keeps yielding
    the answers it was created on until the next [enumerate] drains the
    update, and raises from then on. *)
@@ -721,7 +694,6 @@ let suite =
     Alcotest.test_case "stale enumerator raises after a drain" `Quick stale_enumerator;
     Alcotest.test_case "drain: carried values, no ~weight read" `Quick drain_carried_values;
     Alcotest.test_case "drain: last value per input gate" `Quick drain_last_value;
-    Alcotest.test_case "drain: packed keys and keys outside their bounds" `Quick packed_keys;
     dynamic_differential;
     provenance_update_differential;
     rewind_differential;
