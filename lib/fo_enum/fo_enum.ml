@@ -207,14 +207,18 @@ let meta t = Provenance.Prov_circuit.meta t.prov
     count, depth, permanent rows), for observability surfaces. *)
 let stats t = Provenance.Prov_circuit.circuit_stats t.prov
 
-(* decode a monomial into an answer tuple *)
+(* write a leaf's generators into an answer tuple *)
 let rec fill ans = function
-  | [] -> ans
+  | [] -> ()
   | (i, a) :: rest ->
       ans.(i) <- a;
       fill ans rest
 
-let decode k (m : gen Provenance.Free.mono) : int array = fill (Array.make k (-1)) m
+(* the answer a live run stands at, read from its live leaves *)
+let decode k r : int array =
+  let ans = Array.make k (-1) in
+  Provenance.Prov_circuit.iter_value r fill ans;
+  ans
 
 (* One movement of an enumeration run [r], observed: each movement that
    lands on an answer counts it and records its iterator-tick work, and
@@ -258,7 +262,7 @@ let enumerate t : int array Enum.Iter.t =
   {
     Enum.Iter.current =
       (fun () ->
-        if Provenance.Prov_circuit.live r then Some (decode k (Provenance.Prov_circuit.value r))
+        if Provenance.Prov_circuit.live r then Some (decode k r)
         else None);
     next = (fun () -> step 1);
     prev = (fun () -> step (-1));

@@ -252,9 +252,9 @@ module Histogram = struct
   type t = {
     buckets : int array;
     mutable count : int;
-    mutable sum : float;
-    mutable min_v : float; (* +inf when empty *)
-    mutable max_v : float; (* -inf when empty *)
+    stats : float array;
+        (* sum, min (+inf when empty), max (-inf when empty): a float
+           array stores them unboxed, so an observe allocates none *)
     (* the sliding-window ring: slot e mod slots carries epoch e's
        sub-histogram, tagged with e (min_int = never used) *)
     w_epoch : int array;
@@ -267,9 +267,7 @@ module Histogram = struct
     {
       buckets = Array.make nbuckets 0;
       count = 0;
-      sum = 0.;
-      min_v = Float.infinity;
-      max_v = Float.neg_infinity;
+      stats = [| 0.; Float.infinity; Float.neg_infinity |];
       w_epoch = Array.make Window.slots min_int;
       w_buckets = Array.make (Window.slots * nbuckets) 0;
       w_sums = Array.make Window.slots 0.;
@@ -296,9 +294,10 @@ module Histogram = struct
       let b = bucket_of v in
       t.buckets.(b) <- t.buckets.(b) + 1;
       t.count <- t.count + 1;
-      t.sum <- t.sum +. v;
-      if v < t.min_v then t.min_v <- v;
-      if v > t.max_v then t.max_v <- v;
+      let st = t.stats in
+      st.(0) <- st.(0) +. v;
+      if v < st.(1) then st.(1) <- v;
+      if v > st.(2) then st.(2) <- v;
       let e = Window.current_epoch () in
       let slot = e mod Window.slots in
       if t.w_epoch.(slot) <> e then begin
@@ -315,10 +314,10 @@ module Histogram = struct
     end
 
   let count t = t.count
-  let sum t = t.sum
-  let mean t = if t.count = 0 then 0. else t.sum /. float_of_int t.count
-  let min_value t = if t.count = 0 then 0. else t.min_v
-  let max_value t = if t.count = 0 then 0. else t.max_v
+  let sum t = t.stats.(0)
+  let mean t = if t.count = 0 then 0. else sum t /. float_of_int t.count
+  let min_value t = if t.count = 0 then 0. else t.stats.(1)
+  let max_value t = if t.count = 0 then 0. else t.stats.(2)
   let bucket_count t i = t.buckets.(i)
 
   (** Quantile over any bucket-count view: the upper bound of the smallest
@@ -380,9 +379,9 @@ module Histogram = struct
   let reset t =
     Array.fill t.buckets 0 nbuckets 0;
     t.count <- 0;
-    t.sum <- 0.;
-    t.min_v <- Float.infinity;
-    t.max_v <- Float.neg_infinity;
+    t.stats.(0) <- 0.;
+    t.stats.(1) <- Float.infinity;
+    t.stats.(2) <- Float.neg_infinity;
     Array.fill t.w_epoch 0 Window.slots min_int;
     Array.fill t.w_buckets 0 (Array.length t.w_buckets) 0;
     Array.fill t.w_sums 0 Window.slots 0.;

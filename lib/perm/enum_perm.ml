@@ -16,10 +16,11 @@
     hold. All-zero columns (type 0) can never be picked and are left out.
 
     The enumerator is one odometer: per row, its position in the classes
-    and its entry cursor, plus the products of the rows' current
-    monomials. Rows go in order, types ascending, columns ascending within
-    a type, and a row's entry varies slower than the rows below it. A
-    movement costs O_k(1) in the matrix width.
+    and its entry cursor. Rows go in order, types ascending, columns
+    ascending within a type, and a row's entry varies slower than the rows
+    below it. A movement costs O_k(1) in the matrix width. Nothing is
+    multiplied: the monomial the odometer stands at is the product of its
+    rows' current monomials, which the owner reads through {!row}.
 
     The odometer is re-aimable state: {!aim} refills it in place for a
     new matrix (O(k·n) to build the classes) and leaves it at ⊥, so one
@@ -31,9 +32,8 @@
     function takes the owner's matrix and cursor as arguments, so neither
     an aim nor a movement builds a closure. *)
 
-(** How the odometer reads a matrix ['x] whose entries are cursors ['e]
-    over monomials ['m]. *)
-type ('x, 'e, 'm) entries = {
+(** How the odometer reads a matrix ['x] whose entries are cursors ['e]. *)
+type ('x, 'e) entries = {
   nonzero : 'x -> int -> int -> bool;  (** is entry (r, c) non-zero? *)
   make : 'x -> 'e;  (** a fresh entry cursor, for a row used the first time *)
   aim : 'e -> 'x -> int -> int -> unit;
@@ -41,13 +41,10 @@ type ('x, 'e, 'm) entries = {
   step : 'e -> int -> bool;
       (** move a cursor forward (positive direction) or backward; false
           when it reaches ⊥ *)
-  value : 'e -> 'm;  (** the cursor's current monomial (not at ⊥) *)
-  mul : 'm -> 'm -> 'm;
-  one : 'm;
 }
 
-type ('x, 'e, 'm) t = {
-  entries : ('x, 'e, 'm) entries;
+type ('x, 'e) t = {
+  entries : ('x, 'e) entries;
   mutable matrix : 'x;
   mutable k : int;
   mutable feasible : bool;  (** the permanent is non-zero (Hall's check) *)
@@ -62,7 +59,6 @@ type ('x, 'e, 'm) t = {
   mutable pos : int array;  (** row r's position in [cols], -1 when it holds none *)
   mutable ty_of : int array;  (** the type of that column *)
   mutable cur : 'e array;  (** row r's entry cursor *)
-  mutable prod : 'm array;  (** the product of rows 0..r's monomials *)
 }
 
 (* Hall's condition for the rows of every subset of [sub] down to the
@@ -131,8 +127,7 @@ let aim st x ~rows:k ~cols:n =
     st.pos <- Array.make k (-1);
     st.ty_of <- Array.make k 0;
     st.cur <-
-      Array.init k (fun r -> if r < Array.length st.cur then st.cur.(r) else st.entries.make x);
-    st.prod <- Array.make k st.entries.one
+      Array.init k (fun r -> if r < Array.length st.cur then st.cur.(r) else st.entries.make x)
   end
   else Array.fill st.pos 0 k (-1)
 
@@ -152,7 +147,6 @@ let create entries x ~rows ~cols =
       pos = [||];
       ty_of = [||];
       cur = [||];
-      prod = [||];
     }
   in
   aim st x ~rows ~cols;
@@ -161,10 +155,13 @@ let create entries x ~rows ~cols =
 (** Is the permanent nonzero (the boolean projection h of Lemma 23)? *)
 let nonzero st = st.feasible
 
-(** Whether the odometer is at a monomial, and that monomial. *)
+(** Whether the odometer is at a monomial. *)
 let live st = st.live
 
-let value st = if st.k = 0 then st.entries.one else st.prod.(st.k - 1)
+(** Row [r]'s entry cursor. While the odometer is {!live}, every row's
+    cursor is live, and the odometer's monomial is the product of their
+    current monomials. *)
+let row st r = st.cur.(r)
 
 (* is position [p] held by a row before [r]? *)
 let rec held st r p = r > 0 && (st.pos.(r - 1) = p || held st (r - 1) p)
@@ -250,11 +247,6 @@ let move st dir =
       (* Hall's check on the way down guarantees every later row a column *)
       for r' = r + 1 to k - 1 do
         ignore (seek_type st r' first dir)
-      done;
-      let e = st.entries and prod = st.prod in
-      for r' = r to k - 1 do
-        let m = e.value st.cur.(r') in
-        prod.(r') <- (if r' = 0 then m else e.mul prod.(r' - 1) m)
       done;
       st.live <- true
     end

@@ -15,7 +15,6 @@ type 'g mono = 'g list
 (** A monomial: a multiset of generators, kept sorted. *)
 
 let mono_one : 'g mono = []
-let mono_mul (a : 'g mono) (b : 'g mono) : 'g mono = List.merge compare a b
 let mono_of_list l = List.sort compare l
 
 (** Explicit free-semiring elements: multisets of monomials as sorted
@@ -30,7 +29,7 @@ module Explicit = struct
   let add (a : 'g t) (b : 'g t) : 'g t = List.merge compare a b
 
   let mul (a : 'g t) (b : 'g t) : 'g t =
-    List.sort compare (List.concat_map (fun ma -> List.map (fun mb -> mono_mul ma mb) b) a)
+    List.sort compare (List.concat_map (fun ma -> List.map (List.merge compare ma) b) a)
 
   let equal a b = a = b
 

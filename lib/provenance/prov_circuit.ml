@@ -3,11 +3,13 @@
 
     A circuit is enumerated through frames, one mutable record per live
     cursor: an addition is a sum over its parts, a multiplication an
-    odometer over its factors (the first slowest) through monomial
-    multiplication, and a permanent gate the constant-delay odometer of
-    Lemma 23 ({!Perm.Enum_perm}), whose row entries are frames (a
-    one-row permanent is the sum of its row; a one-child sum is its
-    child).
+    odometer over its factors (the first slowest), and a permanent gate
+    the constant-delay odometer of Lemma 23 ({!Perm.Enum_perm}), whose
+    row entries are frames (a one-row permanent is the sum of its row; a
+    one-child sum is its child). No frame multiplies: in the free
+    semiring a product of monomials is their multiset union, so the
+    monomial a run stands at is the union of its live leaves' current
+    monomials, read by walking the live frames ({!iter_value}).
 
     Enumeration reads a maintained emptiness index: every gate's boolean
     projection (Lemma 23's h: is its value non-empty?), each input gate's
@@ -29,12 +31,11 @@
     frame at each column the row takes. Child slots and a permanent's
     arrays grow to the widest gate met so far and are then reused, so a
     running enumeration holds only its live path, and a pass after the
-    first allocates no frame: an answer costs its movements and the
-    monomial products it computes. So the work per [start] is the changed
-    inputs and the gates whose emptiness they flip, plus the frames the
-    enumeration actually moves; a frame entered again (under a product's
-    later factors, or under a permanent's later rows) is re-aimed again,
-    a permanent's column classes included.
+    first allocates no frame: an answer costs its movements. So the work
+    per [start] is the changed inputs and the gates whose emptiness they
+    flip, plus the frames the enumeration actually moves; a frame entered
+    again (under a product's later factors, or under a permanent's later
+    rows) is re-aimed again, a permanent's column classes included.
 
     Gates may be shared between parents (the optimizer's hash-consing
     makes sharing common even for non-leaf gates), but every reference
@@ -328,16 +329,13 @@ type 'g frame = {
       (** a leaf's position in [leaf] (0 at ⊥, i at its i-th monomial), a
           sum's part (-1 at ⊥) *)
   mutable live : bool;
-  mutable value : 'g Free.mono;  (** the current monomial when [live] *)
   mutable leaf : 'g Free.mono array;  (** an input gate's monomials *)
   mutable gs : int array;  (** a sum's parts, a product's factors *)
   mutable rows : int array array;  (** a permanent's matrix *)
   mutable kids : 'g frame array;
       (** child slots: a sum's part in slot 0, a product's factors in
           order; each allocated the first time it is used *)
-  mutable prods : 'g Free.mono array;
-      (** a product's prefix products: [prods.(i)] is factors 0..i's *)
-  mutable perm : ('g frame, 'g frame, 'g Free.mono) Perm.Enum_perm.t option;
+  mutable perm : ('g frame, 'g frame) Perm.Enum_perm.t option;
       (** a permanent's odometer, over row frames *)
 }
 
@@ -354,12 +352,10 @@ let blank ctx =
     kind = One;
     pos = 0;
     live = false;
-    value = Free.mono_one;
     leaf = [||];
     gs = [||];
     rows = [||];
     kids = [||];
-    prods = [||];
     perm = None;
   }
 
@@ -395,9 +391,7 @@ let rec aim f id =
       f.kind <- Leaf;
       f.leaf <- ix.leaves.(id);
       f.pos <- 0
-  | Const _ | Mul [||] | Perm [||] ->
-      f.kind <- One;
-      f.value <- Free.mono_one
+  | Const _ | Mul [||] | Perm [||] -> f.kind <- One
   | Add gs | Perm [| gs |] ->
       f.kind <- Sum;
       f.gs <- gs;
@@ -406,7 +400,6 @@ let rec aim f id =
       let n = Array.length gs in
       f.kind <- Product;
       f.gs <- gs;
-      if Array.length f.prods < n then f.prods <- Array.make n Free.mono_one;
       let factors = slots f n in
       for i = 0 to n - 1 do
         counted f.ctx gs.(i);
@@ -428,46 +421,31 @@ and move f dir =
   | Leaf ->
       let l = Array.length f.leaf in
       f.pos <- (f.pos + if dir > 0 then 1 else l) mod (l + 1);
-      f.live <- f.pos > 0;
-      if f.live then f.value <- f.leaf.(f.pos - 1)
+      f.live <- f.pos > 0
   | One -> f.live <- not f.live
   | Sum ->
       if f.pos < 0 then enter f (if dir > 0 then 0 else Array.length f.gs - 1) dir
       else begin
         let part = f.kids.(0) in
         move part dir;
-        if part.live then f.value <- part.value else enter f (f.pos + dir) dir
+        if not part.live then enter f (f.pos + dir) dir
       end
   | Product ->
-      (* an odometer, the first factor slowest, with the factors' prefix
-         products recomputed from the first one that moved *)
-      let n = Array.length f.gs in
-      let r =
-        if f.live then carry f (n - 1) dir
-        else begin
-          (* at ⊥ every factor is at ⊥: each moves onto its first (or
-             last) monomial *)
-          for i = 0 to n - 1 do
-            move f.kids.(i) dir
-          done;
-          0
-        end
-      in
-      if r < 0 then f.live <- false
+      (* an odometer, the first factor slowest *)
+      if f.live then f.live <- carry f (Array.length f.gs - 1) dir >= 0
       else begin
-        for i = r to n - 1 do
-          f.prods.(i) <-
-            (if i = 0 then f.kids.(0).value else Free.mono_mul f.prods.(i - 1) f.kids.(i).value)
+        (* at ⊥ every factor is at ⊥: each moves onto its first (or
+           last) monomial *)
+        for i = 0 to Array.length f.gs - 1 do
+          move f.kids.(i) dir
         done;
-        f.value <- f.prods.(n - 1);
         f.live <- true
       end
   | Permanent -> (
       match f.perm with
       | Some st ->
           Perm.Enum_perm.move st dir;
-          f.live <- Perm.Enum_perm.live st;
-          if f.live then f.value <- Perm.Enum_perm.value st
+          f.live <- Perm.Enum_perm.live st
       | None -> ())
 
 (* The sum [f] enters its first non-empty part from [j] on, stepping by
@@ -484,8 +462,7 @@ and enter f j dir =
     aim part f.gs.(j);
     move part dir;
     f.pos <- j;
-    f.live <- true;
-    f.value <- part.value
+    f.live <- true
   end
 
 (* Factor [i] of the product [f] moves; if it runs out, the factor
@@ -506,7 +483,7 @@ and carry f i dir =
   end
 
 (* A permanent's rows are frames aimed at its non-empty entries. *)
-and entries : ('g frame, 'g frame, 'g Free.mono) Perm.Enum_perm.entries =
+and entries : ('g frame, 'g frame) Perm.Enum_perm.entries =
   {
     nonzero = (fun f r c -> ne f.ctx.ix f.rows.(r).(c));
     make = (fun f -> blank f.ctx);
@@ -518,10 +495,27 @@ and entries : ('g frame, 'g frame, 'g Free.mono) Perm.Enum_perm.entries =
       (fun e dir ->
         move e dir;
         e.live);
-    value = (fun e -> e.value);
-    mul = Free.mono_mul;
-    one = Free.mono_one;
   }
+
+(* [g x m] for the current monomial [m] of each live leaf under the live
+   frame [f]: their union is [f]'s monomial. Every part, factor and row
+   of a live frame is live. *)
+let rec iter_leaves f g x =
+  match f.kind with
+  | Leaf -> g x f.leaf.(f.pos - 1)
+  | One -> ()
+  | Sum -> iter_leaves f.kids.(0) g x
+  | Product ->
+      for i = 0 to Array.length f.gs - 1 do
+        iter_leaves f.kids.(i) g x
+      done
+  | Permanent -> (
+      match f.perm with
+      | Some st ->
+          for r = 0 to Array.length f.rows - 1 do
+            iter_leaves (Perm.Enum_perm.row st r) g x
+          done
+      | None -> ())
 
 (* Back to ⊥; a product's factors too, since it enters with all of them
    at ⊥ (a sum re-aims its part, and a permanent its rows, on entry). *)
@@ -572,10 +566,21 @@ let step r dir =
     Robust.bad_input "Prov_circuit: stale enumerator (an update was drained after it was built)";
   match r.root with Some f -> move f dir | None -> ()
 
-(** Whether the run is at a monomial, and that monomial. *)
+(** Whether the run is at a monomial. *)
 let live r = match r.root with Some f -> f.live | None -> false
 
-let value r = match r.root with Some f -> f.value | None -> Free.mono_one
+(** [iter_value r g x] calls [g x m] for the generators [m] of each live
+    leaf of the run, the factors of its current monomial: nothing is
+    multiplied, and [g] and [x] come apart so that a caller builds no
+    closure. Nothing is called at ⊥. *)
+let iter_value r g x = match r.root with Some f when f.live -> iter_leaves f g x | _ -> ()
+
+(** The run's current monomial (the empty one at ⊥), its leaves merged
+    on demand. *)
+let value r =
+  let acc = ref [] in
+  iter_value r (fun acc m -> acc := List.rev_append m !acc) acc;
+  Free.mono_of_list !acc
 
 let reset r = Option.iter rewind r.root
 let is_empty r = Option.is_none r.root

@@ -299,12 +299,13 @@ let lasso_large_counts () =
 
 (* the enumerator permanent of Lemma 23, over a matrix whose cells list
    their monomials: an empty cell is a zero entry, and a row's entry
-   cursor walks its cell's list *)
+   cursor walks its cell's list. The odometer multiplies nothing: the
+   monomial it stands at is formed here from its row cursors. *)
 let monomial_mul a b = List.sort compare (a @ b)
 
 type cell_cursor = { mutable ms : string list array; mutable at : int }
 
-let cell_entries : (string list list array array, cell_cursor, string list) Perm.Enum_perm.entries =
+let cell_entries : (string list list array array, cell_cursor) Perm.Enum_perm.entries =
   {
     nonzero = (fun cells r c -> cells.(r).(c) <> []);
     make = (fun _ -> { ms = [||]; at = 0 });
@@ -317,9 +318,6 @@ let cell_entries : (string list list array array, cell_cursor, string list) Perm
         let l = Array.length e.ms in
         e.at <- (e.at + if dir > 0 then 1 else l) mod (l + 1);
         e.at > 0);
-    value = (fun e -> e.ms.(e.at - 1));
-    mul = monomial_mul;
-    one = [];
   }
 
 let dims (cells : string list list array array) =
@@ -330,18 +328,27 @@ let enum_perm cells =
   let k, n = dims cells in
   Perm.Enum_perm.create cell_entries cells ~rows:k ~cols:n
 
-(* an iterator handle over an odometer *)
-let iter st =
+(* the product of the current monomials of a live odometer's [k] row
+   cursors *)
+let row_monomial st k =
+  List.sort compare
+    (List.concat
+       (List.init k (fun r ->
+            let e = Perm.Enum_perm.row st r in
+            e.ms.(e.at - 1))))
+
+(* an iterator handle over an odometer of [k] rows *)
+let iter st k =
   {
     Enum.Iter.current =
-      (fun () -> if Perm.Enum_perm.live st then Some (Perm.Enum_perm.value st) else None);
+      (fun () -> if Perm.Enum_perm.live st then Some (row_monomial st k) else None);
     next = (fun () -> Perm.Enum_perm.move st 1);
     prev = (fun () -> Perm.Enum_perm.move st (-1));
     reset = (fun () -> Perm.Enum_perm.reset st);
     is_empty = (fun () -> not (Perm.Enum_perm.nonzero st));
   }
 
-let monomials cells = Enum.Iter.to_list (iter (enum_perm cells))
+let monomials cells = Enum.Iter.to_list (iter (enum_perm cells) (fst (dims cells)))
 let sorted_monomials cells = List.sort compare (monomials cells)
 let e name = [ [ name ] ]
 let z : string list list = []
@@ -424,7 +431,7 @@ let counted_cells counts =
    same multiset forward, the reverse order backward, and the same list
    after a reset that follows [stop] movements. *)
 let expands st cells stop =
-  let it = iter st in
+  let it = iter st (fst (dims cells)) in
   let fwd = Enum.Iter.to_list it in
   let bwd = Enum.Iter.to_list_rev it in
   Enum.Iter.reset it;
@@ -449,10 +456,23 @@ let enum_perm_matches_expansion k =
          let cells = counted_cells counts in
          expands (enum_perm cells) cells stop))
 
+(* A pass from ⊥ in direction [dir] over an odometer of [k] rows: at
+   every monomial, every row cursor is live (the answer is read from
+   them). *)
+let rows_live_on_pass st k dir =
+  Perm.Enum_perm.reset st;
+  let rec go () =
+    Perm.Enum_perm.move st dir;
+    (not (Perm.Enum_perm.live st))
+    || (List.for_all (fun r -> (Perm.Enum_perm.row st r).at > 0) (List.init k Fun.id) && go ())
+  in
+  go ()
+
 (* One odometer re-aimed across a sequence of matrices of 1-3 rows and
    0-6 columns, each aim made in the middle of a pass over the matrix
    before: every matrix still expands as it does alone, so no class,
-   [free] count or row survives an aim. *)
+   [free] count or row survives an aim, and every row cursor is live at
+   every monomial, forward and backward. *)
 let enum_perm_reaim =
   let matrix =
     QCheck.Gen.(
@@ -470,7 +490,9 @@ let enum_perm_reaim =
              let cells = counted_cells counts in
              let k, n = dims cells in
              Perm.Enum_perm.aim st cells ~rows:k ~cols:n;
-             let ok = expands st cells stop in
+             let ok =
+               expands st cells stop && rows_live_on_pass st k 1 && rows_live_on_pass st k (-1)
+             in
              for _ = 0 to stop do
                Perm.Enum_perm.move st 1
              done;
