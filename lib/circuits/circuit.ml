@@ -19,11 +19,7 @@ type 'a node =
   | Mul of int array
   | Perm of int array array  (** rows × columns of gate ids *)
 
-type 'a t = {
-  nodes : 'a node array;
-  output : int;
-  input_ids : (input_key, int) Hashtbl.t;
-}
+type 'a t = { nodes : 'a node array; output : int }
 
 (* --- builder --- *)
 
@@ -123,7 +119,7 @@ let finish b ~output =
     | Add gs | Mul gs -> Array.iter check gs
     | Perm rows -> Array.iter (Array.iter check) rows
   done;
-  { nodes = Array.sub b.buf 0 b.len; output; input_ids = b.inputs }
+  { nodes = Array.sub b.buf 0 b.len; output }
 
 (** Gates emitted so far — the cooperative gate-budget probe used by
     [Engine.Compile] while the circuit is still under construction. *)

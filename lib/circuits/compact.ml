@@ -302,9 +302,35 @@ let to_circuit (t : 'a t) : 'a Circuit.t =
               (Array.init rows (fun r ->
                    Array.init cols (fun c -> t.children.(base + (r * cols) + c)))))
   in
-  let input_ids = Hashtbl.create (max 16 (2 * Array.length t.input_keys)) in
-  iter_inputs t.opcode t.arg t.input_keys (Hashtbl.replace input_ids);
-  { Circuit.nodes; output = t.output; input_ids }
+  { Circuit.nodes; output = t.output }
+
+(** The parent lists in CSR form, [(par_off, par_gate, par_slot)]: the
+    references to gate [g] are [par_off.(g)] up to [par_off.(g + 1) - 1],
+    each its parent's id in [par_gate] and its slot in that parent's
+    child order in [par_slot]. One entry per child reference, so a parent
+    that lists [g] twice appears twice; parents come in ascending id
+    order, so such repeats are adjacent. *)
+let parents (t : 'a t) : int array * int array * int array =
+  let n = t.n in
+  (* count, prefix-sum, fill *)
+  let par_off = Array.make (n + 1) 0 in
+  Array.iter (fun g -> par_off.(g + 1) <- par_off.(g + 1) + 1) t.children;
+  for g = 0 to n - 1 do
+    par_off.(g + 1) <- par_off.(g + 1) + par_off.(g)
+  done;
+  let nch = Array.length t.children in
+  let par_gate = Array.make nch 0 and par_slot = Array.make nch 0 in
+  let cursor = Array.sub par_off 0 n in
+  let coff = t.child_off in
+  for id = 0 to n - 1 do
+    for i = coff.(id) to coff.(id + 1) - 1 do
+      let g = t.children.(i) in
+      par_gate.(cursor.(g)) <- id;
+      par_slot.(cursor.(g)) <- i - coff.(id);
+      cursor.(g) <- cursor.(g) + 1
+    done
+  done;
+  (par_off, par_gate, par_slot)
 
 (* --- evaluation --- *)
 

@@ -216,32 +216,14 @@ let init_derived ?(on_build = fun _ -> ()) ops mode fin_ctx (cc : 'a Compact.t)
     end
   done
 
-(* Freeze [c] into the CSR layout, build its parent CSR triple, seed the
+(* Freeze [c] into the CSR layout, take its parent CSR triple, seed the
    inputs from [valuation] and build every derived gate: the whole of
    [create], and the fresh structure a [splice] builds aside. *)
 let build ~on_build (ops : 'a Semiring.Intf.ops) mode fin_ctx (c : 'a Circuit.t)
     (valuation : Circuit.input_key -> 'a) : 'a t =
   let cc = Compact.of_circuit c in
   let n = cc.Compact.n in
-  (* parent CSR: count, prefix-sum, fill (parents end up in ascending
-     parent-id order) *)
-  let par_off = Array.make (n + 1) 0 in
-  Array.iter (fun g -> par_off.(g + 1) <- par_off.(g + 1) + 1) cc.Compact.children;
-  for g = 0 to n - 1 do
-    par_off.(g + 1) <- par_off.(g + 1) + par_off.(g)
-  done;
-  let nch = Array.length cc.Compact.children in
-  let par_gate = Array.make nch 0 and par_slot = Array.make nch 0 in
-  let cursor = Array.sub par_off 0 n in
-  let coff = cc.Compact.child_off in
-  for id = 0 to n - 1 do
-    for i = coff.(id) to coff.(id + 1) - 1 do
-      let g = cc.Compact.children.(i) in
-      par_gate.(cursor.(g)) <- id;
-      par_slot.(cursor.(g)) <- i - coff.(id);
-      cursor.(g) <- cursor.(g) + 1
-    done
-  done;
+  let par_off, par_gate, par_slot = Compact.parents cc in
   let values = Array.make n ops.Semiring.Intf.zero in
   Compact.iter_inputs cc.Compact.opcode cc.Compact.arg cc.Compact.input_keys (fun key id ->
       values.(id) <- valuation key);

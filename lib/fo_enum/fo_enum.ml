@@ -164,14 +164,13 @@ let prepare ?order ?(dynamic = false) ?opt ?budget (inst : Db.Instance.t)
         | Some (Neg r) -> if Db.Instance.mem inst r tuple then [] else [ [] ]
         | None -> invalid_arg ("Fo_enum: unexpected weight " ^ w))
   in
-  let symbols = Hashtbl.create 8 in
-  Hashtbl.iter (fun (w, _) _ -> Hashtbl.replace symbols w ()) prov.circuit.input_ids;
   let rel_keys =
     List.map
       (fun r ->
         ( r,
           List.filter
-            (fun (w, _) -> Hashtbl.mem symbols w)
+            (fun (w, _) ->
+              Array.exists (fun (w', _) -> String.equal w w') prov.cc.input_keys)
             [
               (Shapes.Forest_compile.pos_weight r, true);
               (Shapes.Forest_compile.neg_weight r, false);
@@ -236,7 +235,7 @@ let observed_step r dir =
   if Provenance.Prov_circuit.live r then begin
     Obs.Counter.incr m_answers;
     let work = !Enum.Iter.ticks - ticks0 in
-    Obs.Histogram.observe h_answer_work (float_of_int work);
+    Obs.Histogram.observe_int h_answer_work work;
     if hit then begin
       Obs.Histogram.observe h_answer_ns (Obs.elapsed_ns t0);
       Obs.Trace.complete ~scope:"fo_enum" "answer" ~start_ns:t0

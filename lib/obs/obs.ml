@@ -277,7 +277,7 @@ module Histogram = struct
   (** Bucket index of a value: 0 for v < 1, else the exponent e with
       v ∈ [2^(e−1), 2^e), clamped to the last bucket. Read from the
       biased exponent bits, since [Float.frexp] allocates its pair. *)
-  let bucket_of v =
+  let[@inline] bucket_of v =
     if Float.is_nan v || v < 1.0 then 0
     else
       let e = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 52) - 1022 in
@@ -288,7 +288,10 @@ module Histogram = struct
 
   let bucket_upper i = Float.ldexp 1. i
 
-  let observe t v =
+  (* the body of {!observe}, inlined (with [bucket_of]) into it and into
+     {!observe_int}: a float passed to a call that is not inlined is
+     boxed, so an int observed is converted in place and never boxed *)
+  let[@inline] record t v =
     if !enabled_flag then begin
       let v = if Float.is_nan v || v < 0. then 0. else v in
       let b = bucket_of v in
@@ -312,6 +315,11 @@ module Histogram = struct
       t.w_sums.(slot) <- t.w_sums.(slot) +. v;
       if v > t.w_maxs.(slot) then t.w_maxs.(slot) <- v
     end
+
+  let observe t v = record t v
+
+  (** [observe_int t n] is [observe t (float_of_int n)], allocating nothing. *)
+  let observe_int t n = record t (float_of_int n)
 
   let count t = t.count
   let sum t = t.stats.(0)

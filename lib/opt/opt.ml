@@ -25,8 +25,9 @@
     sweep is exactly the cone of the result: it holds no dead gate.
 
     The sweep rebuilds the circuit; consumers address it through weight
-    keys, and [input_ids] is rebuilt by the builder's own hash-consing,
-    so no gate id of the pre-optimization circuit survives or is needed.
+    keys, which the builder's own hash-consing keeps to one input gate
+    each, so no gate id of the pre-optimization circuit survives or is
+    needed.
     Gate creation order stays a topological order — children are emitted
     before parents — which {!Circuits.Dyn} relies on (and
     {!Circuits.Circuit.finish} validates). *)

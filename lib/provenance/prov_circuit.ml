@@ -11,18 +11,23 @@
     monomial a run stands at is the union of its live leaves' current
     monomials, read by walking the live frames ({!iter_value}).
 
+    The prepared query holds its circuit frozen once into the flat
+    arrays of {!Circuits.Compact}, the form [Dyn] serves: the index and
+    the frames read opcodes, child ranges and permanent shapes from them,
+    never a boxed gate.
+
     Enumeration reads a maintained emptiness index: every gate's boolean
-    projection (Lemma 23's h: is its value non-empty?), each input gate's
-    current monomials resolved into an array, and the circuit's parent
-    lists. The first [start] builds the index in one bottom-up pass;
-    after that an update only records its input key and the new value,
-    and the next [start] drains the records newest first: it finds each
-    key's input gate through the packed key index of {!Circuits.Compact}
-    (the one [Dyn] resolves keys through), built from the circuit's input
-    gates at the first drain, gives the gate its last recorded value, and
-    walks upward from each input whose emptiness flipped, stopping at the
-    first parent whose h is unchanged. An enumeration then aims one root
-    frame at the output.
+    projection (Lemma 23's h: is its value non-empty?), each input's
+    current monomials resolved into an array by input-pool slot, and the
+    circuit's parent lists ({!Circuits.Compact.parents}). The first
+    [start] builds the index in one bottom-up pass; after that an update
+    only records its input key and the new value, and the next [start]
+    drains the records newest first: it finds each key's input gate
+    through the circuit's packed key index (the one [Dyn] resolves keys
+    through), gives the gate its last recorded value, and walks upward
+    from each input whose emptiness flipped, stopping at the first parent
+    whose h is unchanged. An enumeration then aims one root frame at the
+    output.
 
     A frame is re-aimed in place at each gate it is to walk ({!aim}),
     never rebuilt: a sum keeps one part frame and re-aims it at each
@@ -60,15 +65,16 @@ type 'g index = {
       (** per gate, bit 0 is h (set iff its value is non-empty); bit 1
           marks an input gate the running drain has already given its
           last value *)
-  mutable parent_start : int array;
-      (** gate [g]'s distinct parents are [parents.(parent_start.(g))]
-          up to [parents.(parent_start.(g + 1) - 1)]; both arrays stay
-          empty until an update first flips an input, so an enumeration
-          without updates never builds them *)
-  mutable parents : int array;
+  mutable par_off : int array;
+      (** gate [g]'s parents are [par_gate.(par_off.(g))] up to
+          [par_gate.(par_off.(g + 1) - 1)], ascending, one per child
+          reference ({!Circuits.Compact.parents}); both arrays stay empty
+          until an update first flips an input, so an enumeration without
+          updates never builds them *)
+  mutable par_gate : int array;
   leaves : 'g Free.mono array array;
-      (** each input gate's current monomials; [[||]] at other gates *)
-  keys : Circuits.Compact.keys Lazy.t;  (** input gates by key, forced by the first drain *)
+      (** each input's current monomials, by input-pool slot (the [arg]
+          of its gate) *)
   pending_w : string array;
   pending_tuple : int list array;
   pending_leaf : 'g Free.mono array array;
@@ -88,7 +94,7 @@ type 'g index = {
     update is recorded in O(1); the next [enumerate] brings the emptiness
     index up to date by re-reading only the recorded inputs. *)
 type 'g t = {
-  circuit : bool Circuits.Circuit.t;
+  cc : bool Circuits.Compact.t;  (** the compiled circuit, frozen once *)
   meta : Engine.Compile.meta;
   weights : (Circuits.Circuit.input_key, 'g Free.mono list) Hashtbl.t;
       (** current value of each weight as an explicit monomial list *)
@@ -113,7 +119,7 @@ let prepare ?opt ?(dynamic_rels = []) ?(budget = Robust.unlimited) (inst : Db.In
     Engine.Compile.compile ~zero:false ~one:true ?opt ~dynamic_rels ~budget inst expr
   in
   {
-    circuit;
+    cc = Circuits.Compact.of_circuit circuit;
     meta;
     weights = Hashtbl.create 256;
     default = (fun (w, tuple) -> weight w tuple);
@@ -162,99 +168,60 @@ let current t key =
 
 let ne ix g = Char.code (Bytes.get ix.nonempty g) land 1 <> 0
 
-let rec exists_ne ix gs j = j < Array.length gs && (ne ix gs.(j) || exists_ne ix gs (j + 1))
-let rec for_all_ne ix gs j = j >= Array.length gs || (ne ix gs.(j) && for_all_ne ix gs (j + 1))
+(* whether some (every) gate of [a] from [j] up to [hi - 1] is non-empty *)
+let rec exists_ne ix a j hi = j < hi && (ne ix a.(j) || exists_ne ix a (j + 1) hi)
+let rec for_all_ne ix a j hi = j >= hi || (ne ix a.(j) && for_all_ne ix a (j + 1) hi)
 
-(* h of a non-input gate from its children's h *)
-let gate_h ix (node : bool Circuits.Circuit.node) =
-  match node with
-  | Input _ -> invalid_arg "Prov_circuit.gate_h: input gate"
-  | Const b -> b
-  | Add gs | Perm [| gs |] -> exists_ne ix gs 0
-  | Mul gs -> for_all_ne ix gs 0
-  | Perm rows ->
-      let k = Array.length rows in
-      if Array.length ix.hall_counts < 1 lsl k then ix.hall_counts <- Array.make (1 lsl k) 0
-      else Array.fill ix.hall_counts 0 (1 lsl k) 0;
-      let counts = ix.hall_counts in
-      for c = 0 to (if k = 0 then 0 else Array.length rows.(0)) - 1 do
-        let ty = ref 0 in
-        for r = 0 to k - 1 do
-          if ne ix rows.(r).(c) then ty := !ty lor (1 lsl r)
+(* h of a non-input gate [g] from its children's h *)
+let gate_h (cc : bool Circuits.Compact.t) ix g =
+  let lo = cc.child_off.(g) and hi = cc.child_off.(g + 1) in
+  match cc.opcode.(g) with
+  | 1 -> cc.consts.(cc.arg.(g))
+  | 2 -> exists_ne ix cc.children lo hi
+  | 3 -> for_all_ne ix cc.children lo hi
+  | 4 ->
+      let k = cc.perm_rows.(cc.arg.(g)) and n = cc.perm_cols.(cc.arg.(g)) in
+      if k = 1 then exists_ne ix cc.children lo hi
+      else begin
+        if Array.length ix.hall_counts < 1 lsl k then ix.hall_counts <- Array.make (1 lsl k) 0
+        else Array.fill ix.hall_counts 0 (1 lsl k) 0;
+        let counts = ix.hall_counts in
+        for c = 0 to n - 1 do
+          let ty = ref 0 in
+          for r = 0 to k - 1 do
+            if ne ix cc.children.(lo + (r * n) + c) then ty := !ty lor (1 lsl r)
+          done;
+          counts.(!ty) <- counts.(!ty) + 1
         done;
-        counts.(!ty) <- counts.(!ty) + 1
-      done;
-      Perm.Enum_perm.hall ~k counts ((1 lsl k) - 1)
+        Perm.Enum_perm.hall ~k counts ((1 lsl k) - 1)
+      end
+  | _ -> invalid_arg "Prov_circuit.gate_h: input gate"
 
 let set_h ix g h = Bytes.set ix.nonempty g (if h then '\001' else '\000')
 
-(* Re-read an input gate's monomials; returns its h. *)
-let read_input t ix g key =
-  let ms = Array.of_list (current t key) in
-  ix.leaves.(g) <- ms;
+(* Re-read the monomials of the input in pool slot [slot]; returns its h. *)
+let read_input t ix slot =
+  let ms = Array.of_list (current t t.cc.input_keys.(slot)) in
+  ix.leaves.(slot) <- ms;
   Array.length ms > 0
 
 (* The bottom-up pass: every gate's h from the current inputs. *)
 let recompute_all t ix =
-  let nodes = t.circuit.nodes in
-  for g = 0 to Array.length nodes - 1 do
-    set_h ix g (match nodes.(g) with Input key -> read_input t ix g key | node -> gate_h ix node)
+  let cc = t.cc in
+  for g = 0 to cc.n - 1 do
+    set_h ix g
+      (if cc.opcode.(g) = Circuits.Compact.op_input then read_input t ix cc.arg.(g)
+       else gate_h cc ix g)
   done
-
-(* [f p c] for every child reference [c] of every gate [p], in gate order *)
-let iter_edges (nodes : bool Circuits.Circuit.node array) f =
-  for p = 0 to Array.length nodes - 1 do
-    match nodes.(p) with
-    | Input _ | Const _ -> ()
-    | Add gs | Mul gs ->
-        for j = 0 to Array.length gs - 1 do
-          f p gs.(j)
-        done
-    | Perm rows ->
-        for r = 0 to Array.length rows - 1 do
-          for j = 0 to Array.length rows.(r) - 1 do
-            f p rows.(r).(j)
-          done
-        done
-  done
-
-(* The parent lists in CSR form. Gates are visited in id order, so a
-   repeated child of one parent is caught by [last]. *)
-let build_parents t ix =
-  let nodes = t.circuit.nodes in
-  let n = Array.length nodes in
-  let last = Array.make n (-1) in
-  let parent_start = Array.make (n + 1) 0 in
-  iter_edges nodes (fun p c ->
-      if last.(c) <> p then begin
-        last.(c) <- p;
-        parent_start.(c + 1) <- parent_start.(c + 1) + 1
-      end);
-  for g = 1 to n do
-    parent_start.(g) <- parent_start.(g) + parent_start.(g - 1)
-  done;
-  let parents = Array.make parent_start.(n) 0 in
-  let fill = last in
-  Array.blit parent_start 0 fill 0 n;
-  iter_edges nodes (fun p c ->
-      if fill.(c) = parent_start.(c) || parents.(fill.(c) - 1) <> p then begin
-        parents.(fill.(c)) <- p;
-        fill.(c) <- fill.(c) + 1
-      end);
-  ix.parent_start <- parent_start;
-  ix.parents <- parents
 
 let build_index t =
-  let n = Array.length t.circuit.nodes in
-  let ids = t.circuit.input_ids in
-  let inputs = Hashtbl.length ids in
+  let inputs = Array.length t.cc.input_keys in
   let ix =
     {
-      nonempty = Bytes.make n '\000';
-      parent_start = [||];
-      parents = [||];
-      leaves = Array.make n [||];
-      keys = lazy (Circuits.Compact.build_keys (fun f -> Hashtbl.iter f ids));
+      nonempty = Bytes.make t.cc.n '\000';
+      par_off = [||];
+      par_gate = [||];
+      leaves = Array.make inputs [||];
       pending_w = Array.make inputs "";
       pending_tuple = Array.make inputs [];
       pending_leaf = Array.make inputs [||];
@@ -266,17 +233,21 @@ let build_index t =
   recompute_all t ix;
   ix
 
-(* Gate [g]'s h became [h]: store it and recompute its parents, walking
-   on only from those whose h changes. h is monotone in the children's h,
+(* Gate [g]'s h became [h]: store it and recompute its parents, a parent
+   that lists [g] more than once (met in a row) only once, walking on
+   only from those whose h changes. h is monotone in the children's h,
    so one input's flip moves every gate in one direction and visits each
    at most once. *)
-let rec flip nodes ix g h =
+let rec flip cc ix g h =
   set_h ix g h;
-  for j = ix.parent_start.(g) to ix.parent_start.(g + 1) - 1 do
-    let p = ix.parents.(j) in
-    Obs.Counter.incr m_index_recomputed;
-    let hp = gate_h ix nodes.(p) in
-    if hp <> ne ix p then flip nodes ix p hp
+  let first = ix.par_off.(g) in
+  for j = first to ix.par_off.(g + 1) - 1 do
+    let p = ix.par_gate.(j) in
+    if j = first || ix.par_gate.(j - 1) <> p then begin
+      Obs.Counter.incr m_index_recomputed;
+      let hp = gate_h cc ix p in
+      if hp <> ne ix p then flip cc ix p hp
+    end
   done
 
 (* Bring the index up to date with the recorded updates. The records
@@ -288,17 +259,21 @@ let refresh t ix =
   if pending > 0 then begin
     if pending > Array.length ix.pending_w then recompute_all t ix
     else begin
-      let keys = Lazy.force ix.keys in
+      let cc = t.cc in
       let marked = ref 0 in
       for i = pending - 1 downto 0 do
-        let g = Circuits.Compact.gate_of keys ix.pending_w.(i) ix.pending_tuple.(i) in
+        let g = Circuits.Compact.gate_of cc.keys ix.pending_w.(i) ix.pending_tuple.(i) in
         if g >= 0 && Char.code (Bytes.get ix.nonempty g) land 2 = 0 then begin
           let ms = ix.pending_leaf.(i) in
-          ix.leaves.(g) <- ms;
+          ix.leaves.(cc.arg.(g)) <- ms;
           let h = Array.length ms > 0 in
           if h <> ne ix g then begin
-            if Array.length ix.parent_start = 0 then build_parents t ix;
-            flip t.circuit.nodes ix g h
+            if Array.length ix.par_off = 0 then begin
+              let par_off, par_gate, _ = Circuits.Compact.parents cc in
+              ix.par_off <- par_off;
+              ix.par_gate <- par_gate
+            end;
+            flip cc ix g h
           end;
           Bytes.set ix.nonempty g (if h then '\003' else '\002');
           ix.drained.(!marked) <- g;
@@ -330,8 +305,10 @@ type 'g frame = {
           sum's part (-1 at ⊥) *)
   mutable live : bool;
   mutable leaf : 'g Free.mono array;  (** an input gate's monomials *)
-  mutable gs : int array;  (** a sum's parts, a product's factors *)
-  mutable rows : int array array;  (** a permanent's matrix *)
+  mutable lo : int;  (** where the gate's children start in [children] *)
+  mutable len : int;  (** a sum's parts, a product's factors, a permanent's rows *)
+  mutable cols : int;
+      (** a permanent's columns: entry (r, c) is child [r * cols + c] *)
   mutable kids : 'g frame array;
       (** child slots: a sum's part in slot 0, a product's factors in
           order; each allocated the first time it is used *)
@@ -339,8 +316,8 @@ type 'g frame = {
       (** a permanent's odometer, over row frames *)
 }
 
-(* What every frame of one enumeration reads: the gates and the index. *)
-and 'g ctx = { nodes : bool Circuits.Circuit.node array; ix : 'g index }
+(* What every frame of one enumeration reads: the circuit and the index. *)
+and 'g ctx = { cc : bool Circuits.Compact.t; ix : 'g index }
 
 (* Frames allocated: a steady-state pass re-aims the ones it has. *)
 let m_frames = Obs.counter ~scope:"provenance" "frames_made"
@@ -353,8 +330,9 @@ let blank ctx =
     pos = 0;
     live = false;
     leaf = [||];
-    gs = [||];
-    rows = [||];
+    lo = 0;
+    len = 0;
+    cols = 0;
     kids = [||];
     perm = None;
   }
@@ -369,9 +347,10 @@ let slots f n =
   f.kids
 
 let counted ctx id =
-  match ctx.nodes.(id) with
-  | Input _ | Const _ -> ()
-  | _ -> Obs.Counter.incr m_cursors_built
+  if ctx.cc.opcode.(id) > Circuits.Compact.op_const then Obs.Counter.incr m_cursors_built
+
+(* child [j] of the gate [f] is aimed at *)
+let child f j = f.ctx.cc.children.(f.lo + j)
 
 (** [aim f id] points [f] at gate [id], which must be non-empty, at ⊥. A
     one-child sum or one-row one-column permanent resolves to its child,
@@ -380,38 +359,42 @@ let counted ctx id =
     product aims its factors at once, a sum its part when it enters it,
     a permanent a row's entry when the row takes its column. *)
 let rec aim f id =
-  let open Circuits.Circuit in
-  let ix = f.ctx.ix in
+  let cc = f.ctx.cc in
   f.live <- false;
-  match f.ctx.nodes.(id) with
-  | Add [| g |] | Perm [| [| g |] |] | Mul [| g |] ->
+  f.lo <- cc.child_off.(id);
+  f.len <- cc.child_off.(id + 1) - f.lo;
+  match cc.opcode.(id) with
+  | 0 ->
+      f.kind <- Leaf;
+      f.leaf <- f.ctx.ix.leaves.(cc.arg.(id));
+      f.pos <- 0
+  | _ when f.len = 1 ->
+      let g = child f 0 in
       counted f.ctx g;
       aim f g
-  | Input _ ->
-      f.kind <- Leaf;
-      f.leaf <- ix.leaves.(id);
-      f.pos <- 0
-  | Const _ | Mul [||] | Perm [||] -> f.kind <- One
-  | Add gs | Perm [| gs |] ->
-      f.kind <- Sum;
-      f.gs <- gs;
-      f.pos <- -1
-  | Mul gs ->
-      let n = Array.length gs in
+  | 3 when f.len > 0 ->
       f.kind <- Product;
-      f.gs <- gs;
-      let factors = slots f n in
-      for i = 0 to n - 1 do
-        counted f.ctx gs.(i);
-        aim factors.(i) gs.(i)
+      let factors = slots f f.len in
+      for i = 0 to f.len - 1 do
+        let g = child f i in
+        counted f.ctx g;
+        aim factors.(i) g
       done
-  | Perm rows -> (
+  | 4 when cc.perm_rows.(cc.arg.(id)) > 1 -> (
+      let k = cc.perm_rows.(cc.arg.(id)) and n = cc.perm_cols.(cc.arg.(id)) in
       f.kind <- Permanent;
-      f.rows <- rows;
-      let k = Array.length rows and n = Array.length rows.(0) in
+      f.len <- k;
+      f.cols <- n;
       match f.perm with
       | Some st -> Perm.Enum_perm.aim st f ~rows:k ~cols:n
       | None -> f.perm <- Some (Perm.Enum_perm.create entries f ~rows:k ~cols:n))
+  | 2 ->
+      f.kind <- Sum;
+      f.pos <- -1
+  | 4 when cc.perm_rows.(cc.arg.(id)) = 1 ->
+      f.kind <- Sum;
+      f.pos <- -1
+  | _ -> f.kind <- One (* a constant, an empty product, a permanent of no rows *)
 
 (** One movement of [f], forward for a positive [dir], else backward:
     one tick, a permanent's counted by its odometer. *)
@@ -424,7 +407,7 @@ and move f dir =
       f.live <- f.pos > 0
   | One -> f.live <- not f.live
   | Sum ->
-      if f.pos < 0 then enter f (if dir > 0 then 0 else Array.length f.gs - 1) dir
+      if f.pos < 0 then enter f (if dir > 0 then 0 else f.len - 1) dir
       else begin
         let part = f.kids.(0) in
         move part dir;
@@ -432,11 +415,11 @@ and move f dir =
       end
   | Product ->
       (* an odometer, the first factor slowest *)
-      if f.live then f.live <- carry f (Array.length f.gs - 1) dir >= 0
+      if f.live then f.live <- carry f (f.len - 1) dir >= 0
       else begin
         (* at ⊥ every factor is at ⊥: each moves onto its first (or
            last) monomial *)
-        for i = 0 to Array.length f.gs - 1 do
+        for i = 0 to f.len - 1 do
           move f.kids.(i) dir
         done;
         f.live <- true
@@ -451,15 +434,15 @@ and move f dir =
 (* The sum [f] enters its first non-empty part from [j] on, stepping by
    [dir], or goes to ⊥ past the last one. *)
 and enter f j dir =
-  if j < 0 || j >= Array.length f.gs then begin
+  if j < 0 || j >= f.len then begin
     f.pos <- -1;
     f.live <- false
   end
-  else if not (ne f.ctx.ix f.gs.(j)) then enter f (j + dir) dir
+  else if not (ne f.ctx.ix (child f j)) then enter f (j + dir) dir
   else begin
     let part = (slots f 1).(0) in
-    counted f.ctx f.gs.(j);
-    aim part f.gs.(j);
+    counted f.ctx (child f j);
+    aim part (child f j);
     move part dir;
     f.pos <- j;
     f.live <- true
@@ -485,12 +468,13 @@ and carry f i dir =
 (* A permanent's rows are frames aimed at its non-empty entries. *)
 and entries : ('g frame, 'g frame) Perm.Enum_perm.entries =
   {
-    nonzero = (fun f r c -> ne f.ctx.ix f.rows.(r).(c));
+    nonzero = (fun f r c -> ne f.ctx.ix (child f ((r * f.cols) + c)));
     make = (fun f -> blank f.ctx);
     aim =
       (fun e f r c ->
-        counted f.ctx f.rows.(r).(c);
-        aim e f.rows.(r).(c));
+        let g = child f ((r * f.cols) + c) in
+        counted f.ctx g;
+        aim e g);
     step =
       (fun e dir ->
         move e dir;
@@ -506,13 +490,13 @@ let rec iter_leaves f g x =
   | One -> ()
   | Sum -> iter_leaves f.kids.(0) g x
   | Product ->
-      for i = 0 to Array.length f.gs - 1 do
+      for i = 0 to f.len - 1 do
         iter_leaves f.kids.(i) g x
       done
   | Permanent -> (
       match f.perm with
       | Some st ->
-          for r = 0 to Array.length f.rows - 1 do
+          for r = 0 to f.len - 1 do
             iter_leaves (Perm.Enum_perm.row st r) g x
           done
       | None -> ())
@@ -525,7 +509,7 @@ let rec rewind f =
   | Leaf | One -> f.pos <- 0
   | Sum -> f.pos <- -1
   | Product ->
-      for i = 0 to Array.length f.gs - 1 do
+      for i = 0 to f.len - 1 do
         rewind f.kids.(i)
       done
   | Permanent -> Option.iter Perm.Enum_perm.reset f.perm
@@ -549,10 +533,10 @@ let start (t : 'g t) : 'g run =
         t.index <- Some ix;
         ix
   in
-  let output = t.circuit.output in
+  let output = t.cc.output in
   let root =
     if ne ix output then begin
-      let f = blank { nodes = t.circuit.nodes; ix } in
+      let f = blank { cc = t.cc; ix } in
       aim f output;
       Some f
     end
@@ -601,4 +585,4 @@ let meta t = t.meta
 
 (** Parameters of the compiled circuit the enumerators walk (the
     Theorem 22 preprocessing output), for observability surfaces. *)
-let circuit_stats t = Circuits.Circuit.stats t.circuit
+let circuit_stats (t : 'g t) = Circuits.Circuit.stats (Circuits.Compact.to_circuit t.cc)

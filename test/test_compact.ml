@@ -255,6 +255,42 @@ let layout_is_topological =
          in
          Compact.input_gate cc ("w", [ top + 1 ]) = -1))
 
+(* [parents] lists exactly every (parent, slot) of every child array:
+   each gate's references, read off the child arrays in gate order, so
+   with parent ids ascending and a repeated child's slots in order.
+   [Dyn]'s waves and the enumeration index both rely on that order. *)
+let parents_csr =
+  t
+    (QCheck.Test.make ~count:60 ~name:"Compact.parents lists every child reference in order"
+       QCheck.(pair bool (int_range 0 100000))
+       (fun (optimize, seed) ->
+         let c = Circuit_gen.random_circuit ~zero:0 ~one:1 ~mk:(fun i -> i mod 7) seed 6 in
+         let c =
+           if optimize then (Opt.run ~zero:0 ~one:1 ~equal:Int.equal c).Opt.circuit else c
+         in
+         let cc = Compact.of_circuit c in
+         let n = cc.Compact.n and off = cc.Compact.child_off in
+         let want = Array.make n [] in
+         for id = n - 1 downto 0 do
+           for k = off.(id + 1) - 1 downto off.(id) do
+             let g = cc.Compact.children.(k) in
+             want.(g) <- (id, k - off.(id)) :: want.(g)
+           done
+         done;
+         let par_off, par_gate, par_slot = Compact.parents cc in
+         Array.length par_off = n + 1
+         && par_off.(0) = 0
+         && par_off.(n) = Array.length par_gate
+         && Array.length par_slot = Array.length par_gate
+         && Seq.for_all
+              (fun g ->
+                par_off.(g) <= par_off.(g + 1)
+                && List.init
+                     (par_off.(g + 1) - par_off.(g))
+                     (fun j -> (par_gate.(par_off.(g) + j), par_slot.(par_off.(g) + j)))
+                   = want.(g))
+              (Seq.init n Fun.id)))
+
 let to_circuit_round_trip =
   t
     (QCheck.Test.make ~count:60 ~name:"Compact.to_circuit inverts of_circuit"
@@ -769,11 +805,13 @@ let keys_survive_reload () =
       with_tmp @@ fun path ->
       Compact.save ~tag:"nat" cc path;
       let back, _ = Compact.load path in
-      Hashtbl.iter
-        (fun k g ->
-          check_int ("before " ^ show_key k) g (Compact.input_gate cc k);
-          check_int ("after " ^ show_key k) g (Compact.input_gate (back : int Compact.t) k))
-        c.Circuit.input_ids)
+      Array.iteri
+        (fun g -> function
+          | Circuit.Input k ->
+              check_int ("before " ^ show_key k) g (Compact.input_gate cc k);
+              check_int ("after " ^ show_key k) g (Compact.input_gate (back : int Compact.t) k)
+          | _ -> ())
+        c.Circuit.nodes)
     [ key_circuit wide_keys; (Opt.run ~zero:0 ~one:1 random).Opt.circuit ]
 
 (* [of_circuit] and [load] both reject a key that two input gates share,
@@ -953,4 +991,5 @@ let suite =
     Alcotest.test_case "golden journal stability" `Quick golden_journal_stability;
     Alcotest.test_case "journal structural round trip" `Quick
       journal_structural_round_trip;
+    parents_csr;
   ]

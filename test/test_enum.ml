@@ -25,7 +25,7 @@ let frames (leaves : string list list array) build =
   Provenance.Prov_circuit.enumerate
     {
       base with
-      Provenance.Prov_circuit.circuit = C.finish b ~output:out;
+      Provenance.Prov_circuit.cc = Circuits.Compact.of_circuit (C.finish b ~output:out);
       default = (fun (_, tuple) -> leaves.(List.hd tuple));
     }
 

@@ -241,8 +241,10 @@ let lazy_build_counts () =
    every enumerator re-ran the bottom-up pass, 3,178-3,764 while a sum
    built a cursor for each of its non-empty children, and 2,221-2,372
    while every cursor was a record of closures); and
-   the index, parent lists and packed-key table included, is about half
-   the prepared query it serves (57% when written). *)
+   the index, parent lists included, is about half the prepared query it
+   serves (53% when written, the circuit held in Compact's flat arrays
+   and the monomials by input slot; 57% while the query held its boxed
+   circuit and the index a monomial slot per gate). *)
 let index_counts () =
   Obs.set_enabled true;
   let recomputed = Obs.counter ~scope:"provenance" "index_gates_recomputed" in
@@ -315,11 +317,13 @@ let retention side () =
    25%: at most 7.6 minor words per answer with telemetry off (6.1 when
    written, the answer array and its option; 15.1 while every product
    frame and permanent odometer multiplied monomials at each movement),
-   at most 10.8 with telemetry on (8.6 when written; 19.6 with those
+   at most 8.2 with telemetry on (6.6 when written; 8.6 while the
+   answer's work was observed as a boxed float, 19.6 with those
    products, 546 while a pass built its cursors again as records of
    closures, 1,830 while each answer's permanent was a stack of closures
    and every product rebuilt its pair at each read), telemetry adding at
-   most 3.1 words per answer (2.5 when written; 4.5 while a histogram
+   most 0.6 words per answer (0.49 when written; 2.5 while the answer's
+   work went to its histogram as a boxed float, 4.5 while a histogram
    observe stored a boxed sum, 33.4 while its observer decoded every
    answer a second time and a histogram observe allocated a
    [Float.frexp] pair). A second pass of one enumerator makes no frame:
@@ -349,12 +353,12 @@ let words_per_answer () =
     (Printf.sprintf "telemetry off: %.1f minor words per answer <= 7.6" off)
     true (off <= 7.6);
   Alcotest.(check bool)
-    (Printf.sprintf "telemetry on: %.1f minor words per answer <= 10.8" on)
-    true (on <= 10.8);
+    (Printf.sprintf "telemetry on: %.1f minor words per answer <= 8.2" on)
+    true (on <= 8.2);
   Alcotest.(check bool)
-    (Printf.sprintf "telemetry: %.1f - %.1f minor words per answer <= 3.1" on off)
+    (Printf.sprintf "telemetry: %.2f - %.2f minor words per answer <= 0.6" on off)
     true
-    (on -. off <= 3.1);
+    (on -. off <= 0.6);
   let made = Obs.counter ~scope:"provenance" "frames_made" in
   let it = Fo_enum.enumerate t in
   ignore (pass it);
@@ -551,7 +555,7 @@ let dynamic_differential =
          in
          let t = Fo_enum.prepare ~dynamic:true inst phi in
          let live = Fo_enum.instance t in
-         let inputs = Hashtbl.length t.Fo_enum.prov.Provenance.Prov_circuit.circuit.input_ids in
+         let inputs = Array.length t.Fo_enum.prov.Provenance.Prov_circuit.cc.input_keys in
          let arc () = arcs.(rnd (Array.length arcs)) in
          let mem (r, a) = Db.Instance.mem live r a in
          let set (r, a) present = Fo_enum.set_tuple t r a present in
@@ -606,6 +610,47 @@ let dynamic_differential =
              matches ())
            (List.init 6 Fun.id)))
 
+(* The emptiness index is the boolean projection of the served circuit,
+   gate by gate: after random arc flips drained by an [enumerate], every
+   gate's h equals its value over the booleans, each input valued by
+   whether its current monomials are non-empty. *)
+let index_is_bool_projection =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:30 ~name:"emptiness index = the circuit over the booleans"
+       QCheck.(int_range 0 100000)
+       (fun seed ->
+         let rng = Random.State.make [| seed |] in
+         let rnd = Random.State.int rng in
+         let g =
+           if rnd 2 = 0 then Graphs.Gen.grid (3 + rnd 3) (3 + rnd 3)
+           else Graphs.Gen.random_bounded_degree ~seed ~n:(8 + rnd 7) ~max_deg:3
+         in
+         let phi = if rnd 2 = 0 then phi_path2 else phi_triangle in
+         let t = Fo_enum.prepare ~dynamic:true (Db.Instance.of_graph g) phi in
+         let live = Fo_enum.instance t in
+         let arcs = Array.of_list (Db.Instance.tuples live "E") in
+         let cc = t.Fo_enum.prov.Provenance.Prov_circuit.cc in
+         let bool_ops = Semiring.Intf.ops_of_finite (module Semiring.Instances.Bool) in
+         let vals = Array.make cc.Circuits.Compact.n false in
+         ignore (Fo_enum.enumerate t);
+         List.for_all
+           (fun _ ->
+             for _ = 1 to 1 + rnd 4 do
+               let a = arcs.(rnd (Array.length arcs)) in
+               Fo_enum.set_tuple t "E" a (not (Db.Instance.mem live "E" a))
+             done;
+             ignore (Fo_enum.enumerate t);
+             match t.Fo_enum.prov.Provenance.Prov_circuit.index with
+             | None -> false
+             | Some ix ->
+                 let slot key = cc.Circuits.Compact.arg.(Circuits.Compact.input_gate cc key) in
+                 let holds key = ix.Provenance.Prov_circuit.leaves.(slot key) <> [||] in
+                 Circuits.Compact.eval_into bool_ops cc holds vals;
+                 Seq.for_all
+                   (fun g -> Provenance.Prov_circuit.ne ix g = vals.(g))
+                   (Seq.init cc.Circuits.Compact.n Fun.id))
+           (List.init 6 Fun.id)))
+
 (* [Prov_circuit.update] with free-semiring values, including values that
    keep a weight non-empty but rename it, against a fresh [prepare] of
    the current valuation after every batch. *)
@@ -630,7 +675,7 @@ let provenance_update_differential =
            Provenance.Prov_circuit.prepare inst triangle_prov_expr ~weight:(fun _w tuple ->
                initial tuple)
          in
-         let inputs = Hashtbl.length prov.Provenance.Prov_circuit.circuit.input_ids in
+         let inputs = Array.length prov.Provenance.Prov_circuit.cc.input_keys in
          let update () =
            let tuple = edges.(rnd (Array.length edges)) in
            let v =
@@ -739,4 +784,5 @@ let suite =
     dynamic_differential;
     provenance_update_differential;
     rewind_differential;
+    index_is_bool_projection;
   ]
