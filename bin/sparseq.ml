@@ -164,9 +164,10 @@ let metrics_arg =
     & info [ "metrics" ] ~docv:"FORMAT"
         ~doc:
           "Print the engine metrics snapshot (counters, gauges, latency histograms with \
-           cumulative and sliding-window quantiles) after the run, as $(b,human) text, \
-           $(b,json), or an $(b,openmetrics) text exposition (Prometheus-scrapeable). \
-           Printed even when the run fails, so budget violations leave a trace.")
+           their quantiles) after the run, as $(b,human) text, $(b,json), or an \
+           $(b,openmetrics) text exposition (Prometheus-scrapeable). Printed even when \
+           the run fails or an output file cannot be written, so budget violations \
+           leave a trace.")
 
 let metrics_out_arg =
   Arg.(
@@ -174,22 +175,13 @@ let metrics_out_arg =
     & opt (some string) None
     & info [ "metrics-out" ] ~docv:"FILE"
         ~doc:
-          "Periodically rewrite $(docv) with an OpenMetrics text exposition of the \
-           engine metrics during the run, plus once at exit. Rewrites are atomic \
-           (temp file + rename), so a concurrent scraper never reads a torn file — \
-           this is the scrape surface a future sparseqd would serve at /metrics.")
+          "Write an OpenMetrics text exposition of the engine metrics to $(docv) once, \
+           at exit (also when the run fails). The write is atomic (temp file + \
+           rename), so a reader never sees a torn file.")
 
-let metrics_interval_arg =
-  Arg.(
-    value & opt int 1000
-    & info [ "metrics-interval-ms" ] ~docv:"MS"
-        ~doc:"Minimum milliseconds between two $(b,--metrics-out) rewrites.")
-
-(* Snapshot format, exposition file and rewrite interval travel together
-   so every run function keeps the fixed arity [guarded] expects. *)
-let metrics_term =
-  Term.(
-    const (fun m o i -> (m, o, i)) $ metrics_arg $ metrics_out_arg $ metrics_interval_arg)
+(* Snapshot format and exposition file travel together so every run
+   function keeps the fixed arity [guarded] expects. *)
+let metrics_term = Term.(const (fun m o -> (m, o)) $ metrics_arg $ metrics_out_arg)
 
 let print_metrics = function
   | None -> ()
@@ -207,53 +199,48 @@ let trace_arg =
            Chrome trace-event JSON (open in Perfetto or chrome://tracing). Written \
            even when the run fails, so a budget violation leaves its trace behind.")
 
-let write_trace path records =
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string (Obs.Trace.to_chrome records));
-  output_char oc '\n';
-  close_out oc;
-  Printf.eprintf "trace written to %s (%d records)\n%!" path (List.length records)
+(* Write [text] to an output file through the crash-safe path and say so
+   on stderr; a failure comes back as the message naming the file, not as
+   an exception. *)
+let write_output ~what ?(note = "") path text =
+  match Obs.write_file_atomic path (fun oc -> output_string oc text) with
+  | () ->
+      Printf.eprintf "%s written to %s%s\n%!" what path note;
+      None
+  | exception Sys_error msg -> Some (Printf.sprintf "cannot write %s file %s: %s" what path msg)
 
 (* Unwrap a checked result inside a run function; the uniform handler below
    turns the raise into a Cmdliner error with exit code 1. *)
 let ok = function Ok x -> x | Error e -> raise (Robust.Error e)
 
 (* Wrap a run function so classified engine errors become Cmdliner-reported
-   errors (nonzero exit) rather than raw backtraces; the metrics snapshot,
-   the exposition file and the span trace (when requested) are emitted on
-   both paths. *)
+   errors (exit 1) rather than raw backtraces. At exit, on both paths, the
+   exposition file and the span trace (when requested) are each written
+   once, each attempted whatever became of the other, and the metrics
+   snapshot is printed; a failed write is reported as an error too. *)
 let guarded run =
- fun (metrics, metrics_out, interval_ms) trace a b c d e f ->
-  let writer =
-    Option.map
-      (fun path -> Obs.Openmetrics.Writer.create ~path ~interval_ms)
-      metrics_out
-  in
-  (* Long-running loops re-render the file through Obs.Openmetrics.pulse;
-     installing makes this run's writer the one they drive. *)
-  (match writer with Some w -> Obs.Openmetrics.install w | None -> ());
+ fun (metrics, metrics_out) trace a b c d e f ->
   if trace <> None then Obs.Trace.start_recording ();
   let finish () =
-    (match writer with
-    | Some w ->
-        Obs.Openmetrics.Writer.write_now w;
-        Obs.Openmetrics.uninstall ();
-        Printf.eprintf "metrics written to %s (%d writes)\n%!"
-          (Obs.Openmetrics.Writer.path w)
-          (Obs.Openmetrics.Writer.writes w)
-    | None -> ());
-    (match trace with
-    | Some path -> write_trace path (Obs.Trace.stop_recording ())
-    | None -> ());
-    print_metrics metrics
+    let metrics_err =
+      Option.bind metrics_out (fun path ->
+          write_output ~what:"metrics" path (Obs.Openmetrics.render ()))
+    in
+    let trace_err =
+      Option.bind trace (fun path ->
+          let records = Obs.Trace.stop_recording () in
+          write_output ~what:"trace" path
+            ~note:(Printf.sprintf " (%d records)" (List.length records))
+            (Obs.Json.to_string (Obs.Trace.to_chrome records) ^ "\n"))
+    in
+    print_metrics metrics;
+    List.filter_map Fun.id [ metrics_err; trace_err ]
   in
-  match run a b c d e f with
-  | v ->
-      finish ();
-      `Ok v
-  | exception Robust.Error err ->
-      finish ();
-      `Error (false, Robust.to_string err)
+  let result = match run a b c d e f with v -> Ok v | exception Robust.Error err -> Error err in
+  match (result, finish ()) with
+  | Ok v, [] -> `Ok v
+  | Ok _, errs -> `Error (false, String.concat "\n" errs)
+  | Error err, errs -> `Error (false, String.concat "\n" (Robust.to_string err :: errs))
 
 let setup kind n seed =
   let g = make_graph kind n seed in
@@ -385,8 +372,7 @@ let stats_cmd =
             agg := Engine.Eval.Cost.add !agg c
           end
           else Engine.Eval.update ev "w" [ x ] w';
-          samples.(i) <- Obs.elapsed_ns u0;
-          Obs.Openmetrics.pulse ()
+          samples.(i) <- Obs.elapsed_ns u0
         done;
         Array.sort compare samples;
         Format.printf "updates: %d  p50 %.0fns  p99 %.0fns  (value now %d)@." updates
@@ -410,8 +396,7 @@ let stats_cmd =
             agg := Engine.Eval.Cost.add !agg (Engine.Eval.update_many_cost ev writes)
           else Engine.Eval.update_many ev writes;
           samples.(i) <- Obs.elapsed_ns u0;
-          total := !total +. samples.(i);
-          Obs.Openmetrics.pulse ()
+          total := !total +. samples.(i)
         done;
         Array.sort compare samples;
         Format.printf
@@ -455,8 +440,7 @@ let stats_cmd =
                 Engine.Eval.insert_tuple ev "E" [ v; u ]
             end;
             s_samples := Obs.elapsed_ns u0 :: !s_samples
-          end;
-          Obs.Openmetrics.pulse ()
+          end
         done;
         let quantiles l =
           let a = Array.of_list l in
@@ -618,8 +602,7 @@ let pagerank_cmd =
       let next = Array.init n (fun x -> ok (Engine.Eval.query_checked t [ x ])) in
       for x = 0 to n - 1 do
         ok (Engine.Eval.update_checked t "w" [ x ] next.(x))
-      done;
-      Obs.Openmetrics.pulse ()
+      done
     done;
     let ranks = Array.init n (fun x -> (Db.Weights.get w [ x ], x)) in
     Array.sort (fun (a, _) (b, _) -> Rat.compare b a) ranks;
@@ -792,6 +775,6 @@ let () =
       ~doc:"Aggregate queries on sparse databases (Torunczyk, PODS 2020)."
   in
   exit
-    (Cmd.eval
+    (Cmd.eval ~term_err:1
        (Cmd.group info
           [ stats_cmd; count_cmd; enum_cmd; explain_cmd; pagerank_cmd; compile_cmd ]))

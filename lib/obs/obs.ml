@@ -9,17 +9,15 @@
     - {!Counter} — monotone event counts (updates applied, budgets fired);
     - {!Gauge} — last-written values (gates, depth of the latest circuit);
     - {!Histogram} — log₂-bucketed magnitude distributions, used for
-      latencies in nanoseconds and for per-answer work counts; every
-      histogram also maintains a sliding window (last {!Window.slots}
-      epochs) so a regression in the recent past is visible next to the
-      whole-run aggregate;
+      latencies in nanoseconds and for per-answer work counts; each is one
+      cumulative series;
     - {!Timer} — sugar for timing a thunk into a histogram;
-    - {!Runtime} — a [Gc.quick_stat] delta sampler (allocation rates,
-      collection counts, heap size) under the "runtime" scope;
     - a global registry of named scopes ("compile", "dyn", "perm", …) with
       {!snapshot} (machine-readable JSON, no external JSON library),
       {!snapshot_human}, and {!Openmetrics.render} (Prometheus-scrapeable
-      text exposition, plus an atomic periodic file writer) dumps.
+      text exposition) dumps, each taken on demand;
+    - {!Trace} — hierarchical spans, Chrome trace-event export and the
+      post-mortem flight recorder.
 
     All write paths are gated on a single mutable flag ({!set_enabled}):
     when disabled, an instrumented operation costs one load and branch, so
@@ -79,8 +77,8 @@ let sampled s =
     once it is complete and closed. A crash or an exception mid-write
     leaves the previous [path] byte-identical; on an exception the temp
     file is removed and the exception re-raised. The one file-writing
-    path of the journal, the persisted circuit and the OpenMetrics
-    writer. *)
+    path of the journal, the persisted circuit and the CLI's metrics and
+    trace files. *)
 let write_file_atomic path (write : out_channel -> unit) : unit =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
@@ -165,57 +163,6 @@ module Json = struct
     Buffer.contents buf
 end
 
-(* --- the sliding-window epoch clock --- *)
-
-(** Global epoch clock for the sliding-window side of every histogram.
-
-    Time is cut into fixed-length epochs; each histogram keeps a ring of
-    {!slots} per-epoch sub-histograms, and "the window" is the union of
-    the sub-histograms whose epoch tag lies in the last {!slots} epochs.
-    The epoch only advances when {!tick} is called — snapshot paths
-    ({!snapshot_json}, {!Openmetrics.render}, the periodic writer) drive
-    it, so there is no background thread and a test with an injected
-    clock ({!set_clock}) steps epochs deterministically. *)
-module Window = struct
-  (** Ring size: the window spans the last 8 epochs (with the default
-      1s epoch length, an 8-second sliding window). *)
-  let slots = 8
-
-  let cur_epoch = ref 0
-  let epoch_len = ref 1e9 (* ns *)
-  let epoch_start = ref Float.nan (* anchored lazily by the first tick *)
-
-  (** Epoch length in milliseconds (default 1000). *)
-  let set_epoch_ms ms = epoch_len := float_of_int (max 1 ms) *. 1e6
-
-  let epoch_ms () = int_of_float (!epoch_len /. 1e6)
-  let current_epoch () = !cur_epoch
-
-  (** Advance the epoch to match the clock. Multiple elapsed epochs are
-      caught up in one step; a backwards clock step re-anchors the epoch
-      start without rewinding the epoch counter (epochs are monotone).
-      Meant to be called from snapshot paths, not from hot loops. *)
-  let tick () =
-    let now = now_ns () in
-    if Float.is_nan !epoch_start then epoch_start := now
-    else begin
-      let d = now -. !epoch_start in
-      if d < 0. then epoch_start := now
-      else if d >= !epoch_len then begin
-        let k = int_of_float (d /. !epoch_len) in
-        cur_epoch := !cur_epoch + k;
-        epoch_start := !epoch_start +. (float_of_int k *. !epoch_len)
-      end
-    end
-
-  (** Rewind the epoch clock (tests only). Histograms observed before the
-      reset keep stale slot tags; reset them too ({!Histogram.reset}) or
-      use fresh histograms. *)
-  let reset () =
-    cur_epoch := 0;
-    epoch_start := Float.nan
-end
-
 (* --- metric kinds --- *)
 
 module Counter = struct
@@ -241,11 +188,8 @@ end
 (** Log₂-scale histogram over non-negative magnitudes (latencies in
     nanoseconds, per-answer work counts, …). Bucket 0 holds values in
     [0, 1); bucket i ≥ 1 holds [2^(i−1), 2^i). 64 buckets cover every
-    magnitude a float can meaningfully carry here.
-
-    Next to the cumulative series, each histogram keeps a ring of
-    {!Window.slots} per-epoch sub-histograms; {!window_stats} merges the
-    live slots into sliding-window count/sum/p50/p99. *)
+    magnitude a float can meaningfully carry here. One cumulative series
+    per histogram: it counts every observation since the last reset. *)
 module Histogram = struct
   let nbuckets = 64
 
@@ -255,12 +199,6 @@ module Histogram = struct
     stats : float array;
         (* sum, min (+inf when empty), max (-inf when empty): a float
            array stores them unboxed, so an observe allocates none *)
-    (* the sliding-window ring: slot e mod slots carries epoch e's
-       sub-histogram, tagged with e (min_int = never used) *)
-    w_epoch : int array;
-    w_buckets : int array; (* slots × nbuckets, flattened *)
-    w_sums : float array;
-    w_maxs : float array;
   }
 
   let make () =
@@ -268,10 +206,6 @@ module Histogram = struct
       buckets = Array.make nbuckets 0;
       count = 0;
       stats = [| 0.; Float.infinity; Float.neg_infinity |];
-      w_epoch = Array.make Window.slots min_int;
-      w_buckets = Array.make (Window.slots * nbuckets) 0;
-      w_sums = Array.make Window.slots 0.;
-      w_maxs = Array.make Window.slots Float.neg_infinity;
     }
 
   (** Bucket index of a value: 0 for v < 1, else the exponent e with
@@ -300,20 +234,7 @@ module Histogram = struct
       let st = t.stats in
       st.(0) <- st.(0) +. v;
       if v < st.(1) then st.(1) <- v;
-      if v > st.(2) then st.(2) <- v;
-      let e = Window.current_epoch () in
-      let slot = e mod Window.slots in
-      if t.w_epoch.(slot) <> e then begin
-        (* the slot last held an older epoch: recycle it for [e] *)
-        Array.fill t.w_buckets (slot * nbuckets) nbuckets 0;
-        t.w_sums.(slot) <- 0.;
-        t.w_maxs.(slot) <- Float.neg_infinity;
-        t.w_epoch.(slot) <- e
-      end;
-      let wb = (slot * nbuckets) + b in
-      t.w_buckets.(wb) <- t.w_buckets.(wb) + 1;
-      t.w_sums.(slot) <- t.w_sums.(slot) +. v;
-      if v > t.w_maxs.(slot) then t.w_maxs.(slot) <- v
+      if v > st.(2) then st.(2) <- v
     end
 
   let observe t v = record t v
@@ -328,72 +249,34 @@ module Histogram = struct
   let max_value t = if t.count = 0 then 0. else t.stats.(2)
   let bucket_count t i = t.buckets.(i)
 
-  (** Quantile over any bucket-count view: the upper bound of the smallest
-      bucket whose cumulative count reaches q·count (inclusive — a rank
-      exactly equal to a bucket's cumulative count selects that bucket,
-      not the one above), clamped to the observed maximum. 0 when empty. *)
-  let quantile_over ~(bucket : int -> int) ~count ~max_v q =
-    if count = 0 then 0.
+  (** The upper bound of the smallest bucket whose cumulative count
+      reaches q·count (inclusive — a rank exactly equal to a bucket's
+      cumulative count selects that bucket, not the one above), clamped
+      to the observed maximum. 0 when empty. *)
+  let quantile t q =
+    if t.count = 0 then 0.
     else begin
-      let rank = Float.to_int (Float.ceil (q *. float_of_int count)) in
-      let rank = if rank < 1 then 1 else if rank > count then count else rank in
+      let rank = Float.to_int (Float.ceil (q *. float_of_int t.count)) in
+      let rank = if rank < 1 then 1 else if rank > t.count then t.count else rank in
       (* smallest i with cumulative count >= rank; the total reaches
          [count >= rank], so the scan stays in range *)
-      let cum = ref (bucket 0) and i = ref 0 in
+      let cum = ref t.buckets.(0) and i = ref 0 in
       while !cum < rank && !i < nbuckets - 1 do
         incr i;
-        cum := !cum + bucket !i
+        cum := !cum + t.buckets.(!i)
       done;
-      Float.min (bucket_upper !i) max_v
+      Float.min (bucket_upper !i) (max_value t)
     end
-
-  let quantile t q =
-    quantile_over ~bucket:(Array.get t.buckets) ~count:t.count ~max_v:(max_value t) q
 
   let p50 t = quantile t 0.5
   let p99 t = quantile t 0.99
-
-  (** Merged view of the sliding window (the last {!Window.slots} epochs,
-      as of the current epoch — call {!Window.tick} first on snapshot
-      paths). Count and quantiles come from one merged bucket array, so
-      they are internally consistent. *)
-  type wstats = { wcount : int; wsum : float; wp50 : float; wp99 : float; wmax : float }
-
-  let window_stats t =
-    let e = Window.current_epoch () in
-    let counts = Array.make nbuckets 0 in
-    let s = ref 0. and mx = ref Float.neg_infinity in
-    for slot = 0 to Window.slots - 1 do
-      let tag = t.w_epoch.(slot) in
-      if tag <= e && tag > e - Window.slots then begin
-        let base = slot * nbuckets in
-        for i = 0 to nbuckets - 1 do
-          counts.(i) <- counts.(i) + t.w_buckets.(base + i)
-        done;
-        s := !s +. t.w_sums.(slot);
-        if t.w_maxs.(slot) > !mx then mx := t.w_maxs.(slot)
-      end
-    done;
-    let n = Array.fold_left ( + ) 0 counts in
-    let mx = if n = 0 then 0. else !mx in
-    {
-      wcount = n;
-      wsum = (if n = 0 then 0. else !s);
-      wmax = mx;
-      wp50 = quantile_over ~bucket:(Array.get counts) ~count:n ~max_v:mx 0.5;
-      wp99 = quantile_over ~bucket:(Array.get counts) ~count:n ~max_v:mx 0.99;
-    }
 
   let reset t =
     Array.fill t.buckets 0 nbuckets 0;
     t.count <- 0;
     t.stats.(0) <- 0.;
     t.stats.(1) <- Float.infinity;
-    t.stats.(2) <- Float.neg_infinity;
-    Array.fill t.w_epoch 0 Window.slots min_int;
-    Array.fill t.w_buckets 0 (Array.length t.w_buckets) 0;
-    Array.fill t.w_sums 0 Window.slots 0.;
-    Array.fill t.w_maxs 0 Window.slots Float.neg_infinity
+    t.stats.(2) <- Float.neg_infinity
 end
 
 (** Timers are histograms of nanoseconds with a measuring combinator. *)
@@ -492,7 +375,6 @@ let metric_json = function
             else Some (Json.A [ Json.F (Histogram.bucket_upper i); Json.I n ]))
           (List.init Histogram.nbuckets Fun.id)
       in
-      let w = Histogram.window_stats h in
       Json.O
         [
           ("type", Json.S "histogram");
@@ -503,24 +385,12 @@ let metric_json = function
           ("max", Json.F (Histogram.max_value h));
           ("p50", Json.F (Histogram.p50 h));
           ("p99", Json.F (Histogram.p99 h));
-          ( "window",
-            Json.O
-              [
-                ("count", Json.I w.Histogram.wcount);
-                ("sum", Json.F w.Histogram.wsum);
-                ("p50", Json.F w.Histogram.wp50);
-                ("p99", Json.F w.Histogram.wp99);
-                ("max", Json.F w.Histogram.wmax);
-              ] );
           ("buckets", Json.A buckets);
         ]
 
 (** The whole registry as one JSON object: scope → name → metric, with
-    scopes and names sorted for deterministic output. Taking a snapshot
-    advances the window epoch ({!Window.tick}) — the snapshot path is the
-    epoch driver; there is no background thread. *)
+    scopes and names sorted for deterministic output. *)
 let snapshot_json () =
-  Window.tick ();
   let entries = sorted_entries () in
   let all_scopes = List.sort_uniq compare (List.map (fun ((s, _), _) -> s) entries) in
   let scope_objs =
@@ -534,50 +404,17 @@ let snapshot_json () =
 
 let snapshot () = Json.to_string (snapshot_json ())
 
-(* --- runtime (GC / heap) telemetry --- *)
-
-(** Zero-dependency runtime sampler: each {!sample} folds the delta since
-    the previous sample of [Gc.quick_stat] into counters (allocation and
-    collection totals under the "runtime" scope) and gauges (current and
-    peak heap size). The first sample after {!reset} accounts the
-    process-lifetime totals. Sampling is driven by the same paths that
-    snapshot metrics (the periodic writer, `stats --cost`);
-    there is no background thread. *)
-module Runtime = struct
-  let last : Gc.stat option ref = ref None
-  let reset () = last := None
-
-  let sample () =
-    if !enabled_flag then begin
-      let s = Gc.quick_stat () in
-      let dfloat f = match !last with None -> f s | Some p -> f s -. f p in
-      let dint f = match !last with None -> f s | Some p -> f s - f p in
-      let cadd name v = Counter.add (counter ~scope:"runtime" name) (max 0 v) in
-      cadd "minor_words" (int_of_float (dfloat (fun (g : Gc.stat) -> g.minor_words)));
-      cadd "promoted_words" (int_of_float (dfloat (fun (g : Gc.stat) -> g.promoted_words)));
-      cadd "major_words" (int_of_float (dfloat (fun (g : Gc.stat) -> g.major_words)));
-      cadd "minor_collections" (dint (fun (g : Gc.stat) -> g.minor_collections));
-      cadd "major_collections" (dint (fun (g : Gc.stat) -> g.major_collections));
-      cadd "compactions" (dint (fun (g : Gc.stat) -> g.compactions));
-      cadd "forced_major_collections" (dint (fun (g : Gc.stat) -> g.forced_major_collections));
-      Gauge.set_int (gauge ~scope:"runtime" "heap_words") s.heap_words;
-      Gauge.set_int (gauge ~scope:"runtime" "top_heap_words") s.top_heap_words;
-      last := Some s
-    end
-end
-
 (* --- OpenMetrics / Prometheus text exposition --- *)
 
-(** The registry as an OpenMetrics text exposition — the scrape surface a
-    future [sparseqd] will serve at [/metrics], already consumable by
-    Prometheus via file-based collection today:
+(** The registry as an OpenMetrics text exposition, consumable by
+    Prometheus through file-based collection (the CLI's [--metrics-out]
+    writes it once, at exit):
 
     - counters → one [<family>_total] sample;
     - gauges → one [<family>] sample;
     - histograms → cumulative [<family>_bucket{le="…"}] samples (occupied
       buckets plus the mandatory [le="+Inf"], which equals
-      [<family>_count]), [_sum], and [_count], with the sliding-window
-      p50/p99/count exported as companion [_win_*] gauge families;
+      [<family>_count]), [_sum], and [_count];
     - families sorted by name, [# EOF] terminated — the output of two
       identical registries is byte-identical.
 
@@ -606,104 +443,43 @@ module Openmetrics = struct
     else if f = Float.neg_infinity then "-Inf"
     else Printf.sprintf "%.17g" f
 
-  let block ~fam ~kind ~scope ~name body =
+  (* One registry entry as its (family, text) block. *)
+  let block_of ((scope, name), m) =
+    let fam = family ~scope ~name in
     let buf = Buffer.create 256 in
+    let kind = match m with C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram" in
     Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" fam kind);
     Buffer.add_string buf (Printf.sprintf "# HELP %s sparseq metric %s\n" fam (full_name scope name));
-    body buf;
-    (fam, Buffer.contents buf)
-
-  let gauge_block ~fam ~scope ~name v =
-    block ~fam ~kind:"gauge" ~scope ~name (fun buf ->
-        Buffer.add_string buf (Printf.sprintf "%s %s\n" fam (float_str v)))
-
-  (* One registry entry as a list of (family, text) blocks; histograms
-     expand to the histogram family plus the windowed companion gauges. *)
-  let blocks_of ((scope, name), m) =
-    let fam = family ~scope ~name in
-    match m with
-    | C c ->
-        [
-          block ~fam ~kind:"counter" ~scope ~name (fun buf ->
-              Buffer.add_string buf (Printf.sprintf "%s_total %d\n" fam (Counter.get c)));
-        ]
-    | G g -> [ gauge_block ~fam ~scope ~name (Gauge.get g) ]
+    (match m with
+    | C c -> Buffer.add_string buf (Printf.sprintf "%s_total %d\n" fam (Counter.get c))
+    | G g -> Buffer.add_string buf (Printf.sprintf "%s %s\n" fam (float_str (Gauge.get g)))
     | H h ->
-        let w = Histogram.window_stats h in
         (* Cumulative counts from one pass over the buckets; the +Inf
            bucket and _count are both that bucket total. *)
-        let hist =
-          block ~fam ~kind:"histogram" ~scope ~name (fun buf ->
-              let cum = ref 0 in
-              for i = 0 to Histogram.nbuckets - 1 do
-                let n = Histogram.bucket_count h i in
-                if n > 0 then begin
-                  cum := !cum + n;
-                  Buffer.add_string buf
-                    (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" fam
-                       (float_str (Histogram.bucket_upper i))
-                       !cum)
-                end
-              done;
-              Buffer.add_string buf (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" fam !cum);
-              Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" fam (float_str (Histogram.sum h)));
-              Buffer.add_string buf (Printf.sprintf "%s_count %d\n" fam !cum))
-        in
-        [
-          hist;
-          gauge_block ~fam:(fam ^ "_win_count") ~scope ~name (float_of_int w.Histogram.wcount);
-          gauge_block ~fam:(fam ^ "_win_p50") ~scope ~name w.Histogram.wp50;
-          gauge_block ~fam:(fam ^ "_win_p99") ~scope ~name w.Histogram.wp99;
-        ]
+        let cum = ref 0 in
+        for i = 0 to Histogram.nbuckets - 1 do
+          let n = Histogram.bucket_count h i in
+          if n > 0 then begin
+            cum := !cum + n;
+            Buffer.add_string buf
+              (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" fam
+                 (float_str (Histogram.bucket_upper i))
+                 !cum)
+          end
+        done;
+        Buffer.add_string buf (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" fam !cum);
+        Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" fam (float_str (Histogram.sum h)));
+        Buffer.add_string buf (Printf.sprintf "%s_count %d\n" fam !cum));
+    (fam, Buffer.contents buf)
 
-  (** Render the whole registry. Advances the window epoch, like every
-      snapshot path. *)
+  (** Render the whole registry. *)
   let render () =
-    Window.tick ();
-    let blocks = List.concat_map blocks_of (sorted_entries ()) in
+    let blocks = List.map block_of (sorted_entries ()) in
     let blocks = List.sort (fun (fa, _) (fb, _) -> compare (fa : string) fb) blocks in
     let buf = Buffer.create 4096 in
     List.iter (fun (_, text) -> Buffer.add_string buf text) blocks;
     Buffer.add_string buf "# EOF\n";
     Buffer.contents buf
-
-  (** Periodic exposition writer: [tick] re-renders into the target file
-      at most once per interval, [write_now] unconditionally. Rewrites are
-      atomic (temp file in the same directory, then rename), so a scraper
-      reading mid-write sees the previous complete exposition, never a
-      torn one. Each write also takes a {!Runtime} sample, so a scraped
-      file carries fresh GC/heap numbers. *)
-  module Writer = struct
-    type t = {
-      path : string;
-      interval_ns : float;
-      mutable last_write : float;
-      mutable writes : int;
-    }
-
-    let create ~path ~interval_ms =
-      { path; interval_ns = float_of_int (max 0 interval_ms) *. 1e6; last_write = Float.neg_infinity; writes = 0 }
-
-    let write_now w =
-      Runtime.sample ();
-      let text = render () in
-      write_file_atomic w.path (fun oc -> output_string oc text);
-      w.last_write <- now_ns ();
-      w.writes <- w.writes + 1
-
-    let tick w = if now_ns () -. w.last_write >= w.interval_ns then write_now w
-    let writes w = w.writes
-    let path w = w.path
-  end
-
-  (* The process-global installed writer: long-running loops
-     (`stats --updates`, churn ops, pagerank rounds) call [pulse] between
-     operations — outside any timed region — and the CLI installs/flushes
-     it around each subcommand. *)
-  let installed : Writer.t option ref = ref None
-  let install w = installed := Some w
-  let uninstall () = installed := None
-  let pulse () = match !installed with None -> () | Some w -> Writer.tick w
 end
 
 (* --- hierarchical span tracing + the post-mortem flight recorder --- *)
@@ -1175,10 +951,8 @@ module Trace = struct
 end
 
 (** Plain-text dump, one metric per line, sorted by (scope, name) so two
-    runs of the same seed diff cleanly. Advances the window epoch, like
-    every snapshot path. *)
+    runs of the same seed diff cleanly. *)
 let snapshot_human () =
-  Window.tick ();
   let buf = Buffer.create 1024 in
   sorted_entries ()
   |> List.iter (fun ((scope, n), m) ->
@@ -1187,11 +961,8 @@ let snapshot_human () =
          | C c -> Buffer.add_string buf (Printf.sprintf "%-40s %d\n" name (Counter.get c))
          | G g -> Buffer.add_string buf (Printf.sprintf "%-40s %.12g\n" name (Gauge.get g))
          | H h ->
-             let w = Histogram.window_stats h in
              Buffer.add_string buf
-               (Printf.sprintf
-                  "%-40s count=%d mean=%.0f p50=%.0f p99=%.0f max=%.0f win(count=%d p50=%.0f p99=%.0f)\n"
-                  name (Histogram.count h) (Histogram.mean h) (Histogram.p50 h)
-                  (Histogram.p99 h) (Histogram.max_value h) w.Histogram.wcount
-                  w.Histogram.wp50 w.Histogram.wp99));
+               (Printf.sprintf "%-40s count=%d mean=%.0f p50=%.0f p99=%.0f max=%.0f\n" name
+                  (Histogram.count h) (Histogram.mean h) (Histogram.p50 h) (Histogram.p99 h)
+                  (Histogram.max_value h)));
   Buffer.contents buf

@@ -175,70 +175,16 @@ let gauges_match_circuit () =
   check "compile runs counted" true
     (Obs.Counter.get (Obs.counter ~scope:"compile" "runs") > 0)
 
-(* --- sliding-window aggregation (injected clock, deterministic) --- *)
+(* --- cumulative quantiles against a naive recompute --- *)
 
-(* Run [f] with a controllable clock and a short epoch, restoring the
-   wall clock and the 1s default epoch afterwards — the window clock is
-   process-global, so leaking a frozen clock would wedge every later
-   test's histograms in one epoch. *)
-let with_fake_clock f =
-  let t = ref 1e9 in
-  Obs.set_clock (Some (fun () -> !t));
-  Obs.Window.reset ();
-  Obs.Window.set_epoch_ms 100;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_clock None;
-      Obs.Window.set_epoch_ms 1000;
-      Obs.Window.reset ())
-    (fun () -> f t)
-
-let window_slides () =
-  with_fake_clock @@ fun t ->
-  let h = Obs.histogram ~scope:"test_obs_win" "lat" in
-  Obs.Histogram.reset h;
-  Obs.Window.tick ();
-  (* epoch 0: five fast observations *)
-  List.iter (Obs.Histogram.observe h) [ 1.; 1.; 1.; 1.; 1. ];
-  let w = Obs.Histogram.window_stats h in
-  check_int "epoch 0 window count" 5 w.Obs.Histogram.wcount;
-  check_float "epoch 0 window sum" 5. w.Obs.Histogram.wsum;
-  (* one epoch later: one slow observation joins the window *)
-  t := !t +. 100e6;
-  Obs.Window.tick ();
-  Obs.Histogram.observe h 1000.;
-  let w = Obs.Histogram.window_stats h in
-  check_int "epoch 1 window count" 6 w.Obs.Histogram.wcount;
-  check_float "window p50 sees the fast mass" 2. w.Obs.Histogram.wp50;
-  check_float "window p99 sees the slow tail" 1000. w.Obs.Histogram.wp99;
-  check_float "window max" 1000. w.Obs.Histogram.wmax;
-  (* cumulative stats never forget... *)
-  check_int "cumulative count keeps everything" 6 (Obs.Histogram.count h);
-  (* ...but after [slots] further epochs the early epochs leave the
-     window: only observations from the last 8 epochs remain *)
-  t := !t +. (float_of_int Obs.Window.slots *. 100e6);
-  Obs.Window.tick ();
-  Obs.Histogram.observe h 7.;
-  let w = Obs.Histogram.window_stats h in
-  check_int "old epochs expired" 1 w.Obs.Histogram.wcount;
-  check_float "window p99 after expiry" 7. w.Obs.Histogram.wp99;
-  check_float "window sum after expiry" 7. w.Obs.Histogram.wsum;
-  (* a slot is recycled in place: 9 epochs after its tag it carries the
-     new epoch's data only *)
-  check_int "cumulative count still grows" 7 (Obs.Histogram.count h)
-
-(* the windowed quantiles must equal a from-scratch recompute over the
+(* the cumulative quantiles must equal a from-scratch recompute over the
    same observations (same bucket geometry, same inclusive-rank rule) *)
-let window_matches_naive =
-  QCheck.Test.make ~count:100 ~name:"windowed quantiles = naive recompute"
+let quantiles_match_naive =
+  QCheck.Test.make ~count:100 ~name:"histogram quantiles = naive recompute"
     QCheck.(list_of_size Gen.(1 -- 200) (float_bound_exclusive 1e6))
     (fun values ->
-      with_fake_clock @@ fun _t ->
-      let h = Obs.histogram ~scope:"test_obs_win" "qc" in
-      Obs.Histogram.reset h;
-      Obs.Window.tick ();
+      let h = Obs.Histogram.make () in
       List.iter (Obs.Histogram.observe h) values;
-      let w = Obs.Histogram.window_stats h in
       let clean = List.map (fun v -> if v < 0. then 0. else v) values in
       let n = List.length clean in
       let buckets = Array.make Obs.Histogram.nbuckets 0 in
@@ -258,10 +204,10 @@ let window_matches_naive =
         done;
         Float.min (Obs.Histogram.bucket_upper !i) mx
       in
-      w.Obs.Histogram.wcount = n
-      && w.Obs.Histogram.wp50 = naive 0.5
-      && w.Obs.Histogram.wp99 = naive 0.99
-      && Float.abs (w.Obs.Histogram.wsum -. List.fold_left ( +. ) 0. clean) < 1e-6)
+      Obs.Histogram.count h = n
+      && Obs.Histogram.p50 h = naive 0.5
+      && Obs.Histogram.p99 h = naive 0.99
+      && Float.abs (Obs.Histogram.sum h -. List.fold_left ( +. ) 0. clean) < 1e-6)
 
 (* --- OpenMetrics exposition --- *)
 
@@ -269,8 +215,8 @@ let om_validate s =
   match Om_check.validate s with Ok () -> () | Error msg -> Alcotest.fail msg
 
 let openmetrics_well_formed () =
-  (* a populated registry (counters, gauges, histograms with window
-     companions, names needing sanitising) must pass the format checker *)
+  (* a populated registry (counters, gauges, histograms, names needing
+     sanitising) must pass the format checker *)
   Obs.Counter.incr (Obs.counter ~scope:"test_obs_om" "hits");
   Obs.Gauge.set (Obs.gauge ~scope:"test_obs_om" "depth") 3.5;
   let h = Obs.histogram ~scope:"test_obs_om" "lat.ns-weird name" in
@@ -295,6 +241,14 @@ let openmetrics_well_formed () =
     "# TYPE a histogram\n# HELP a x\na_bucket{le=\"+Inf\"} 5\na_count 5\n# EOF\n";
   rejects "sample before TYPE" "a_total 1\n# EOF\n"
 
+(* Run [f] with a controllable clock, restoring the monotonic clock
+   afterwards: the clock is process-global, so leaking a frozen one
+   would freeze every later test's timers. *)
+let with_fake_clock f =
+  let t = ref 1e9 in
+  Obs.set_clock (Some (fun () -> !t));
+  Fun.protect ~finally:(fun () -> Obs.set_clock None) (fun () -> f t)
+
 let openmetrics_deterministic () =
   (* with a frozen clock and an untouched registry, two renders are
      byte-identical — the property CI diffing relies on *)
@@ -307,44 +261,6 @@ let openmetrics_deterministic () =
   let hb = Obs.snapshot_human () in
   check "snapshot_human is deterministic" true (String.equal ha hb);
   om_validate a
-
-let openmetrics_writer () =
-  let path = Filename.temp_file "sparseq_test_metrics" ".prom" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let w = Obs.Openmetrics.Writer.create ~path ~interval_ms:0 in
-      Obs.Openmetrics.Writer.write_now w;
-      Obs.Openmetrics.Writer.tick w;
-      (* interval 0: every tick rewrites *)
-      check_int "tick with zero interval writes" 2 (Obs.Openmetrics.Writer.writes w);
-      check "writer path" true (String.equal path (Obs.Openmetrics.Writer.path w));
-      let ic = open_in_bin path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      om_validate text;
-      (* the atomic-rename protocol leaves no temp file behind *)
-      check "no stale temp file" false (Sys.file_exists (path ^ ".tmp")))
-
-(* --- runtime (GC) telemetry --- *)
-
-let runtime_sampler () =
-  Obs.Runtime.reset ();
-  Obs.Runtime.sample ();
-  let gv name = Obs.Gauge.get (Obs.gauge ~scope:"runtime" name) in
-  check "heap gauge populated" true (gv "heap_words" > 0.);
-  check "peak >= current heap" true (gv "top_heap_words" >= gv "heap_words");
-  let c = Obs.counter ~scope:"runtime" "minor_words" in
-  let before = Obs.Counter.get c in
-  (* allocate enough to show up in the next delta *)
-  let junk = Array.init 100_000 (fun i -> [ i ]) in
-  ignore (Sys.opaque_identity junk);
-  Obs.Runtime.sample ();
-  check "allocation delta accounted" true (Obs.Counter.get c - before > 100_000);
-  (* deltas, not absolutes: a third immediate sample adds almost nothing *)
-  let mid = Obs.Counter.get c in
-  Obs.Runtime.sample ();
-  check "delta accounting (not cumulative re-add)" true (Obs.Counter.get c - mid < mid)
 
 (* --- exactness hammers --- *)
 
@@ -388,8 +304,7 @@ let counter_hammer () =
 
 (* 100k observations into one histogram: the count is exact, the float
    sum exact (integral values, so no rounding slack), the buckets total
-   the count, the max is the largest value seen, and the window view
-   over the same cells agrees *)
+   the count, and the max is the largest value seen *)
 let histogram_hammer () =
   let n = 100_000 in
   let h = Obs.histogram ~scope:"test_obs_par" "lat_hammer" in
@@ -405,9 +320,34 @@ let histogram_hammer () =
     bucket_total := !bucket_total + Obs.Histogram.bucket_count h i
   done;
   check_int "bucket totals = count" n !bucket_total;
-  check_float "max survived the hammer" 99. (Obs.Histogram.max_value h);
-  let w = Obs.Histogram.window_stats h in
-  check_int "window count consistent" n w.Obs.Histogram.wcount
+  check_float "max survived the hammer" 99. (Obs.Histogram.max_value h)
+
+(* --- histogram footprint --- *)
+
+(* An enabled histogram observes in place: [observe] of a float the
+   caller already holds and [observe_int] allocate no minor word over
+   100k calls, and a fresh histogram is its 64 bucket cells plus a few
+   words (73 at the time of writing). *)
+let histogram_size_and_allocation () =
+  Obs.set_enabled true;
+  let h = Obs.Histogram.make () in
+  let v = Sys.opaque_identity 1234.5 in
+  let words f =
+    f 0;
+    let w0 = Gc.minor_words () in
+    for i = 1 to 100_000 do
+      f i
+    done;
+    Gc.minor_words () -. w0
+  in
+  let observe = words (fun _ -> Obs.Histogram.observe h v) in
+  let observe_int = words (fun i -> Obs.Histogram.observe_int h i) in
+  check (Printf.sprintf "observe allocates nothing (%.0f words)" observe) true (observe < 1.);
+  check
+    (Printf.sprintf "observe_int allocates nothing (%.0f words)" observe_int)
+    true (observe_int < 1.);
+  let size = Obj.reachable_words (Obj.repr (Obs.Histogram.make ())) in
+  check (Printf.sprintf "a fresh histogram reaches %d <= 100 words" size) true (size <= 100)
 
 let suite =
   [
@@ -416,14 +356,12 @@ let suite =
     Alcotest.test_case "quantile rank boundary semantics" `Quick quantile_boundaries;
     Alcotest.test_case "counter and registry hammer" `Quick counter_hammer;
     Alcotest.test_case "histogram hammer" `Quick histogram_hammer;
-    Alcotest.test_case "sliding window slides and expires" `Quick window_slides;
-    QCheck_alcotest.to_alcotest window_matches_naive;
+    QCheck_alcotest.to_alcotest quantiles_match_naive;
     Alcotest.test_case "openmetrics exposition is well-formed" `Quick openmetrics_well_formed;
     Alcotest.test_case "openmetrics render is deterministic" `Quick openmetrics_deterministic;
-    Alcotest.test_case "openmetrics periodic writer" `Quick openmetrics_writer;
-    Alcotest.test_case "runtime GC sampler" `Quick runtime_sampler;
     Alcotest.test_case "registry scoping and reset" `Quick registry_scoping;
     Alcotest.test_case "enabled flag gates writes" `Quick enabled_gate;
     Alcotest.test_case "snapshot JSON is parseable" `Quick snapshot_well_formed;
     Alcotest.test_case "compile gauges match circuit stats" `Quick gauges_match_circuit;
+    Alcotest.test_case "histogram size and allocation" `Quick histogram_size_and_allocation;
   ]
