@@ -262,6 +262,73 @@ let openmetrics_deterministic () =
   check "snapshot_human is deterministic" true (String.equal ha hb);
   om_validate a
 
+(* A histogram renders as one cumulative series: one TYPE line for its
+   family, cumulative bucket counts that never decrease and end at
+   [_count], and no companion gauge families. *)
+let openmetrics_one_series_per_histogram () =
+  Obs.set_enabled true;
+  let h = Obs.histogram ~scope:"test_obs_om" "one_series" in
+  Obs.Histogram.reset h;
+  List.iter (Obs.Histogram.observe h) [ 1.; 3.; 3.; 700.; 70_000. ];
+  let fam = Obs.Openmetrics.family ~scope:"test_obs_om" ~name:"one_series" in
+  let lines = String.split_on_char '\n' (Obs.Openmetrics.render ()) in
+  let starts p l = String.length l >= String.length p && String.sub l 0 (String.length p) = p in
+  let value l = int_of_string (List.nth (String.split_on_char ' ' l) 1) in
+  let mine = List.filter (fun l -> starts fam l || starts ("# TYPE " ^ fam) l) lines in
+  check_int "one TYPE line for the family" 1
+    (List.length (List.filter (starts ("# TYPE " ^ fam ^ " ")) mine));
+  check "no other family shares the prefix" true
+    (List.for_all
+       (fun l ->
+         starts ("# TYPE " ^ fam ^ " ") l
+         || starts (fam ^ "_bucket{") l
+         || starts (fam ^ "_sum ") l
+         || starts (fam ^ "_count ") l)
+       mine);
+  let buckets = List.map value (List.filter (starts (fam ^ "_bucket{")) mine) in
+  check "bucket counts are cumulative" true
+    (fst
+       (List.fold_left (fun (ok, prev) n -> (ok && n >= prev, n)) (true, 0) buckets));
+  check_int "+Inf bucket is the count" 5 (List.nth buckets (List.length buckets - 1));
+  check_int "_count is the count" 5 (value (List.find (starts (fam ^ "_count ")) mine))
+
+(* The CLI writes its exposition once, at exit, through
+   [write_file_atomic]: the file holds the whole render, a second write
+   replaces it whole, and no temp sibling stays behind. *)
+let metrics_file_written_whole () =
+  let path = Filename.temp_file "sparseq_test_metrics" ".prom" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let write () =
+        let text = Obs.Openmetrics.render () in
+        Obs.write_file_atomic path (fun oc -> output_string oc text);
+        text
+      in
+      let read () =
+        let ic = open_in_bin path in
+        let s = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        s
+      in
+      ignore (write ());
+      Obs.Counter.incr (Obs.counter ~scope:"test_obs_om" "rewritten");
+      let text = write () in
+      let got = read () in
+      check "file holds the latest render" true (String.equal got text);
+      om_validate got;
+      check "no stale temp file" false (Sys.file_exists (path ^ ".tmp")))
+
+(* An output path in a missing directory fails with [Sys_error] (which
+   the CLI reports as an error naming the path) and creates nothing. *)
+let unwritable_path_raises () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "sparseq_no_such_dir" in
+  let path = Filename.concat dir "m.prom" in
+  (match Obs.write_file_atomic path (fun oc -> output_string oc "# EOF\n") with
+  | () -> Alcotest.fail "writing into a missing directory must raise"
+  | exception Sys_error _ -> ());
+  check "nothing created" false (Sys.file_exists path || Sys.file_exists (path ^ ".tmp"))
+
 (* --- exactness hammers --- *)
 
 (* one counter bumped 100k times, its name re-registered and fresh
@@ -359,6 +426,10 @@ let suite =
     QCheck_alcotest.to_alcotest quantiles_match_naive;
     Alcotest.test_case "openmetrics exposition is well-formed" `Quick openmetrics_well_formed;
     Alcotest.test_case "openmetrics render is deterministic" `Quick openmetrics_deterministic;
+    Alcotest.test_case "openmetrics histogram is one series" `Quick
+      openmetrics_one_series_per_histogram;
+    Alcotest.test_case "metrics file written whole" `Quick metrics_file_written_whole;
+    Alcotest.test_case "unwritable output path raises" `Quick unwritable_path_raises;
     Alcotest.test_case "registry scoping and reset" `Quick registry_scoping;
     Alcotest.test_case "enabled flag gates writes" `Quick enabled_gate;
     Alcotest.test_case "snapshot JSON is parseable" `Quick snapshot_well_formed;
